@@ -14,6 +14,7 @@ import math
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.bayes.dilution import ResponseModel
+from repro.bayes.posterior import classify_marginals
 
 __all__ = ["PyDictLattice", "PyDictPosterior"]
 
@@ -180,12 +181,5 @@ class PyDictPosterior:
     def classify(
         self, positive_threshold: float = 0.99, negative_threshold: float = 0.01
     ) -> List[str]:
-        out = []
-        for m in self.marginals():
-            if m >= positive_threshold:
-                out.append("positive")
-            elif m <= negative_threshold:
-                out.append("negative")
-            else:
-                out.append("undetermined")
-        return out
+        statuses = classify_marginals(self.marginals(), positive_threshold, negative_threshold)
+        return [status.value for status in statuses]

@@ -14,7 +14,12 @@ from repro.bayes.dilution import (
     DilutionErrorModel,
     LogNormalViralLoadModel,
 )
-from repro.bayes.posterior import Posterior, Classification, ClassificationReport
+from repro.bayes.posterior import (
+    Posterior,
+    Classification,
+    ClassificationReport,
+    classify_marginals,
+)
 from repro.bayes.evidence import EvidenceLog, TestRecord
 from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
 from repro.bayes.indexmap import CohortIndexMap
@@ -38,6 +43,7 @@ __all__ = [
     "LogNormalViralLoadModel",
     "Posterior",
     "Classification",
+    "classify_marginals",
     "ClassificationReport",
     "EvidenceLog",
     "TestRecord",

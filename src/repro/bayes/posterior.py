@@ -23,7 +23,7 @@ from repro.lattice.prune import PruneStats, prune_by_mass
 from repro.lattice.states import StateSpace
 from repro.util.bits import intersect_count, mask_from_indices, popcount64
 
-__all__ = ["Posterior", "Classification", "ClassificationReport"]
+__all__ = ["Posterior", "Classification", "ClassificationReport", "classify_marginals"]
 
 PoolLike = Union[int, Sequence[int]]
 
@@ -34,6 +34,38 @@ class Classification(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     UNDETERMINED = "undetermined"
+
+
+#: Relative margin by which a marginal must clear a threshold to be called.
+_THRESHOLD_MARGIN = 1e-9
+
+
+def classify_marginals(
+    marginals: Sequence[float], positive_threshold: float, negative_threshold: float
+) -> Tuple[Classification, ...]:
+    """Threshold marginals into statuses — the one rule every surface uses.
+
+    An individual is POSITIVE when their marginal reaches
+    ``positive_threshold`` and NEGATIVE when it falls to
+    ``negative_threshold``, each by a relative margin of 1e-9: a marginal
+    that *equals* a threshold in exact arithmetic (a uniform prior at
+    prevalence 0.01 against the default 0.01) lands an ulp above or
+    below it depending on summation order, so it stays UNDETERMINED in
+    every backend instead of flipping with the rounding.  Thresholds of
+    exactly 0 and 1 still call marginals of exactly 0 and 1.
+    """
+    if not 0.0 <= negative_threshold < positive_threshold <= 1.0:
+        raise ValueError("need 0 <= negative_threshold < positive_threshold <= 1")
+    negative_cut = negative_threshold * (1.0 - _THRESHOLD_MARGIN)
+    positive_gap = (1.0 - positive_threshold) * (1.0 - _THRESHOLD_MARGIN)
+    return tuple(
+        Classification.POSITIVE
+        if 1.0 - m <= positive_gap
+        else Classification.NEGATIVE
+        if m <= negative_cut
+        else Classification.UNDETERMINED
+        for m in marginals
+    )
 
 
 @dataclass(frozen=True)
@@ -231,19 +263,11 @@ class Posterior:
 
         An individual is called positive when their marginal infection
         probability reaches ``positive_threshold``, negative when it
-        falls to ``negative_threshold``, undetermined otherwise.
+        falls to ``negative_threshold``, undetermined otherwise (see
+        :func:`classify_marginals` for the behaviour at the edge).
         """
-        if not 0.0 <= negative_threshold < positive_threshold <= 1.0:
-            raise ValueError("need 0 <= negative_threshold < positive_threshold <= 1")
         marg = self.marginals()
-        statuses = tuple(
-            Classification.POSITIVE
-            if m >= positive_threshold
-            else Classification.NEGATIVE
-            if m <= negative_threshold
-            else Classification.UNDETERMINED
-            for m in marg
-        )
+        statuses = classify_marginals(marg, positive_threshold, negative_threshold)
         return ClassificationReport(marginals=marg, statuses=statuses)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -19,6 +19,7 @@ import numpy as np
 from repro.lattice.partition import LatticeBlock, block_down_set_partial
 from repro.lattice.states import StateSpace
 from repro.util.bits import popcount64
+from repro.util.numerics import tie_key
 
 __all__ = ["down_set_masses", "halving_objective", "select_halving_pool"]
 
@@ -47,8 +48,9 @@ def select_halving_pool(
 ) -> Tuple[int, float, float]:
     """Pick the candidate minimising the halving objective.
 
-    Ties break toward smaller pools (fewer samples consumed), then lower
-    mask value, making selection deterministic for reproducible runs.
+    Ties (gaps equal to 1e-12, see :func:`repro.util.numerics.tie_key`)
+    break toward smaller pools (fewer samples consumed), then lower mask
+    value, making selection deterministic for reproducible runs.
 
     Returns ``(pool_mask, down_set_mass, objective_gap)``.
     """
@@ -59,6 +61,6 @@ def select_halving_pool(
     gaps = halving_objective(masses)
     sizes = popcount64(pools)
     # Lexicographic arg-min over (gap, pool size, mask value).
-    order = np.lexsort((pools, sizes, gaps))
+    order = np.lexsort((pools, sizes, tie_key(gaps)))
     best = int(order[0])
     return int(pools[best]), float(masses[best]), float(gaps[best])

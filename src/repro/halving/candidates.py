@@ -53,7 +53,10 @@ class CandidateGenerator:
         ----------
         marginals:
             Current posterior marginal infection probability per
-            individual (length = cohort size).
+            individual (length = cohort size).  Only their order is
+            used (ascending, equal values by index), so a caller whose
+            posterior is exact passes :func:`repro.util.numerics.tie_key`
+            of them and exchangeable individuals order by index.
         eligible_mask:
             Bit mask of individuals still in play; pools must be subsets.
         """

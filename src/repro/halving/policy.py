@@ -17,6 +17,7 @@ from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import CandidateGenerator, PrefixCandidates
 from repro.halving.lookahead import select_lookahead_pools
 from repro.lattice.ops import pool_count_distribution
+from repro.util.numerics import tie_key
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -65,7 +66,7 @@ class BHAPolicy(SelectionPolicy):
         self.candidates = candidates or PrefixCandidates()
 
     def select(self, posterior, eligible_mask: int) -> List[int]:
-        pools = self.candidates.generate(posterior.marginals(), eligible_mask)
+        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
         pool, _mass, _gap = select_halving_pool(posterior.space, pools)
         return [pool]
 
@@ -85,7 +86,7 @@ class LookaheadPolicy(SelectionPolicy):
         self.name = f"lookahead-{self.depth}"
 
     def select(self, posterior, eligible_mask: int) -> List[int]:
-        pools = self.candidates.generate(posterior.marginals(), eligible_mask)
+        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
         chosen, _obj = select_lookahead_pools(posterior.space, pools, self.depth)
         return chosen
 
@@ -114,7 +115,7 @@ class InformationGainPolicy(SelectionPolicy):
         model = posterior.model
         if not getattr(model, "binary", False):
             raise ValueError("InformationGainPolicy requires a binary response model")
-        pools = self.candidates.generate(posterior.marginals(), eligible_mask)
+        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
         best_pool, best_info = None, -np.inf
         for pool in pools:
             pool = int(pool)

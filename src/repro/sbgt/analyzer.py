@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.bayes.posterior import Classification, ClassificationReport
+from repro.bayes.posterior import ClassificationReport, classify_marginals
 from repro.obs.tracer import PHASE_ANALYSIS, traced
 from repro.sbgt.backend import PosteriorBackend
 
@@ -71,15 +71,6 @@ class DistributedAnalyzer:
         self, positive_threshold: float = 0.99, negative_threshold: float = 0.01
     ) -> ClassificationReport:
         """Threshold the marginals into a classification report."""
-        if not 0.0 <= negative_threshold < positive_threshold <= 1.0:
-            raise ValueError("need 0 <= negative_threshold < positive_threshold <= 1")
         marg = self.marginals()
-        statuses = tuple(
-            Classification.POSITIVE
-            if m >= positive_threshold
-            else Classification.NEGATIVE
-            if m <= negative_threshold
-            else Classification.UNDETERMINED
-            for m in marg
-        )
+        statuses = classify_marginals(marg, positive_threshold, negative_threshold)
         return ClassificationReport(marginals=marg, statuses=statuses)

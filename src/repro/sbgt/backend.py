@@ -53,6 +53,13 @@ class PosteriorBackend(ABC):
 
     n_items: int
 
+    #: True when the statistics are exact sums over an explicit lattice:
+    #: two of them closer than 1e-12 are then one value rounded twice,
+    #: and selection orders them as a tie
+    #: (:func:`repro.util.numerics.tie_key`).  Approximate backends leave
+    #: it False and are ordered by their statistics as computed.
+    exact: bool = False
+
     # ------------------------------------------------------------------
     # lattice manipulation (operation class R1)
     # ------------------------------------------------------------------

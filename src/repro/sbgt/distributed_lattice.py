@@ -25,6 +25,7 @@ materialisation happens anyway.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from typing import List, Optional, Sequence, Tuple
 
@@ -65,8 +66,23 @@ def _log_add(a: float, b: float) -> float:
     return float(np.logaddexp(a, b))
 
 
+def _even_block_size(size: int, num_blocks: int) -> int:
+    """States per block when *size* states go into about *num_blocks* blocks.
+
+    A power-of-two state count (every dense lattice) is cut into a
+    power-of-two number of blocks — *num_blocks* rounded down — so each
+    block is an aligned run of masks, i.e. a cube.
+    """
+    nb = max(1, min(num_blocks, size))
+    if size & (size - 1) == 0:
+        nb = 1 << (nb.bit_length() - 1)
+    return -(-size // nb)
+
+
 class DistributedLattice(PosteriorBackend):
     """A normalised lattice model partitioned across the engine."""
+
+    exact = True
 
     #: Updates between automatic lineage checkpoints.  Each Bayes update
     #: appends one map node to the lineage; without truncation a long
@@ -99,26 +115,23 @@ class DistributedLattice(PosteriorBackend):
     ) -> "DistributedLattice":
         """Build the dense product-prior lattice *in parallel*.
 
-        Each task materialises one contiguous mask range and evaluates
-        the prior on it; the driver never holds the full lattice.
+        Each task materialises one aligned power-of-two run of masks (a
+        cube block; *num_blocks* rounds down to a power of two) and
+        evaluates the prior on it; the driver never holds the full
+        lattice.
         """
         n = prior.n_items
         if n > 30:
             raise ValueError("dense lattice limited to 30 individuals; use from_restricted_prior")
-        size = 1 << n
-        nb = num_blocks or ctx.default_parallelism
-        nb = max(1, min(nb, size))
-        bounds = [round(i * size / nb) for i in range(nb + 1)]
-        ranges = [(bounds[i], bounds[i + 1]) for i in range(nb) if bounds[i] < bounds[i + 1]]
+        block_size = _even_block_size(1 << n, num_blocks or ctx.default_parallelism)
+        bases = list(range(0, 1 << n, block_size))
         risks_bc = ctx.broadcast(prior.risks)
 
-        def build(rng_pair: Tuple[int, int]) -> LatticeBlock:
-            lo, hi = rng_pair
-            masks = np.arange(lo, hi, dtype=np.uint64)
-            log_probs = product_prior_log(masks, risks_bc.value)
-            return LatticeBlock(n, masks, log_probs)
+        def build(base: int) -> LatticeBlock:
+            masks = np.arange(base, base + block_size, dtype=np.uint64)
+            return LatticeBlock(n, masks, product_prior_log(masks, risks_bc.value))
 
-        rdd = ctx.parallelize(ranges, len(ranges)).map(build).cache()
+        rdd = ctx.parallelize(bases, len(bases)).map(build).cache()
         lattice = cls(ctx, rdd, n)
         # The dense product prior is normalised analytically; the
         # renormalise absorbs float drift into the offset and its mass
@@ -163,8 +176,7 @@ class DistributedLattice(PosteriorBackend):
         cls, ctx: Context, space: StateSpace, num_blocks: int = 0
     ) -> "DistributedLattice":
         """Distribute an existing (driver-resident) state space."""
-        nb = num_blocks or ctx.default_parallelism
-        block_size = max(1, -(-space.size // nb))
+        block_size = _even_block_size(space.size, num_blocks or ctx.default_parallelism)
         blocks = partition_state_space(space, block_size)
         rdd = ctx.parallelize(blocks, len(blocks)).cache()
         lattice = cls(ctx, rdd, space.n_items)
@@ -233,7 +245,9 @@ class DistributedLattice(PosteriorBackend):
         ll_bc = self.ctx.broadcast(np.asarray(log_lik_by_count, dtype=np.float64))
 
         def apply(b: LatticeBlock) -> LatticeBlock:
-            return block_update(b.copy(), pool_mask, ll_bc.value)
+            # Shallow copy: block_update rebinds log_probs, never writes
+            # into the cached block's array.
+            return block_update(copy.copy(b), pool_mask, ll_bc.value)
 
         updated = self.rdd.map(apply).cache()
         new_mass = self._log_mass(updated)
@@ -346,8 +360,7 @@ class DistributedLattice(PosteriorBackend):
         and the offset resets to zero.
         """
         space = self.collect()  # offset absorbed here
-        nb = num_blocks or self.ctx.default_parallelism
-        block_size = max(1, -(-space.size // nb))
+        block_size = _even_block_size(space.size, num_blocks or self.ctx.default_parallelism)
         blocks = partition_state_space(space, block_size)
         rdd = self.ctx.parallelize(blocks, len(blocks)).cache()
         rdd.count()

@@ -25,13 +25,26 @@ from repro.halving.lookahead import batch_balance_objective
 from repro.obs.tracer import PHASE_SELECTION, traced
 from repro.sbgt.backend import PosteriorBackend
 from repro.util.bits import popcount_any
+from repro.util.numerics import tie_key
 
 __all__ = [
+    "ordering_key",
     "down_set_masses_distributed",
     "select_halving_pool_distributed",
     "select_lookahead_pools_distributed",
     "select_infogain_pool_distributed",
 ]
+
+
+def ordering_key(posterior: PosteriorBackend, values: np.ndarray) -> np.ndarray:
+    """*values* (marginals, gaps) as a sort key for one selection step.
+
+    An exact backend's mathematical ties become equal keys, so the
+    documented secondary keys decide them whatever kernel or executor
+    produced the numbers; an approximate backend's values pass through.
+    """
+    return tie_key(values) if posterior.exact else np.asarray(values, dtype=np.float64)
+
 
 def _tie_break_order(*keys: np.ndarray) -> np.ndarray:
     """Stable ordering by the given keys, most significant *last*.
@@ -71,7 +84,7 @@ def select_halving_pool_distributed(
     masses = posterior.down_set_masses(pools)
     gaps = halving_objective(masses)
     sizes = popcount_any(pools)
-    order = _tie_break_order(pools, sizes, gaps)
+    order = _tie_break_order(pools, sizes, ordering_key(posterior, gaps))
     best = int(order[0])
     return int(pools[best]), float(masses[best]), float(gaps[best])
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.bayes.dilution import ResponseModel
 from repro.bayes.evidence import EvidenceLog, TestRecord
 from repro.bayes.indexmap import CohortIndexMap
-from repro.bayes.posterior import Classification, ClassificationReport
+from repro.bayes.posterior import Classification, ClassificationReport, classify_marginals
 from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
 from repro.halving.policy import (
@@ -42,6 +42,7 @@ from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice, PruneStats
 from repro.sbgt.selector import (
+    ordering_key,
     select_halving_pool_distributed,
     select_infogain_pool_distributed,
     select_lookahead_pools_distributed,
@@ -156,15 +157,7 @@ class SBGTSession:
         pos = self.config.positive_threshold if positive_threshold is None else positive_threshold
         neg = self.config.negative_threshold if negative_threshold is None else negative_threshold
         marg = self.marginals()
-        statuses = tuple(
-            Classification.POSITIVE
-            if m >= pos
-            else Classification.NEGATIVE
-            if m <= neg
-            else Classification.UNDETERMINED
-            for m in marg
-        )
-        return ClassificationReport(marginals=marg, statuses=statuses)
+        return ClassificationReport(marginals=marg, statuses=classify_marginals(marg, pos, neg))
 
     def update(self, pool: Any, outcome: Any) -> TestRecord:
         """Condition the distributed lattice on one pooled outcome.
@@ -245,24 +238,20 @@ class SBGTSession:
     def select_pools(self, policy: SelectionPolicy, eligible_mask: int) -> List[int]:
         """One stage of pool proposals (original indices), distributed
         where the policy's math touches the lattice."""
+        if not isinstance(policy, (LookaheadPolicy, BHAPolicy, InformationGainPolicy)):
+            # Lattice-free baselines (individual, Dorfman, custom): they see
+            # the session itself, which quacks enough (marginals()).
+            return policy.select(self, eligible_mask)
+        order = ordering_key(self.lattice, self.marginals())
+        cands = policy.candidates.generate(order, eligible_mask)
+        compact = as_mask_array([self._to_compact_mask(int(c)) for c in cands])
         if isinstance(policy, LookaheadPolicy):
-            cands = policy.candidates.generate(self.marginals(), eligible_mask)
-            compact = as_mask_array([self._to_compact_mask(int(c)) for c in cands])
             pools, _ = select_lookahead_pools_distributed(self.lattice, compact, policy.depth)
-            return [self._to_original_mask(p) for p in pools]
-        if isinstance(policy, BHAPolicy):
-            cands = policy.candidates.generate(self.marginals(), eligible_mask)
-            compact = as_mask_array([self._to_compact_mask(int(c)) for c in cands])
-            pool, _, _ = select_halving_pool_distributed(self.lattice, compact)
-            return [self._to_original_mask(pool)]
-        if isinstance(policy, InformationGainPolicy):
-            cands = policy.candidates.generate(self.marginals(), eligible_mask)
-            compact = as_mask_array([self._to_compact_mask(int(c)) for c in cands])
-            pool, _ = select_infogain_pool_distributed(self.lattice, compact, self.model)
-            return [self._to_original_mask(pool)]
-        # Lattice-free baselines (individual, Dorfman, custom): they see
-        # the session itself, which quacks enough (marginals()).
-        return policy.select(self, eligible_mask)
+        elif isinstance(policy, BHAPolicy):
+            pools = [select_halving_pool_distributed(self.lattice, compact)[0]]
+        else:
+            pools = [select_infogain_pool_distributed(self.lattice, compact, self.model)[0]]
+        return [self._to_original_mask(p) for p in pools]
 
     # ------------------------------------------------------------------
     # full screen

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["log1mexp"]
+__all__ = ["log1mexp", "tie_key"]
 
 _LOG_HALF = float(np.log(0.5))  # -ln 2, the branch point
 
@@ -39,3 +39,17 @@ def log1mexp(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def tie_key(values: Union[float, np.ndarray]) -> np.ndarray:
+    """Probabilities quantised to 1e-12, for ordering only.
+
+    Quantities that are equal in exact arithmetic (the marginals of
+    exchangeable individuals, the halving gaps of symmetric pools) come
+    out of different kernels an ulp apart.  Sorting on this key makes
+    them compare equal, so the documented secondary keys (index, pool
+    size, mask) break the tie identically whatever kernel, block split
+    or executor mode produced the numbers.  Meant for exact posteriors:
+    an approximate backend's statistics are ordered as computed.
+    """
+    return np.round(np.asarray(values, dtype=np.float64) * 1e12)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.baseline.pydict import PyDictPosterior
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel, PerfectTest
-from repro.bayes.posterior import Classification, Posterior
+from repro.bayes.posterior import Classification, Posterior, classify_marginals
 from repro.bayes.priors import PriorSpec
 
 
@@ -128,6 +128,49 @@ class TestClassification:
         report = post.classify()
         assert report.n_classified == 0
         assert not report.all_classified
+
+
+class TestThresholdEdge:
+    """A marginal mathematically *at* a threshold is UNDETERMINED however
+    its last bit was rounded — the one rule every surface shares."""
+
+    @pytest.mark.parametrize("neg", [0.01, 0.05, 0.3])
+    def test_negative_threshold_plus_minus_one_ulp(self, neg):
+        edge = [np.nextafter(neg, 0.0), neg, np.nextafter(neg, 1.0)]
+        assert classify_marginals(edge, 0.99, neg) == (Classification.UNDETERMINED,) * 3
+        assert classify_marginals([neg * (1 - 1e-6)], 0.99, neg) == (Classification.NEGATIVE,)
+
+    @pytest.mark.parametrize("pos", [0.99, 0.95, 0.7])
+    def test_positive_threshold_plus_minus_one_ulp(self, pos):
+        edge = [np.nextafter(pos, 0.0), pos, np.nextafter(pos, 1.0)]
+        assert classify_marginals(edge, pos, 0.01) == (Classification.UNDETERMINED,) * 3
+        assert classify_marginals([1 - (1 - pos) * (1 - 1e-6)], pos, 0.01) == (
+            Classification.POSITIVE,
+        )
+
+    def test_thresholds_of_exactly_zero_and_one(self):
+        statuses = classify_marginals([0.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 1.0], 1.0, 0.0)
+        assert statuses == (
+            Classification.NEGATIVE,
+            Classification.UNDETERMINED,
+            Classification.UNDETERMINED,
+            Classification.UNDETERMINED,
+            Classification.POSITIVE,
+        )
+
+    def test_invalid_thresholds(self):
+        with pytest.raises(ValueError):
+            classify_marginals([0.5], 0.4, 0.6)
+
+    def test_uniform_prior_at_the_threshold_is_tested_not_cleared(self):
+        """Prevalence 0.01 against the default negative threshold 0.01:
+        serial, dict-oracle and summation-order variants all agree."""
+        prior = PriorSpec.uniform(10, 0.01)
+        post = Posterior.from_prior(prior, PerfectTest())
+        assert post.classify().n_classified == 0
+        assert PyDictPosterior([0.01] * 6, PerfectTest()).classify() == ["undetermined"] * 6
+        for m in (0.010000000000000002, 0.009999999999999992):
+            assert classify_marginals([m], 0.99, 0.01) == (Classification.UNDETERMINED,)
 
 
 class TestEvidence:

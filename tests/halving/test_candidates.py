@@ -10,6 +10,7 @@ from repro.halving.candidates import (
     SlidingWindowCandidates,
 )
 from repro.util.bits import popcount64
+from repro.util.numerics import tie_key
 
 
 def all_subsets_of(masks: np.ndarray, eligible: int) -> bool:
@@ -104,3 +105,36 @@ class TestSlidingWindowCandidates:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             SlidingWindowCandidates(window_sizes=[0])
+
+
+class TestUlpRobustOrdering:
+    """Generators order by the key they are given: through ``tie_key``
+    mathematically tied marginals order by index whatever their last bit,
+    raw values order as computed."""
+
+    @staticmethod
+    def jitter(values: np.ndarray, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        toward = np.where(rng.random(values.size) < 0.5, 0.0, 1.0)
+        return np.where(rng.random(values.size) < 0.3, values, np.nextafter(values, toward))
+
+    @pytest.mark.parametrize("generator", [PrefixCandidates(), SlidingWindowCandidates()])
+    def test_one_ulp_perturbations_give_the_identical_table(self, generator):
+        marginals = np.array([0.05] * 5 + [0.2] * 3 + [0.05] * 4)
+        eligible = (1 << 12) - 1
+        reference = generator.generate(tie_key(marginals), eligible)
+        for seed in range(20):
+            table = generator.generate(tie_key(self.jitter(marginals, seed)), eligible)
+            assert np.array_equal(table, reference)
+
+    def test_ties_resolve_by_index(self):
+        pools = PrefixCandidates(include_descending=False).generate(
+            tie_key(self.jitter(np.full(6, 0.01), 1)), 0b111111
+        )
+        assert [int(p) for p in pools] == [0b1, 0b11, 0b111, 0b1111, 0b11111, 0b111111]
+
+    def test_raw_values_order_as_computed(self):
+        marginals = np.full(4, 0.01)
+        marginals[2] = np.nextafter(0.01, 0.0)
+        pools = PrefixCandidates(include_descending=False).generate(marginals, 0b1111)
+        assert [int(p) for p in pools] == [0b0100, 0b0101, 0b0111, 0b1111]

@@ -1,5 +1,8 @@
 """The experiment harness itself (micro-scale run of every Rn)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from benchmarks.run_experiments import EXPERIMENTS, SCALES, main
@@ -60,5 +63,12 @@ class TestCli:
         # Patch the small scale down to the micro config for speed.
         monkeypatch.setitem(SCALES, "small", MICRO)
         out = tmp_path / "results.txt"
-        assert main(["r6", "--out", str(out)]) == 0
+        engine_json = tmp_path / "BENCH_engine.json"
+        # The tracked perf record at the repo root belongs to explicit
+        # benchmark runs; a test run must leave its bytes alone.
+        tracked = Path(__file__).resolve().parents[2] / "BENCH_engine.json"
+        before = tracked.read_bytes()
+        assert main(["r6", "--out", str(out), "--engine-json", str(engine_json)]) == 0
         assert "R6" in out.read_text()
+        assert json.loads(engine_json.read_text())
+        assert tracked.read_bytes() == before

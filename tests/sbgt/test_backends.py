@@ -243,6 +243,35 @@ def test_sparse_session_screen_replays_dense(ctx):
     assert np.allclose(sparse.report.marginals, dense.report.marginals, atol=1e-9)
 
 
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_session_orders_candidates_by_the_backends_key(backend, ctx):
+    """Only an exact backend's marginals are quantised before they order
+    the candidates; an approximate backend's go in as computed (the
+    sparse screens of a uniform cohort follow their last bits, and the
+    benchmark's corpus is labelled with the tests they then take)."""
+    from repro.halving.candidates import PrefixCandidates
+    from repro.util.numerics import tie_key
+
+    seen = []
+
+    class Spy(PrefixCandidates):
+        def generate(self, marginals, eligible_mask):
+            seen.append(np.array(marginals))
+            return super().generate(marginals, eligible_mask)
+
+    config = SBGTConfig(backend=backend)
+    session = SBGTSession(ctx if backend == "dense" else None, PriorSpec.uniform(9, 0.03),
+                          MODEL, config)
+    try:
+        session.update(0b000000111, True)
+        session.select_pools(BHAPolicy(Spy()), (1 << 9) - 1)
+        marginals = session.marginals()
+    finally:
+        session.close()
+    expected = tie_key(marginals) if backend == "dense" else marginals
+    assert np.array_equal(seen[0], expected)
+
+
 def test_sparse_rank_seeding_respects_max_states():
     prior = PriorSpec.uniform(40, 0.03)
     post = SparsePosterior.from_prior(prior, max_states=5000)

@@ -238,3 +238,130 @@ class TestAcrossModes:
         post.update(0b000111, False)
         assert np.allclose(dl.marginals(), post.marginals(), atol=1e-10)
         dl.unpersist()
+
+
+class TestCubeBlocks:
+    """Dense lattices are stored as aligned power-of-two cube blocks."""
+
+    @pytest.mark.parametrize("asked,blocks", [(1, 1), (2, 2), (3, 2), (4, 4), (7, 4), (100, 64)])
+    def test_from_prior_splits_into_power_of_two_cubes(self, ctx, prior, asked, blocks):
+        dl = DistributedLattice.from_prior(ctx, prior, asked)
+        parts = dl.rdd.collect()
+        assert len(parts) == dl.num_blocks == blocks
+        assert all(b.bits == 6 - (blocks.bit_length() - 1) for b in parts)
+        assert sorted(b.base for b in parts) == list(range(0, 64, 64 // blocks))
+        dl.unpersist()
+
+    def test_from_state_space_and_rebalance_detect_cubes(self, ctx, prior, model):
+        dl = DistributedLattice.from_state_space(ctx, prior.build_dense(), 3)
+        assert [b.bits for b in dl.rdd.collect()] == [5, 5]
+        dl.update(0b000111, model.log_likelihood_by_count(True, 3))
+        dl.rebalance(4)
+        assert [b.bits for b in dl.rdd.collect()] == [4, 4, 4, 4]
+        dl.unpersist()
+
+    def test_conditioned_and_pruned_blocks_are_generic(self, ctx, prior):
+        dl = DistributedLattice.from_prior(ctx, prior, 2)
+        dl.condition(positive_mask=0b000001)
+        assert all(b.bits is None for b in dl.rdd.collect())
+        dl.unpersist()
+        dl = DistributedLattice.from_prior(ctx, PriorSpec.uniform(10, 0.02), 2)
+        assert dl.prune(1e-4).dropped_states > 0
+        assert all(b.bits is None for b in dl.rdd.collect())
+        dl.unpersist()
+
+    def test_restricted_prior_blocks_are_generic(self, ctx):
+        dl, _ = DistributedLattice.from_restricted_prior(ctx, PriorSpec.uniform(12, 0.03), 3, 4)
+        assert all(b.bits is None for b in dl.rdd.collect() if b.size > 1)
+        dl.unpersist()
+
+    def test_project_out_bit_keeps_cubes(self, ctx, prior):
+        from repro.lattice.ops import project_out_bit
+
+        dl = DistributedLattice.from_prior(ctx, prior, 4)
+        space = prior.build_dense()
+        for bit, keep_positive in [(1, False), (4, True), (0, False)]:
+            dl.project_out_bit(bit, keep_positive)
+            space = project_out_bit(space, bit, keep_positive)
+            assert all(b.bits is not None for b in dl.rdd.collect() if b.size)
+            assert np.allclose(dl.marginals(), marginals(space), atol=1e-10)
+        dl.unpersist()
+
+
+class TestMarginalsAfterMutations:
+    """Marginals follow every mutation, cube blocks or not."""
+
+    def test_condition_project_prune_rebalance(self, ctx, prior):
+        from repro.lattice.ops import condition_on_classification, project_out_bit
+
+        space = prior.build_dense()
+        dl = DistributedLattice.from_prior(ctx, prior, 4)
+        stale = dl.marginals()
+
+        dl.condition(negative_mask=0b000100)
+        space = condition_on_classification(space, 0, 0b000100)
+        assert not np.allclose(dl.marginals(), stale)
+        assert np.allclose(dl.marginals(), marginals(space), atol=1e-10)
+
+        dl.project_out_bit(0, True)
+        space = project_out_bit(space, 0, True)
+        assert dl.marginals().shape == (5,)
+        assert np.allclose(dl.marginals(), marginals(space), atol=1e-10)
+
+        before = dl.marginals()
+        assert dl.prune(0.05).dropped_states > 0
+        after = dl.marginals()
+        assert not np.array_equal(after, before)
+        assert np.allclose(after, marginals(dl.collect()), atol=1e-10)
+
+        dl.rebalance(2)  # same distribution
+        assert np.allclose(dl.marginals(), after, atol=1e-12)
+        dl.unpersist()
+
+    def test_failed_update_keeps_state(self, ctx, prior):
+        dl = DistributedLattice.from_prior(ctx, prior, 2)
+        before = dl.marginals()
+        with pytest.raises(ValueError):
+            dl.update(0b000011, np.full(3, -np.inf))
+        assert np.array_equal(dl.marginals(), before)
+        dl.unpersist()
+
+
+class TestScreenPayloadParity:
+    """Cohort-12 screens decide identically however the lattice is executed
+    or split."""
+
+    BODIES = [{"cohort": 12, "prevalence": 0.05, "seed": seed} for seed in (1, 5, 16, 60)]
+
+    @staticmethod
+    def run(context, body, num_blocks=0):
+        from repro.sbgt.session import SBGTSession
+        from repro.serve.protocol import ScreenRequest
+        from repro.workflows.payloads import dump_payload, screen_payload
+
+        req = ScreenRequest.from_payload(body)
+        prior, model, policy, config = req.build()
+        session = SBGTSession(context, prior, model, config.with_(num_blocks=num_blocks))
+        try:
+            result = session.run_screen(policy, rng=req.seed)
+        finally:
+            session.close()
+        return dump_payload(screen_payload(result, request=req.canonical()))
+
+    @pytest.mark.parametrize("body", BODIES, ids=lambda b: f"seed{b['seed']}")
+    def test_byte_identical_across_executor_modes(self, ctx, serial_ctx, process_ctx, body):
+        texts = {self.run(c, body, num_blocks=2) for c in (ctx, serial_ctx, process_ctx)}
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("body", BODIES, ids=lambda b: f"seed{b['seed']}")
+    def test_same_decisions_across_block_counts(self, serial_ctx, body):
+        import json
+
+        payloads = [json.loads(self.run(serial_ctx, body, nb)) for nb in (1, 2, 4)]
+        marginals_ = [p["classification"].pop("marginals") for p in payloads]
+        assert payloads[0] == payloads[1] == payloads[2]  # statuses, tests, stages, summary
+        assert payloads[0]["summary"]["tests"] >= 1
+        # Summation order differs with the split, so marginals agree to
+        # rounding, not to the bit.
+        for other in marginals_[1:]:
+            assert np.allclose(other, marginals_[0], rtol=0.0, atol=1e-12)

@@ -68,6 +68,61 @@ class TestHalvingParity:
             select_halving_pool_distributed(dl, np.array([], dtype=np.uint64))
 
 
+class TestUlpRobustTies:
+    """Gaps equal in exact arithmetic tie-break by (pool size, mask) in the
+    serial and the distributed rule alike, whatever the masses' last bit."""
+
+    POOLS = np.array([0b0110, 0b0001, 0b1000, 0b0011], dtype=np.uint64)
+    #: |0.3 − ½| and |0.7 − ½| differ in float64; 0b0001 must still win.
+    MASSES = np.array([0.5, 0.3, 0.7, 0.5])
+
+    class FixedMasses:
+        def __init__(self, masses, exact=True):
+            self.masses, self.exact = masses, exact
+
+        def down_set_masses(self, pool_masks):
+            return self.masses
+
+    @staticmethod
+    def jittered(seed):
+        rng = np.random.default_rng(seed)
+        toward = np.where(rng.random(4) < 0.5, 0.0, 1.0)
+        return np.nextafter(TestUlpRobustTies.MASSES, toward)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_distributed_rule(self, seed):
+        masses = self.jittered(seed)
+        pool, mass, gap = select_halving_pool_distributed(self.FixedMasses(masses), self.POOLS)
+        assert pool == 0b0011  # the two exact halves tie; smaller mask of size 2 wins
+        assert gap == pytest.approx(0.0, abs=1e-15)
+        pool, _, _ = select_halving_pool_distributed(
+            self.FixedMasses(masses[1:3]), self.POOLS[1:3]
+        )
+        assert pool == 0b0001
+
+    def test_approximate_backend_compares_as_computed(self):
+        """0.3 and 0.7 are not equally far from ½ in float64: a backend
+        that is not exact gets the nearer one, not the tie-break's."""
+        masses = self.MASSES[1:3]
+        assert abs(masses[1] - 0.5) < abs(masses[0] - 0.5)
+        approximate = self.FixedMasses(masses, exact=False)
+        assert select_halving_pool_distributed(approximate, self.POOLS[1:3])[0] == 0b1000
+
+    def test_backends_declare_exactness(self, dl):
+        from repro.sbgt.particle import ParticlePosterior
+        from repro.sbgt.sparse import SparsePosterior
+
+        assert dl.exact and not SparsePosterior.exact and not ParticlePosterior.exact
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_serial_rule(self, seed, space, monkeypatch):
+        masses = self.jittered(seed)
+        monkeypatch.setattr("repro.halving.bha.down_set_masses", lambda space, pools: masses)
+        assert select_halving_pool(space, self.POOLS)[0] == 0b0011
+        monkeypatch.setattr("repro.halving.bha.down_set_masses", lambda space, pools: masses[1:3])
+        assert select_halving_pool(space, self.POOLS[1:3])[0] == 0b0001
+
+
 class TestLookaheadParity:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_same_batch_selected(self, dl, space, depth):
