@@ -514,6 +514,47 @@ def test_update_is_single_pass():
         dl.unpersist()
 
 
+def test_screen_job_counts():
+    """A dense screen costs one job to start and three per halving stage.
+
+    Start: build + normalise + marginals in one aggregation (the first
+    ``classify()`` reads what it left at the driver).  Stage: the
+    candidates' down-set masses, update + normalise, then the marginals
+    the classification reads.  Counted on a real ``ScreenStepper`` loop
+    at the serving cohort size.
+    """
+    from repro.engine.listener import JobStart, RecordingListener
+    from repro.serve.protocol import ScreenRequest
+    from repro.sbgt.session import SBGTSession
+    from repro.sbgt.stepper import ScreenStepper
+    from repro.simulate.population import make_cohort
+    from repro.simulate.testing import TestLab
+    from repro.util.rng import as_rng
+
+    prior, model, policy, config = ScreenRequest.from_payload(
+        {"cohort": 12, "prevalence": 0.05, "seed": 5}
+    ).build()
+    rng = as_rng(5)
+    lab = TestLab(model, make_cohort(prior, rng).truth_mask, rng)
+    with Context(mode="threads", parallelism=2) as c:
+        rec = c.add_listener(RecordingListener())
+        session = SBGTSession(c, prior, model, config)
+        stepper = ScreenStepper(session, policy)
+        jobs = rec.of_type(JobStart)
+        assert len(jobs) == 1, [j.description for j in jobs]
+        stages = 0
+        # The 16th update also checkpoints the lineage (collect + re-parallelize).
+        while not stepper.done and stages < session.lattice.checkpoint_interval - 1:
+            rec.clear()
+            pools = stepper.next_pools()
+            stepper.submit_outcomes([lab.run(pool) for pool in pools])
+            jobs = rec.of_type(JobStart)
+            assert len(jobs) == 3, [j.description for j in jobs]
+            stages += 1
+        assert stages >= 3
+        session.close()
+
+
 def test_cube_kernel_speedup():
     """Cube kernels are >=4x the generic ones.
 

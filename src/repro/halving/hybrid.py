@@ -46,18 +46,25 @@ class HybridPolicy(SelectionPolicy):
     def reset(self) -> None:
         self._stage = 0
 
-    def _stage_one(self, posterior, eligible_mask: int) -> List[int]:
+    def _stage_one(self, posterior, eligible_mask: int) -> DorfmanPolicy:
         if self.pool_size is not None:
-            dorfman = DorfmanPolicy(self.pool_size)
-        else:
-            marginals = np.asarray(posterior.marginals(), dtype=np.float64)
-            members = [i for i in range(len(marginals)) if (eligible_mask >> i) & 1]
-            mean_risk = float(np.clip(marginals[members].mean(), 1e-6, 1 - 1e-6))
-            dorfman = DorfmanPolicy.optimal_for(mean_risk, max_pool_size=len(members))
-        return dorfman.select(posterior, eligible_mask)
+            return DorfmanPolicy(self.pool_size)
+        marginals = np.asarray(posterior.marginals(), dtype=np.float64)
+        members = [i for i in range(len(marginals)) if (eligible_mask >> i) & 1]
+        mean_risk = float(np.clip(marginals[members].mean(), 1e-6, 1 - 1e-6))
+        return DorfmanPolicy.optimal_for(mean_risk, max_pool_size=len(members))
 
-    def select(self, posterior, eligible_mask: int) -> List[int]:
+    def next_stage_policy(self, posterior, eligible_mask: int) -> SelectionPolicy:
+        """Advance one stage and return the policy that selects it.
+
+        A fresh Dorfman grid first, the halving policy afterwards — so a
+        driver that runs halving its own way (the distributed session)
+        can dispatch on what it gets.
+        """
         self._stage += 1
         if self._stage == 1:
             return self._stage_one(posterior, eligible_mask)
-        return self._bha.select(posterior, eligible_mask)
+        return self._bha
+
+    def select(self, posterior, eligible_mask: int) -> List[int]:
+        return self.next_stage_policy(posterior, eligible_mask).select(posterior, eligible_mask)

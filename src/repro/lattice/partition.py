@@ -42,6 +42,8 @@ __all__ = [
     "partition_state_space",
     "merge_blocks",
     "block_log_mass",
+    "block_mass_marginals",
+    "merge_mass_marginals",
     "block_update",
     "block_scale",
     "block_marginal_partial",
@@ -277,22 +279,21 @@ def _block_probs(block: LatticeBlock, log_offset: float) -> np.ndarray:
     return _exp_shifted(block.log_probs, log_offset)
 
 
-def block_marginal_partial(block: LatticeBlock, log_offset: float = 0.0) -> np.ndarray:
-    """Per-individual positive mass within the block.
+def _positive_masses(block: LatticeBlock, p: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Per-individual positive mass of the linear weights *p*, and their total.
 
-    Generic blocks gather once per individual.  A cube folds: the upper
-    half of the weights is the top free bit's positive mass, and adding
-    it onto the lower half leaves a cube one bit smaller — ``2·2^bits``
-    additions in all; the single weight left after the last fold is the
-    block's mass, which is also the positive mass of every bit set in
-    ``base``.
+    Generic blocks gather once per individual.  A cube folds *p* in
+    place: the upper half of the weights is the top free bit's positive
+    mass, and adding it onto the lower half leaves a cube one bit smaller
+    — ``2·2^bits`` additions in all; the single weight left after the
+    last fold is the block's mass, which is also the positive mass of
+    every bit set in ``base``.
     """
-    p = _block_probs(block, log_offset)
     out = np.zeros(block.n_items, dtype=np.float64)
     if block.bits is None:
         for i in range(block.n_items):
             out[i] = p[bit_column(block.masks, i)].sum()
-        return out
+        return out, float(p.sum())
     for j in range(block.bits - 1, -1, -1):
         upper = p[1 << j : 2 << j]
         out[j] = upper.sum()
@@ -300,7 +301,56 @@ def block_marginal_partial(block: LatticeBlock, log_offset: float = 0.0) -> np.n
     for i in range(block.bits, block.n_items):
         if (block.base >> i) & 1:
             out[i] = p[0]
-    return out
+    return out, float(p[0])
+
+
+def block_marginal_partial(block: LatticeBlock, log_offset: float = 0.0) -> np.ndarray:
+    """Per-individual positive mass within the block."""
+    return _positive_masses(block, _block_probs(block, log_offset))[0]
+
+
+#: ``(stored log-mass, marginals given the block)``; the marginals are
+#: ``None`` where they were not computed, and a mass of −inf is "nothing".
+MassMarginals = Tuple[float, Optional[np.ndarray]]
+
+
+def block_mass_marginals(block: LatticeBlock, need_marginals: bool = False) -> MassMarginals:
+    """The block's stored log-mass and its marginals from one exponentiation.
+
+    The normalising aggregation and the marginals read-out exponentiate
+    the same array, so they are one kernel: ``exp(log_probs − max)`` in
+    place, the positive masses of :func:`block_marginal_partial`, and the
+    total those leave behind.  A cube's folds cost what summing the
+    weights would, so a cube always reports marginals; a generic block
+    gathers once per individual and reports its mass alone unless
+    *need_marginals*.  Needs no ``log_offset``: the marginals are
+    relative to the block's own mass, and
+    :func:`merge_mass_marginals` weights them by it.
+    """
+    if block.bits is None and not need_marginals:
+        return block_log_mass(block), None
+    top = float(block.log_probs.max(initial=-np.inf))
+    if top == -np.inf:  # empty, or no state has mass
+        return -np.inf, None
+    positive, total = _positive_masses(block, _exp_shifted(block.log_probs, top))
+    return top + float(np.log(total)), positive / total
+
+
+def merge_mass_marginals(a: MassMarginals, b: MassMarginals) -> MassMarginals:
+    """Combine two :func:`block_mass_marginals` partials (associative).
+
+    Masses add in log space and marginals average weighted by mass; a
+    −inf mass is the identity, and marginals one side did not compute
+    are not computed for the union.
+    """
+    if a[0] == -np.inf:
+        return b
+    if b[0] == -np.inf:
+        return a
+    log_mass = float(np.logaddexp(a[0], b[0]))
+    if a[1] is None or b[1] is None:
+        return log_mass, None
+    return log_mass, a[1] * np.exp(a[0] - log_mass) + b[1] * np.exp(b[0] - log_mass)
 
 
 def block_down_set_partial(

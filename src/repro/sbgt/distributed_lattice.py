@@ -14,13 +14,20 @@ Invariants maintained by every public method:
   mutating, exactly Spark's contract.
 
 Deferred normalisation makes :meth:`DistributedLattice.update` a single
-full-lattice pass: apply the likelihood while caching, tree-aggregate
-the new stored mass (which materialises the cache), and fold the
-normalisation into ``log_offset`` as an O(1) driver-side bookkeeping
-step.  The mass delta *is* the predictive probability of the outcome, so
-evidence tracking stays free.  The offset is absorbed back into the data
-only at checkpoint/rebalance boundaries (and ``collect``), where a full
-materialisation happens anyway.
+full-lattice pass and a single job: apply the likelihood while caching,
+tree-aggregate the new stored mass (which materialises the cache), and
+fold the normalisation into ``log_offset`` as an O(1) driver-side
+bookkeeping step.  The mass delta *is* the predictive probability of the
+outcome, so evidence tracking stays free.  The constructors and the
+mutators (``condition`` / ``prune`` / ``project_out_bit``) normalise
+with an aggregation that also reads the marginals off the array it
+exponentiates for the mass (see
+:func:`~repro.lattice.partition.block_mass_marginals`); the driver holds
+them next to the offset and :meth:`DistributedLattice.marginals` serves
+a copy, running that aggregation itself only when none are held (after
+an update, or over generic blocks).  The offset is absorbed back into
+the data only at checkpoint/rebalance boundaries (and ``collect``),
+where a full materialisation happens anyway.
 """
 
 from __future__ import annotations
@@ -34,9 +41,14 @@ import numpy as np
 from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
 from repro.engine.rdd import RDD
-from repro.lattice.builder import enumerate_restricted_masks, product_prior_log
+from repro.lattice.builder import (
+    dense_prior_log,
+    enumerate_restricted_masks,
+    product_prior_log,
+)
 from repro.lattice.partition import (
     LatticeBlock,
+    MassMarginals,
     block_count_distribution_partial,
     block_count_hists_partial,
     block_down_set_partial,
@@ -44,12 +56,13 @@ from repro.lattice.partition import (
     block_filter_consistent,
     block_histogram_partial,
     block_log_mass,
-    block_marginal_partial,
+    block_mass_marginals,
     block_project_out_bit,
     block_refined_cell_partial,
     block_top_states,
     block_update,
     merge_blocks,
+    merge_mass_marginals,
     partition_state_space,
 )
 from repro.lattice.prune import PruneStats
@@ -60,10 +73,6 @@ from repro.util.bits import popcount64
 from repro.util.numerics import log1mexp
 
 __all__ = ["DistributedLattice", "PruneStats"]
-
-
-def _log_add(a: float, b: float) -> float:
-    return float(np.logaddexp(a, b))
 
 
 def _even_block_size(size: int, num_blocks: int) -> int:
@@ -99,6 +108,9 @@ class DistributedLattice(PosteriorBackend):
         self._updates_since_checkpoint = 0
         # Deferred-normalisation scalar: true log-prob = stored − offset.
         self._log_offset = 0.0
+        # Marginals of the current posterior when the last normalising
+        # aggregation yielded them, else None until someone asks.
+        self._marginals: Optional[np.ndarray] = None
 
     @property
     def log_offset(self) -> float:
@@ -115,28 +127,28 @@ class DistributedLattice(PosteriorBackend):
     ) -> "DistributedLattice":
         """Build the dense product-prior lattice *in parallel*.
 
-        Each task materialises one aligned power-of-two run of masks (a
-        cube block; *num_blocks* rounds down to a power of two) and
-        evaluates the prior on it; the driver never holds the full
-        lattice.
+        Each task evaluates the prior on one aligned power-of-two run of
+        masks (a cube block; *num_blocks* rounds down to a power of two)
+        by doubling, without building the masks; the driver never holds
+        the full lattice.
         """
         n = prior.n_items
         if n > 30:
             raise ValueError("dense lattice limited to 30 individuals; use from_restricted_prior")
         block_size = _even_block_size(1 << n, num_blocks or ctx.default_parallelism)
+        bits = block_size.bit_length() - 1
         bases = list(range(0, 1 << n, block_size))
         risks_bc = ctx.broadcast(prior.risks)
 
         def build(base: int) -> LatticeBlock:
-            masks = np.arange(base, base + block_size, dtype=np.uint64)
-            return LatticeBlock(n, masks, product_prior_log(masks, risks_bc.value))
+            return LatticeBlock.cube(n, base, bits, dense_prior_log(risks_bc.value, bits, base))
 
         rdd = ctx.parallelize(bases, len(bases)).map(build).cache()
         lattice = cls(ctx, rdd, n)
         # The dense product prior is normalised analytically; the
-        # renormalise absorbs float drift into the offset and its mass
+        # renormalise absorbs float drift into the offset and its
         # aggregation materialises the cache.
-        lattice._renormalize()
+        lattice._renormalize(rdd)
         return lattice
 
     @classmethod
@@ -166,7 +178,7 @@ class DistributedLattice(PosteriorBackend):
 
         rdd = ctx.parallelize(slices, nb).map(build).cache()
         lattice = cls(ctx, rdd, n)
-        log_kept = lattice._renormalize()
+        log_kept = lattice._renormalize(rdd)
         log_discarded = log1mexp(log_kept) if log_kept < 0 else -np.inf
         return lattice, log_discarded
 
@@ -180,7 +192,7 @@ class DistributedLattice(PosteriorBackend):
         blocks = partition_state_space(space, block_size)
         rdd = ctx.parallelize(blocks, len(blocks)).cache()
         lattice = cls(ctx, rdd, space.n_items)
-        lattice._renormalize()
+        lattice._renormalize(rdd)
         return lattice
 
     # ------------------------------------------------------------------
@@ -190,17 +202,33 @@ class DistributedLattice(PosteriorBackend):
     def num_blocks(self) -> int:
         return self.rdd.num_partitions
 
-    def _log_mass(self, rdd: Optional[RDD] = None) -> float:
-        """Total *stored-space* log-mass (one tree aggregation).
+    @staticmethod
+    def _mass_marginals(rdd: RDD, need_marginals: bool = False) -> MassMarginals:
+        """*Stored-space* log-mass of *rdd* and its marginals (one tree aggregation).
 
-        The aggregation walks every block, so running it on a freshly
-        cached RDD doubles as the materialisation step.
+        The marginals are ``None`` when some block did not report them
+        (generic blocks, unless *need_marginals*).  The aggregation
+        walks every block, so running it on a freshly cached RDD doubles
+        as the materialisation step.
         """
-        target = rdd if rdd is not None else self.rdd
-        return target.tree_aggregate(
+        log_mass, marginals = rdd.tree_aggregate(
+            (-np.inf, None),
+            lambda acc, b: merge_mass_marginals(acc, block_mass_marginals(b, need_marginals)),
+            merge_mass_marginals,
+        )
+        if marginals is not None:
+            # A certain positive's mass and the total are the same
+            # weights summed in two orders; their ratio can round past 1.
+            np.minimum(marginals, 1.0, out=marginals)
+        return log_mass, marginals
+
+    @staticmethod
+    def _log_mass(rdd: RDD) -> float:
+        """*Stored-space* log-mass of *rdd* alone (one tree aggregation)."""
+        return rdd.tree_aggregate(
             -np.inf,
-            lambda acc, b: _log_add(acc, block_log_mass(b)),
-            _log_add,
+            lambda acc, b: float(np.logaddexp(acc, block_log_mass(b))),
+            lambda a, b: float(np.logaddexp(a, b)),
         )
 
     def _replace_rdd(self, new_rdd: RDD) -> None:
@@ -208,24 +236,37 @@ class DistributedLattice(PosteriorBackend):
         self.rdd = new_rdd
         old.unpersist()
 
-    def _renormalize(self) -> float:
-        """Restore the normalisation invariant; returns the old log-mass.
+    def _renormalize(
+        self,
+        rdd: RDD,
+        zero_mass: str = "lattice has zero total mass (contradictory evidence?)",
+        marginals: bool = True,
+    ) -> float:
+        """Make the freshly cached *rdd* the lattice, normalised; returns its old log-mass.
 
-        With deferred normalisation this is an O(1) driver-side offset
-        update: the stored log-probs are untouched and the new offset is
-        simply the aggregated stored mass.  (The aggregation also
-        materialises the cache of a freshly replaced RDD.)  The returned
-        value is the lattice's log-mass *relative to the previous
-        normalisation* — exactly what the two-pass rescale used to
-        return: kept mass after a restriction, survived mass after a
-        prune.
+        With deferred normalisation this is one aggregation and an O(1)
+        driver-side offset update: the stored log-probs are untouched,
+        the new offset is simply the aggregated stored mass, and the
+        marginals the aggregation yields are kept for
+        :meth:`marginals` (with ``marginals=False`` it sums the mass
+        alone and keeps none).  The aggregation runs on *rdd* before it
+        replaces the current one (so it reads the parent's cache and
+        materialises the new one); an *rdd* without mass raises
+        ``ValueError(zero_mass)`` and leaves the lattice as it was.  The
+        returned value is the log-mass *relative to the previous
+        normalisation*: kept mass after a restriction, survived mass
+        after a prune, the predictive probability after an update.
         """
-        log_mass = self._log_mass()
+        log_mass, found = self._mass_marginals(rdd) if marginals else (self._log_mass(rdd), None)
         if not np.isfinite(log_mass):
-            raise ValueError("lattice has zero total mass (contradictory evidence?)")
-        old = log_mass - self._log_offset
-        self._log_offset = float(log_mass)
-        return float(old)
+            rdd.unpersist()
+            raise ValueError(zero_mass)
+        if rdd is not self.rdd:
+            self._replace_rdd(rdd)
+        relative = log_mass - self._log_offset
+        self._log_offset = log_mass
+        self._marginals = found
+        return relative
 
     # ------------------------------------------------------------------
     # lattice manipulation (R1)
@@ -234,12 +275,15 @@ class DistributedLattice(PosteriorBackend):
     def update(self, pool_mask: int, log_lik_by_count: np.ndarray) -> float:
         """Bayes-update on a pooled outcome; returns log-predictive.
 
-        One full-lattice pass: the per-count log-likelihood is applied
-        while the result is cached, and the same tree aggregation that
-        materialises the cache yields the new stored mass.  The change
-        in stored mass is the predictive log-probability of the outcome,
-        and the normalisation folds into :attr:`log_offset` — no rescale
-        pass over the blocks.
+        One full-lattice pass, one job: the per-count log-likelihood is
+        applied while the result is cached, and the same tree
+        aggregation that materialises the cache yields the new stored
+        mass.  The change in stored mass is the predictive
+        log-probability of the outcome, and the normalisation folds into
+        :attr:`log_offset` — no rescale pass over the blocks.  The
+        aggregation sums the mass alone, so the next :meth:`marginals`
+        runs its own job (see docs/performance.md §3 for why the update
+        does not serve them yet).
         """
         pool_mask = int(pool_mask)
         ll_bc = self.ctx.broadcast(np.asarray(log_lik_by_count, dtype=np.float64))
@@ -249,18 +293,15 @@ class DistributedLattice(PosteriorBackend):
             # into the cached block's array.
             return block_update(copy.copy(b), pool_mask, ll_bc.value)
 
-        updated = self.rdd.map(apply).cache()
-        new_mass = self._log_mass(updated)
-        if not np.isfinite(new_mass):
-            updated.unpersist()
-            raise ValueError("observed outcome has zero probability under the model")
-        log_pred = new_mass - self._log_offset
-        self._replace_rdd(updated)
-        self._log_offset = float(new_mass)
+        log_pred = self._renormalize(
+            self.rdd.map(apply).cache(),
+            "observed outcome has zero probability under the model",
+            marginals=False,
+        )
         self._updates_since_checkpoint += 1
         if self._updates_since_checkpoint >= self.checkpoint_interval:
             self.rebalance(self.num_blocks)
-        return float(log_pred)
+        return log_pred
 
     @traced(PHASE_LATTICE, "condition")
     def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
@@ -268,10 +309,7 @@ class DistributedLattice(PosteriorBackend):
         if int(positive_mask) & int(negative_mask):
             raise ValueError("an individual cannot be classified both ways")
         pos, neg = int(positive_mask), int(negative_mask)
-        filtered = self.rdd.map(lambda b: block_filter_consistent(b, pos, neg)).cache()
-        filtered.count()
-        self._replace_rdd(filtered)
-        self._renormalize()
+        self._renormalize(self.rdd.map(lambda b: block_filter_consistent(b, pos, neg)).cache())
 
     @traced(PHASE_LATTICE, "prune")
     def prune(self, epsilon: float, bins: int = 512) -> PruneStats:
@@ -320,9 +358,7 @@ class DistributedLattice(PosteriorBackend):
                 b.log_probs[b.log_probs >= threshold],
             )
         ).cache()
-        filtered.count()
-        self._replace_rdd(filtered)
-        dropped_log_mass = self._renormalize()  # pre-prune mass was 1
+        dropped_log_mass = self._renormalize(filtered)  # pre-prune mass was 1
         kept = self.num_states()
         dropped_mass = float(max(0.0, 1.0 - np.exp(min(dropped_log_mass, 0.0))))
         return PruneStats(kept, before - kept, dropped_mass)
@@ -341,27 +377,39 @@ class DistributedLattice(PosteriorBackend):
             raise ValueError(f"bit {bit} outside [0, {self.n_items})")
         if self.n_items == 1:
             raise ValueError("cannot project the last remaining individual out")
-        projected = self.rdd.map(
-            lambda b: block_project_out_bit(b, bit, keep_positive)
-        ).cache()
-        projected.count()
-        self._replace_rdd(projected)
+        projected = self.rdd.map(lambda b: block_project_out_bit(b, bit, keep_positive)).cache()
+        self._renormalize(projected)
         self.n_items -= 1
-        self._renormalize()
 
     @traced(PHASE_LATTICE, "rebalance")
     def rebalance(self, num_blocks: int = 0) -> None:
         """Collect and redistribute the lattice into even, lineage-free blocks.
 
         Doubles as the checkpoint operation: the new RDD is a source
-        collection, so recomputation never reaches past this point.
-        :meth:`collect` absorbs the normalisation offset into the stored
-        log-probs, so the rebuilt blocks carry true log-probabilities
-        and the offset resets to zero.
+        collection, so recomputation never reaches past this point.  The
+        normalisation offset is absorbed into the stored log-probs, so
+        the rebuilt blocks carry true log-probabilities and the offset
+        resets to zero; the posterior, and with it the held marginals,
+        is unchanged.  Cube blocks that tile the whole lattice are re-cut
+        by slicing their concatenated log-probs — no masks are built;
+        any other lattice goes through :meth:`collect`.
         """
-        space = self.collect()  # offset absorbed here
-        block_size = _even_block_size(space.size, num_blocks or self.ctx.default_parallelism)
-        blocks = partition_state_space(space, block_size)
+        old = [b for b in self.rdd.collect() if b.size > 0]
+        nb = num_blocks or self.ctx.default_parallelism
+        if all(b.bits is not None for b in old) and sum(b.size for b in old) == 1 << self.n_items:
+            old.sort(key=lambda b: b.base)
+            log_probs = np.concatenate([b.log_probs for b in old])
+            if self._log_offset != 0.0:
+                log_probs -= self._log_offset
+            size = _even_block_size(log_probs.size, nb)
+            bits = size.bit_length() - 1
+            blocks = [
+                LatticeBlock.cube(self.n_items, lo, bits, log_probs[lo : lo + size])
+                for lo in range(0, log_probs.size, size)
+            ]
+        else:
+            space = self._merged(old)
+            blocks = partition_state_space(space, _even_block_size(space.size, nb))
         rdd = self.ctx.parallelize(blocks, len(blocks)).cache()
         rdd.count()
         self._replace_rdd(rdd)
@@ -431,13 +479,16 @@ class DistributedLattice(PosteriorBackend):
     # ------------------------------------------------------------------
     @traced(PHASE_ANALYSIS, "marginals")
     def marginals(self) -> np.ndarray:
-        """Per-individual posterior infection probabilities."""
-        off = self._log_offset
-        return self.rdd.tree_aggregate(
-            np.zeros(self.n_items),
-            lambda acc, b: acc + block_marginal_partial(b, off),
-            lambda a, b: a + b,
-        )
+        """Per-individual posterior infection probabilities.
+
+        A copy of what the last normalising aggregation left at the
+        driver; the first call after an :meth:`update`, or after a
+        mutation that left generic blocks (whose aggregation reports
+        mass alone), pays one job here.
+        """
+        if self._marginals is None:
+            _, self._marginals = self._mass_marginals(self.rdd, need_marginals=True)
+        return self._marginals.copy()
 
     @traced(PHASE_ANALYSIS, "entropy")
     def entropy(self) -> float:
@@ -478,7 +529,9 @@ class DistributedLattice(PosteriorBackend):
         true log-probabilities regardless of the lattice's current
         ``log_offset``.
         """
-        blocks = [b for b in self.rdd.collect() if b.size > 0]
+        return self._merged([b for b in self.rdd.collect() if b.size > 0])
+
+    def _merged(self, blocks: List[LatticeBlock]) -> StateSpace:
         space = merge_blocks(blocks)
         if self._log_offset != 0.0:
             space = StateSpace(

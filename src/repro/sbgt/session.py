@@ -32,6 +32,7 @@ from repro.bayes.indexmap import CohortIndexMap
 from repro.bayes.posterior import Classification, ClassificationReport, classify_marginals
 from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
+from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import (
     BHAPolicy,
     InformationGainPolicy,
@@ -238,6 +239,8 @@ class SBGTSession:
     def select_pools(self, policy: SelectionPolicy, eligible_mask: int) -> List[int]:
         """One stage of pool proposals (original indices), distributed
         where the policy's math touches the lattice."""
+        if isinstance(policy, HybridPolicy):
+            policy = policy.next_stage_policy(self, eligible_mask)
         if not isinstance(policy, (LookaheadPolicy, BHAPolicy, InformationGainPolicy)):
             # Lattice-free baselines (individual, Dorfman, custom): they see
             # the session itself, which quacks enough (marginals()).

@@ -73,7 +73,7 @@ class TestDistribution:
         with pytest.raises(ValueError):
             pairwise_correlation(prior.build_dense(), 2, 2)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(
         sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
         q=st.floats(0.02, 0.5),

@@ -105,7 +105,7 @@ class TestDilutionErrorModel:
         neg = np.exp(model.log_likelihood_by_count(False, 6))
         assert np.allclose(pos + neg, 1.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         k=st.integers(0, 12),
         n=st.integers(1, 12),

@@ -15,7 +15,7 @@ from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 
 common = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=25, suppress_health_check=[HealthCheck.too_slow]
 )
 
 risk_lists = st.lists(st.floats(0.02, 0.6), min_size=2, max_size=6)

@@ -13,10 +13,18 @@ if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
 
 import pytest
+from hypothesis import settings
 
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel, PerfectTest
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context
+from repro.engine.listener import JobStart, RecordingListener
+
+# Hypothesis' default 200 ms deadline times the machine, not the code: a
+# property that passes alone fails a loaded `-x` run.  One profile for
+# every `@given` test in the suite.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +39,20 @@ def serial_ctx():
     """Serial context for determinism-sensitive engine tests."""
     with Context(mode="serial") as c:
         yield c
+
+
+@pytest.fixture
+def jobs(serial_ctx):
+    """``jobs()``: engine jobs started on ``serial_ctx`` since the previous call."""
+    rec = serial_ctx.add_listener(RecordingListener())
+
+    def started() -> int:
+        count = len(rec.of_type(JobStart))
+        rec.clear()
+        return count
+
+    yield started
+    serial_ctx.remove_listener(rec)
 
 
 @pytest.fixture(scope="session")

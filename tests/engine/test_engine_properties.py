@@ -13,7 +13,7 @@ ints = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60)
 parts = st.integers(min_value=1, max_value=7)
 
 common = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=40, suppress_health_check=[HealthCheck.too_slow]
 )
 
 

@@ -81,7 +81,7 @@ class TestSelectHalvingPool:
         with pytest.raises(ValueError):
             select_halving_pool(StateSpace.dense(2), np.array([], dtype=np.uint64))
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(risks=st.lists(st.floats(0.05, 0.5), min_size=3, max_size=6).map(np.array))
     def test_selected_gap_is_minimal(self, risks):
         space = build_dense_prior(risks)

@@ -15,7 +15,7 @@ from repro.simulate.population import Cohort
 from repro.workflows.classify import run_screen
 
 common = settings(
-    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=20, suppress_health_check=[HealthCheck.too_slow]
 )
 
 POLICY_FACTORIES = [

@@ -36,14 +36,14 @@ class TestProductPriorLog:
         with pytest.raises(ValueError):
             product_prior_log(np.array([0], dtype=np.uint64), np.array([1.0]))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(risks=risk_arrays)
     def test_dense_prior_sums_to_one(self, risks):
         masks = np.arange(1 << len(risks), dtype=np.uint64)
         lp = product_prior_log(masks, risks)
         assert logsumexp(lp) == pytest.approx(0.0, abs=1e-9)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(risks=risk_arrays)
     def test_matches_per_state_product(self, risks):
         masks = np.arange(1 << len(risks), dtype=np.uint64)

@@ -22,10 +22,12 @@ from repro.lattice.partition import (
     block_filter_consistent,
     block_log_mass,
     block_marginal_partial,
+    block_mass_marginals,
     block_project_out_bit,
     block_refined_cell_partial,
     block_top_states,
     block_update,
+    merge_mass_marginals,
 )
 
 TOL = dict(rtol=1e-12, atol=1e-12)
@@ -217,6 +219,86 @@ class TestKernelsAgree:
         want = block_filter_consistent(twin, pos, neg)
         assert np.array_equal(got.masks, want.masks)
         assert np.array_equal(got.log_probs, want.log_probs)
+
+
+class TestFusedMassMarginals:
+    """One exponentiation ≡ the log-mass kernel plus the marginals kernel."""
+
+    def test_kernel_equals_the_two_reductions(self, pair):
+        _, cube, twin = pair
+        log_mass = block_log_mass(cube)
+        got_mass, got_marginals = block_mass_marginals(cube)
+        twin_mass, twin_marginals = block_mass_marginals(twin, need_marginals=True)
+        if log_mass == -np.inf:  # no state has mass: the merge identity
+            assert (got_mass, got_marginals) == (-np.inf, None) == (twin_mass, twin_marginals)
+            return
+        want = block_marginal_partial(cube, log_mass)  # given the block: normalised by its mass
+        np.testing.assert_allclose([got_mass, twin_mass], log_mass, **TOL)
+        np.testing.assert_allclose(got_marginals, want, **TOL)
+        np.testing.assert_allclose(twin_marginals, want, **TOL)
+        in_base = [i for i in range(cube.bits, cube.n_items) if (cube.base >> i) & 1]
+        assert np.all(got_marginals[in_base] == 1.0)
+
+    def test_generic_block_reports_mass_alone_unless_asked(self, pair):
+        _, _, twin = pair
+        assert block_mass_marginals(twin) == (block_log_mass(twin), None)
+
+    def test_kernel_leaves_the_block_untouched(self, pair):
+        _, cube, _ = pair
+        kept = cube.log_probs.copy()
+        block_mass_marginals(cube)
+        assert np.array_equal(cube.log_probs, kept)
+
+    def test_empty_block_is_the_identity(self):
+        empty = LatticeBlock(5, np.empty(0, dtype=np.uint64), np.empty(0))
+        assert block_mass_marginals(empty) == (-np.inf, None)
+        assert block_mass_marginals(empty, need_marginals=True) == (-np.inf, None)
+
+    @staticmethod
+    def partial(rng, n=6):
+        return float(rng.normal(-3.0, 4.0)), rng.random(n)
+
+    @staticmethod
+    def assert_same(a, b):
+        np.testing.assert_allclose(a[0], b[0], **TOL)
+        np.testing.assert_allclose(a[1], b[1], **TOL)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merge_is_associative_and_weights_by_mass(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = (self.partial(rng) for _ in range(3))
+        merge = merge_mass_marginals
+        self.assert_same(merge(merge(a, b), c), merge(a, merge(b, c)))
+        self.assert_same(merge(a, b), merge(b, a))
+        weights = np.exp(np.array([a[0], b[0], c[0]]))
+        want = (weights[:, None] * np.array([a[1], b[1], c[1]])).sum(axis=0) / weights.sum()
+        self.assert_same(merge(merge(a, b), c), (np.log(weights.sum()), want))
+
+    def test_merge_identity_and_uncomputed_marginals(self):
+        rng = np.random.default_rng(0)
+        a, b = self.partial(rng), self.partial(rng)
+        nothing = (-np.inf, None)
+        assert merge_mass_marginals(nothing, a) is a
+        assert merge_mass_marginals(a, nothing) is a
+        assert merge_mass_marginals(nothing, nothing) == nothing
+        mass_only = merge_mass_marginals(a, (b[0], None))
+        assert mass_only[1] is None
+        np.testing.assert_allclose(mass_only[0], np.logaddexp(a[0], b[0]), **TOL)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_merge_to_the_whole_lattice(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 11))
+        log_probs = rng.normal(-5.0, 3.0, 1 << n)
+        log_probs[rng.random(log_probs.size) < 0.2] = -np.inf
+        log_probs[: 1 << (n - 2)] = -np.inf  # one block without mass
+        whole = block_mass_marginals(LatticeBlock.cube(n, 0, n, log_probs))
+        size = 1 << (n - 2)
+        merged = (-np.inf, None)
+        for lo in range(0, 1 << n, size):
+            part = LatticeBlock.cube(n, lo, n - 2, log_probs[lo : lo + size])
+            merged = merge_mass_marginals(merged, block_mass_marginals(part))
+        self.assert_same(merged, whole)
 
 
 class TestDensePrior:

@@ -72,7 +72,7 @@ class TestMarginals:
         space = build_dense_prior(np.array([0.1, 0.4, 0.25, 0.6]))
         assert np.allclose(marginals(space), brute_marginals(space))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         risks=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6).map(np.array)
     )

@@ -72,7 +72,7 @@ class TestProjectOutBit:
         with pytest.raises(ValueError):
             project_out_bit(space, 0, keep_positive=True)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         risks=st.lists(st.floats(0.05, 0.6), min_size=2, max_size=6).map(np.array),
         keep_positive=st.booleans(),

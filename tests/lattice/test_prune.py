@@ -54,7 +54,7 @@ class TestPruneByMass:
         masks = result.space.masks
         assert all(masks[i] < masks[i + 1] for i in range(len(masks) - 1))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         risks=st.lists(st.floats(0.01, 0.4), min_size=2, max_size=8).map(np.array),
         eps=st.floats(0.0001, 0.5),

@@ -8,6 +8,7 @@ from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.lattice.builder import build_restricted_prior
 from repro.lattice.ops import map_state, marginals, top_states
+from repro.lattice.partition import partition_state_space
 from repro.sbgt.distributed_lattice import DistributedLattice
 
 
@@ -327,6 +328,140 @@ class TestMarginalsAfterMutations:
         dl.unpersist()
 
 
+class TestServedMarginals:
+    """The normalising aggregation leaves the marginals at the driver."""
+
+    def test_dense_lattice_serves_marginals_without_a_job(self, serial_ctx, jobs, prior, model):
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
+        assert jobs() == 1  # build + normalise + marginals
+        assert np.allclose(dl.marginals(), prior.risks, atol=1e-12)
+        assert jobs() == 0
+        dl.unpersist()
+
+    def test_update_sums_mass_alone_and_the_next_read_aggregates_once(
+        self, serial_ctx, jobs, prior, model
+    ):
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
+        jobs()
+        for pool, outcome in [(0b000111, True), (0b111000, False)]:
+            dl.update(pool, model.log_likelihood_by_count(outcome, 3))
+            assert jobs() == 1
+            first = dl.marginals()
+            assert jobs() == 1
+            assert np.array_equal(dl.marginals(), first)
+            assert jobs() == 0
+            assert np.allclose(first, marginals(dl.collect()), atol=1e-12)
+            jobs()
+        dl.unpersist()
+
+    def test_returned_array_is_a_copy(self, serial_ctx, prior):
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 2)
+        first = dl.marginals()
+        first[:] = 7.0
+        assert np.allclose(dl.marginals(), prior.risks, atol=1e-12)
+        dl.unpersist()
+
+    def test_mutators_run_one_job_and_refresh_the_marginals(self, serial_ctx, jobs, prior):
+        from repro.lattice.ops import condition_on_classification, project_out_bit
+
+        space = prior.build_dense()
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
+        jobs()
+        dl.project_out_bit(4, True)  # blocks stay cubes: marginals come with the job
+        space = project_out_bit(space, 4, True)
+        assert jobs() == 1
+        assert np.allclose(dl.marginals(), marginals(space), atol=1e-12)
+        assert jobs() == 0
+
+        dl.condition(negative_mask=0b00010)  # generic blocks: mass now, marginals when asked
+        space = condition_on_classification(space, 0, 0b00010)
+        assert jobs() == 1
+        assert np.allclose(dl.marginals(), marginals(space), atol=1e-12)
+        assert jobs() == 1
+        dl.marginals()
+        assert jobs() == 0
+        dl.unpersist()
+
+    def test_prune_invalidates(self, serial_ctx, jobs):
+        dl = DistributedLattice.from_prior(serial_ctx, PriorSpec.uniform(10, 0.02), 2)
+        before = dl.marginals()
+        assert dl.prune(0.05).dropped_states > 0
+        jobs()
+        after = dl.marginals()
+        assert jobs() == 1
+        assert not np.array_equal(after, before)
+        assert np.allclose(after, marginals(dl.collect()), atol=1e-12)
+        dl.unpersist()
+
+    def test_contradiction_leaves_the_lattice_as_it_was(self, serial_ctx, prior):
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 2)
+        dl.update(0b000011, np.array([0.0, -np.inf, -np.inf]))  # both certainly negative
+        before, rdd = dl.marginals(), dl.rdd
+        with pytest.raises(ValueError):
+            dl.condition(positive_mask=0b000001)
+        assert dl.rdd is rdd
+        assert np.array_equal(dl.marginals(), before)
+        assert dl.num_states() == 64
+        dl.unpersist()
+
+    def test_certain_positive_never_exceeds_one(self, serial_ctx):
+        # Upper-half mass and total mass are the same weights summed in
+        # two orders; the served ratio must not round past 1.
+        rng = np.random.default_rng(0)
+        from repro.lattice.states import StateSpace
+
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            bit = int(rng.integers(0, n - 1))  # a free bit of both blocks
+            log_probs = rng.normal(-5.0, 3.0, 1 << n)
+            masks = np.arange(1 << n, dtype=np.uint64)
+            log_probs[(masks >> np.uint64(bit)) & np.uint64(1) == 0] = -np.inf
+            dl = DistributedLattice.from_state_space(serial_ctx, StateSpace(n, masks, log_probs), 2)
+            served = dl.marginals()
+            assert served.max() <= 1.0 and served[bit] == pytest.approx(1.0, abs=1e-14)
+            dl.unpersist()
+
+    def test_rebalance_keeps_the_served_marginals(self, serial_ctx, jobs, prior, model):
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
+        dl.update(0b000111, model.log_likelihood_by_count(True, 3))
+        before = dl.marginals()
+        dl.rebalance(2)
+        jobs()
+        assert np.array_equal(dl.marginals(), before)
+        assert jobs() == 0
+        assert np.allclose(before, marginals(dl.collect()), atol=1e-12)
+        dl.unpersist()
+
+
+class TestRebalanceBySlicing:
+    @pytest.mark.parametrize("num_blocks", [1, 2, 4])
+    def test_cube_lattice_recut_equals_the_collect_path(self, ctx, prior, model, num_blocks):
+        dl = DistributedLattice.from_prior(ctx, prior, 4)
+        dl.update(0b000111, model.log_likelihood_by_count(True, 3))
+        dl.project_out_bit(5, False)  # leaves empty blocks behind and a non-zero offset
+        want = partition_state_space(dl.collect(), (1 << 5) // num_blocks)
+        dl.rebalance(num_blocks)
+        got = dl.rdd.collect()
+        assert dl.log_offset == 0.0
+        assert len(got) == len(want) == num_blocks
+        for g, w in zip(got, want):
+            assert (g.n_items, g.base, g.bits) == (w.n_items, w.base, w.bits) and g.bits is not None
+            assert np.array_equal(g.log_probs, w.log_probs)
+            assert g._masks is None  # cut by slicing: no mask array was ever built
+        dl.unpersist()
+
+    def test_cubes_that_do_not_tile_the_lattice_take_the_collect_path(self, ctx, prior):
+        dl = DistributedLattice.from_prior(ctx, prior, 4)
+        dl.condition(positive_mask=0b100000)  # survivors: two whole blocks, still cubes
+        assert [b.bits for b in dl.rdd.collect() if b.size] == [4, 4]
+        want = dl.collect()
+        dl.rebalance(2)
+        got = dl.collect()
+        assert np.array_equal(got.masks, want.masks)
+        assert np.allclose(got.log_probs, want.log_probs, atol=1e-12)
+        dl.unpersist()
+
+
 class TestScreenPayloadParity:
     """Cohort-12 screens decide identically however the lattice is executed
     or split."""
@@ -348,9 +483,12 @@ class TestScreenPayloadParity:
             session.close()
         return dump_payload(screen_payload(result, request=req.canonical()))
 
+    @pytest.mark.parametrize("num_blocks", [1, 2, 4])
     @pytest.mark.parametrize("body", BODIES, ids=lambda b: f"seed{b['seed']}")
-    def test_byte_identical_across_executor_modes(self, ctx, serial_ctx, process_ctx, body):
-        texts = {self.run(c, body, num_blocks=2) for c in (ctx, serial_ctx, process_ctx)}
+    def test_byte_identical_across_executor_modes(
+        self, ctx, serial_ctx, process_ctx, body, num_blocks
+    ):
+        texts = {self.run(c, body, num_blocks) for c in (ctx, serial_ctx, process_ctx)}
         assert len(texts) == 1
 
     @pytest.mark.parametrize("body", BODIES, ids=lambda b: f"seed{b['seed']}")

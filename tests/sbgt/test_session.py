@@ -14,8 +14,12 @@ from repro.halving.policy import (
 )
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.session import SBGTSession
+from repro.sbgt.stepper import ScreenStepper
 from repro.simulate.population import make_cohort
+from repro.simulate.testing import TestLab
+from repro.util.rng import as_rng
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 
 @pytest.fixture
@@ -130,4 +134,70 @@ class TestSerialAgreement:
         session = SBGTSession(ctx, prior, PerfectTest())
         bha = session.run_screen(BHAPolicy(), rng=9)
         assert bha.tests_per_individual < 1.0
+        session.close()
+
+
+def test_hybrid_policy_runs_distributed(ctx, model):
+    """The hybrid's halving stages go through the distributed selector:
+    same pools, in the same order, as the serial driver."""
+    from repro.halving.hybrid import HybridPolicy
+
+    prior = PriorSpec.sampled(8, 0.12, rng=3)
+    cohort = make_cohort(prior, rng=2)
+    assert cohort.truth_mask  # someone is positive, so halving stages follow the grid
+    for compact in (False, True):
+        serial = run_screen(
+            prior, model, HybridPolicy(), rng=13, cohort=cohort, options=ScreenOptions(max_stages=40)
+        )
+        session = SBGTSession(
+            ctx, prior, model, SBGTConfig(max_stages=40, compact_classified=compact)
+        )
+        dist = session.run_screen(HybridPolicy(), rng=13, cohort=cohort)
+        pools = [r.pool_mask for r in session.log.records]
+        assert pools == [r.pool_mask for r in serial.posterior.log.records]
+        assert dist.stages_used == serial.stages_used > 1
+        assert dist.report.statuses == serial.report.statuses
+        session.close()
+
+
+class TestJobCounts:
+    """What a screen costs the engine."""
+
+    def test_start_is_one_job_and_a_bha_stage_three(self, serial_ctx, jobs, prior, model):
+        session = SBGTSession(serial_ctx, prior, model)
+        session.classify()
+        assert jobs() == 1  # build + normalise + marginals
+        stepper = ScreenStepper(session, BHAPolicy())
+        lab = TestLab(model, make_cohort(prior, rng=21).truth_mask, as_rng(77))
+        assert jobs() == 0
+        stages = 0
+        while not stepper.done and stages < 10:  # stay short of the lineage checkpoint
+            pools = stepper.next_pools()
+            assert jobs() == 1  # down-set masses of the candidates
+            stepper.submit_outcomes([lab.run(pool) for pool in pools])
+            assert jobs() == 2  # update + normalise, then the marginals classify reads
+            stages += 1
+        assert stages >= 3
+        session.close()
+
+    def test_marginals_after_update_run_one_job_once(self, serial_ctx, jobs, prior, model):
+        session = SBGTSession(serial_ctx, prior, model)
+        jobs()
+        session.update([0, 1, 2], False)
+        assert jobs() == 1
+        session.marginals()
+        assert jobs() == 1
+        session.marginals()
+        session.lattice.marginals()
+        assert jobs() == 0
+        session.close()
+
+    def test_compaction_is_one_job_per_settled_individual(self, serial_ctx, jobs, prior, model):
+        session = SBGTSession(serial_ctx, prior, model, SBGTConfig(compact_classified=True))
+        jobs()
+        session.settle(2, False)
+        session.settle(5, True)
+        assert jobs() == 2
+        session.marginals()
+        assert jobs() == 0
         session.close()
