@@ -1,70 +1,72 @@
 #!/usr/bin/env python3
 """A tour of the dataflow engine SBGT runs on.
 
-SBGT's substrate is a from-scratch Spark-like engine; this example uses
-it directly — word count, a join, broadcast + accumulator, and a look at
-the stage/task metrics the scheduler records.  Useful when porting SBGT
-to a different backend or debugging a screen's execution profile.
+SBGT's substrate is a from-scratch implementation of the narrow-map +
+tree-reduce subset of Spark; this example drives it directly, in the
+shape of one Bayesian lattice update: blocks of log-probabilities are
+parallelized, a broadcast likelihood table is applied by a cached
+``map``, ``tree_aggregate`` sums the mass, a second action is served
+from the cache, and ``unpersist`` releases it.  Useful when porting
+SBGT to a different backend or debugging a screen's execution profile.
 
     python examples/engine_tour.py
 """
 
-from repro.engine import Context
+import numpy as np
+
+from repro.engine import Context, RecordingListener
+from repro.engine.listener import CacheHit, CacheMiss
+
+N_ITEMS = 12  # 2^12 lattice states, split into 4 blocks
+POOL = 0b0000_0011_0110  # the individuals pooled into the test
 
 
 def main() -> None:
     with Context(mode="threads", parallelism=4) as ctx:
-        # --- classic word count (shuffle + map-side combine) ----------
-        lines = [
-            "bayesian group testing scales",
-            "group testing saves tests",
-            "bayesian halving selects tests",
-        ]
-        counts = (
-            ctx.parallelize(lines, 3)
-            .flat_map(str.split)
-            .map(lambda w: (w, 1))
-            .reduce_by_key(lambda a, b: a + b)
-            .sort_by(lambda kv: -kv[1])
-            .collect()
+        events = ctx.add_listener(RecordingListener())
+
+        # --- parallelize: a uniform prior over the states, as blocks ---
+        states = np.arange(1 << N_ITEMS, dtype=np.int64)
+        prior = np.full(states.size, -N_ITEMS * np.log(2.0))
+        blocks = ctx.parallelize(
+            list(zip(np.array_split(states, 4), np.array_split(prior, 4))), 4
         )
-        print("word count:", counts[:4])
 
-        # --- join across two keyed datasets ---------------------------
-        risks = ctx.parallelize([("alice", 0.02), ("bob", 0.30), ("carol", 0.05)], 2)
-        results = ctx.parallelize([("alice", "neg"), ("bob", "pos")], 2)
-        print("join      :", sorted(risks.join(results).collect()))
+        # --- broadcast: log P(positive | k infected in the pool) -------
+        table = ctx.broadcast(np.log(1.0 - 0.98 * 0.7 ** np.arange(N_ITEMS + 1)))
 
-        # --- broadcast + accumulator ----------------------------------
-        threshold = ctx.broadcast(0.1)
-        flagged = ctx.accumulator(0)
+        def update(block):
+            masks, log_probs = block
+            infected = np.array([bin(m & POOL).count("1") for m in masks])
+            return masks, log_probs + table.value[infected]
 
-        def flag(kv):
-            if kv[1] > threshold.value:
-                flagged.add(1)
+        # --- map → cache → tree_aggregate: one Bayesian update ---------
+        updated = blocks.map(update).cache()
+        print("lineage   :", updated.debug_string().replace("\n", " <-"))
+        mass = updated.tree_aggregate(
+            0.0, lambda acc, block: acc + float(np.exp(block[1]).sum()), lambda a, b: a + b
+        )
+        print(f"P(positive): {mass:.4f}")
 
-        risks.foreach(flag)
-        print("flagged   :", flagged.value, "high-risk individuals")
+        # --- a second action is served from the cache ------------------
+        best = updated.map(lambda block: float(block[1].max())).max()
+        misses, hits = len(events.of_type(CacheMiss)), len(events.of_type(CacheHit))
+        print(f"cache     : {misses} misses (first action), {hits} hits (second); "
+              f"MAP state log-posterior {best - np.log(mass):.3f}")
 
-        # --- scheduler metrics ----------------------------------------
+        # --- job → stage → task metrics of the last job ----------------
         job = ctx.metrics.last()
-        print(f"last job  : {len(job.stages)} stage(s), {job.num_tasks} tasks, "
+        (stage,) = job.stages
+        print(f"last job  : {len(job.stages)} {stage.kind} stage, {job.num_tasks} tasks, "
               f"{job.wall_s * 1e3:.1f} ms wall, "
               f"{job.scheduling_overhead_s * 1e3:.2f} ms scheduling overhead")
+        for task in stage.tasks:
+            print(f"  task p{task.partition}: {task.wall_s * 1e6:.0f} us wall, "
+                  f"{task.cpu_s * 1e6:.0f} us cpu, attempt {task.attempts}")
 
-        # --- the same lineage, skipped stages on re-run ---------------
-        wc = (
-            ctx.parallelize(lines, 3)
-            .flat_map(str.split)
-            .map(lambda w: (w, 1))
-            .reduce_by_key(lambda a, b: a + b)
-        )
-        wc.count()
-        first_run_stages = len(ctx.metrics.last().stages)
-        wc.count()  # shuffle output is reused: map stage skipped
-        second_run_stages = len(ctx.metrics.last().stages)
-        print(f"stage reuse: first run {first_run_stages} stages, "
-              f"re-run {second_run_stages} stage (shuffle reused)")
+        # --- unpersist: the blocks leave the store ---------------------
+        updated.unpersist()
+        print("unpersist :", len(ctx.block_store), "partitions still cached")
 
 
 if __name__ == "__main__":

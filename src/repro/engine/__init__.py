@@ -1,14 +1,13 @@
 """A from-scratch Spark-like dataflow engine (the paper's substrate).
 
-SBGT is written against Spark's RDD model.  This package reimplements
-that model natively: lazy lineage, narrow/wide dependencies, a DAG
-scheduler cutting stages at shuffles, hash/range partitioned shuffles
-with map-side combining, broadcast variables, accumulators, an LRU
-partition cache, and three executor backends (serial / threads /
-processes).  See DESIGN.md for the substitution rationale.
+SBGT is written against Spark's RDD model and uses its narrow-map +
+tree-reduce subset.  This package reimplements that subset natively:
+lazy single-parent lineage, one-stage jobs of pipelined partition
+tasks, broadcast variables, an LRU partition cache, and three executor
+backends (serial / threads / processes).  See DESIGN.md for the
+substitution rationale.
 """
 
-from repro.engine.accumulator import Accumulator
 from repro.engine.broadcast import Broadcast
 from repro.engine.config import EngineConfig
 from repro.engine.context import Context
@@ -18,13 +17,10 @@ from repro.engine.errors import (
     EngineError,
     JobFailedError,
     SerializationError,
-    ShuffleFetchError,
     TaskFailedError,
 )
-from repro.engine.hll import HyperLogLog
 from repro.engine.listener import EngineEvent, EngineListener, EventBus, RecordingListener
-from repro.engine.rdd import RDD, StatCounter
-from repro.engine.shuffle import HashPartitioner, Partitioner, RangePartitioner
+from repro.engine.rdd import RDD
 from repro.engine.tracing import (
     TraceContext,
     current_trace,
@@ -44,13 +40,7 @@ __all__ = [
     "current_trace",
     "current_trace_id",
     "RDD",
-    "StatCounter",
-    "HyperLogLog",
     "Broadcast",
-    "Accumulator",
-    "HashPartitioner",
-    "RangePartitioner",
-    "Partitioner",
     "EngineEvent",
     "EngineListener",
     "EventBus",
@@ -60,6 +50,5 @@ __all__ = [
     "TaskFailedError",
     "SerializationError",
     "ClosureSerializationError",
-    "ShuffleFetchError",
     "ContextStoppedError",
 ]

@@ -6,9 +6,9 @@ in SBGT, so "list of one array").  Sizes are estimated with
 least-recently-used whole partitions when over budget, never splitting a
 partition.
 
-Entries carry a **cache generation**: the per-RDD epoch the scheduler
-stamps into process-mode task payloads (see ``Context.cache_generation``).
-The driver store invalidates eagerly (``unpersist`` calls ``drop_rdd``),
+Entries carry a **cache generation**: the epoch ``RDD.unpersist`` bumps
+on the RDD object, which process-mode tasks receive pickled into their
+body.  The driver store invalidates eagerly (``unpersist`` calls ``drop_rdd``),
 so its generations always match; worker-resident stores have no channel
 back to the driver, so a ``get`` carrying a newer generation is how a
 worker learns an entry went stale — the entry is purged (counted as an

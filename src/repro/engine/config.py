@@ -1,8 +1,7 @@
 """Engine configuration.
 
 The configuration mirrors the knobs the paper's Spark deployment exposes
-(executor count, default parallelism, shuffle partitions) plus the
-execution-mode switch that replaces cluster deployment in this
+(executor count, default parallelism) plus the execution-mode switch that replaces cluster deployment in this
 reproduction: ``serial`` (debugging / baseline), ``threads`` (default —
 NumPy kernels release the GIL so partition tasks genuinely overlap), and
 ``processes`` (fork-based isolation, closest to separate executors).
@@ -32,9 +31,6 @@ class EngineConfig:
     parallelism:
         Number of concurrent task slots (and the default partition count
         for new RDDs).  ``0`` means "number of CPUs".
-    shuffle_partitions:
-        Default reduce-side partition count for shuffles; ``0`` mirrors
-        ``parallelism``.
     max_task_retries:
         How many times a failing task is retried before the job aborts.
     cache_capacity_bytes:
@@ -44,8 +40,6 @@ class EngineConfig:
         block store (every worker holds its own).  Smaller than the
         driver budget by default because the total is multiplied by the
         worker count.
-    task_batch_size:
-        Hint: number of tasks handed to the executor per submission wave.
     enable_events:
         Master switch of the listener bus.  ``False`` hard-disables
         event delivery even with listeners registered (overhead
@@ -72,11 +66,9 @@ class EngineConfig:
 
     mode: ExecMode = "threads"
     parallelism: int = 0
-    shuffle_partitions: int = 0
     max_task_retries: int = 2
     cache_capacity_bytes: int = 1 << 30
     worker_cache_capacity_bytes: int = 256 << 20
-    task_batch_size: int = 64
     enable_events: bool = True
     flight_recorder: bool = True
     flight_capacity: int = 4096
@@ -88,8 +80,6 @@ class EngineConfig:
             raise ValueError(f"mode must be one of {_VALID_MODES}, got {self.mode!r}")
         if self.parallelism < 0:
             raise ValueError("parallelism must be >= 0")
-        if self.shuffle_partitions < 0:
-            raise ValueError("shuffle_partitions must be >= 0")
         if self.max_task_retries < 0:
             raise ValueError("max_task_retries must be >= 0")
         if self.cache_capacity_bytes <= 0:
@@ -111,10 +101,6 @@ class EngineConfig:
         if self.parallelism:
             return self.parallelism
         return max(1, os.cpu_count() or 1)
-
-    @property
-    def effective_shuffle_partitions(self) -> int:
-        return self.shuffle_partitions or self.effective_parallelism
 
     def with_(self, **kwargs) -> "EngineConfig":
         """Return a copy with the given fields replaced."""

@@ -1,8 +1,8 @@
 """The engine entry point: :class:`Context` (the ``SparkContext`` analogue).
 
-A context owns the executor pool, shuffle manager, block store, metrics
-registry and accumulator registry.  RDDs are created through it and every
-action funnels through :meth:`run_job`.
+A context owns the executor pool, block store, event bus and metrics
+registry.  RDDs are created through it and every action funnels through
+:meth:`run_job`.
 
 >>> from repro.engine import Context
 >>> with Context(mode="serial") as ctx:
@@ -16,7 +16,6 @@ import itertools
 from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.engine import lockorder
-from repro.engine.accumulator import Accumulator, AccumulatorRegistry
 from repro.engine.blockstore import BlockStore
 from repro.engine.broadcast import Broadcast
 from repro.engine.config import EngineConfig
@@ -24,9 +23,8 @@ from repro.engine.errors import ContextStoppedError
 from repro.engine.executor import BaseExecutor, make_executor
 from repro.engine.listener import EngineListener, EventBus, LockOrderViolation
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.rdd import RDD, ParallelCollectionRDD, RangeRDD, UnionRDD
+from repro.engine.rdd import RDD, ParallelCollectionRDD, RangeRDD
 from repro.engine.scheduler import Scheduler
-from repro.engine.shuffle import ShuffleManager
 
 T = TypeVar("T")
 
@@ -38,7 +36,7 @@ class Context:
 
     Parameters
     ----------
-    mode, parallelism, shuffle_partitions, max_task_retries:
+    mode, parallelism, max_task_retries:
         Shorthand for the corresponding :class:`EngineConfig` fields.
     config:
         A full config object; overrides the shorthand arguments.
@@ -48,14 +46,12 @@ class Context:
         self,
         mode: str = "threads",
         parallelism: int = 0,
-        shuffle_partitions: int = 0,
         max_task_retries: int = 2,
         config: Optional[EngineConfig] = None,
     ) -> None:
         self.config = config or EngineConfig(
             mode=mode,
             parallelism=parallelism,
-            shuffle_partitions=shuffle_partitions,
             max_task_retries=max_task_retries,
         )
         if self.config.lock_sanitizer:
@@ -73,7 +69,6 @@ class Context:
                 slow_threshold_s=self.config.slow_threshold_s,
             )
             self.event_bus.register(self.flight_recorder)
-        self.shuffle_manager = ShuffleManager(bus=self.event_bus)
         self.block_store = BlockStore(self.config.cache_capacity_bytes, bus=self.event_bus)
         # The context's labelled-metrics hub: the registry publishes job
         # rollups into it and sinks (serve /metrics, Prometheus
@@ -83,13 +78,8 @@ class Context:
 
         self.metrics_hub = MetricsHub()
         self.metrics = MetricsRegistry(hub=self.metrics_hub)
-        self.accumulator_registry = AccumulatorRegistry()
         self._scheduler = Scheduler(self)
         self._rdd_ids = itertools.count()
-        # Per-RDD cache epochs (the cache-generation protocol): bumped on
-        # unpersist, stamped into process-mode task payloads so worker-
-        # resident stores drop stale entries without a driver channel.
-        self._cache_generations: dict = {}
         self._lock = lockorder.OrderedLock("Context._lock")
         self._executor: Optional[BaseExecutor] = None
         self._stopped = False
@@ -110,12 +100,10 @@ class Context:
             if self._executor is None:
                 self._executor = make_executor(
                     self.config.mode,
-                    self.shuffle_manager,
                     self.block_store,
                     self.config.max_task_retries,
                     self.config.effective_parallelism,
                     bus=self.event_bus,
-                    generations=self._cache_generations,
                 )
             return self._executor
 
@@ -136,7 +124,6 @@ class Context:
         if executor is not None:
             executor.stop()
         lockorder.remove_violation_hook(self._on_lock_violation)
-        self.shuffle_manager.clear()
         self.block_store.clear()
 
     def _on_lock_violation(self, record: "lockorder.ViolationRecord") -> None:
@@ -186,10 +173,6 @@ class Context:
             start, stop = 0, start
         return RangeRDD(self, start, stop, step, num_partitions or self.default_parallelism)
 
-    def union(self, rdds: Sequence[RDD[T]]) -> RDD[T]:
-        self.ensure_running()
-        return UnionRDD(self, rdds)
-
     # ------------------------------------------------------------------
     # shared variables
     # ------------------------------------------------------------------
@@ -197,15 +180,6 @@ class Context:
         """Publish a read-only value to every task."""
         self.ensure_running()
         return Broadcast(value)
-
-    def accumulator(
-        self, zero: Any, op: Optional[Callable] = None, name: str = ""
-    ) -> Accumulator:
-        """Create and register a driver-merged accumulator."""
-        self.ensure_running()
-        acc = Accumulator(zero, op, name)
-        self.accumulator_registry.register(acc)
-        return acc
 
     # ------------------------------------------------------------------
     # observability
@@ -236,19 +210,6 @@ class Context:
         return next(self._rdd_ids)
 
     # ------------------------------------------------------------------
-    # cache-generation protocol
-    # ------------------------------------------------------------------
-    def cache_generation(self, rdd_id: int) -> int:
-        """Current cache epoch of *rdd_id* (0 until first unpersist)."""
-        return self._cache_generations.get(rdd_id, 0)
-
-    def bump_cache_generation(self, rdd_id: int) -> int:
-        """Advance *rdd_id*'s epoch, invalidating worker-cached entries."""
-        gen = self._cache_generations.get(rdd_id, 0) + 1
-        self._cache_generations[rdd_id] = gen
-        return gen
-
-    # ------------------------------------------------------------------
     # pickling: tasks close over RDDs which reference the context.  On a
     # worker only `config` is ever consulted, so ship a stub that keeps
     # the config and raises if driver-only machinery is touched.
@@ -260,14 +221,11 @@ class Context:
         self.config = state["config"]
         self.event_bus = EventBus(enabled=False)  # workers never post
         self.flight_recorder = None
-        self.shuffle_manager = None  # workers read shuffles via TaskEnv
         self.block_store = None
         self.metrics_hub = None
         self.metrics = None
-        self.accumulator_registry = None
         self._scheduler = None
         self._rdd_ids = itertools.count()
-        self._cache_generations = {}
         self._lock = lockorder.OrderedLock("Context._lock")
         self._executor = None
         self._stopped = True  # any action attempt on a worker fails fast

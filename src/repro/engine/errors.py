@@ -8,7 +8,6 @@ __all__ = [
     "TaskFailedError",
     "SerializationError",
     "ClosureSerializationError",
-    "ShuffleFetchError",
     "ContextStoppedError",
 ]
 
@@ -67,10 +66,6 @@ class ClosureSerializationError(SerializationError):
         super().__init__(message)
         self.capture_path = tuple(capture_path)
         self.rule = rule
-
-
-class ShuffleFetchError(EngineError):
-    """A reduce task asked for map output that was never registered."""
 
 
 class ContextStoppedError(EngineError):

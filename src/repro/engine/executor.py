@@ -9,9 +9,9 @@ trade isolation for overhead:
   kernels release the GIL, so SBGT's block operations scale with cores
   while partitions stay zero-copy.  This is the default mode.
 * :class:`ProcessExecutor` — forked worker pool; tasks and results are
-  pickled, shuffle blocks ride inside the task payload.  Closest to
-  Spark's separate executors (and to the serialization costs the repro
-  notes warn about for PySpark).
+  pickled, each task carrying its own partition of driver-held source
+  data.  Closest to Spark's separate executors (and to the
+  serialization costs the repro notes warn about for PySpark).
 
 Process-mode data plane
 -----------------------
@@ -21,8 +21,8 @@ NumPy payloads — lattice masks and log-probs above all — travel as raw
 buffers instead of in-band bytes.  Each forked worker keeps a
 process-resident :class:`BlockStore` serving ``cache()``-ed partitions
 across jobs; entries are validated against the cache generation the
-scheduler stamps into each task, and per-task cache events are relayed
-back to the driver bus inside the :class:`TaskResult`.
+task's pickled RDDs carry, and per-task cache events are relayed back to
+the driver bus inside the :class:`TaskResult`.
 
 Retries happen at the driver: a task raising is resubmitted up to
 ``max_task_retries`` times before :class:`TaskFailedError` aborts the job.
@@ -43,10 +43,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None  # type: ignore[assignment]
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.engine import closure as closure_mod
-from repro.engine.accumulator import close_task_staging, open_task_staging
 from repro.engine.blockstore import BlockStore
 from repro.engine.errors import EngineError, JobFailedError, TaskFailedError
 from repro.engine.listener import (
@@ -59,12 +58,6 @@ from repro.engine.listener import (
     TaskStart,
 )
 from repro.engine.lockorder import OrderedLock
-from repro.engine.shuffle import (
-    LocalShuffleFetcher,
-    PayloadShuffleFetcher,
-    ShuffleFetcher,
-    ShuffleManager,
-)
 
 __all__ = [
     "Task",
@@ -79,37 +72,21 @@ __all__ = [
 
 
 class TaskEnv:
-    """What a running task can reach: shuffle input, cache, sources."""
+    """What a running task can reach: the block cache and its source data."""
 
-    __slots__ = ("fetcher", "blockstore", "generations", "sources")
+    __slots__ = ("blockstore", "source")
 
-    def __init__(
-        self,
-        fetcher: ShuffleFetcher,
-        blockstore: Optional[BlockStore],
-        generations: Optional[Dict[int, int]] = None,
-        sources: Optional[Dict[Tuple[int, int], list]] = None,
-    ) -> None:
-        self.fetcher = fetcher
+    def __init__(self, blockstore: Optional[BlockStore], source: Optional[list] = None) -> None:
         self.blockstore = blockstore
-        self.generations = generations
-        self.sources = sources
-
-    def generation_of(self, rdd_id: int) -> int:
-        """Cache epoch of *rdd_id* as known to this task."""
-        if self.generations is None:
-            return 0
-        return self.generations.get(rdd_id, 0)
+        self.source = source
 
     def source_records(self, rdd_id: int, split: int) -> list:
         """Driver-held source partition shipped with the task."""
-        if self.sources is not None:
-            records = self.sources.get((rdd_id, split))
-            if records is not None:
-                return records
-        raise EngineError(
-            f"task payload is missing source partition rdd={rdd_id} split={split}"
-        )
+        if self.source is None:
+            raise EngineError(
+                f"task payload is missing source partition rdd={rdd_id} split={split}"
+            )
+        return self.source
 
 
 def _peak_rss_kb() -> int:
@@ -131,15 +108,9 @@ class Task:
     stage_id: int
     partition: int
     body: Callable[[TaskEnv], Any]
-    # Process mode only: {(shuffle_id, reduce_id): bucket} copied in by the
-    # scheduler so the worker needs no channel back to the driver.
-    shuffle_payload: Optional[Dict[Tuple[int, int], list]] = None
-    # Process mode only: cache epochs of the cached RDDs in this task's
-    # narrow lineage, so the worker store can detect stale entries.
-    cache_generations: Optional[Dict[int, int]] = None
-    # Process mode only: {(rdd_id, split): records} for source RDDs whose
-    # data stays at the driver (their pickles ship without it).
-    source_payload: Optional[Dict[Tuple[int, int], list]] = None
+    # Process mode only: this partition's records of the lineage's source
+    # RDD, whose data stays at the driver (its pickle ships without it).
+    source_payload: Optional[list] = None
     # Process mode only: capacity for the lazily-created worker store.
     worker_cache_bytes: int = 0
     # Sampling-profiler rate stamped by the scheduler when a sampler is
@@ -148,7 +119,6 @@ class Task:
     profile_hz: float = 0.0
 
     def run(self, env: TaskEnv) -> "TaskResult":
-        open_task_staging()
         # Epoch stamp taken *in the worker*: perf_counter origins differ
         # per process, so the wall clock is the only cross-process
         # ordering exporters can trust.
@@ -161,14 +131,9 @@ class Task:
         rss0 = _peak_rss_kb()
         gc0 = _gc_collections()
         t0 = time.perf_counter()
-        try:
-            value = self.body(env)
-        finally:
-            deltas = close_task_staging()
+        value = self.body(env)
         wall = time.perf_counter() - t0
-        result = TaskResult(
-            self.partition, value, deltas, wall, t0_wall=t0_wall, worker=worker
-        )
+        result = TaskResult(self.partition, value, wall, t0_wall=t0_wall, worker=worker)
         result.cpu_s = max(0.0, time.thread_time() - t0_cpu)
         result.rss_peak_kb = max(0, _peak_rss_kb() - rss0)
         result.gc_collections = max(0, _gc_collections() - gc0)
@@ -179,7 +144,6 @@ class Task:
 class TaskResult:
     partition: int
     value: Any
-    acc_deltas: Dict[int, Any] = field(default_factory=dict)
     wall_s: float = 0.0
     attempts: int = 1
     #: Wall-clock epoch at task start, stamped worker-side (0.0 = unknown).
@@ -206,25 +170,11 @@ class BaseExecutor:
     """Runs a batch of tasks, returning results ordered by task index."""
 
     def __init__(
-        self,
-        manager: ShuffleManager,
-        blockstore: BlockStore,
-        max_retries: int,
-        bus: Optional[EventBus] = None,
-        generations: Optional[Dict[int, int]] = None,
+        self, blockstore: BlockStore, max_retries: int, bus: Optional[EventBus] = None
     ) -> None:
-        self._manager = manager
         self._blockstore = blockstore
         self._max_retries = max_retries
         self._bus = bus
-        # Live view of the driver's cache-generation registry (serial and
-        # thread tasks read it directly; process tasks get a snapshot).
-        self._generations = generations
-
-    def _local_env(self) -> TaskEnv:
-        return TaskEnv(
-            LocalShuffleFetcher(self._manager), self._blockstore, self._generations
-        )
 
     def _run_with_retries(self, task: Task, env: TaskEnv) -> TaskResult:
         bus = self._bus
@@ -268,7 +218,7 @@ class SerialExecutor(BaseExecutor):
     """Run tasks one after another on the driver thread."""
 
     def submit(self, tasks: List[Task]) -> List[TaskResult]:
-        env = self._local_env()
+        env = TaskEnv(self._blockstore)
         return [self._run_with_retries(t, env) for t in tasks]
 
 
@@ -277,20 +227,18 @@ class ThreadExecutor(BaseExecutor):
 
     def __init__(
         self,
-        manager: ShuffleManager,
         blockstore: BlockStore,
         max_retries: int,
         num_workers: int,
         bus: Optional[EventBus] = None,
-        generations: Optional[Dict[int, int]] = None,
     ) -> None:
-        super().__init__(manager, blockstore, max_retries, bus, generations)
+        super().__init__(blockstore, max_retries, bus)
         self._pool = cf.ThreadPoolExecutor(
             max_workers=num_workers, thread_name_prefix="engine-worker"
         )
 
     def submit(self, tasks: List[Task]) -> List[TaskResult]:
-        env = self._local_env()
+        env = TaskEnv(self._blockstore)
         # Each task runs under a copy of the submitting thread's
         # contextvars, so trace/phase stamps survive the hop onto pool
         # threads (one cheap copy_context per task).
@@ -378,12 +326,7 @@ def _process_worker_run(task_bytes: bytes, task_buffers: List[bytearray]) -> Tup
     store = _worker_store(task.worker_cache_bytes)
     tap = _CacheEventTap()
     store._bus = tap
-    env = TaskEnv(
-        PayloadShuffleFetcher(task.shuffle_payload or {}),
-        store,
-        task.cache_generations,
-        task.source_payload,
-    )
+    env = TaskEnv(store, task.source_payload)
     try:
         result = task.run(env)
     finally:
@@ -406,14 +349,12 @@ class ProcessExecutor(BaseExecutor):
 
     def __init__(
         self,
-        manager: ShuffleManager,
         blockstore: BlockStore,
         max_retries: int,
         num_workers: int,
         bus: Optional[EventBus] = None,
-        generations: Optional[Dict[int, int]] = None,
     ) -> None:
-        super().__init__(manager, blockstore, max_retries, bus, generations)
+        super().__init__(blockstore, max_retries, bus)
         ctx = multiprocessing.get_context("fork")
         self._pool = cf.ProcessPoolExecutor(max_workers=num_workers, mp_context=ctx)
         self._lock = OrderedLock("ProcessExecutor._lock")
@@ -521,18 +462,16 @@ class ProcessExecutor(BaseExecutor):
 
 def make_executor(
     mode: str,
-    manager: ShuffleManager,
     blockstore: BlockStore,
     max_retries: int,
     num_workers: int,
     bus: Optional[EventBus] = None,
-    generations: Optional[Dict[int, int]] = None,
 ) -> BaseExecutor:
     """Factory keyed on :attr:`EngineConfig.mode`."""
     if mode == "serial":
-        return SerialExecutor(manager, blockstore, max_retries, bus, generations)
+        return SerialExecutor(blockstore, max_retries, bus)
     if mode == "threads":
-        return ThreadExecutor(manager, blockstore, max_retries, num_workers, bus, generations)
+        return ThreadExecutor(blockstore, max_retries, num_workers, bus)
     if mode == "processes":
-        return ProcessExecutor(manager, blockstore, max_retries, num_workers, bus, generations)
+        return ProcessExecutor(blockstore, max_retries, num_workers, bus)
     raise ValueError(f"unknown executor mode {mode!r}")

@@ -1,9 +1,9 @@
 """The engine's listener bus (the ``SparkListener`` analogue).
 
 Every observable engine transition — job/stage/task lifecycle, task
-retries, shuffle writes and fetches, cache hits/misses/evictions — is a
-dataclass posted to the context's :class:`EventBus`.  Observers
-subclass :class:`EngineListener` and override the hooks they care about;
+retries, cache hits/misses/evictions — is a dataclass posted to the
+context's :class:`EventBus`.  Observers subclass :class:`EngineListener`
+and override the hooks they care about;
 :meth:`EngineListener.on_event` dispatches by event type.
 
 Design constraints, in order:
@@ -49,8 +49,6 @@ __all__ = [
     "TaskStart",
     "TaskEnd",
     "TaskRetry",
-    "ShuffleWrite",
-    "ShuffleFetch",
     "CacheHit",
     "CacheMiss",
     "CacheEvict",
@@ -140,7 +138,7 @@ class StageStart(EngineEvent):
     """A stage's task wave is about to be submitted."""
 
     stage_id: int
-    stage_kind: str  # "shuffle-map" | "result"
+    stage_kind: str  # always "result": a job is one stage
     num_tasks: int
     job_id: int
 
@@ -203,35 +201,6 @@ class TaskRetry(EngineEvent):
 
 
 @dataclass
-class ShuffleWrite(EngineEvent):
-    """A map task registered its output buckets.
-
-    ``buffer_bytes`` counts the NumPy payload carried by the buckets —
-    the bytes that travel out-of-band (raw ``PickleBuffer``\\ s, not
-    in-band pickle bytes) when the shuffle is shipped to a process-mode
-    worker.
-    """
-
-    shuffle_id: int
-    map_id: int
-    records: int = 0
-    buffer_bytes: int = 0
-
-
-@dataclass
-class ShuffleFetch(EngineEvent):
-    """A reduce-side read of one shuffle partition.
-
-    ``buffer_bytes`` mirrors :class:`ShuffleWrite`: the out-of-band
-    NumPy payload of the fetched records.
-    """
-
-    shuffle_id: int
-    reduce_id: int
-    buffer_bytes: int = 0
-
-
-@dataclass
 class CacheHit(EngineEvent):
     """A cached partition was served from the block store."""
 
@@ -279,8 +248,6 @@ _KIND_BY_TYPE: Dict[Type[EngineEvent], str] = {
     TaskStart: "task_start",
     TaskEnd: "task_end",
     TaskRetry: "task_retry",
-    ShuffleWrite: "shuffle_write",
-    ShuffleFetch: "shuffle_fetch",
     CacheHit: "cache_hit",
     CacheMiss: "cache_miss",
     CacheEvict: "cache_evict",
@@ -359,12 +326,6 @@ class EngineListener:
 
     def on_task_retry(self, event: TaskRetry) -> None:
         """Hook: a task attempt failed."""
-
-    def on_shuffle_write(self, event: ShuffleWrite) -> None:
-        """Hook: map output registered."""
-
-    def on_shuffle_fetch(self, event: ShuffleFetch) -> None:
-        """Hook: reduce-side shuffle read."""
 
     def on_cache_hit(self, event: CacheHit) -> None:
         """Hook: block store hit."""

@@ -73,15 +73,8 @@ __all__ = [
 LOCK_LEVELS: Dict[Tuple[str, str], int] = {
     ("ReproServer", "_engine_lock"): 10,
     ("Context", "_lock"): 20,
-    ("SerialExecutor", "_lock"): 30,
-    ("ThreadExecutor", "_lock"): 30,
     ("ProcessExecutor", "_lock"): 30,
-    ("ShuffleManager", "_lock"): 40,
     ("BlockStore", "_lock"): 50,
-    ("AccumulatorRegistry", "_lock"): 60,
-    # The registry merges deltas *into* individual accumulators while
-    # holding its own lock, so Accumulator sits one step inside it.
-    ("Accumulator", "_lock"): 65,
     ("MetricsRegistry", "_lock"): 70,
     ("EventBus", "_lock"): 80,
     # The hub's instruments are incremented from bus listeners (i.e.
@@ -92,17 +85,13 @@ LOCK_LEVELS: Dict[Tuple[str, str], int] = {
     ("ResultCache", "_lock"): 90,
     ("SessionRegistry", "_lock"): 90,
     ("CampaignRegistry", "_lock"): 90,
-    ("ServeMetricsListener", "_lock"): 90,
-    ("LatencyHistogram", "_lock"): 90,
-    ("FlightRecorder", "_lock"): 90,
     ("Tracer", "_lock"): 90,
     ("Sampler", "_lock"): 90,
 }
 
-#: Module-level lock names (id counters, the stage-id lock and the
-#: default-hub singleton guard are leaves).
+#: Module-level lock names (the id counter and the default-hub singleton
+#: guard are leaves).
 MODULE_LOCK_LEVELS: Dict[str, int] = {
-    "_stage_lock": 90,
     "_ids_lock": 90,
     "_DEFAULT_HUB_LOCK": 90,
 }

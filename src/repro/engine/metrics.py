@@ -67,7 +67,7 @@ class TaskMetrics:
 @dataclass
 class StageMetrics:
     stage_id: int
-    kind: str  # "shuffle-map" | "result"
+    kind: str  # always "result": a job is one stage
     num_tasks: int = 0
     wall_s: float = 0.0
     tasks: List[TaskMetrics] = field(default_factory=list)

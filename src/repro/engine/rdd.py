@@ -1,10 +1,11 @@
 """The RDD: a lazy, partitioned, immutable dataset with lineage.
 
-This mirrors Spark's core abstraction closely enough that the SBGT layer
-reads like the paper's Spark pseudocode: transformations build lineage
-lazily; actions submit jobs through the context's DAG scheduler.  Narrow
-chains (``map``/``filter``/``map_partitions``) pipeline inside one task;
-key-value shuffles (defined in :mod:`repro.engine.pair_rdd`) cut stages.
+This mirrors the subset of Spark's core abstraction that SBGT is written
+against: transformations build lineage lazily; actions submit one job —
+one stage of one task per partition — through the context's scheduler.
+Every transformation is narrow (``map``/``filter``/``map_partitions``),
+so an RDD has at most one parent, partition *i* of a child reads
+partition *i* of its parent, and a whole chain pipelines inside one task.
 
 Only the driver constructs RDDs; tasks see them as read-only recipe
 objects (``compute`` is pure given the task context).
@@ -12,25 +13,11 @@ objects (``compute`` is pure given the task context).
 
 from __future__ import annotations
 
-import bisect
 import copy
 import itertools
-from typing import (
-    Any,
-    Callable,
-    Generic,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Generic, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
-from repro.engine.dag import Dependency, NarrowDependency, ShuffleDependency
 from repro.engine.errors import EngineError
-from repro.util.rng import as_rng
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -38,82 +25,18 @@ U = TypeVar("U")
 __all__ = [
     "RDD",
     "TaskContext",
-    "StatCounter",
     "ParallelCollectionRDD",
     "RangeRDD",
     "MapPartitionsRDD",
-    "UnionRDD",
-    "CoalescedRDD",
-    "ZipPartitionsRDD",
-    "CartesianRDD",
 ]
-
-
-class StatCounter:
-    """Streaming count/mean/variance/min/max (Welford, mergeable)."""
-
-    __slots__ = ("count", "mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def add(self, value) -> "StatCounter":
-        x = float(value)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
-        return self
-
-    def merge(self, other: "StatCounter") -> "StatCounter":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            self.min, self.max = other.min, other.max
-            return self
-        delta = other.mean - self.mean
-        total = self.count + other.count
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
-    @property
-    def variance(self) -> float:
-        """Population variance."""
-        return self._m2 / self.count if self.count else float("nan")
-
-    @property
-    def stdev(self) -> float:
-        return self.variance ** 0.5
-
-    @property
-    def sum(self) -> float:
-        return self.mean * self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StatCounter(count={self.count}, mean={self.mean:.6g}, "
-            f"stdev={self.stdev:.6g}, min={self.min:.6g}, max={self.max:.6g})"
-        )
 
 
 class TaskContext:
     """Per-task handle: which partition is running, plus the runtime env.
 
-    ``env`` provides ``fetcher`` (shuffle reads), ``blockstore`` (the
-    driver store in serial/threads mode, the forked worker's resident
-    store in process mode), cache generations, and any driver-held
-    source partitions the scheduler shipped with the task.
+    ``env`` provides ``blockstore`` (the driver store in serial/threads
+    mode, the forked worker's resident store in process mode) and the
+    driver-held source partition the scheduler shipped with the task.
     """
 
     __slots__ = ("env", "stage_id", "partition")
@@ -127,15 +50,19 @@ class TaskContext:
 class RDD(Generic[T]):
     """Base resilient distributed dataset."""
 
-    def __init__(self, ctx, deps: Sequence[Dependency], num_partitions: int) -> None:
+    def __init__(self, ctx, parent: Optional["RDD"], num_partitions: int) -> None:
         if num_partitions <= 0:
             raise ValueError("an RDD must have at least one partition")
         self.ctx = ctx
         self.id = ctx._next_rdd_id()
-        self.dependencies: List[Dependency] = list(deps)
+        self.parent = parent
         self.num_partitions = int(num_partitions)
-        self.partitioner = None  # set by shuffles / preserved by map_values
         self._cached = False
+        # Cache epoch, bumped by unpersist().  It travels with the RDD:
+        # serial/thread tasks read the live object, process-mode tasks
+        # the copy pickled into their body, so a worker-resident store
+        # recognises entries cached before the last unpersist as stale.
+        self._generation = 0
 
     # ------------------------------------------------------------------
     # subclass contract
@@ -143,68 +70,6 @@ class RDD(Generic[T]):
     def compute(self, split: int, tc: TaskContext) -> Iterable[T]:
         """Produce the records of partition *split* (pure recipe)."""
         raise NotImplementedError
-
-    def narrow_parent_splits(self, split: int) -> List[Tuple["RDD", int]]:
-        """Which (parent, split) pairs partition *split* reads narrowly.
-
-        Used to locate the shuffle blocks a task payload must carry in
-        process mode.  Default: same split of every narrow parent.
-        """
-        return [
-            (dep.rdd, split)
-            for dep in self.dependencies
-            if isinstance(dep, NarrowDependency)
-        ]
-
-    # ------------------------------------------------------------------
-    # runtime plumbing
-    # ------------------------------------------------------------------
-    def iterator(self, split: int, tc: TaskContext) -> Iterable[T]:
-        """Cache-aware access to partition *split*."""
-        store = tc.env.blockstore
-        if self._cached and store is not None:
-            key = (self.id, split)
-            gen = tc.env.generation_of(self.id)
-            block = store.get(key, gen)
-            if block is None:
-                block = list(self.compute(split, tc))
-                store.put(key, block, gen)
-            return block
-        return self.compute(split, tc)
-
-    def narrow_lineage(self, split: int) -> Iterator[Tuple["RDD", int]]:
-        """Every (rdd, split) pair reachable from *split* without a shuffle.
-
-        Yields ``(self, split)`` first, then walks narrow dependencies,
-        deduplicating by ``(rdd.id, split)`` — diamonds (an RDD consumed
-        by two branches of the same lineage) are visited once.  This is
-        the walk the scheduler uses to assemble process-mode payloads:
-        shuffle blocks, cache generations, and driver-held source
-        partitions all live on nodes of this lineage.
-        """
-        seen = set()
-        stack: List[Tuple[RDD, int]] = [(self, split)]
-        while stack:
-            rdd, sp = stack.pop()
-            if (rdd.id, sp) in seen:
-                continue
-            seen.add((rdd.id, sp))
-            yield rdd, sp
-            stack.extend(rdd.narrow_parent_splits(sp))
-
-    def shuffle_reads(self, split: int) -> List[Tuple[int, int]]:
-        """All (shuffle_id, reduce_id) pairs computing *split* will fetch."""
-        reads: List[Tuple[int, int]] = []
-        for rdd, sp in self.narrow_lineage(split):
-            reads.extend(rdd._direct_shuffle_reads(sp))
-        return reads
-
-    def _direct_shuffle_reads(self, split: int) -> List[Tuple[int, int]]:
-        return [
-            (dep.shuffle_id, split)
-            for dep in self.dependencies
-            if isinstance(dep, ShuffleDependency)
-        ]
 
     def source_records(self, split: int) -> Optional[List[T]]:
         """Driver-held records of partition *split*, if this is a source RDD.
@@ -216,6 +81,29 @@ class RDD(Generic[T]):
         RDDs return ``None``.
         """
         return None
+
+    # ------------------------------------------------------------------
+    # runtime plumbing
+    # ------------------------------------------------------------------
+    def iterator(self, split: int, tc: TaskContext) -> Iterable[T]:
+        """Cache-aware access to partition *split*."""
+        store = tc.env.blockstore
+        if self._cached and store is not None:
+            key = (self.id, split)
+            gen = self._generation  # read once: an unpersist may race the compute
+            block = store.get(key, gen)
+            if block is None:
+                block = list(self.compute(split, tc))
+                store.put(key, block, gen)
+            return block
+        return self.compute(split, tc)
+
+    def lineage(self) -> Iterator["RDD"]:
+        """This RDD, its parent, its parent's parent, … up to the source."""
+        rdd: Optional[RDD] = self
+        while rdd is not None:
+            yield rdd
+            rdd = rdd.parent
 
     # ------------------------------------------------------------------
     # caching
@@ -243,197 +131,33 @@ class RDD(Generic[T]):
     def unpersist(self) -> "RDD[T]":
         self._cached = False
         self.ctx.block_store.drop_rdd(self.id)
-        # Worker-resident stores can't be reached from here; bumping the
-        # cache generation makes their entries stale on next access.
-        self.ctx.bump_cache_generation(self.id)
+        # Worker-resident stores can't be reached from here; the new
+        # epoch makes their entries stale on next access.
+        self._generation += 1
         return self
 
     # ------------------------------------------------------------------
     # narrow transformations
     # ------------------------------------------------------------------
     def map_partitions_with_index(
-        self, f: Callable[[int, Iterable[T]], Iterable[U]], preserves_partitioning: bool = False
+        self, f: Callable[[int, Iterable[T]], Iterable[U]]
     ) -> "RDD[U]":
         """The root transformation every other narrow op reduces to."""
-        return MapPartitionsRDD(self, f, preserves_partitioning)
+        return MapPartitionsRDD(self, f)
 
-    def map_partitions(
-        self, f: Callable[[Iterable[T]], Iterable[U]], preserves_partitioning: bool = False
-    ) -> "RDD[U]":
-        return self.map_partitions_with_index(lambda _i, it: f(it), preserves_partitioning)
+    def map_partitions(self, f: Callable[[Iterable[T]], Iterable[U]]) -> "RDD[U]":
+        return self.map_partitions_with_index(lambda _i, it: f(it))
 
     def map(self, f: Callable[[T], U]) -> "RDD[U]":
         return self.map_partitions_with_index(lambda _i, it: (f(x) for x in it))
 
     def filter(self, pred: Callable[[T], bool]) -> "RDD[T]":
-        return self.map_partitions_with_index(
-            lambda _i, it: (x for x in it if pred(x)), preserves_partitioning=True
-        )
+        return self.map_partitions_with_index(lambda _i, it: (x for x in it if pred(x)))
 
     def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD[U]":
         return self.map_partitions_with_index(
             lambda _i, it: itertools.chain.from_iterable(f(x) for x in it)
         )
-
-    def glom(self) -> "RDD[List[T]]":
-        """One record per partition: the partition's records as a list."""
-        return self.map_partitions_with_index(lambda _i, it: [list(it)])
-
-    def key_by(self, f: Callable[[T], Any]) -> "RDD[Tuple[Any, T]]":
-        return self.map(lambda x: (f(x), x))
-
-    def zip_with_index(self) -> "RDD[Tuple[T, int]]":
-        """Pair each record with its global index (needs a size pre-pass)."""
-        sizes = self.ctx.run_job(self, lambda it: sum(1 for _ in it))
-        offsets = [0]
-        for s in sizes[:-1]:
-            offsets.append(offsets[-1] + s)
-
-        def attach(i: int, it: Iterable[T]) -> Iterator[Tuple[T, int]]:
-            return ((x, offsets[i] + j) for j, x in enumerate(it))
-
-        return self.map_partitions_with_index(attach, preserves_partitioning=True)
-
-    def union(self, other: "RDD[T]") -> "RDD[T]":
-        return UnionRDD(self.ctx, [self, other])
-
-    def zip_partitions(
-        self, other: "RDD[U]", f: Callable[[Iterable[T], Iterable[U]], Iterable[Any]]
-    ) -> "RDD[Any]":
-        return ZipPartitionsRDD([self, other], f)
-
-    def zip(self, other: "RDD[U]") -> "RDD[Tuple[T, U]]":
-        """Pair up records position-wise (requires equal partitioning)."""
-        return self.zip_partitions(other, lambda a, b: zip(list(a), list(b), strict=True))
-
-    def sample(self, fraction: float, seed: Optional[int] = None) -> "RDD[T]":
-        """Bernoulli sample of each record, deterministic per (seed, split)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        base_seed = seed if seed is not None else int(as_rng(None).integers(2**31))
-
-        def sampler(i: int, it: Iterable[T]) -> Iterator[T]:
-            rng = as_rng(base_seed * 7919 + i)
-            return (x for x in it if rng.random() < fraction)
-
-        return self.map_partitions_with_index(sampler, preserves_partitioning=True)
-
-    def coalesce(self, num_partitions: int) -> "RDD[T]":
-        """Shrink to *num_partitions* without a shuffle (grouping splits)."""
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD[T]":
-        """Change partition count via a full shuffle (balanced round-robin)."""
-        from repro.engine.pair_rdd import partition_by_index
-
-        return partition_by_index(self, num_partitions)
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD[T]":
-        from repro.engine.pair_rdd import distinct as _distinct
-
-        return _distinct(self, num_partitions)
-
-    def sort_by(
-        self,
-        key_func: Callable[[T], Any],
-        ascending: bool = True,
-        num_partitions: Optional[int] = None,
-    ) -> "RDD[T]":
-        from repro.engine.pair_rdd import sort_by as _sort_by
-
-        return _sort_by(self, key_func, ascending, num_partitions)
-
-    def group_by(self, key_func: Callable[[T], Any], num_partitions: Optional[int] = None):
-        return self.key_by(key_func).group_by_key(num_partitions)
-
-    # ------------------------------------------------------------------
-    # key-value transformations (implemented in pair_rdd, exposed here)
-    # ------------------------------------------------------------------
-    def map_values(self, f: Callable) -> "RDD":
-        def mv(_i, it):
-            return ((k, f(v)) for k, v in it)
-
-        out = self.map_partitions_with_index(mv, preserves_partitioning=True)
-        out.partitioner = self.partitioner
-        return out
-
-    def flat_map_values(self, f: Callable) -> "RDD":
-        def fmv(_i, it):
-            return ((k, u) for k, v in it for u in f(v))
-
-        out = self.map_partitions_with_index(fmv, preserves_partitioning=True)
-        out.partitioner = self.partitioner
-        return out
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
-    def reduce_by_key(self, op: Callable, num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import reduce_by_key as _rbk
-
-        return _rbk(self, op, num_partitions)
-
-    def combine_by_key(
-        self,
-        create: Callable,
-        merge_value: Callable,
-        merge_combiners: Callable,
-        num_partitions: Optional[int] = None,
-        map_side_combine: bool = True,
-    ) -> "RDD":
-        from repro.engine.pair_rdd import combine_by_key as _cbk
-
-        return _cbk(self, create, merge_value, merge_combiners, num_partitions, map_side_combine)
-
-    def aggregate_by_key(
-        self, zero: Any, seq_op: Callable, comb_op: Callable, num_partitions: Optional[int] = None
-    ) -> "RDD":
-        from repro.engine.pair_rdd import aggregate_by_key as _abk
-
-        return _abk(self, zero, seq_op, comb_op, num_partitions)
-
-    def fold_by_key(self, zero: Any, op: Callable, num_partitions: Optional[int] = None) -> "RDD":
-        return self.aggregate_by_key(zero, op, op, num_partitions)
-
-    def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import group_by_key as _gbk
-
-        return _gbk(self, num_partitions)
-
-    def partition_by(self, partitioner) -> "RDD":
-        from repro.engine.pair_rdd import partition_by as _pb
-
-        return _pb(self, partitioner)
-
-    def join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import join as _join
-
-        return _join(self, other, num_partitions, how="inner")
-
-    def left_outer_join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import join as _join
-
-        return _join(self, other, num_partitions, how="left")
-
-    def right_outer_join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import join as _join
-
-        return _join(self, other, num_partitions, how="right")
-
-    def full_outer_join(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import join as _join
-
-        return _join(self, other, num_partitions, how="full")
-
-    def cogroup(self, other: "RDD", num_partitions: Optional[int] = None) -> "RDD":
-        from repro.engine.pair_rdd import cogroup as _cogroup
-
-        return _cogroup([self, other], num_partitions)
 
     # ------------------------------------------------------------------
     # actions
@@ -513,31 +237,13 @@ class RDD(Generic[T]):
             grouped = self.ctx.parallelize(partials, min(n_groups, len(partials)))
             partials = grouped.ctx.run_job(
                 grouped,
-                lambda it: _reduce_iter_with_zero(it, copy.deepcopy(zero), comb_op),
+                lambda it: _fold_iter(it, copy.deepcopy(zero), comb_op),
             )
             rounds -= 1
         acc = copy.deepcopy(zero)
         for p in partials:
             acc = comb_op(acc, p)
         return acc
-
-    def tree_reduce(self, op: Callable[[T, T], T], depth: int = 2) -> T:
-        sentinel = _MISSING  # deepcopy-stable singleton (zero gets copied)
-
-        def seq(acc, x):
-            return x if acc is sentinel else op(acc, x)
-
-        def comb(a, b):
-            if a is sentinel:
-                return b
-            if b is sentinel:
-                return a
-            return op(a, b)
-
-        out = self.tree_aggregate(sentinel, seq, comb, depth=depth)
-        if out is sentinel:
-            raise EngineError("tree_reduce() of empty RDD")
-        return out
 
     def take(self, n: int) -> List[T]:
         """First *n* records, scanning as few partitions as possible."""
@@ -556,16 +262,6 @@ class RDD(Generic[T]):
         if not got:
             raise EngineError("first() of empty RDD")
         return got[0]
-
-    def top(self, n: int, key: Optional[Callable] = None) -> List[T]:
-        """Largest *n* records (descending), via per-partition heaps."""
-        import heapq
-
-        def part_top(it: Iterable[T]) -> List[T]:
-            return heapq.nlargest(n, it, key=key)
-
-        partials = self.ctx.run_job(self, part_top)
-        return heapq.nlargest(n, itertools.chain.from_iterable(partials), key=key)
 
     def sum(self) -> Any:
         return self.fold(0, lambda a, b: a + b)
@@ -590,194 +286,15 @@ class RDD(Generic[T]):
             raise EngineError("mean() of empty RDD")
         return total / count
 
-    def stats(self) -> "StatCounter":
-        """Count/mean/stdev/min/max in one pass (Welford merging)."""
-        return self.aggregate(
-            StatCounter(), lambda acc, x: acc.add(x), lambda a, b: a.merge(b)
-        )
-
-    def histogram(self, buckets) -> Tuple[List[float], List[int]]:
-        """Bucketed counts of a numeric RDD.
-
-        ``buckets`` is either a bucket count (evenly spaced over
-        [min, max], computed with one extra pass) or an explicit sorted
-        edge list.  Returns ``(edges, counts)`` with ``len(counts) ==
-        len(edges) - 1``; the last bucket is closed on the right.
-        """
-        if isinstance(buckets, int):
-            if buckets <= 0:
-                raise ValueError("bucket count must be positive")
-            st = self.stats()
-            if st.count == 0:
-                raise EngineError("histogram() of empty RDD")
-            lo, hi = float(st.min), float(st.max)
-            if lo == hi:
-                edges = [lo, hi]
-                return edges, [int(st.count)]
-            step = (hi - lo) / buckets
-            edges = [lo + i * step for i in range(buckets)] + [hi]
-        else:
-            edges = [float(e) for e in buckets]
-            if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
-                raise ValueError("explicit edges must be sorted and >= 2 long")
-        n_buckets = len(edges) - 1
-
-        def part_hist(it: Iterable) -> List[int]:
-            counts = [0] * n_buckets
-            for x in it:
-                x = float(x)
-                if x < edges[0] or x > edges[-1]:
-                    continue
-                idx = min(bisect.bisect_right(edges, x) - 1, n_buckets - 1)
-                counts[idx] += 1
-            return counts
-
-        partials = self.ctx.run_job(self, part_hist)
-        totals = [sum(col) for col in zip(*partials)] if partials else [0] * n_buckets
-        return edges, totals
-
-    def take_ordered(self, n: int, key: Optional[Callable] = None) -> List[T]:
-        """Smallest *n* records in ascending order."""
-        import heapq
-
-        if n <= 0:
-            return []
-        partials = self.ctx.run_job(self, lambda it: heapq.nsmallest(n, it, key=key))
-        return heapq.nsmallest(n, itertools.chain.from_iterable(partials), key=key)
-
-    def take_sample(
-        self, num: int, with_replacement: bool = False, seed: Optional[int] = None
-    ) -> List[T]:
-        """Random sample of exactly ``min(num, count)`` records.
-
-        Two passes: a count, then an over-provisioned Bernoulli sample
-        trimmed (or a full collect when the RDD is small relative to
-        *num*).  Deterministic given *seed*.
-        """
-        if num < 0:
-            raise ValueError("num must be non-negative")
-        if num == 0:
-            return []
-        rng = as_rng(seed if seed is not None else None)
-        total = self.count()
-        if total == 0:
-            return []
-        if with_replacement:
-            pool = self.collect() if total <= 4 * num else self.take_sample(min(total, 4 * num), False, seed)
-            idx = rng.integers(0, len(pool), size=num)
-            return [pool[i] for i in idx]
-        if num >= total:
-            return self.collect()
-        fraction = min(1.0, (num / total) * 2 + 8 / total)
-        sampled = self.sample(fraction, seed=int(rng.integers(2**31))).collect()
-        while len(sampled) < num:  # rare under-draw: widen
-            fraction = min(1.0, fraction * 2)
-            sampled = self.sample(fraction, seed=int(rng.integers(2**31))).collect()
-        picks = rng.choice(len(sampled), size=num, replace=False)
-        return [sampled[i] for i in sorted(picks)]
-
-    def subtract(self, other: "RDD[T]", num_partitions: Optional[int] = None) -> "RDD[T]":
-        """Records of self absent from *other* (multiset-collapsing)."""
-        from repro.engine.pair_rdd import subtract as _subtract
-
-        return _subtract(self, other, num_partitions)
-
-    def intersection(self, other: "RDD[T]", num_partitions: Optional[int] = None) -> "RDD[T]":
-        """Distinct records present in both RDDs."""
-        from repro.engine.pair_rdd import intersection as _intersection
-
-        return _intersection(self, other, num_partitions)
-
-    def cartesian(self, other: "RDD[U]") -> "RDD[Tuple[T, U]]":
-        """All pairs (x, y); partition count multiplies — keep inputs small."""
-        return CartesianRDD(self, other)
-
     def debug_string(self) -> str:
-        """Lineage tree, Spark's ``toDebugString`` analogue."""
-        lines: List[str] = []
-
-        def walk(rdd: "RDD", depth: int) -> None:
-            from repro.engine.dag import ShuffleDependency
-
-            indent = "  " * depth
-            lines.append(
-                f"{indent}({rdd.num_partitions}) {type(rdd).__name__}[{rdd.id}]"
-            )
-            for dep in rdd.dependencies:
-                if isinstance(dep, ShuffleDependency):
-                    lines.append(f"{indent} +-shuffle {dep.shuffle_id}")
-                walk(dep.rdd, depth + 1)
-
-        walk(self, 0)
-        return "\n".join(lines)
-
-    def count_approx_distinct(self, precision: int = 12) -> int:
-        """Approximate distinct count via a HyperLogLog sketch.
-
-        One narrow pass and O(2^precision) bytes instead of
-        ``distinct().count()``'s full shuffle; relative standard error
-        ≈ 1.04/√(2^precision) (~1.6 % at the default).
-        """
-        from repro.engine.hll import count_approx_distinct
-
-        return count_approx_distinct(self, precision)
-
-    def count_by_value(self) -> dict:
-        def part_counts(it: Iterable[T]) -> dict:
-            d: dict = {}
-            for x in it:
-                d[x] = d.get(x, 0) + 1
-            return d
-
-        out: dict = {}
-        for d in self.ctx.run_job(self, part_counts):
-            for k, v in d.items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def count_by_key(self) -> dict:
-        return self.map(lambda kv: kv[0]).count_by_value()
-
-    def lookup(self, key: Any) -> List[Any]:
-        """All values for *key*; targets one partition when partitioned."""
-        if self.partitioner is not None:
-            p = self.partitioner.partition(key)
-            parts = self.ctx.run_job(self, lambda it: [v for k, v in it if k == key], [p])
-            return parts[0]
-        return self.filter(lambda kv: kv[0] == key).values().collect()
-
-    def foreach(self, f: Callable[[T], None]) -> None:
-        """Run *f* for side effects (accumulators) on every record."""
-        self.ctx.run_job(self, lambda it: _consume(it, f))
-
-    def foreach_partition(self, f: Callable[[Iterable[T]], None]) -> None:
-        self.ctx.run_job(self, lambda it: (f(it), None)[1])
+        """Lineage chain, Spark's ``toDebugString`` analogue."""
+        return "\n".join(
+            f"{'  ' * depth}({rdd.num_partitions}) {type(rdd).__name__}[{rdd.id}]"
+            for depth, rdd in enumerate(self.lineage())
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(id={self.id}, partitions={self.num_partitions})"
-
-
-class _MissingType:
-    """Sentinel that survives (deep)copying with identity intact."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):  # pickles back to the same singleton
-        return (_MissingType, ())
-
-
-_MISSING = _MissingType()
 
 
 def _fold_iter(it: Iterable, zero: Any, op: Callable) -> Any:
@@ -785,18 +302,6 @@ def _fold_iter(it: Iterable, zero: Any, op: Callable) -> Any:
     for x in it:
         acc = op(acc, x)
     return acc
-
-
-def _reduce_iter_with_zero(it: Iterable, zero: Any, comb: Callable) -> Any:
-    acc = zero
-    for x in it:
-        acc = comb(acc, x)
-    return acc
-
-
-def _consume(it: Iterable, f: Callable) -> None:
-    for x in it:
-        f(x)
 
 
 # ----------------------------------------------------------------------
@@ -815,7 +320,7 @@ class ParallelCollectionRDD(RDD[T]):
     def __init__(self, ctx, data: Sequence[T], num_partitions: int) -> None:
         data = list(data)
         n_parts = max(1, min(num_partitions, max(1, len(data))))
-        super().__init__(ctx, [], n_parts)
+        super().__init__(ctx, None, n_parts)
         bounds = [round(i * len(data) / n_parts) for i in range(n_parts + 1)]
         self._slices = [data[bounds[i] : bounds[i + 1]] for i in range(n_parts)]
 
@@ -843,7 +348,7 @@ class _CheckpointedRDD(RDD[T]):
     """
 
     def __init__(self, ctx, partitions: List[List[T]]) -> None:
-        super().__init__(ctx, [], max(1, len(partitions)))
+        super().__init__(ctx, None, max(1, len(partitions)))
         self._partitions = partitions if partitions else [[]]
 
     def source_records(self, split: int) -> Optional[List[T]]:
@@ -870,7 +375,7 @@ class RangeRDD(RDD[int]):
             raise ValueError("step must be non-zero")
         total = max(0, -(-(stop - start) // step))
         n_parts = max(1, min(num_partitions, max(1, total)))
-        super().__init__(ctx, [], n_parts)
+        super().__init__(ctx, None, n_parts)
         self._start, self._stop, self._step, self._total = start, stop, step, total
 
     def compute(self, split: int, tc: TaskContext) -> Iterable[int]:
@@ -882,100 +387,9 @@ class RangeRDD(RDD[int]):
 class MapPartitionsRDD(RDD[U]):
     """Applies ``f(split_index, parent_iterator)`` — the pipelining node."""
 
-    def __init__(self, parent: RDD, f: Callable, preserves_partitioning: bool) -> None:
-        super().__init__(parent.ctx, [NarrowDependency(parent)], parent.num_partitions)
-        self._parent = parent
+    def __init__(self, parent: RDD, f: Callable) -> None:
+        super().__init__(parent.ctx, parent, parent.num_partitions)
         self._f = f
-        if preserves_partitioning:
-            self.partitioner = parent.partitioner
 
     def compute(self, split: int, tc: TaskContext) -> Iterable[U]:
-        return self._f(split, self._parent.iterator(split, tc))
-
-
-class UnionRDD(RDD[T]):
-    """Concatenation: partitions of every input, in order."""
-
-    def __init__(self, ctx, rdds: Sequence[RDD[T]]) -> None:
-        if not rdds:
-            raise ValueError("union of no RDDs")
-        super().__init__(ctx, [NarrowDependency(r) for r in rdds], sum(r.num_partitions for r in rdds))
-        self._rdds = list(rdds)
-        self._offsets = [0]
-        for r in rdds:
-            self._offsets.append(self._offsets[-1] + r.num_partitions)
-
-    def _locate(self, split: int) -> Tuple[RDD[T], int]:
-        idx = bisect.bisect_right(self._offsets, split) - 1
-        return self._rdds[idx], split - self._offsets[idx]
-
-    def compute(self, split: int, tc: TaskContext) -> Iterable[T]:
-        rdd, sub = self._locate(split)
-        return rdd.iterator(sub, tc)
-
-    def narrow_parent_splits(self, split: int) -> List[Tuple[RDD, int]]:
-        return [self._locate(split)]
-
-
-class CoalescedRDD(RDD[T]):
-    """Groups contiguous parent partitions; no data movement."""
-
-    def __init__(self, parent: RDD[T], num_partitions: int) -> None:
-        super().__init__(parent.ctx, [NarrowDependency(parent)], num_partitions)
-        self._parent = parent
-        n, m = parent.num_partitions, num_partitions
-        self._groups = [
-            list(range(round(i * n / m), round((i + 1) * n / m))) for i in range(m)
-        ]
-
-    def compute(self, split: int, tc: TaskContext) -> Iterable[T]:
-        return itertools.chain.from_iterable(
-            self._parent.iterator(p, tc) for p in self._groups[split]
-        )
-
-    def narrow_parent_splits(self, split: int) -> List[Tuple[RDD, int]]:
-        return [(self._parent, p) for p in self._groups[split]]
-
-
-class CartesianRDD(RDD[Tuple[T, U]]):
-    """All (left, right) pairs; one partition per input-partition pair."""
-
-    def __init__(self, left: RDD[T], right: RDD[U]) -> None:
-        super().__init__(
-            left.ctx,
-            [NarrowDependency(left), NarrowDependency(right)],
-            left.num_partitions * right.num_partitions,
-        )
-        self._left = left
-        self._right = right
-
-    def _locate(self, split: int) -> Tuple[int, int]:
-        return divmod(split, self._right.num_partitions)
-
-    def compute(self, split: int, tc: TaskContext) -> Iterable[Tuple[T, U]]:
-        li, ri = self._locate(split)
-        right_records = list(self._right.iterator(ri, tc))
-        return (
-            (x, y) for x in self._left.iterator(li, tc) for y in right_records
-        )
-
-    def narrow_parent_splits(self, split: int) -> List[Tuple[RDD, int]]:
-        li, ri = self._locate(split)
-        return [(self._left, li), (self._right, ri)]
-
-
-class ZipPartitionsRDD(RDD[Any]):
-    """Applies ``f(it_1, ..., it_k)`` over aligned partitions of k RDDs."""
-
-    def __init__(self, rdds: Sequence[RDD], f: Callable) -> None:
-        if not rdds:
-            raise ValueError("zip_partitions of no RDDs")
-        n = rdds[0].num_partitions
-        if any(r.num_partitions != n for r in rdds):
-            raise ValueError("zip_partitions requires equal partition counts")
-        super().__init__(rdds[0].ctx, [NarrowDependency(r) for r in rdds], n)
-        self._rdds = list(rdds)
-        self._f = f
-
-    def compute(self, split: int, tc: TaskContext) -> Iterable[Any]:
-        return self._f(*(r.iterator(split, tc) for r in self._rdds))
+        return self._f(split, self.parent.iterator(split, tc))

@@ -1,20 +1,17 @@
-"""The DAG scheduler: stages → tasks → results.
+"""The scheduler: job → one stage → tasks → results.
 
 ``run_job`` is the single entry point every RDD action funnels through.
-It builds the stage graph for the target RDD, executes missing
-shuffle-map stages bottom-up (skipping shuffles already materialized —
-the payoff of caching lineage), then runs the result stage applying the
-action's partition function, and merges accumulator deltas exactly once
-per successful task.
+Every lineage is a narrow chain, so a job is exactly one ``result``
+stage: one task per requested partition, each pipelining the whole chain
+and applying the action's partition function to its output.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.engine.dag import Stage, build_stages
 from repro.engine.errors import JobFailedError
 from repro.engine.executor import Task, TaskEnv
 from repro.engine.listener import JobEnd, JobStart, StageEnd, StageStart
@@ -23,6 +20,10 @@ from repro.engine.rdd import RDD, TaskContext
 from repro.engine.tracing import EPOCH_OFFSET, current_trace_id
 
 __all__ = ["Scheduler"]
+
+#: Stage ids are unique across every context of the process, so events
+#: of concurrently live contexts never collide on a shared bus consumer.
+_stage_ids = itertools.count()
 
 
 def _installed_profile_hz() -> float:
@@ -38,33 +39,7 @@ def _installed_profile_hz() -> float:
     return current_profile_hz()
 
 
-def _make_map_body(rdd: RDD, partition: int, stage_id: int, dep) -> Callable[[TaskEnv], list]:
-    """Build the closure a shuffle-map task runs: compute + bucket."""
-
-    def body(env: TaskEnv) -> list:
-        tc = TaskContext(env, stage_id, partition)
-        part = dep.partitioner
-        agg = dep.aggregator
-        buckets: List[list] = [[] for _ in range(part.num_partitions)]
-        records = rdd.iterator(partition, tc)
-        if agg is not None and agg.map_side_combine:
-            combiners: dict = {}
-            for k, v in records:
-                if k in combiners:
-                    combiners[k] = agg.merge_value(combiners[k], v)
-                else:
-                    combiners[k] = agg.create(v)
-            for k, c in combiners.items():
-                buckets[part.partition(k)].append((k, c))
-        else:
-            for k, v in records:
-                buckets[part.partition(k)].append((k, v))
-        return buckets
-
-    return body
-
-
-def _make_result_body(
+def _task_body(
     rdd: RDD, partition: int, stage_id: int, func: Callable
 ) -> Callable[[TaskEnv], Any]:
     def body(env: TaskEnv) -> Any:
@@ -75,7 +50,7 @@ def _make_result_body(
 
 
 class Scheduler:
-    """Drives stage-ordered execution for one :class:`Context`."""
+    """Drives job execution for one :class:`Context`."""
 
     def __init__(self, ctx) -> None:
         self._ctx = ctx
@@ -105,14 +80,6 @@ class Scheduler:
 
         succeeded = False
         try:
-            final_stage = build_stages(rdd)
-            for stage in self._topo_order(final_stage):
-                if stage.shuffle_dep is None:
-                    continue
-                if ctx.shuffle_manager.is_materialized(stage.shuffle_dep.shuffle_id):
-                    continue
-                self._run_map_stage(stage, job)
-
             if partitions is None:
                 partitions = range(rdd.num_partitions)
             else:
@@ -122,7 +89,7 @@ class Scheduler:
                             f"partition {p} out of range for RDD with "
                             f"{rdd.num_partitions} partitions"
                         )
-            results = self._run_result_stage(final_stage, func, list(partitions), job)
+            results = self._run_stage(rdd, func, list(partitions), job)
             succeeded = True
         except Exception as exc:
             # Failure post-mortem: ship the flight recorder's last event
@@ -146,116 +113,41 @@ class Scheduler:
         return results
 
     # ------------------------------------------------------------------
-    def _topo_order(self, final: Stage) -> List[Stage]:
-        """Post-order over the stage DAG (parents before children)."""
-        order: List[Stage] = []
-        seen = set()
-
-        def visit(stage: Stage) -> None:
-            if stage.id in seen:
-                return
-            seen.add(stage.id)
-            for p in stage.parents:
-                visit(p)
-            order.append(stage)
-
-        visit(final)
-        return order
-
-    def _attach_payloads(self, tasks: List[Task], rdd: RDD, parts: List[int]) -> None:
-        """Process mode: assemble each task's self-contained data plane.
-
-        One walk of the task partition's narrow lineage collects
-        everything the worker cannot reach from its own process:
-
-        * shuffle buckets the task will fetch,
-        * cache generations of every cached RDD (so the worker-resident
-          store can serve entries across jobs yet drop stale ones),
-        * the task's own partitions of driver-held source RDDs (whose
-          pickles deliberately ship without data).
-        """
+    def _attach_payloads(self, tasks: List[Task], rdd: RDD) -> None:
+        """Process mode: give each task what its worker cannot reach —
+        its own partition of the lineage's driver-held source RDD (whose
+        pickle deliberately ships without data)."""
         ctx = self._ctx
         if ctx.config.mode != "processes":
             return
-        mgr = ctx.shuffle_manager
         worker_cache_bytes = ctx.config.worker_cache_capacity_bytes
         profile_hz = _installed_profile_hz()
-        for task, p in zip(tasks, parts):
+        *_, source = rdd.lineage()
+        for task in tasks:
             task.profile_hz = profile_hz
-            shuffle: Dict[Tuple[int, int], list] = {}
-            gens: Dict[int, int] = {}
-            sources: Dict[Tuple[int, int], list] = {}
-            for node, sp in rdd.narrow_lineage(p):
-                for sid, rid in node._direct_shuffle_reads(sp):
-                    shuffle[(sid, rid)] = mgr.gather_payload(sid, rid)
-                if node._cached:
-                    gens[node.id] = ctx.cache_generation(node.id)
-                src = node.source_records(sp)
-                if src is not None:
-                    sources[(node.id, sp)] = src
-            task.shuffle_payload = shuffle
-            task.cache_generations = gens
-            task.source_payload = sources
+            task.source_payload = source.source_records(task.partition)
             task.worker_cache_bytes = worker_cache_bytes
 
-    def _run_map_stage(self, stage: Stage, job: JobMetrics) -> None:
-        ctx = self._ctx
-        dep = stage.shuffle_dep
-        assert dep is not None
-        n = stage.rdd.num_partitions
-        ctx.shuffle_manager.expect(dep.shuffle_id, n)
-        parts = list(range(n))
-        tasks = [
-            Task(stage.id, p, _make_map_body(stage.rdd, p, stage.id, dep)) for p in parts
-        ]
-        self._attach_payloads(tasks, stage.rdd, parts)
-        bus = ctx.event_bus
-        sm = StageMetrics(stage.id, "shuffle-map", num_tasks=n)
-        t0 = time.perf_counter()
-        if bus:
-            bus.post(StageStart(stage.id, "shuffle-map", n, job.job_id))
-        results = ctx.executor.submit(tasks)
-        for res in results:
-            ctx.shuffle_manager.put(dep.shuffle_id, res.partition, res.value)
-            ctx.accumulator_registry.merge_deltas(res.acc_deltas)
-            sm.tasks.append(
-                TaskMetrics(
-                    stage.id,
-                    res.partition,
-                    res.wall_s,
-                    attempts=res.attempts,
-                    cpu_s=res.cpu_s,
-                    rss_peak_kb=res.rss_peak_kb,
-                    gc_collections=res.gc_collections,
-                )
-            )
-        sm.wall_s = time.perf_counter() - t0
-        job.stages.append(sm)
-        if bus:
-            bus.post(StageEnd(stage.id, "shuffle-map", sm.wall_s, job.job_id))
-
-    def _run_result_stage(
-        self, stage: Stage, func: Callable, parts: List[int], job: JobMetrics
+    def _run_stage(
+        self, rdd: RDD, func: Callable, parts: List[int], job: JobMetrics
     ) -> List[Any]:
         ctx = self._ctx
-        tasks = [
-            Task(stage.id, p, _make_result_body(stage.rdd, p, stage.id, func)) for p in parts
-        ]
-        self._attach_payloads(tasks, stage.rdd, parts)
+        stage_id = next(_stage_ids)
+        tasks = [Task(stage_id, p, _task_body(rdd, p, stage_id, func)) for p in parts]
+        self._attach_payloads(tasks, rdd)
         bus = ctx.event_bus
-        sm = StageMetrics(stage.id, "result", num_tasks=len(parts))
+        sm = StageMetrics(stage_id, "result", num_tasks=len(parts))
         t0 = time.perf_counter()
         if bus:
-            bus.post(StageStart(stage.id, "result", len(parts), job.job_id))
+            bus.post(StageStart(stage_id, "result", len(parts), job.job_id))
         results = ctx.executor.submit(tasks)
         by_partition = {res.partition: res for res in results}
         out: List[Any] = []
         for p in parts:
             res = by_partition[p]
-            ctx.accumulator_registry.merge_deltas(res.acc_deltas)
             sm.tasks.append(
                 TaskMetrics(
-                    stage.id,
+                    stage_id,
                     p,
                     res.wall_s,
                     attempts=res.attempts,
@@ -268,5 +160,5 @@ class Scheduler:
         sm.wall_s = time.perf_counter() - t0
         job.stages.append(sm)
         if bus:
-            bus.post(StageEnd(stage.id, "result", sm.wall_s, job.job_id))
+            bus.post(StageEnd(stage_id, "result", sm.wall_s, job.job_id))
         return out

@@ -5,7 +5,7 @@ Two rule families over plain ``ast`` (no imports of analyzed code):
 * ``C1xx`` closure safety — every function handed to an RDD transform or
   lattice kernel is checked for captures that cannot (or must not) cross
   the data plane: driver machinery, unpicklable handles, module-global
-  writes, unseeded randomness, task-side accumulator reads.
+  writes, unseeded randomness.
 * ``E2xx`` engine concurrency — ``repro.engine`` / ``repro.serve`` /
   ``repro.obs`` internals are checked against the declared lock order
   (shared with the runtime sanitizer in :mod:`repro.engine.lockorder`),

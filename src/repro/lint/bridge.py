@@ -22,8 +22,8 @@ __all__ = ["CaptureIssue", "find_unpicklable", "capture_report"]
 #: Type names that identify driver-side machinery (rule C101): shipping
 #: these is wrong even when pickling happens to succeed via a stub.
 _DRIVER_TYPE_NAMES = frozenset({
-    "Context", "RDD", "EventBus", "BlockStore", "ShuffleManager",
-    "Scheduler", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
+    "Context", "RDD", "EventBus", "BlockStore", "Scheduler",
+    "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
     "FlightRecorder", "SBGTSession", "DistributedLattice",
 })
 

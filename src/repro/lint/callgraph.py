@@ -77,14 +77,11 @@ OWNER_NAME_CLASSES: Dict[str, str] = {
     "bus": "EventBus", "_bus": "EventBus", "event_bus": "EventBus",
     "store": "BlockStore", "_store": "BlockStore",
     "block_store": "BlockStore", "blockstore": "BlockStore", "_blockstore": "BlockStore",
-    "shuffle": "ShuffleManager", "_shuffle": "ShuffleManager",
-    "shuffle_manager": "ShuffleManager", "manager": "ShuffleManager",
     "server": "ReproServer", "_server": "ReproServer",
     "executor": "ThreadExecutor", "_executor": "ThreadExecutor",
     "pool": "ThreadExecutor", "_pool": "ThreadExecutor",
     "recorder": "FlightRecorder", "_recorder": "FlightRecorder",
     "scheduler": "Scheduler", "_scheduler": "Scheduler",
-    "acc": "Accumulator", "accumulator": "Accumulator",
 }
 
 #: Receiver names trusted for *call* routing.  Narrower than
@@ -92,7 +89,7 @@ OWNER_NAME_CLASSES: Dict[str, str] = {
 #: lookup, a wrong call target imports a whole foreign summary.
 RECEIVER_CLASSES: Dict[str, str] = {
     k: v for k, v in OWNER_NAME_CLASSES.items()
-    if k not in ("pool", "_pool", "manager")
+    if k not in ("pool", "_pool")
 }
 
 #: Lock attributes that name their owner unambiguously (``_engine_lock``

@@ -5,7 +5,7 @@ every callable argument of an RDD-transform / lattice-kernel call, and
 analyzes that function as *task code*: captured names are resolved
 against the enclosing scopes and checked against the driver-only and
 unpicklable tag sets; the task body itself is scanned for global
-writes, unseeded randomness and accumulator reads.
+writes and unseeded randomness.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _fn_label(node: ast.AST) -> str:
 
 
 class _TaskBodyScanner(ast.NodeVisitor):
-    """Scan one task function's body for C103/C104/C105 defects.
+    """Scan one task function's body for C103/C104 defects.
 
     ``free`` is the set of names captured from enclosing scopes;
     ``tag_of`` resolves a name to its inferred type tag;
@@ -92,8 +92,7 @@ class _TaskBodyScanner(ast.NodeVisitor):
         while isinstance(base, (ast.Subscript, ast.Attribute)):
             base = base.value
         if isinstance(base, ast.Name) and base.id in self.free and self.module_level(base.id):
-            tag = self.tag_of(base.id)
-            if tag in ("Accumulator", "Broadcast"):
+            if self.tag_of(base.id) == "Broadcast":
                 return
             self.analyzer.emit(
                 "C103",
@@ -112,7 +111,7 @@ class _TaskBodyScanner(ast.NodeVisitor):
         self._flag_store_target(node.target)
         self.generic_visit(node)
 
-    # -- C104 / C105 / mutator-call C103 ------------------------------
+    # -- C104 / mutator-call C103 -------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         name = dotted_name(node.func)
         if name:
@@ -159,7 +158,7 @@ class _TaskBodyScanner(ast.NodeVisitor):
             and leaf in _MUTATOR_METHODS
             and root in self.free
             and self.module_level(root)
-            and self.tag_of(root) not in ("Accumulator", "Broadcast")
+            and self.tag_of(root) != "Broadcast"
         ):
             self.analyzer.emit(
                 "C103", node,
@@ -167,23 +166,6 @@ class _TaskBodyScanner(ast.NodeVisitor):
                 "invisible to the driver in process mode, racy in thread mode",
                 chain=(f"capture {root!r} (module global)",),
             )
-
-    # -- C105: accumulator .value reads -------------------------------
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if (
-            node.attr == "value"
-            and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in self.free
-            and self.tag_of(node.value.id) == "Accumulator"
-        ):
-            self.analyzer.emit(
-                "C105", node,
-                f"task code reads accumulator {node.value.id!r}.value — tasks "
-                "see a zeroed stub (processes) or a racy partial (threads)",
-                chain=(f"capture {node.value.id!r} (Accumulator)",),
-            )
-        self.generic_visit(node)
 
     # Nested defs/lambdas inside the task body are still task code: keep
     # walking (free-name analysis already crossed them).

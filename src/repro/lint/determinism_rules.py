@@ -13,7 +13,7 @@ compute posteriors, choose pools and simulate fleets
   ``monotonic`` are not flagged);
 * D304 — ``id()`` used as a container key or sort key;
 * D305 — builtin ``hash()`` (salted per process; use
-  ``repro.engine.shuffle.stable_hash``).
+  ``hashlib.blake2b``).
 
 Everything is syntactic and deliberately narrow: a miss is acceptable,
 a false positive in the hot path of ``repro lint src`` is not.  D302

@@ -103,26 +103,12 @@ TRANSFORM_METHODS = frozenset(
         "map",
         "filter",
         "flat_map",
-        "glom",
-        "key_by",
         "map_partitions",
         "map_partitions_with_index",
-        "map_values",
-        "flat_map_values",
-        "reduce_by_key",
-        "combine_by_key",
-        "aggregate_by_key",
-        "fold_by_key",
-        "group_by",
-        "sort_by",
-        "zip_partitions",
-        "foreach",
-        "foreach_partition",
         "reduce",
         "fold",
         "aggregate",
         "tree_aggregate",
-        "tree_reduce",
         "run_job",
     }
 )
@@ -134,7 +120,6 @@ DRIVER_TAGS = frozenset(
         "RDD",
         "EventBus",
         "BlockStore",
-        "ShuffleManager",
         "Scheduler",
         "Executor",
         "FlightRecorder",
@@ -160,7 +145,6 @@ _CONSTRUCTOR_TAGS = {
     "Context": "Context",
     "EventBus": "EventBus",
     "BlockStore": "BlockStore",
-    "ShuffleManager": "ShuffleManager",
     "Scheduler": "Scheduler",
     "SerialExecutor": "Executor",
     "ThreadExecutor": "Executor",
@@ -202,37 +186,29 @@ _CONSTRUCTOR_TAGS = {
 _ATTRIBUTE_TAGS = {
     "event_bus": "EventBus",
     "block_store": "BlockStore",
-    "shuffle_manager": "ShuffleManager",
     "flight_recorder": "FlightRecorder",
     "executor": "Executor",
     "metrics_hub": "MetricsHub",
 }
 
 # Hub method-call results are labelled instruments (driver-resident,
-# like the hub itself).  ``histogram`` is ambiguous — RDDs have a
-# ``.histogram(...)`` action returning plain arrays — so it only tags
-# when the receiver is recognizably a hub.
+# like the hub itself).  ``histogram`` is ambiguous — ``np.histogram(...)``
+# returns plain arrays — so it only tags when the receiver is recognizably
+# a hub.
 _INSTRUMENT_METHODS = frozenset({"counter", "gauge", "labels"})
 _HUB_RECEIVERS = frozenset({"hub", "metrics_hub", "_hub"})
 
 # Method-call results: ``ctx.parallelize(...)`` is an RDD, and so is any
 # transform-chain tail (``.map(...)``, ``.cache()`` …).
 _RDD_PRODUCERS = (
-    TRANSFORM_METHODS
-    | {"parallelize", "union", "cache", "checkpoint", "unpersist", "coalesce",
-       "repartition", "distinct", "sample", "zip", "zip_with_index", "partition_by",
-       "join", "left_outer_join", "right_outer_join", "full_outer_join", "cogroup",
-       "keys", "values"}
-) - {"run_job", "foreach", "foreach_partition", "reduce", "fold", "aggregate",
-     "tree_aggregate", "tree_reduce"}
+    TRANSFORM_METHODS | {"parallelize", "cache", "persist", "checkpoint", "unpersist"}
+) - {"run_job", "reduce", "fold", "aggregate", "tree_aggregate"}
 
 _ANNOTATION_TAGS = {
     "Context": "Context",
     "RDD": "RDD",
     "EventBus": "EventBus",
     "BlockStore": "BlockStore",
-    "ShuffleManager": "ShuffleManager",
-    "Accumulator": "Accumulator",
     "Broadcast": "Broadcast",
     "SBGTSession": "SBGTSession",
     "DistributedLattice": "DistributedLattice",
@@ -280,8 +256,6 @@ def infer_type_tag(value: ast.AST) -> Optional[str]:
             return _CONSTRUCTOR_TAGS[name]
         if name == "broadcast":
             return "Broadcast"
-        if name == "accumulator":
-            return "Accumulator"
         if isinstance(value.func, ast.Attribute):
             if name in _INSTRUMENT_METHODS:
                 return "MetricInstrument"

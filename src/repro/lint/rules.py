@@ -67,7 +67,7 @@ _RULES: Tuple[Rule, ...] = (
         rationale=(
             "Functions passed to RDD transforms run inside worker tasks. "
             "Driver machinery (Context, RDD handles, EventBus, BlockStore, "
-            "ShuffleManager, executors) either refuses to pickle or ships as "
+            "executors) either refuses to pickle or ships as "
             "an inert stub: a worker Context is stopped, its bus is disabled "
             "and its stores are None, so any use fails mid-job with a "
             "confusing cross-process traceback instead of at submission."
@@ -138,13 +138,10 @@ _RULES: Tuple[Rule, ...] = (
             "rdd.map(tally).collect()"
         ),
         good=(
-            "seen = ctx.accumulator(0)\n"
-            "def tally(x):\n"
-            "    seen.add(1)         # merged exactly once per successful task\n"
-            "    return x\n"
-            "rdd.map(tally).collect()"
+            "# count in the reduction: one partial per task, merged at the driver\n"
+            "seen = rdd.aggregate(0, lambda n, x: n + 1, lambda a, b: a + b)"
         ),
-        hint="use ctx.accumulator(...) for task-side counters, or return the data",
+        hint="return the data and combine it with aggregate / tree_aggregate",
     ),
     Rule(
         id="C104",
@@ -170,27 +167,6 @@ _RULES: Tuple[Rule, ...] = (
             "derive a per-partition seed from a driver-chosen seed "
             "(map_partitions_with_index), or pass a seeded Generator"
         ),
-    ),
-    Rule(
-        id="C105",
-        name="accumulator-read-in-task",
-        summary="Task code reads an accumulator's value",
-        rationale=(
-            "Accumulators are write-only from tasks: deltas merge at the "
-            "driver once per successful task. A task-side .value read sees "
-            "the worker stub's zero in process mode and a racy partial in "
-            "thread mode — never the number the driver will end up with."
-        ),
-        bad=(
-            "count = ctx.accumulator(0)\n"
-            "rdd.map(lambda x: x / max(count.value, 1)).collect()  # reads 0 or a race"
-        ),
-        good=(
-            "count = ctx.accumulator(0)\n"
-            "rdd.foreach(lambda x: count.add(1))\n"
-            "total = count.value      # read at the driver, after the action"
-        ),
-        hint="read .value at the driver after the action completes",
     ),
     Rule(
         id="E201",
@@ -220,7 +196,7 @@ _RULES: Tuple[Rule, ...] = (
         name="blocking-call-under-lock",
         summary="Blocking call while holding a data-plane lock",
         rationale=(
-            "The BlockStore/ShuffleManager/scheduler-side locks sit on every "
+            "The BlockStore/scheduler-side locks sit on every "
             "task's hot path. Sleeping, waiting on futures/queues/pipes, or "
             "posting to the event bus while holding one stalls every worker "
             "and can deadlock if the blocked-on party needs the same lock "
@@ -444,18 +420,18 @@ _RULES: Tuple[Rule, ...] = (
         rationale=(
             "hash() of str/bytes is salted per process (PYTHONHASHSEED), so "
             "hash-derived partition choices, seeds or tie-breaks differ "
-            "between interpreter invocations. The engine ships "
-            "repro.engine.shuffle.stable_hash for exactly this reason — "
-            "same input, same 64-bit value, every process."
+            "between interpreter invocations. A keyed-free digest such as "
+            "hashlib.blake2b gives the same input the same value in every "
+            "process."
         ),
         bad=(
             "seed = hash(site_name) % 2**32      # differs per interpreter"
         ),
         good=(
-            "from repro.engine.shuffle import stable_hash\n"
-            "seed = stable_hash(site_name) % 2**32"
+            "digest = hashlib.blake2b(site_name.encode(), digest_size=8).digest()\n"
+            "seed = int.from_bytes(digest, 'big') % 2**32"
         ),
-        hint="use repro.engine.shuffle.stable_hash (SipHash-free, process-stable)",
+        hint="use hashlib.blake2b(...) (SipHash-free, process-stable)",
     ),
     Rule(
         id="X001",

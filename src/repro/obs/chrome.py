@@ -16,7 +16,7 @@ Mapping:
   as ``wall - wall_s``);
 * tracer phase spans (``record == "span"``) → nested ``B``/``E`` pairs
   on a dedicated phases track (spans nest properly by construction);
-* cache and shuffle events → ``C`` counter samples (cumulative);
+* cache events → ``C`` counter samples (cumulative);
 * ``task_retry`` / remaining point events → ``i`` instants.
 
 Timestamps are microseconds relative to the earliest record, so the
@@ -49,14 +49,8 @@ _SLICE_KINDS = (
     "batch_executed",
     "surveil_round_end",
 )
-#: Cumulative counters sampled on every matching event.
-_COUNTER_KINDS = {
-    "cache_hit": ("cache", "hits"),
-    "cache_miss": ("cache", "misses"),
-    "cache_evict": ("cache", "evictions"),
-    "shuffle_write": ("shuffle", "writes"),
-    "shuffle_fetch": ("shuffle", "fetches"),
-}
+#: Columns of the cumulative ``cache`` counter, sampled on every matching event.
+_CACHE_COUNTERS = {"cache_hit": "hits", "cache_miss": "misses", "cache_evict": "evictions"}
 
 
 def _instant_name(rec: Dict[str, Any]) -> Union[str, None]:
@@ -252,21 +246,17 @@ def chrome_trace(
                     "args": _args(r),
                 }
             )
-        elif kind in _COUNTER_KINDS:
-            series, col = _COUNTER_KINDS[kind]
+        elif kind in _CACHE_COUNTERS:
+            col = _CACHE_COUNTERS[kind]
             counters[col] = counters.get(col, 0.0) + 1.0
             out.append(
                 {
                     "ph": "C",
-                    "name": series,
+                    "name": "cache",
                     "pid": _DRIVER_PID,
                     "tid": _DRIVER_TID,
                     "ts": us(wall),
-                    "args": {
-                        c: counters.get(c, 0.0)
-                        for s, c in _COUNTER_KINDS.values()
-                        if s == series
-                    },
+                    "args": {c: counters.get(c, 0.0) for c in _CACHE_COUNTERS.values()},
                 }
             )
         else:

@@ -39,8 +39,6 @@ from repro.engine.listener import (
     CacheHit,
     CacheMiss,
     EngineListener,
-    ShuffleFetch,
-    ShuffleWrite,
     TaskRetry,
 )
 from repro.engine.lockorder import OrderedLock
@@ -570,9 +568,9 @@ class HubMetricsListener(EngineListener):
     Job/stage/task rollups reach the hub through
     :meth:`~repro.engine.metrics.MetricsRegistry.record` (which works in
     every executor mode, bus or no bus); this listener covers the event
-    vocabularies that exist *only* on the bus — retries, cache traffic,
-    shuffle volume, and the surveillance campaign counters — without
-    double-counting the registry-fed families.
+    vocabularies that exist *only* on the bus — retries, cache traffic
+    and the surveillance campaign counters — without double-counting the
+    registry-fed families.
     """
 
     def __init__(self, hub: MetricsHub) -> None:
@@ -584,11 +582,6 @@ class HubMetricsListener(EngineListener):
             "repro_engine_cache_events_total",
             "Block-store cache activity by outcome",
             labels=("event",),
-        )
-        self._shuffle_bytes = hub.counter(
-            "repro_engine_shuffle_bytes_total",
-            "Out-of-band shuffle payload bytes by direction",
-            labels=("direction",),
         )
         self._rounds = hub.counter(
             "repro_surveil_rounds_total", "Completed surveillance rounds"
@@ -609,15 +602,13 @@ class HubMetricsListener(EngineListener):
             "Budget allocations drawn, by allocator",
             labels=("allocator",),
         )
-        # Fixed-label children resolved once: the cache/shuffle handlers
+        # Fixed-label children resolved once: the cache handlers
         # sit on the scheduler's hot path, so they must not pay the
         # labels() lookup per event (see the <3% CI gate in
         # benchmarks/bench_engine_micro.py).
         self._cache_hit = self._cache.labels(event="hit")
         self._cache_miss = self._cache.labels(event="miss")
         self._cache_evict = self._cache.labels(event="evict")
-        self._shuffle_write = self._shuffle_bytes.labels(direction="write")
-        self._shuffle_fetch = self._shuffle_bytes.labels(direction="fetch")
 
     def on_task_retry(self, event: TaskRetry) -> None:
         self._retries.inc()
@@ -630,12 +621,6 @@ class HubMetricsListener(EngineListener):
 
     def on_cache_evict(self, event: CacheEvict) -> None:
         self._cache_evict.inc()
-
-    def on_shuffle_write(self, event: ShuffleWrite) -> None:
-        self._shuffle_write.inc(event.buffer_bytes)
-
-    def on_shuffle_fetch(self, event: ShuffleFetch) -> None:
-        self._shuffle_fetch.inc(event.buffer_bytes)
 
     # surveil vocabulary (repro.surveil.events; dispatched by kind, so no
     # import of the surveil layer is needed here)

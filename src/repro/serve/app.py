@@ -44,7 +44,7 @@ Every request runs under a :func:`~repro.engine.tracing.trace_scope`
 (honouring an ``X-Trace-Id`` request header, minting an id otherwise)
 and echoes the id in the ``X-Repro-Trace`` response header, so a client
 can immediately ask ``/debug/traces/{id}`` for everything — request,
-batch, job, stage, task, shuffle, cache — its call caused.
+batch, job, stage, task, cache — its call caused.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Actions: reductions, aggregations, counting, side effects."""
+"""Actions: reductions, aggregations, counting."""
 
+import numpy as np
 import pytest
 
 from repro.engine.errors import EngineError, JobFailedError
@@ -30,13 +31,6 @@ class TestReduceFold:
         # The conventional identity zero is therefore safe:
         assert ctx.parallelize([], 1).fold(0, lambda a, b: a + b) == 0
 
-    def test_tree_reduce(self, ctx):
-        assert ctx.range(64, num_partitions=16).tree_reduce(lambda a, b: a + b) == 2016
-
-    def test_tree_reduce_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([], 2).tree_reduce(lambda a, b: a + b)
-
 
 class TestAggregate:
     def test_aggregate_mean(self, ctx):
@@ -46,6 +40,25 @@ class TestAggregate:
             lambda a, b: (a[0] + b[0], a[1] + b[1]),
         )
         assert (total, count) == (45, 10)
+
+    def test_mutable_zero_is_copied_per_partition(self, ctx):
+        # SBGT's partial aggregations add into their accumulator in place;
+        # a zero shared between partitions (or with the driver fold)
+        # would double-count.
+        zero = np.zeros(3)
+
+        def add_in_place(acc, x):
+            acc += x
+            return acc
+
+        rdd = ctx.parallelize([np.ones(3)] * 12, 4)
+        for total in (
+            rdd.aggregate(zero, add_in_place, add_in_place),
+            rdd.fold(zero, add_in_place),
+            rdd.tree_aggregate(zero, add_in_place, add_in_place, scale=2),
+        ):
+            assert total.tolist() == [12.0] * 3
+        assert zero.tolist() == [0.0] * 3
 
     def test_tree_aggregate_matches_aggregate(self, ctx):
         rdd = ctx.range(1000, num_partitions=32)
@@ -93,18 +106,6 @@ class TestNumericActions:
     def test_mean_empty_raises(self, ctx):
         with pytest.raises(EngineError):
             ctx.parallelize([], 2).mean()
-
-
-class TestForeach:
-    def test_foreach_with_accumulator(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.range(50, num_partitions=5).foreach(lambda x: acc.add(x))
-        assert acc.value == 1225
-
-    def test_foreach_partition(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.range(10, num_partitions=4).foreach_partition(lambda it: acc.add(len(list(it))))
-        assert acc.value == 10
 
 
 class TestRunJobPartitions:

@@ -20,22 +20,22 @@ class TestCheckpoint:
 
     def test_no_lineage(self, ctx):
         ck = ctx.range(10, num_partitions=2).map(lambda x: x).checkpoint()
-        assert ck.dependencies == []
+        assert ck.parent is None
         assert "CheckpointedRDD" in ck.debug_string()
 
     def test_truncates_recomputation(self):
         with Context(mode="serial") as ctx:
-            acc = ctx.accumulator(0)
+            computed = []  # serial tasks share the driver heap
 
             def tap(x):
-                acc.add(1)
+                computed.append(x)
                 return x
 
             ck = ctx.range(5, num_partitions=1).map(tap).checkpoint()
-            assert acc.value == 5  # materialized once at checkpoint time
+            assert len(computed) == 5  # materialized once at checkpoint time
             ck.count()
             ck.sum()
-            assert acc.value == 5  # never recomputed
+            assert len(computed) == 5  # never recomputed
 
     def test_empty_rdd(self, ctx):
         ck = ctx.parallelize([], 1).checkpoint()
@@ -43,9 +43,7 @@ class TestCheckpoint:
 
     def test_downstream_transforms_work(self, ctx):
         ck = ctx.range(6, num_partitions=2).checkpoint()
-        assert dict(
-            ck.map(lambda x: (x % 2, x)).reduce_by_key(lambda a, b: a + b).collect()
-        ) == {0: 6, 1: 9}
+        assert ck.map(lambda x: x * x).filter(lambda x: x % 2).collect() == [1, 9, 25]
 
 
 class TestSimulatedMakespan:

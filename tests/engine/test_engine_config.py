@@ -17,17 +17,19 @@ class TestEngineConfig:
     def test_explicit_parallelism(self):
         assert EngineConfig(parallelism=3).effective_parallelism == 3
 
-    def test_shuffle_partitions_mirror_parallelism(self):
-        cfg = EngineConfig(parallelism=5)
-        assert cfg.effective_shuffle_partitions == 5
-        assert EngineConfig(parallelism=5, shuffle_partitions=2).effective_shuffle_partitions == 2
+    def test_option_surface(self):
+        # Every field is an option tests and benchmarks must cover.
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "mode", "parallelism", "max_task_retries", "cache_capacity_bytes",
+            "worker_cache_capacity_bytes", "enable_events", "flight_recorder",
+            "flight_capacity", "slow_threshold_s", "lock_sanitizer",
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mode": "bogus"},
             {"parallelism": -1},
-            {"shuffle_partitions": -2},
             {"max_task_retries": -1},
             {"cache_capacity_bytes": 0},
         ],

@@ -4,8 +4,9 @@ import threading
 
 import pytest
 
-from repro.engine import Context
+from repro.engine import Context, RecordingListener
 from repro.engine.errors import TaskFailedError
+from repro.engine.listener import StageStart, TaskRetry
 
 
 class _FlakyOnce:
@@ -41,16 +42,27 @@ class TestThreadModeFailures:
                 ctx.range(4, num_partitions=2).map(always_boom).count()
             assert isinstance(info.value.cause, ValueError)
 
-    def test_failure_in_shuffle_map_stage(self):
-        with Context(mode="threads", parallelism=2, max_task_retries=0) as ctx:
-            def boom_keyed(x):
-                raise RuntimeError("map-side")
+    def test_failed_stage_retries_then_carries_post_mortem(self):
+        with Context(mode="threads", parallelism=2, max_task_retries=1) as ctx:
+            rec = ctx.add_listener(RecordingListener())
 
-            rdd = ctx.range(4, num_partitions=2).map(boom_keyed).reduce_by_key(
-                lambda a, b: a
-            )
-            with pytest.raises(TaskFailedError):
-                rdd.collect()
+            def boom(x):
+                raise RuntimeError("task-side")
+
+            rdd = ctx.range(4, num_partitions=2).map(boom)
+            with pytest.raises(TaskFailedError) as info:
+                rdd.tree_aggregate(0, lambda a, x: a + x, lambda a, b: a + b)
+            assert info.value.attempts == 2
+            # Every retry belongs to the job's one stage ...
+            (stage,) = rec.of_type(StageStart)
+            retries = rec.of_type(TaskRetry)
+            assert retries and {r.stage_id for r in retries} == {stage.stage_id}
+            assert info.value.stage_id == stage.stage_id
+            # ... and the failure ships the flight recorder's last window.
+            kinds = [d["kind"] for d in info.value.post_mortem]
+            assert kinds[:2] == ["job_start", "stage_start"]
+            assert "task_retry" in kinds
+            assert not ctx.metrics.last().succeeded
 
     def test_context_usable_after_failed_job(self):
         with Context(mode="threads", parallelism=2, max_task_retries=0) as ctx:

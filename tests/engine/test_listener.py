@@ -1,19 +1,14 @@
 """Listener bus: event stream contract across all executor modes.
 
-The acceptance sequence for a shuffle job is::
+The acceptance sequence for a job is::
 
     job_start
-      stage_start (shuffle-map)
-        task_start/task_end per map partition   [+ task_retry on failures]
-        shuffle_write per map partition
-      stage_end
       stage_start (result)
-        task_start/task_end per result partition
-        shuffle_fetch per reduce read           [serial/threads only]
+        task_start/task_end per partition   [+ task_retry on failures]
       stage_end
     job_end
 
-Task-level events interleave freely inside their stage (thread mode runs
+Task-level events interleave freely inside the stage (thread mode runs
 them concurrently); the stage/job skeleton is strictly ordered.
 """
 
@@ -30,8 +25,6 @@ from repro.engine.listener import (
     EventBus,
     JobEnd,
     JobStart,
-    ShuffleFetch,
-    ShuffleWrite,
     StageEnd,
     StageStart,
     TaskEnd,
@@ -103,92 +96,39 @@ class TestEventBus:
 # Full-sequence acceptance across executor modes
 
 
-def _stage_bounds(rec, stage_kind):
-    """(start_index, end_index) of the stage with the given kind."""
-    events = rec.events
-    start = next(
-        i
-        for i, e in enumerate(events)
-        if isinstance(e, StageStart) and e.stage_kind == stage_kind
-    )
-    end = next(
-        i
-        for i, e in enumerate(events)
-        if isinstance(e, StageEnd) and e.stage_kind == stage_kind
-    )
-    return start, end
-
-
 @pytest.mark.parametrize("mode", MODES)
-class TestShuffleJobSequence:
+class TestJobSequence:
     def test_full_event_sequence(self, mode):
-        with Context(mode=mode, parallelism=2, shuffle_partitions=2) as ctx:
+        with Context(mode=mode, parallelism=2) as ctx:
             rec = ctx.add_listener(RecordingListener())
-            pairs = ctx.range(20, num_partitions=2).map(lambda x: (x % 4, 1))
-            out = dict(pairs.reduce_by_key(lambda a, b: a + b).collect())
-            assert out == {k: 5 for k in range(4)}
+            squares = ctx.range(20, num_partitions=2).map(lambda x: x * x)
+            assert squares.sum() == sum(x * x for x in range(20))
 
             kinds = rec.kinds()
-            assert kinds[0] == "job_start"
-            assert kinds[-1] == "job_end"
             (job_end,) = rec.of_type(JobEnd)
             assert job_end.succeeded
             assert job_end.wall_s > 0
 
-            # Strict stage/job skeleton: map stage fully precedes result.
-            skeleton = [k for k in kinds if k in ("job_start", "job_end",
-                                                  "stage_start", "stage_end")]
-            assert skeleton == [
-                "job_start",
-                "stage_start", "stage_end",   # shuffle-map
-                "stage_start", "stage_end",   # result
-                "job_end",
-            ]
-            map_stage, result_stage = rec.of_type(StageStart)
-            assert map_stage.stage_kind == "shuffle-map"
-            assert map_stage.num_tasks == 2
-            assert result_stage.stage_kind == "result"
-            assert result_stage.num_tasks == 2
-            assert map_stage.job_id == result_stage.job_id == job_end.job_id
+            # Strict job/stage skeleton around the task events.
+            assert kinds[:2] == ["job_start", "stage_start"]
+            assert kinds[-2:] == ["stage_end", "job_end"]
+            assert sorted(kinds[2:-2]) == ["task_end"] * 2 + ["task_start"] * 2
+            (stage,) = rec.of_type(StageStart)
+            (stage_end,) = rec.of_type(StageEnd)
+            assert stage.stage_kind == stage_end.stage_kind == "result"
+            assert stage.num_tasks == 2
+            assert stage.stage_id == stage_end.stage_id
+            assert stage.job_id == stage_end.job_id == job_end.job_id
 
-            # Map-stage tasks live between the map-stage boundaries;
-            # result-stage tasks between the result-stage boundaries.
-            events = rec.events
-            m0, m1 = _stage_bounds(rec, "shuffle-map")
-            r0, r1 = _stage_bounds(rec, "result")
-            assert m0 < m1 < r0 < r1
-            map_sid = map_stage.stage_id
-            res_sid = result_stage.stage_id
-            for i, e in enumerate(events):
-                if isinstance(e, (TaskStart, TaskEnd, TaskRetry)):
-                    if e.stage_id == map_sid:
-                        assert m0 < i < m1
-                    else:
-                        assert e.stage_id == res_sid
-                        assert r0 < i < r1
-
-            # One start/end pair per partition per stage, no retries.
-            for sid in (map_sid, res_sid):
-                starts = [e for e in rec.of_type(TaskStart) if e.stage_id == sid]
-                ends = [e for e in rec.of_type(TaskEnd) if e.stage_id == sid]
-                assert sorted(e.partition for e in starts) == [0, 1]
-                assert sorted(e.partition for e in ends) == [0, 1]
-                assert all(e.attempt == 1 for e in starts)
-                assert all(e.attempts == 1 for e in ends)
+            # One start/end pair per partition, no retries.
+            starts = rec.of_type(TaskStart)
+            ends = rec.of_type(TaskEnd)
+            assert all(e.stage_id == stage.stage_id for e in starts + ends)
+            assert sorted(e.partition for e in starts) == [0, 1]
+            assert sorted(e.partition for e in ends) == [0, 1]
+            assert all(e.attempt == 1 for e in starts)
+            assert all(e.attempts == 1 for e in ends)
             assert rec.of_type(TaskRetry) == []
-
-            # Map output registration: one write per map partition.
-            writes = rec.of_type(ShuffleWrite)
-            assert sorted(w.map_id for w in writes) == [0, 1]
-            assert all(w.records > 0 for w in writes)
-            assert len({w.shuffle_id for w in writes}) == 1
-
-            if mode != "processes":
-                # Reduce reads go through the driver-resident manager;
-                # in process mode buckets ride inside the task payload,
-                # so no driver-side fetch events exist.
-                fetches = rec.of_type(ShuffleFetch)
-                assert sorted(f.reduce_id for f in fetches) == [0, 1]
 
     def test_retry_events_on_flaky_task(self, mode, tmp_path):
         with Context(mode=mode, parallelism=2, max_task_retries=2) as ctx:
@@ -294,3 +234,15 @@ class TestContextIntegration:
             ctx.add_listener(_Boom())
             assert ctx.range(10, num_partitions=2).sum() == 45
             assert ctx.event_bus.dropped_errors > 0
+
+    def test_stage_ids_increase_across_jobs_and_contexts(self):
+        seen = []
+        for _ in range(2):
+            with Context(mode="serial") as ctx:
+                rec = ctx.add_listener(RecordingListener())
+                rdd = ctx.range(8, num_partitions=2)
+                rdd.count()
+                rdd.count()
+                seen += [e.stage_id for e in rec.of_type(StageStart)]
+        assert len(seen) == 4
+        assert seen == sorted(set(seen))

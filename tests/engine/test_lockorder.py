@@ -7,6 +7,8 @@ rely on the fixture's teardown to restore the previous mode.
 
 from __future__ import annotations
 
+import ast
+import pathlib
 import threading
 
 import pytest
@@ -29,7 +31,7 @@ from repro.engine.listener import LockOrderViolation, RecordingListener
 class TestRegistry:
     def test_lock_level_resolves_class_and_module_names(self):
         assert lock_level("Context._lock") == LOCK_LEVELS[("Context", "_lock")]
-        assert lock_level("_stage_lock") == MODULE_LOCK_LEVELS["_stage_lock"]
+        assert lock_level("_ids_lock") == MODULE_LOCK_LEVELS["_ids_lock"]
         assert lock_level("NoSuch._lock") is None
 
     def test_hierarchy_is_outer_to_inner(self):
@@ -37,8 +39,7 @@ class TestRegistry:
             ("ReproServer", "_engine_lock"),
             ("Context", "_lock"),
             ("BlockStore", "_lock"),
-            ("AccumulatorRegistry", "_lock"),
-            ("Accumulator", "_lock"),
+            ("MetricsRegistry", "_lock"),
             ("EventBus", "_lock"),
             ("MetricsHub", "_lock"),
             ("RecordingListener", "_lock"),
@@ -46,6 +47,23 @@ class TestRegistry:
         levels = [LOCK_LEVELS[key] for key in order]
         assert levels == sorted(levels)
         assert len(set(levels)) == len(levels)
+
+    def test_table_matches_the_locks_the_code_constructs(self):
+        """Every declared lock is constructed somewhere under src/repro,
+        and nothing constructs an ``OrderedLock`` the table lacks."""
+        src = pathlib.Path(lockorder.__file__).resolve().parents[1]
+        constructed = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", "")) == "OrderedLock"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    constructed.add(node.args[0].value)
+        declared = {f"{cls}.{attr}" for cls, attr in LOCK_LEVELS} | set(MODULE_LOCK_LEVELS)
+        assert constructed == declared
 
     def test_admission_gates_are_declared_data_plane_locks(self):
         for key in ADMISSION_GATE_LOCKS:

@@ -76,83 +76,6 @@ class TestMapFilter:
         ).collect()
         assert out == [(0, 0), (0, 1), (1, 2), (1, 3)]
 
-    def test_glom(self, ctx):
-        parts = ctx.range(6, num_partitions=3).glom().collect()
-        assert [x for p in parts for x in p] == list(range(6))
-        assert len(parts) == 3
-
-
-class TestKeyByZip:
-    def test_key_by(self, ctx):
-        assert ctx.parallelize(["a", "bb"], 1).key_by(len).collect() == [(1, "a"), (2, "bb")]
-
-    def test_zip_with_index(self, ctx):
-        out = ctx.parallelize(list("abcd"), 3).zip_with_index().collect()
-        assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
-    def test_zip(self, ctx):
-        a = ctx.range(4, num_partitions=2)
-        b = a.map(lambda x: x * 10)
-        assert a.zip(b).collect() == [(0, 0), (1, 10), (2, 20), (3, 30)]
-
-    def test_zip_partitions(self, ctx):
-        a = ctx.range(4, num_partitions=2)
-        b = a.map(lambda x: x + 1)
-        out = a.zip_partitions(b, lambda xs, ys: [sum(xs) + sum(ys)]).collect()
-        assert sum(out) == 6 + 10
-
-    def test_zip_mismatched_partitions_raises(self, ctx):
-        a = ctx.range(4, num_partitions=2)
-        b = ctx.range(4, num_partitions=3)
-        with pytest.raises(ValueError):
-            a.zip_partitions(b, lambda x, y: [])
-
-
-class TestUnionCoalesce:
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3, 4], 2)
-        assert a.union(b).collect() == [1, 2, 3, 4]
-
-    def test_union_partition_count(self, ctx):
-        a = ctx.parallelize([1], 1)
-        b = ctx.parallelize([2, 3], 2)
-        assert a.union(b).num_partitions == 3
-
-    def test_context_union_many(self, ctx):
-        rdds = [ctx.parallelize([i], 1) for i in range(5)]
-        assert ctx.union(rdds).collect() == [0, 1, 2, 3, 4]
-
-    def test_coalesce_reduces_partitions(self, ctx):
-        rdd = ctx.range(20, num_partitions=8).coalesce(3)
-        assert rdd.num_partitions == 3
-        assert rdd.collect() == list(range(20))
-
-    def test_coalesce_no_op_when_growing(self, ctx):
-        rdd = ctx.range(5, num_partitions=2)
-        assert rdd.coalesce(10) is rdd
-
-    def test_repartition(self, ctx):
-        rdd = ctx.range(20, num_partitions=2).repartition(5)
-        assert rdd.num_partitions == 5
-        assert sorted(rdd.collect()) == list(range(20))
-
-
-class TestSample:
-    def test_fraction_zero(self, ctx):
-        assert ctx.range(100, num_partitions=4).sample(0.0, seed=1).collect() == []
-
-    def test_fraction_one(self, ctx):
-        assert ctx.range(50, num_partitions=4).sample(1.0, seed=1).count() == 50
-
-    def test_deterministic_with_seed(self, ctx):
-        rdd = ctx.range(200, num_partitions=4)
-        assert rdd.sample(0.3, seed=5).collect() == rdd.sample(0.3, seed=5).collect()
-
-    def test_invalid_fraction(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.range(10).sample(1.5)
-
 
 class TestTakeFirst:
     def test_take_fewer_than_available(self, ctx):
@@ -174,38 +97,3 @@ class TestTakeFirst:
     def test_is_empty(self, ctx):
         assert ctx.parallelize([], 1).is_empty()
         assert not ctx.range(1).is_empty()
-
-    def test_top(self, ctx):
-        assert ctx.parallelize([5, 1, 9, 3], 2).top(2) == [9, 5]
-
-    def test_top_with_key(self, ctx):
-        out = ctx.parallelize(["aa", "b", "ccc"], 2).top(1, key=len)
-        assert out == ["ccc"]
-
-
-class TestDistinctSort:
-    def test_distinct(self, ctx):
-        out = sorted(ctx.parallelize([3, 1, 3, 2, 1], 3).distinct().collect())
-        assert out == [1, 2, 3]
-
-    def test_sort_by_ascending(self, ctx):
-        data = [5, 2, 8, 1, 9, 3]
-        assert ctx.parallelize(data, 3).sort_by(lambda x: x).collect() == sorted(data)
-
-    def test_sort_by_descending(self, ctx):
-        data = [5, 2, 8, 1]
-        out = ctx.parallelize(data, 2).sort_by(lambda x: x, ascending=False).collect()
-        assert out == sorted(data, reverse=True)
-
-    def test_sort_by_key_func(self, ctx):
-        data = ["ccc", "a", "bb"]
-        assert ctx.parallelize(data, 2).sort_by(len).collect() == ["a", "bb", "ccc"]
-
-    def test_sort_with_duplicates(self, ctx):
-        data = [3, 1, 3, 1, 2] * 10
-        assert ctx.parallelize(data, 4).sort_by(lambda x: x).collect() == sorted(data)
-
-    def test_group_by(self, ctx):
-        grouped = dict(ctx.range(10, num_partitions=3).group_by(lambda x: x % 2).collect())
-        assert sorted(grouped[0]) == [0, 2, 4, 6, 8]
-        assert sorted(grouped[1]) == [1, 3, 5, 7, 9]

@@ -1,168 +1,16 @@
-"""Extended RDD API: stats, histogram, ordered/sampled takes, set ops."""
-
-import numpy as np
-import pytest
-
-from repro.engine.errors import EngineError
-from repro.engine.rdd import StatCounter
-
-
-class TestStatCounter:
-    def test_single_value(self):
-        st = StatCounter().add(5.0)
-        assert st.count == 1
-        assert st.mean == 5.0
-        assert st.variance == 0.0
-
-    def test_matches_numpy(self):
-        values = [3.0, 1.5, 9.0, -2.0, 4.5]
-        st = StatCounter()
-        for v in values:
-            st.add(v)
-        assert st.mean == pytest.approx(np.mean(values))
-        assert st.stdev == pytest.approx(np.std(values))
-        assert st.min == min(values)
-        assert st.max == max(values)
-        assert st.sum == pytest.approx(sum(values))
-
-    def test_merge_equivalent_to_sequential(self):
-        a_vals, b_vals = [1.0, 2.0, 3.0], [10.0, 20.0]
-        a, b = StatCounter(), StatCounter()
-        for v in a_vals:
-            a.add(v)
-        for v in b_vals:
-            b.add(v)
-        a.merge(b)
-        assert a.count == 5
-        assert a.mean == pytest.approx(np.mean(a_vals + b_vals))
-        assert a.stdev == pytest.approx(np.std(a_vals + b_vals))
-
-    def test_merge_with_empty(self):
-        a = StatCounter().add(1.0)
-        a.merge(StatCounter())
-        assert a.count == 1
-        b = StatCounter()
-        b.merge(StatCounter().add(2.0))
-        assert b.mean == 2.0
-
-
-class TestRDDStats:
-    def test_stats_action(self, ctx):
-        st = ctx.range(100, num_partitions=7).stats()
-        assert st.count == 100
-        assert st.mean == pytest.approx(49.5)
-        assert st.min == 0.0 and st.max == 99.0
-        assert st.stdev == pytest.approx(np.std(np.arange(100)))
-
-    def test_stats_empty(self, ctx):
-        assert ctx.parallelize([], 2).stats().count == 0
-
-
-class TestHistogram:
-    def test_even_buckets(self, ctx):
-        edges, counts = ctx.range(100, num_partitions=4).histogram(4)
-        assert len(edges) == 5
-        assert counts == [25, 25, 25, 24 + 1]  # last bucket right-closed
-        assert sum(counts) == 100
-
-    def test_explicit_edges(self, ctx):
-        edges, counts = ctx.parallelize([1, 5, 9, 15], 2).histogram([0, 10, 20])
-        assert counts == [3, 1]
-
-    def test_out_of_range_ignored(self, ctx):
-        _edges, counts = ctx.parallelize([-5, 5, 25], 2).histogram([0.0, 10.0])
-        assert counts == [1]
-
-    def test_constant_values(self, ctx):
-        edges, counts = ctx.parallelize([7, 7, 7], 1).histogram(3)
-        assert counts == [3]
-
-    def test_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([], 1).histogram(3)
-
-    def test_bad_edges(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.range(5).histogram([3.0, 1.0])
-        with pytest.raises(ValueError):
-            ctx.range(5).histogram(0)
-
-
-class TestTakeOrderedSample:
-    def test_take_ordered(self, ctx):
-        out = ctx.parallelize([9, 2, 7, 1, 8], 3).take_ordered(3)
-        assert out == [1, 2, 7]
-
-    def test_take_ordered_with_key(self, ctx):
-        out = ctx.parallelize(["aaa", "b", "cc"], 2).take_ordered(2, key=len)
-        assert out == ["b", "cc"]
-
-    def test_take_ordered_zero(self, ctx):
-        assert ctx.range(5).take_ordered(0) == []
-
-    def test_take_sample_without_replacement(self, ctx):
-        sample = ctx.range(100, num_partitions=4).take_sample(10, seed=3)
-        assert len(sample) == 10
-        assert len(set(sample)) == 10
-        assert all(0 <= x < 100 for x in sample)
-
-    def test_take_sample_deterministic(self, ctx):
-        rdd = ctx.range(50, num_partitions=4)
-        assert rdd.take_sample(5, seed=9) == rdd.take_sample(5, seed=9)
-
-    def test_take_sample_exceeding_size(self, ctx):
-        assert sorted(ctx.range(5, num_partitions=2).take_sample(100, seed=1)) == list(range(5))
-
-    def test_take_sample_with_replacement(self, ctx):
-        sample = ctx.range(3, num_partitions=2).take_sample(10, with_replacement=True, seed=2)
-        assert len(sample) == 10
-        assert set(sample) <= {0, 1, 2}
-
-    def test_take_sample_empty(self, ctx):
-        assert ctx.parallelize([], 1).take_sample(5, seed=0) == []
-
-
-class TestSetOps:
-    def test_subtract(self, ctx):
-        left = ctx.parallelize([1, 2, 2, 3, 4], 3)
-        right = ctx.parallelize([2, 4, 9], 2)
-        assert sorted(left.subtract(right).collect()) == [1, 3]
-
-    def test_subtract_keeps_left_multiplicity(self, ctx):
-        left = ctx.parallelize([1, 1, 5], 2)
-        right = ctx.parallelize([5], 1)
-        assert sorted(left.subtract(right).collect()) == [1, 1]
-
-    def test_intersection(self, ctx):
-        left = ctx.parallelize([1, 2, 2, 3], 2)
-        right = ctx.parallelize([2, 3, 3, 7], 2)
-        assert sorted(left.intersection(right).collect()) == [2, 3]
-
-    def test_intersection_empty(self, ctx):
-        left = ctx.parallelize([1], 1)
-        right = ctx.parallelize([2], 1)
-        assert left.intersection(right).collect() == []
-
-    def test_cartesian(self, ctx):
-        left = ctx.parallelize([1, 2], 2)
-        right = ctx.parallelize(["a", "b"], 2)
-        out = sorted(left.cartesian(right).collect())
-        assert out == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
-        assert left.cartesian(right).num_partitions == 4
-
-    def test_cartesian_count(self, ctx):
-        assert ctx.range(5, num_partitions=2).cartesian(ctx.range(7, num_partitions=3)).count() == 35
+"""RDD.debug_string: the lineage chain as text."""
 
 
 class TestDebugString:
     def test_shows_lineage(self, ctx):
-        rdd = ctx.range(10, num_partitions=2).map(lambda x: (x % 2, x)).reduce_by_key(
-            lambda a, b: a + b
-        )
-        out = rdd.debug_string()
-        assert "ShuffledRDD" in out
-        assert "RangeRDD" in out
-        assert "shuffle" in out
+        rdd = ctx.range(10, num_partitions=2).map(lambda x: x * x).filter(lambda x: x % 2)
+        lines = rdd.debug_string().splitlines()
+        # child first, one level of indent per ancestor, source last
+        assert [ln.strip().split("[")[0] for ln in lines] == [
+            "(2) MapPartitionsRDD", "(2) MapPartitionsRDD", "(2) RangeRDD",
+        ]
+        assert [len(ln) - len(ln.lstrip()) for ln in lines] == [0, 2, 4]
+        assert lines[0].endswith(f"[{rdd.id}]")
 
     def test_narrow_only(self, ctx):
         out = ctx.range(4).map(lambda x: x).debug_string()

@@ -1,86 +1,49 @@
-"""Stage construction, shuffle reuse, caching, failure handling."""
+"""The one-stage job, caching, failure handling."""
 
 import pytest
 
 from repro.engine import Context
-from repro.engine.dag import build_stages
 from repro.engine.errors import TaskFailedError
 
 
 class TestStageGraph:
-    def test_narrow_only_single_stage(self, ctx):
-        rdd = ctx.range(10, num_partitions=2).map(lambda x: x).filter(lambda x: True)
-        final = build_stages(rdd)
-        assert final.kind == "result"
-        assert final.parents == []
-
-    def test_one_shuffle_two_stages(self, ctx):
-        rdd = ctx.parallelize([(1, 1)], 1).reduce_by_key(lambda a, b: a + b)
-        final = build_stages(rdd)
-        assert len(final.parents) == 1
-        assert final.parents[0].kind == "shuffle-map"
-
-    def test_chained_shuffles(self, ctx):
-        rdd = (
-            ctx.parallelize([(1, 1), (2, 2)], 2)
-            .reduce_by_key(lambda a, b: a + b)
-            .map(lambda kv: (kv[1], kv[0]))
-            .reduce_by_key(lambda a, b: a + b)
-        )
-        final = build_stages(rdd)
-        assert len(final.parents) == 1
-        assert len(final.parents[0].parents) == 1
-
-    def test_join_has_two_parent_stages(self, ctx):
-        left = ctx.parallelize([(1, "a")], 1)
-        right = ctx.parallelize([(1, "b")], 1)
-        final = build_stages(left.join(right))
-        # join = cogroup (2 shuffle deps) then narrow flat_map_values
-        assert len(final.parents) == 2
-
-
-class TestShuffleReuse:
-    def test_shuffle_materialized_once(self):
+    def test_narrow_only_single_stage(self):
         with Context(mode="serial") as ctx:
-            reduced = ctx.parallelize([(i % 3, 1) for i in range(9)], 3).reduce_by_key(
-                lambda a, b: a + b
-            )
-            first = dict(reduced.collect())
-            jobs_before = len(ctx.metrics.jobs)
-            second = dict(reduced.collect())
-            last_job = ctx.metrics.jobs[-1]
-            assert first == second == {0: 3, 1: 3, 2: 3}
-            # Second collect skips the map stage: only the result stage runs.
-            assert len(ctx.metrics.jobs) == jobs_before + 1
-            assert len(last_job.stages) == 1
+            rdd = ctx.range(10, num_partitions=2).map(lambda x: x).filter(lambda x: True)
+            assert rdd.count() == 10
+            (stage,) = ctx.metrics.last().stages
+            assert stage.kind == "result"
+            assert stage.num_tasks == len(stage.tasks) == 2
 
+
+class TestCacheReuse:
     def test_cached_rdd_not_recomputed(self):
         with Context(mode="serial") as ctx:
-            acc = ctx.accumulator(0)
+            computed = []  # serial tasks share the driver heap
 
             def tap(x):
-                acc.add(1)
+                computed.append(x)
                 return x
 
             cached = ctx.range(10, num_partitions=2).map(tap).cache()
             cached.count()
             cached.sum()
             # Second action reads the cache: tap ran only once per record.
-            assert acc.value == 10
+            assert len(computed) == 10
 
     def test_unpersist_forces_recompute(self):
         with Context(mode="serial") as ctx:
-            acc = ctx.accumulator(0)
+            computed = []
 
             def tap(x):
-                acc.add(1)
+                computed.append(x)
                 return x
 
             cached = ctx.range(5, num_partitions=1).map(tap).cache()
             cached.count()
             cached.unpersist()
             cached.count()
-            assert acc.value == 10
+            assert len(computed) == 10
 
 
 class TestFailureHandling:
@@ -109,23 +72,6 @@ class TestFailureHandling:
             ).collect()
             assert out == [0, 1, 2, 3]
             assert attempts["n"] == 2
-
-    def test_retry_does_not_double_count_accumulators(self):
-        with Context(mode="serial", max_task_retries=3) as ctx:
-            acc = ctx.accumulator(0)
-            attempts = {"n": 0}
-
-            def flaky(i, it):
-                for _x in it:
-                    acc.add(1)
-                attempts["n"] += 1
-                if attempts["n"] < 3:
-                    raise RuntimeError("transient")
-                return [0]
-
-            ctx.range(6, num_partitions=1).map_partitions_with_index(flaky).collect()
-            # Only the successful attempt's deltas are merged.
-            assert acc.value == 6
 
 
 class TestContextLifecycle:

@@ -1,4 +1,4 @@
-"""Broadcast variables and accumulators."""
+"""Broadcast variables."""
 
 import pytest
 
@@ -31,55 +31,3 @@ class TestBroadcast:
         clone = pickle.loads(pickle.dumps(bc))
         assert clone.value == {"a": 1}
         assert clone.id == bc.id
-
-
-class TestAccumulator:
-    def test_sum_accumulator(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.range(100, num_partitions=8).foreach(lambda x: acc.add(1))
-        assert acc.value == 100
-
-    def test_custom_op(self, ctx):
-        acc = ctx.accumulator(0, op=max, name="maximum")
-        ctx.parallelize([3, 9, 1], 3).foreach(lambda x: acc.add(x))
-        assert acc.value == 9
-
-    def test_list_accumulator(self, ctx):
-        acc = ctx.accumulator([], op=lambda a, b: a + b)
-        ctx.parallelize([1, 2, 3], 2).foreach(lambda x: acc.add([x]))
-        assert sorted(acc.value) == [1, 2, 3]
-
-    def test_driver_side_add(self, ctx):
-        acc = ctx.accumulator(10)
-        acc.add(5)
-        assert acc.value == 15
-
-    def test_reset(self, ctx):
-        acc = ctx.accumulator(0)
-        acc.add(3)
-        acc.reset()
-        assert acc.value == 0
-
-    def test_multiple_accumulators_one_job(self, ctx):
-        count = ctx.accumulator(0)
-        total = ctx.accumulator(0)
-
-        def visit(x):
-            count.add(1)
-            total.add(x)
-
-        ctx.range(10, num_partitions=3).foreach(visit)
-        assert count.value == 10
-        assert total.value == 45
-
-    def test_updates_in_map_apply_once_per_action(self, ctx):
-        # Accumulator updates inside transformations fire once per job run.
-        acc = ctx.accumulator(0)
-
-        def tap(x):
-            acc.add(1)
-            return x
-
-        rdd = ctx.range(10, num_partitions=2).map(tap)
-        rdd.count()
-        assert acc.value == 10

@@ -106,24 +106,29 @@ class TestCacheAccountingAcrossModes:
 class TestWorkerResidentCache:
     """Process-mode specifics: the cache lives in the forked worker."""
 
-    def test_build_runs_once_per_partition_per_generation(self):
+    def test_build_runs_once_per_partition_per_generation(self, tmp_path):
         with Context(mode="processes", parallelism=1) as ctx:
-            acc = ctx.accumulator(0)
+            log = tmp_path / "builds"  # file-counted: survives the fork boundary
+            log.touch()
 
             def tap(x):
-                acc.add(1)
+                with open(log, "a") as fh:
+                    fh.write("x")
                 return x
+
+            def builds():
+                return len(log.read_text())
 
             rdd = ctx.parallelize(list(range(6)), 1).map(tap).cache()
             rdd.count()
-            assert acc.value == 6  # first action builds the partition
+            assert builds() == 6  # first action builds the partition
             rdd.count()
             rdd.collect()
-            assert acc.value == 6  # served from the worker store, no rebuild
+            assert builds() == 6  # served from the worker store, no rebuild
             rdd.unpersist()
             rdd.cache()
             rdd.count()
-            assert acc.value == 12  # new generation: exactly one rebuild
+            assert builds() == 12  # new generation: exactly one rebuild
 
     def test_worker_evict_relayed_to_driver_bus(self):
         # A worker store too small for two partitions must evict, and the

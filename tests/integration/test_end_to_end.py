@@ -118,3 +118,31 @@ class TestRestrictedLatticeWorkflow:
         marg = dl.marginals()
         assert np.allclose(marg, 0.01, atol=5e-3)
         dl.unpersist()
+
+
+class TestLongLivedContext:
+    def test_thirty_screens_leave_no_per_rdd_driver_state(self):
+        """Regression: every ``unpersist`` used to add an entry to a
+        context-wide cache-generation table that nothing removed — one
+        per lattice RDD, for the life of a ``repro serve`` process."""
+
+        def container_sizes(ctx):
+            owners = (ctx, ctx._scheduler, ctx.block_store, ctx.executor)
+            return {
+                (type(owner).__name__, attr): len(value)
+                for owner in owners
+                for attr, value in vars(owner).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        prior = PriorSpec.uniform(12, 0.05)
+        model = DilutionErrorModel(0.98, 0.99, 0.3)
+        with Context(mode="threads", parallelism=2) as ctx:
+            before = container_sizes(ctx)
+            for seed in range(30):
+                session = SBGTSession(
+                    ctx, prior, model, SBGTConfig(max_stages=40, compact_classified=True)
+                )
+                session.run_screen(BHAPolicy(), rng=seed)
+                session.close()
+            assert container_sizes(ctx) == before

@@ -12,4 +12,4 @@ def guarded(x):
 rdd.map(guarded).collect()
 
 fh = open("audit.log", "w")
-rdd.foreach(lambda x: fh.write(str(x)))
+rdd.map(lambda x: fh.write(str(x))).collect()

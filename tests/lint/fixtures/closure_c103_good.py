@@ -1,10 +1,2 @@
-"""C103 negative: accumulators for task-side counters."""
-seen = ctx.accumulator(0)
-
-
-def tally(x):
-    seen.add(1)
-    return x
-
-
-rdd.map(tally).collect()
+"""C103 negative: count in the reduction, not in a module global."""
+seen = rdd.aggregate(0, lambda n, x: n + 1, lambda a, b: a + b)

@@ -11,4 +11,4 @@ rdd.map(lambda x: x * random.random()).collect()  # repro: lint-ignore
 # repro: lint-ignore[C101, C104]
 rdd.map(lambda x: x + random.random()).collect()
 
-rdd.map(lambda x: x + random.random()).collect()  # repro: lint-ignore[C105]
+rdd.map(lambda x: x + random.random()).collect()  # repro: lint-ignore[C103]

@@ -139,16 +139,3 @@ class TestSeededDefectsUnderProcesses:
         # The defect the rule exists for: every task incremented a forked
         # copy; the driver's module global never moved.
         assert state.SEEN == 0
-
-    def test_c105_accumulator_read_sees_stub_zero(self, proc_ctx):
-        src = (
-            "count = ctx.accumulator(0)\n"
-            "rdd.map(lambda x: count.value).collect()\n"
-        )
-        assert [f.rule for f in analyze_source(src)] == ["C105"]
-        count = proc_ctx.accumulator(0)
-        count.add(7)  # driver-side value is 7 before the job
-        seen = proc_ctx.parallelize(range(4), 2).map(lambda _x: count.value).collect()
-        # Workers see the shipped stub's zero, never the driver's 7.
-        assert seen == [0, 0, 0, 0]
-        assert count.value == 7

@@ -64,17 +64,17 @@ def caller():
 
     def test_bare_classname_resolves_to_init(self):
         src = """
-class ShuffleManager:
+class BlockStore:
     def __init__(self):
         with self._lock:
             self.ready = True
 
 def make():
-    return ShuffleManager()
+    return BlockStore()
 """
         graph = build_callgraph_from_tree(ast.parse(src), ENGINE)
         _, summary = graph.summary_for_call(ENGINE, None, "make")
-        assert "ShuffleManager._lock" in summary.locks
+        assert "BlockStore._lock" in summary.locks
 
     def test_nested_defs_do_not_leak_into_summary(self):
         src = """
@@ -350,7 +350,7 @@ _fresh_lock = threading.RLock()
         src = """
 import threading
 
-_stage_lock = threading.Lock()
+_ids_lock = threading.Lock()
 """
         assert lint(src) == []  # declared in MODULE_LOCK_LEVELS
 

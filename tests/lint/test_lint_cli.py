@@ -49,11 +49,11 @@ class TestExitCodes:
 
 class TestFormats:
     def test_json_format_parses_and_matches_schema(self):
-        proc = run_lint("--format", "json", str(FIXTURES / "closure_c105_bad.py"))
+        proc = run_lint("--format", "json", str(FIXTURES / "closure_c104_bad.py"))
         assert proc.returncode == 1
         payload = json.loads(proc.stdout)
         assert payload["version"] == 1
-        assert payload["summary"]["by_rule"] == {"C105": 1}
+        assert payload["summary"]["by_rule"] == {"C104": 4}
 
     def test_select_filters_findings(self):
         proc = run_lint("--select", "C102", str(FIXTURES / "closure_c104_bad.py"))
@@ -71,7 +71,7 @@ class TestExplain:
     def test_explain_all_covers_every_rule(self):
         proc = run_lint("--explain", "all")
         assert proc.returncode == 0
-        for rule in ("C101", "C102", "C103", "C104", "C105", "E201", "E202", "E203"):
+        for rule in ("C101", "C102", "C103", "C104", "E201", "E202", "E203"):
             assert f"{rule} — " in proc.stdout
 
     def test_explain_unknown_rule_exits_two(self):

@@ -104,7 +104,7 @@ class TestBaseline:
 
     def test_fingerprint_distinguishes_rule_file_message(self):
         base = _finding()
-        assert fingerprint(base) != fingerprint(_finding(rule="C105"))
+        assert fingerprint(base) != fingerprint(_finding(rule="C103"))
         assert fingerprint(base) != fingerprint(_finding(file="other.py"))
         assert fingerprint(base) != fingerprint(_finding(message="different"))
 
@@ -114,7 +114,7 @@ class TestBaseline:
         write_baseline(str(path), [known])
         baseline = load_baseline(str(path))
         assert filter_new_findings([known], baseline) == []
-        fresh = _finding(rule="C105", message="new problem")
+        fresh = _finding(rule="C103", message="new problem")
         assert filter_new_findings([known, fresh], baseline) == [fresh]
 
     def test_counts_gate_duplicate_findings(self, tmp_path):

@@ -16,7 +16,7 @@ class TestSuppressionDirectives:
         assert findings[0].line == 14
 
     def test_wrong_rule_id_does_not_suppress(self):
-        src = "import random\nrdd.map(lambda x: random.random()).collect()  # repro: lint-ignore[C105]\n"
+        src = "import random\nrdd.map(lambda x: random.random()).collect()  # repro: lint-ignore[C103]\n"
         assert len(analyze_source(src)) == 1
 
     def test_bare_ignore_suppresses_all_rules(self):

@@ -194,10 +194,11 @@ def test_read_jsonl_records_skips_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("mode", ["serial", "processes"])
 def test_live_recorder_round_trips_through_exporter(mode, tmp_path):
-    with Context(mode=mode, parallelism=2, shuffle_partitions=2) as ctx:
+    with Context(mode=mode, parallelism=2) as ctx:
         with trace_scope(name="e2e"):
-            pairs = ctx.range(20, num_partitions=2).map(lambda x: (x % 4, 1))
-            assert len(pairs.reduce_by_key(lambda a, b: a + b).collect()) == 4
+            squares = ctx.range(20, num_partitions=2).map(lambda x: x * x).cache()
+            assert squares.count() == 20  # cache misses
+            assert squares.sum() == sum(x * x for x in range(20))  # cache hits
         records = ctx.flight_recorder.events()
 
     doc = chrome_trace(records, title="e2e")
@@ -209,7 +210,7 @@ def test_live_recorder_round_trips_through_exporter(mode, tmp_path):
     reloaded = json.loads(out.read_text(encoding="utf-8"))
     assert validate_chrome_trace(reloaded) == n
     phs = {e["ph"] for e in reloaded["traceEvents"]}
-    assert "X" in phs and "M" in phs
+    assert {"X", "M", "C"} <= phs
     if mode == "processes":
         pids = {e["pid"] for e in reloaded["traceEvents"] if e["ph"] == "X"}
         assert any(p != 0 for p in pids), "worker tracks expected under fork"

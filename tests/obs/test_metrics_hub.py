@@ -9,7 +9,7 @@ accepts.
 
 import pytest
 
-from repro.engine.listener import CacheHit, CacheMiss, ShuffleWrite, TaskRetry
+from repro.engine.listener import CacheHit, CacheMiss, TaskRetry
 from repro.engine.tracing import trace_scope
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -259,13 +259,10 @@ class TestHubMetricsListener:
         listener.on_event(CacheHit(7, 0))
         listener.on_event(CacheHit(7, 1))
         listener.on_event(CacheMiss(7, 2))
-        listener.on_event(ShuffleWrite(3, 0, 10, buffer_bytes=2048))
         assert hub.get("repro_engine_task_retries_total").value == 1
         cache = hub.get("repro_engine_cache_events_total")
         assert cache.labels(event="hit").value == 2
         assert cache.labels(event="miss").value == 1
-        shuffle = hub.get("repro_engine_shuffle_bytes_total")
-        assert shuffle.labels(direction="write").value == 2048
 
     def test_does_not_declare_job_families(self):
         # Job/task rollups come from the registry; declaring them here
