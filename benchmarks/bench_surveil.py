@@ -8,6 +8,8 @@ with the same test budget.  :func:`compare_allocators` runs the same
 seeded fleet under every allocator; the asserted gate
 (:func:`test_thompson_beats_uniform`) is the CI acceptance criterion —
 Thompson must find at least **1.2×** the cases uniform does.
+:func:`test_site_screen_kernel_calls` is the other CI gate: a count of
+the lattice-wide kernel calls one serial site screen makes per stage.
 
 Usage::
 
@@ -21,13 +23,24 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from typing import Any, Dict, Optional
 
 import pytest
 
+from repro.bayes import posterior as bayes_posterior
 from repro.engine import Context
+from repro.lattice import ops as lops
+from repro.lattice import states as lattice_states
 from repro.metrics.reporting import format_table
-from repro.surveil import Campaign, CampaignConfig, heterogeneous_fleet
+from repro.surveil import (
+    Campaign,
+    CampaignConfig,
+    SiteScreenJob,
+    heterogeneous_fleet,
+    run_site_screen,
+    site_screen_seed,
+)
 
 #: The seeded acceptance scenario: 12 sites spanning 0.4%–15% prevalence.
 FLEET_SITES = 12
@@ -109,6 +122,56 @@ def test_thompson_beats_uniform():
         f"({ratio:.2f}x, gate {GATE_RATIO}x) on {FLEET_SITES} sites"
     )
     assert ratio >= GATE_RATIO, doc
+
+
+def test_site_screen_kernel_calls(monkeypatch):
+    """The serial screen's call budget — a count, so it cannot flake.
+
+    Per BHA stage (one pool each): one lattice-wide ``logsumexp`` and
+    one ``intersect_count`` in ``Posterior.update``, and one marginal
+    sweep shared by ``classify()`` and the policy; per screen, one more
+    sweep for the prior's read-out and at most one ``logsumexp`` for the
+    mass of a prior the posterior has not normalised itself.
+    """
+    site = 5  # the hottest of the seeded fleet (15 %): an 8-stage screen
+    spec = heterogeneous_fleet(FLEET_SITES, **FLEET_KWARGS)[site]
+    job = SiteScreenJob(spec=spec, round_index=2, site_index=site, draw=0,
+                        seed=site_screen_seed(0, 2, site, 0))
+    run_site_screen(job)  # warm
+    t0 = time.perf_counter()
+    outcome = run_site_screen(job)
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+
+    calls: Counter = Counter()
+
+    def count(module, name, key):
+        kernel = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[key] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(lops, "logsumexp", "update logsumexp")
+    count(lops, "intersect_count", "update intersect_count")
+    count(bayes_posterior, "logsumexp", "prior-mass logsumexp")
+    count(lops, "marginals", "marginal sweeps")
+    count(lattice_states, "logsumexp", "probs() logsumexp")
+    assert run_site_screen(job) == outcome
+    stages = outcome.stages_used
+    print(
+        f"\nsite screen (cohort {spec.cohort_size}, bha): {stages} stages, "
+        f"{wall_ms:.2f} ms; calls {dict(calls)}"
+    )
+    assert stages == outcome.tests_used == 8
+    assert calls == {
+        "update logsumexp": stages,
+        "update intersect_count": stages,
+        "prior-mass logsumexp": 1,
+        "marginal sweeps": stages + 1,
+        "probs() logsumexp": stages + 1,  # one inside each sweep
+    }
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse", "particle"])

@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.lattice.states import StateSpace
 from repro.util.bits import popcount64
+from repro.util.numerics import logsumexp
 from repro.util.validation import check_positive_int, check_probability
 
 __all__ = ["HouseholdPrior", "pairwise_correlation"]

@@ -1,19 +1,26 @@
 """The :class:`Posterior`: lattice + response model + sequential updates.
 
 This is the serial reference implementation of the belief state that
-SBGT distributes.  The two implementations share every numerical kernel
-(:mod:`repro.lattice.ops`), so agreement between them is testable to
-floating-point tolerance — the invariant the integration suite leans on.
+SBGT distributes.  The two share :func:`~repro.util.bits.intersect_count`
+and, through :mod:`repro.halving.bha`,
+:func:`~repro.lattice.partition.block_down_set_partial`; update,
+normalisation and marginals are :mod:`repro.lattice.ops` here and the
+cube kernels of :mod:`repro.lattice.partition` there, held together by
+the parity tests (marginals, log-evidence and whole screens to 1e-12
+across serial, threads and processes).
+
+A stage costs one lattice-wide ``logsumexp``, one ``intersect_count``
+and one marginal sweep, however many readers ask for the marginals.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any, List, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.bayes.dilution import ResponseModel
 from repro.bayes.evidence import EvidenceLog, TestRecord
@@ -21,7 +28,8 @@ from repro.bayes.priors import PriorSpec
 from repro.lattice import ops as lops
 from repro.lattice.prune import PruneStats, prune_by_mass
 from repro.lattice.states import StateSpace
-from repro.util.bits import intersect_count, mask_from_indices, popcount64
+from repro.util.bits import mask_from_indices
+from repro.util.numerics import logsumexp
 
 __all__ = ["Posterior", "Classification", "ClassificationReport", "classify_marginals"]
 
@@ -139,6 +147,11 @@ class Posterior:
         # Contraction bookkeeping (original <-> compact indices); inert
         # until the first settle().
         self._index = CohortIndexMap(space.n_items)
+        # What this posterior knows about an array of log-probs holds
+        # exactly while ``space.log_probs`` *is* that array: every
+        # mutator rebinds the attribute, none writes into the array.
+        self._normalized: Optional[np.ndarray] = None
+        self._served: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def from_prior(
@@ -187,28 +200,34 @@ class Posterior:
         """Condition on one pooled-test outcome.
 
         Returns the :class:`TestRecord` appended to the evidence log.
+        An outcome the model gives zero probability raises
+        ``ValueError`` and changes nothing: lattice, log and marginals
+        answer as before the call.
         """
         pool_mask = _as_pool_mask(pool)
-        pool_size = int(popcount64(np.asarray([pool_mask], dtype=np.uint64))[0])
+        pool_size = pool_mask.bit_count()
         compact_pool = self._index.to_compact_mask(pool_mask)
         log_lik = self.model.log_likelihood_by_count(outcome, pool_size)
 
-        ent_before = lops.entropy(self.space) if self.track_entropy else None
-        # Predictive log-probability of the outcome before conditioning.
-        counts = intersect_count(self.space.masks, compact_pool)
-        log_pred = float(
-            logsumexp(self.space.log_probs + log_lik[counts])
-            - logsumexp(self.space.log_probs)
+        space = self.space
+        log_probs, log_mass = lops.conditioned_log_probs(space, compact_pool, log_lik)
+        if not math.isfinite(log_mass):
+            raise ValueError("observed outcome has zero probability under the model")
+        # The mass before is 0 for an array this posterior normalised.
+        log_mass_before = (
+            0.0 if space.log_probs is self._normalized else logsumexp(space.log_probs)
         )
-        lops.posterior_update(self.space, compact_pool, log_lik)
-        ent_after = lops.entropy(self.space) if self.track_entropy else None
+        ent_before = lops.entropy(space) if self.track_entropy else None
+        log_probs -= log_mass
+        space.log_probs = self._normalized = log_probs
+        ent_after = lops.entropy(space) if self.track_entropy else None
 
         record = TestRecord(
             stage=self._stage,
             pool_mask=pool_mask,
             pool_size=pool_size,
             outcome=outcome,
-            log_predictive=log_pred,
+            log_predictive=log_mass - log_mass_before,
             entropy_before=ent_before,
             entropy_after=ent_after,
         )
@@ -225,10 +244,18 @@ class Posterior:
     # statistical analyses
     # ------------------------------------------------------------------
     def marginals(self) -> np.ndarray:
-        """Per-individual infection probability in *original* indices."""
-        compact = lops.marginals(self.space)
+        """Per-individual infection probability in *original* indices.
+
+        The lattice is swept once per state of ``space.log_probs``;
+        :meth:`classify` and the policies read the same sweep, each
+        through an array of their own.
+        """
+        log_probs = self.space.log_probs
+        if self._served is None or self._served[0] is not log_probs:
+            self._served = (log_probs, lops.marginals(self.space))
+        compact = self._served[1]
         if not self._index.any_settled:
-            return compact
+            return compact.copy()
         full = np.empty(self.n_items, dtype=np.float64)
         for orig, positive in self._index.settled.items():
             full[orig] = 1.0 if positive else 0.0

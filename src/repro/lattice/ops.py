@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.lattice.states import StateSpace
 from repro.util.bits import bit_column, intersect_count
+from repro.util.numerics import logsumexp
 
 __all__ = [
     "normalize_log_probs",
@@ -32,6 +32,7 @@ __all__ = [
     "down_set_mass",
     "up_set_mass",
     "pool_count_distribution",
+    "conditioned_log_probs",
     "posterior_update",
     "condition_on_classification",
     "kl_divergence",
@@ -112,15 +113,18 @@ def pool_count_distribution(space: StateSpace, pool_mask: int) -> np.ndarray:
     return np.bincount(counts, weights=p, minlength=pool_size + 1)
 
 
-def posterior_update(
+def conditioned_log_probs(
     space: StateSpace, pool_mask: int, log_lik_by_count: np.ndarray
-) -> StateSpace:
-    """Bayes update for a pooled-test outcome (in place, returns space).
+) -> Tuple[np.ndarray, float]:
+    """Unnormalised log-posterior of a pooled-test outcome, and its log-mass.
 
     ``log_lik_by_count[k]`` must be the log-likelihood of the observed
     outcome given ``k`` positives in the pool (precomputed by the dilution
-    model for ``k = 0..|pool|``).  The update is a gather + add over the
-    whole state array — the single hottest kernel in the system.
+    model for ``k = 0..|pool|``).  One gather + add over the whole state
+    array — the single hottest kernel in the system — into a *new* array:
+    *space* is only read, so a caller can refuse a zero-mass outcome and
+    keep the lattice it had.  The log-mass, relative to the mass of
+    ``space.log_probs``, is the outcome's predictive log-probability.
     """
     ll = np.asarray(log_lik_by_count, dtype=np.float64)
     counts = intersect_count(space.masks, pool_mask)
@@ -129,8 +133,22 @@ def posterior_update(
             f"log_lik_by_count has {ll.size} entries but a state places "
             f"{int(counts.max())} positives in the pool"
         )
-    space.log_probs += ll[counts]
-    space.log_probs = normalize_log_probs(space.log_probs)
+    log_probs = space.log_probs + ll[counts]
+    return log_probs, logsumexp(log_probs)
+
+
+def posterior_update(
+    space: StateSpace, pool_mask: int, log_lik_by_count: np.ndarray
+) -> StateSpace:
+    """Bayes update for a pooled-test outcome: :func:`conditioned_log_probs`,
+    normalised and adopted (returns *space*).  An outcome without mass
+    raises ``ValueError`` and leaves *space* as it was.
+    """
+    log_probs, log_mass = conditioned_log_probs(space, pool_mask, log_lik_by_count)
+    if not np.isfinite(log_mass):
+        raise ValueError("cannot normalize: total mass is zero or non-finite")
+    log_probs -= log_mass
+    space.log_probs = log_probs
     return space
 
 

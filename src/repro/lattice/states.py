@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.util.bits import MAX_ITEMS, popcount64
+from repro.util.numerics import logsumexp
 
 __all__ = ["StateSpace"]
 
@@ -80,7 +80,7 @@ class StateSpace:
     @property
     def log_total_mass(self) -> float:
         """log Σ exp(log_probs) — 0.0 when normalised."""
-        return float(logsumexp(self.log_probs))
+        return logsumexp(self.log_probs)
 
     def probs(self) -> np.ndarray:
         """Normalised linear-space probabilities."""

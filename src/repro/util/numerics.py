@@ -6,15 +6,22 @@ implements the standard two-branch formulation (Mächler 2012): for
 ``x > -ln 2`` use ``log(-expm1(x))`` (``1 - e^x`` loses precision but
 ``expm1`` does not), otherwise ``log1p(-exp(x))`` (``e^x`` is tiny, so
 ``log1p`` keeps the leading digits).
+
+``logsumexp`` is the serial lattice path's normaliser: the plain
+``max`` / ``exp`` / ``sum`` / ``log`` of a 1-D array.  On a 1,024-state
+lattice that arithmetic takes ~5 µs; ``scipy.special.logsumexp`` wraps
+it in ~80 µs of array-API dispatch (docs/performance.md, "Site screens
+at kernel speed").
 """
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
 
-__all__ = ["log1mexp", "tie_key"]
+__all__ = ["log1mexp", "logsumexp", "tie_key"]
 
 _LOG_HALF = float(np.log(0.5))  # -ln 2, the branch point
 
@@ -39,6 +46,23 @@ def log1mexp(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def logsumexp(a: np.ndarray) -> float:
+    """``log Σ exp(a)`` of a 1-D float64 array, as a Python float.
+
+    Agrees with ``scipy.special.logsumexp`` to 1e-12 and, like it,
+    returns ``-inf`` for empty and all ``-inf`` input (without a
+    warning) and lets ``+inf`` and NaN through.  *a* is only read.
+    """
+    if a.size == 0:
+        return -math.inf
+    peak = float(a.max())
+    if not math.isfinite(peak):
+        return peak
+    terms = a - peak
+    np.exp(terms, out=terms)
+    return peak + math.log(float(terms.sum()))
 
 
 def tie_key(values: Union[float, np.ndarray]) -> np.ndarray:

@@ -186,7 +186,11 @@ def screen_with_backend(
 ) -> ScreenResult:
     """Run one screen on the named posterior backend.
 
-    ``"dense"`` runs the serial exact reference (:func:`run_screen`);
+    ``"dense"`` runs the serial exact reference (:func:`run_screen` on a
+    :class:`~repro.bayes.posterior.Posterior`, no engine job): a stage
+    costs one lattice-wide ``logsumexp``, one ``intersect_count`` and one
+    marginal sweep that ``classify()`` and the policy share — the path
+    every site screen of a ``surveil`` campaign takes;
     ``"sparse"`` / ``"particle"`` run the same protocol against a
     driver-local approximate :class:`~repro.sbgt.session.SBGTSession`
     (no engine context needed), which is what lifts cohorts past the

@@ -1,14 +1,22 @@
 """Posterior: sequential updates, classification, the dict oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baseline.pydict import PyDictPosterior
-from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel, PerfectTest
+from repro.bayes.dilution import (
+    BinaryErrorModel,
+    DilutionErrorModel,
+    PerfectTest,
+    ResponseModel,
+)
 from repro.bayes.posterior import Classification, Posterior, classify_marginals
 from repro.bayes.priors import PriorSpec
+from repro.lattice import ops as lops
 
 
 class TestUpdates:
@@ -215,3 +223,163 @@ class TestEvidence:
         assert post.begin_stage() == 1
         post.update([0], False)
         assert post.log.records[-1].stage == 1
+
+
+class _Noiseless(ResponseModel):
+    """Positive iff the pool holds a positive, with a true −inf for the
+    impossible outcome (the built-in models floor it at −700)."""
+
+    def log_likelihood_by_count(self, outcome, pool_size):
+        hit = np.arange(pool_size + 1) > 0
+        return np.where(hit == bool(outcome), 0.0, -np.inf)
+
+
+class _ShortTable(PerfectTest):
+    """A model whose table stops one short of ``k = pool_size``."""
+
+    def log_likelihood_by_count(self, outcome, pool_size):
+        return super().log_likelihood_by_count(outcome, pool_size)[:-1]
+
+
+class TestUpdateIsAtomic:
+    def test_zero_probability_outcome_leaves_posterior_intact(self):
+        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), _Noiseless())
+        post.update([0, 1], False)
+        space, log_probs = post.space, post.space.log_probs.copy()
+        marginals, evidence = post.marginals(), post.log.log_evidence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero probability under the model"):
+                post.update([0], True)  # individual 0 was just cleared
+            assert np.array_equal(post.marginals(), marginals)
+        assert post.space is space
+        assert np.array_equal(post.space.log_probs, log_probs)
+        assert post.num_tests == 1 and post.log.log_evidence == evidence
+        post.update([2], True)
+        assert post.num_tests == 2
+        assert post.marginals() == pytest.approx([0.0, 0.0, 1.0, 0.1], abs=1e-12)
+
+    def test_short_likelihood_table_raises_value_error(self):
+        post = Posterior.from_prior(PriorSpec.uniform(3, 0.2), _ShortTable())
+        before = post.marginals()
+        with pytest.raises(ValueError, match="log_lik_by_count has 2 entries"):
+            post.update([0, 1], True)
+        assert post.num_tests == 0
+        assert np.array_equal(post.marginals(), before)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Calls to ``lops.marginals`` since the last read of the counter."""
+    calls = []
+    kernel = lops.marginals
+
+    def counting(space):
+        calls.append(space)
+        return kernel(space)
+
+    monkeypatch.setattr(lops, "marginals", counting)
+
+    def taken():
+        n = len(calls)
+        calls.clear()
+        return n
+
+    return taken
+
+
+class TestServedMarginals:
+    """One marginal sweep per lattice state, however many readers ask."""
+
+    @staticmethod
+    def posterior(n=5):
+        return Posterior.from_prior(PriorSpec.uniform(n, 0.2), BinaryErrorModel(0.95, 0.98))
+
+    def test_reads_between_mutations_cost_one_sweep(self, sweeps):
+        post = self.posterior()
+        first = post.marginals()
+        report = post.classify()
+        again = post.marginals()
+        assert sweeps() == 1
+        assert np.array_equal(first, again) and np.array_equal(first, report.marginals)
+
+    def test_each_read_returns_its_own_array(self, sweeps):
+        post = self.posterior()
+        first, report = post.marginals(), post.classify()
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(report.marginals, expected)
+        report.marginals[:] = -2.0
+        assert np.array_equal(post.marginals(), expected)
+        assert sweeps() == 1
+        post.settle(1, True)  # the expanded (original-index) read too
+        full = post.marginals()
+        full[:] = -3.0
+        assert post.marginals()[1] == 1.0 and post.marginals()[0] == pytest.approx(0.2)
+
+    def test_update_invalidates(self, sweeps):
+        post = self.posterior()
+        before = post.marginals()
+        post.update([0, 1], True)
+        after = post.marginals()
+        assert sweeps() == 2
+        assert after[0] > before[0]
+
+    def test_prune_invalidates(self, sweeps):
+        post = self.posterior()
+        post.update([0, 1, 2], False)
+        before = post.marginals()
+        assert post.prune(0.01).dropped_states > 0
+        after = post.marginals()
+        assert sweeps() == 2
+        assert not np.array_equal(after, before)
+        assert np.array_equal(after, lops.marginals(post.space))
+
+    def test_settle_invalidates_and_reads_stay_exact(self, sweeps):
+        post = self.posterior(3)
+        post.marginals()
+        post.settle(1, True)
+        m = post.marginals()
+        assert sweeps() == 2
+        assert m[1] == 1.0 and m[0] == pytest.approx(0.2) and m[2] == pytest.approx(0.2)
+        post.settle(0, False)
+        assert post.marginals().tolist() == [0.0, 1.0, pytest.approx(0.2)]
+        assert sweeps() == 1
+        # The last live bit is not projected out: the lattice is as it
+        # was, and the read still reports the committed call exactly.
+        post.settle(2, False)
+        assert post.marginals().tolist() == [0.0, 1.0, 0.0]
+        assert post.classify(0.99, 0.01).all_classified
+
+    def test_assigning_a_space_invalidates(self, sweeps):
+        post = self.posterior()
+        post.marginals()
+        post.space = PriorSpec.uniform(5, 0.4).build_dense()
+        assert post.marginals() == pytest.approx([0.4] * 5)
+        assert sweeps() == 2
+
+    def test_external_update_and_normalize_invalidate(self, sweeps):
+        post = self.posterior()
+        post.marginals()
+        table = post.model.log_likelihood_by_count(False, 2)
+        lops.posterior_update(post.space, 0b11, table)
+        after = post.marginals()
+        assert sweeps() == 2
+        assert np.array_equal(after, lops.marginals(post.space))
+        assert after[0] < 0.2
+        post.space.normalize()
+        post.marginals()
+        assert sweeps() == 2  # the comparison sweep above, and the re-read
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seq=st.lists(
+            st.tuples(st.integers(1, 31), st.booleans()), min_size=1, max_size=6
+        )
+    )
+    def test_served_marginals_are_the_kernels(self, seq):
+        post = self.posterior()
+        for pool, outcome in seq:
+            post.update(pool, outcome)
+            assert np.array_equal(post.marginals(), lops.marginals(post.space))
+            assert np.array_equal(post.classify().marginals, lops.marginals(post.space))

@@ -8,11 +8,13 @@ agree on marginals after every update.
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from repro.baseline.pydict import PyDictPosterior
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel
 from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.util.bits import intersect_count
 
 common = settings(
     max_examples=25, suppress_health_check=[HealthCheck.too_slow]
@@ -110,3 +112,23 @@ def test_evidence_additivity(data):
         log_joint += math.log(pred)
         oracle.update(pool, outcome)
     assert post.log.log_evidence == pytest.approx(log_joint, abs=1e-8)
+
+
+@common
+@given(data=screen_sequences(), delta=st.floats(0.0, 1.5))
+def test_log_predictive_is_the_ratio_of_masses(data, delta):
+    """``update`` reads the predictive off the one mass it computes; the
+    two-``logsumexp`` formula it replaced is the reference."""
+    risks, seq = data
+    model = DilutionErrorModel(0.96, 0.99, delta)
+    post = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    total = 0.0
+    for pool, outcome in seq:
+        lp = post.space.log_probs.copy()
+        ll = model.log_likelihood_by_count(outcome, bin(pool).count("1"))
+        counts = intersect_count(post.space.masks, pool)
+        expected = float(scipy_logsumexp(lp + ll[counts]) - scipy_logsumexp(lp))
+        record = post.update(pool, outcome)
+        assert record.log_predictive == pytest.approx(expected, abs=1e-12, rel=0)
+        total += record.log_predictive
+    assert post.log.log_evidence == pytest.approx(total, abs=1e-12, rel=0)

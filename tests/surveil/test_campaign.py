@@ -1,11 +1,15 @@
 """The campaign round loop: determinism, events, engine parity, backends."""
 
+import hashlib
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.engine import Context
 from repro.engine.listener import EventBus
 from repro.obs.flight import FlightRecorder
+from repro.serve.protocol import SurveilRequest
 from repro.surveil import (
     Campaign,
     CampaignConfig,
@@ -15,6 +19,7 @@ from repro.surveil import (
     run_site_screen,
     site_screen_seed,
 )
+from repro.workflows.payloads import dump_payload
 
 
 def small_campaign(allocator="thompson", backend="dense", rounds=3, bus=None, ctx=None):
@@ -114,6 +119,36 @@ class TestEngineParity:
         assert parallel.summary() == serial.summary()
         assert parallel.round_rows() == serial.round_rows()
         assert parallel.sites == serial.sites
+
+
+#: sha256 of the full campaign payload, taken before the serial
+#: posterior left scipy's ``logsumexp`` and began serving one marginal
+#: sweep per stage (PR 21) and unchanged by it: the site screens' pools,
+#: outcomes and calls are the same to the byte.
+_BENCH = {"sites": 12, "cohort": 10, "rounds": 12, "budget": 6, "allocator": "thompson"}
+PINNED_PAYLOADS = [
+    ({**_BENCH, "seed": 0}, "61c8fdb470a5d1c5d952b52792a03e3d8f90b76719880eac0ee1db0854bb54c2"),
+    ({**_BENCH, "seed": 1}, "000c52c8a56f54ceae714dd881ba772c3b7e10d0ed8c2f43f627836804052048"),
+    ({**_BENCH, "seed": 2}, "cb7a9acfd6adafb5d1003177dcea0e88bb22f6c55ad6e96ce0b6aff405260347"),
+    # correlated prior: HouseholdPrior.build_dense -> run_screen_from_space
+    (
+        {"sites": 4, "cohort": 9, "rounds": 4, "budget": 3, "allocator": "thompson",
+         "fleet": "household", "seed": 0},
+        "23f91955087ec6590b4a52138701c1974dd077ecd5473584f4ebe64697638dc9",
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", [None, "threads", "processes"])
+def test_campaign_payload_is_pinned(mode):
+    with Context(mode=mode, parallelism=2) if mode else nullcontext() as ctx:
+        found = [
+            hashlib.sha256(
+                dump_payload(SurveilRequest.from_payload(body).execute(ctx)).encode()
+            ).hexdigest()
+            for body, _ in PINNED_PAYLOADS
+        ]
+    assert found == [pinned for _, pinned in PINNED_PAYLOADS]
 
 
 class TestBackends:
