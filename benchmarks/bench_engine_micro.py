@@ -79,11 +79,13 @@ def test_engine_broadcast_lookup(benchmark, ectx):
 # the ``dense_small`` workload, where fixed per-job cost dominates) are
 # printed for the record, not asserted.
 #
-# The bus is falsy while no listeners are registered, so emitters skip
-# event construction entirely; an enabled bus with zero listeners should
-# cost the same as events disabled.  The flight recorder (on by default)
-# is the one listener production contexts carry, so its overhead is
-# benchmarked and bounded too.
+# The baseline is ``enable_events=False``: no listener exists and a job
+# pays for no telemetry at all.  The bus is falsy while no listeners are
+# registered, so emitters skip event construction entirely; an enabled
+# bus with zero listeners should cost the same as events disabled.
+# Production contexts carry two listeners — the flight recorder and the
+# fold into the metrics hub — so the overhead of each is benchmarked and
+# bounded too.
 
 LARGE_BITS = 18  # dense_large
 SMALL_BITS = 12  # dense_small / dense_procs / serve_mixed
@@ -125,13 +127,27 @@ def _config(enable_events: bool, flight_recorder: bool = False) -> EngineConfig:
     )
 
 
+def _events_off() -> Context:
+    return Context(config=_config(enable_events=False))
+
+
+def _bare_bus(*listeners) -> Context:
+    """Events on with only *listeners* subscribed (none: the empty bus);
+    the context's own hub fold is dropped."""
+    c = Context(config=_config(enable_events=True))
+    c.event_bus.clear()
+    for listener in listeners:
+        c.add_listener(listener)
+    return c
+
+
 def test_engine_events_enabled_empty_bus(benchmark):
-    with Context(config=_config(enable_events=True)) as c:
+    with _bare_bus() as c:
         assert benchmark(_update_job, _lattice_blocks(c, LARGE_BITS)) < 0.0
 
 
 def test_engine_events_disabled(benchmark):
-    with Context(config=_config(enable_events=False)) as c:
+    with _events_off() as c:
         assert benchmark(_update_job, _lattice_blocks(c, LARGE_BITS)) < 0.0
 
 
@@ -150,16 +166,14 @@ def _round_median(blocks, reps: int = 7) -> float:
     return statistics.median(walls)
 
 
-def _interleaved_best_medians(
-    config_a: EngineConfig, config_b: EngineConfig, bits: int, rounds: int = 5
-) -> tuple:
-    """Best-of-rounds median walls of the update job under two configs.
+def _interleaved_best_medians(make_a, make_b, bits: int, rounds: int = 5) -> tuple:
+    """Best-of-rounds median walls of the update job in two contexts.
 
     Rounds alternate between the two contexts so clock drift and host
     noise hit both sides equally, and taking the minimum of the round
     medians discards scheduler spikes a single median cannot.
     """
-    with Context(config=config_a) as ca, Context(config=config_b) as cb:
+    with make_a() as ca, make_b() as cb:
         blocks_a, blocks_b = _lattice_blocks(ca, bits), _lattice_blocks(cb, bits)
         _update_job(blocks_a)  # warm up both
         _update_job(blocks_b)
@@ -174,9 +188,7 @@ def test_engine_empty_bus_overhead_small():
     """Empty-bus wall stays within a few percent of events-off (the <2%
     target; the assert leaves slack for timer noise on shared hosts)."""
     for bits in (LARGE_BITS, SMALL_BITS):
-        off, on = _interleaved_best_medians(
-            _config(enable_events=False), _config(enable_events=True), bits
-        )
+        off, on = _interleaved_best_medians(_events_off, _bare_bus, bits)
         overhead = (on - off) / off
         print(f"\nempty-bus overhead, 2^{bits} states: {overhead:+.2%} "
               f"(off={off * 1e3:.3f}ms on={on * 1e3:.3f}ms)")
@@ -189,17 +201,17 @@ def _flight_recorder_overhead(bits: int) -> tuple:
     from repro.engine.listener import EventBus, TaskEnd
     from repro.obs.flight import FlightRecorder
 
-    recorder_on = _config(enable_events=True, flight_recorder=True)
     off, on = _interleaved_best_medians(
-        _config(enable_events=False), recorder_on, bits, rounds=7
+        _events_off, lambda: _bare_bus(FlightRecorder()), bits, rounds=7
     )
     end_to_end = (on - off) / off
 
-    with Context(config=recorder_on) as c:
+    recorder = FlightRecorder()
+    with _bare_bus(recorder) as c:
         blocks = _lattice_blocks(c, bits)
-        before = c.flight_recorder.snapshot()["total_seen"]
+        before = recorder.snapshot()["total_seen"]
         _update_job(blocks)
-        events_per_job = c.flight_recorder.snapshot()["total_seen"] - before
+        events_per_job = recorder.snapshot()["total_seen"] - before
 
     bus = EventBus()
     bus.register(FlightRecorder())
@@ -220,7 +232,7 @@ def test_engine_flight_recorder_overhead_small():
     This is the CI acceptance bound for leaving the recorder on by
     default.  Two measurements, either may satisfy the bound:
 
-    * end-to-end — recorder-on vs events-off job walls (interleaved
+    * end-to-end — recorder-only vs events-off job walls (interleaved
       best-of-rounds medians).  Truthful but noisy: the ~14 events of
       this job cost ~1 us each, well inside host jitter.
     * event budget — (events/job) x (measured per-event construct+post
@@ -238,23 +250,27 @@ def test_engine_flight_recorder_overhead_small():
 
 def _hub_and_sampler_overhead(bits: int) -> tuple:
     """(end-to-end ratio, budget ratio, description) at one size."""
+    import collections
+
     from repro.engine.listener import (
         CacheEvict,
         CacheHit,
         CacheMiss,
-        EngineListener,
         EventBus,
+        JobEnd,
+        RecordingListener,
+        StageEnd,
         TaskEnd,
         TaskRetry,
+        TaskStart,
     )
     from repro.obs.metrics import HubMetricsListener, MetricsHub
     from repro.obs.sampler import Sampler
 
     sampler = Sampler(hz=100.0)
-    with Context(config=_config(enable_events=False)) as base, Context(
-        config=_config(enable_events=True)
-    ) as inst:
-        inst.add_listener(HubMetricsListener(inst.metrics_hub))
+    # The instrumented side is what every context carries: its own fold
+    # of the event stream into its hub.
+    with _events_off() as base, Context(config=_config(enable_events=True)) as inst:
         base_blocks, inst_blocks = _lattice_blocks(base, bits), _lattice_blocks(inst, bits)
         _update_job(base_blocks)  # warm up both
         _update_job(inst_blocks)
@@ -270,22 +286,11 @@ def _hub_and_sampler_overhead(bits: int) -> tuple:
     off, on = min(base_medians), min(inst_medians)
     end_to_end = (on - off) / off
 
-    folded_types = (CacheEvict, CacheHit, CacheMiss, TaskRetry)
-
-    class _CountingListener(EngineListener):
-        def __init__(self):
-            self.total = 0
-            self.folded = 0
-
-        def on_event(self, event) -> None:
-            self.total += 1
-            if isinstance(event, folded_types):
-                self.folded += 1
-
     with Context(config=_config(enable_events=True)) as c:
         blocks = _lattice_blocks(c, bits)
-        counter = c.add_listener(_CountingListener())
+        rec = c.add_listener(RecordingListener())
         _update_job(blocks)
+    by_type = collections.Counter(type(event) for event in rec.events)
 
     bus = EventBus()
     bus.register(HubMetricsListener(MetricsHub()))
@@ -296,21 +301,33 @@ def _hub_and_sampler_overhead(bits: int) -> tuple:
             timeit.repeat(lambda: bus.post(make_event()), number=reps, repeat=5)
         ) / reps
 
-    per_fold = timed(lambda: CacheHit(3, 0))
-    per_dispatch = timed(lambda: TaskEnd(1, 2, 0.5, 1))  # no handler: dispatch only
+    # Bus post + hub fold per folded kind; every other kind costs the
+    # dispatch alone (no handler).
+    per_cache = timed(lambda: CacheHit(3, 0))
+    per_fold = {
+        TaskEnd: timed(lambda: TaskEnd(1, 2, 0.5, 1)),
+        StageEnd: timed(lambda: StageEnd(1, "result", 0.5, 1)),
+        JobEnd: timed(lambda: JobEnd(1, 0.5)),
+        CacheHit: per_cache,
+        CacheMiss: per_cache,
+        CacheEvict: per_cache,
+        TaskRetry: per_cache,
+    }
+    per_dispatch = timed(lambda: TaskStart(1, 2))
     ticks = 2_000
     per_tick = min(
         timeit.repeat(lambda: sampler._sample_once(), number=ticks, repeat=5)
     ) / ticks
-    event_cost = (
-        counter.folded * per_fold + (counter.total - counter.folded) * per_dispatch
-    )
+    total = sum(by_type.values())
+    folded = sum(n for kind, n in by_type.items() if kind in per_fold)
+    event_cost = sum(n * per_fold.get(kind, per_dispatch) for kind, n in by_type.items())
     budget = event_cost / off + per_tick * sampler.hz
     return end_to_end, budget, (
         f"2^{bits} states: end-to-end {end_to_end:+.2%}, budget {budget:.2%} "
-        f"({counter.folded}/{counter.total} folded events x {per_fold * 1e9:.0f}ns "
-        f"(dispatch {per_dispatch * 1e9:.0f}ns) + {per_tick * 1e6:.1f}us ticks at "
-        f"{sampler.hz:.0f}Hz on a {off * 1e3:.3f}ms job)"
+        f"({folded}/{total} folded events, {event_cost * 1e6:.1f}us "
+        f"(task_end {per_fold[TaskEnd] * 1e9:.0f}ns, job_end {per_fold[JobEnd] * 1e9:.0f}ns, "
+        f"cache {per_cache * 1e9:.0f}ns, dispatch {per_dispatch * 1e9:.0f}ns) "
+        f"+ {per_tick * 1e6:.1f}us ticks at {sampler.hz:.0f}Hz on a {off * 1e3:.3f}ms job)"
     )
 
 
@@ -319,18 +336,20 @@ def test_engine_hub_and_sampler_overhead_small():
     update job.
 
     This is the CI acceptance bound for the observability stack (PR 8):
-    a context whose bus feeds a :class:`HubMetricsListener` while a
-    100 Hz :class:`Sampler` is installed must stay within 3% of an
-    events-off context.  Same dual measurement as the flight-recorder
-    gate — either may satisfy the bound:
+    a context folding its event stream into its hub (the
+    :class:`HubMetricsListener` every context registers) while a 100 Hz
+    :class:`Sampler` is installed must stay within 3% of an events-off
+    context, which runs no telemetry at all.  Same dual measurement as
+    the flight-recorder gate — either may satisfy the bound:
 
     * end-to-end — interleaved best-of-rounds medians, with the sampler
       running only during the instrumented rounds.
-    * budget — folded events (cache/retry, which the listener actually
-      handles) priced at the measured bus-post + hub-fold cost, the
-      rest at the dispatch-only cost, divided by the baseline job wall;
-      plus the sampler's duty cycle (per-tick frame-walk cost x hz),
-      the CPU fraction the sampling thread can consume.
+    * budget — folded events (job_end / stage_end / task_end and
+      cache / retry, which the listener handles) each priced at its
+      measured bus-post + hub-fold cost, the rest at the dispatch-only
+      cost, divided by the baseline job wall; plus the sampler's duty
+      cycle (per-tick frame-walk cost x hz), the CPU fraction the
+      sampling thread can consume.
     """
     end_to_end, budget, text = _hub_and_sampler_overhead(LARGE_BITS)
     print(f"\nhub+sampler overhead, {text}")

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import SIZES
+from benchmarks.task_profile import projected_time, simulated_makespan, task_profile
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
-from repro.engine import Context
-from repro.engine.metrics import simulated_makespan
+from repro.engine import Context, RecordingListener
 from repro.halving.candidates import PrefixCandidates
 from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.sbgt.selector import select_halving_pool_distributed
@@ -31,29 +31,20 @@ NUM_BLOCKS = 4 * max(WORKERS)
 
 
 def _run_profiled() -> tuple:
-    """One composite workload under task profiling; returns (jobs, overhead)."""
+    """One composite workload under task profiling; returns its
+    ``(task walls per stage, overhead per task)``."""
     log_lik = MODEL.log_likelihood_by_count(True, N // 2)
     pool = (1 << (N // 2)) - 1
     cands = PrefixCandidates(max_pool_size=N).generate(np.full(N, 0.03), (1 << N) - 1)
     with Context(mode="serial") as ctx:
         lattice = DistributedLattice.from_prior(ctx, PriorSpec.uniform(N, 0.03), NUM_BLOCKS)
-        ctx.metrics.clear()
+        rec = ctx.add_listener(RecordingListener())
         lattice.update(pool, log_lik)
         select_halving_pool_distributed(lattice, cands)
         lattice.marginals()
-        jobs = ctx.metrics.jobs
+        profile = task_profile(rec.events)
         lattice.unpersist()
-    total_tasks = sum(j.num_tasks for j in jobs)
-    overhead = sum(j.scheduling_overhead_s for j in jobs) / max(total_tasks, 1)
-    return jobs, overhead
-
-
-def _projected(jobs, overhead: float, workers: int) -> float:
-    return sum(
-        simulated_makespan([t.wall_s for t in s.tasks], workers, overhead)
-        for j in jobs
-        for s in j.stages
-    )
+    return profile
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -71,13 +62,12 @@ def test_r4_population_scaling(benchmark, workers):
 
     def measured():
         with Context(mode="serial") as ctx:
-            ctx.metrics.clear()
+            rec = ctx.add_listener(RecordingListener())
             screen_population(ctx, priors, model, BHAPolicy, rng=5)
-            holder["jobs"] = ctx.metrics.jobs
+            holder["stages"] = task_profile(rec.events)[0]
 
     benchmark.pedantic(measured, rounds=2, warmup_rounds=1)
-    jobs = holder["jobs"]
-    task_times = [t.wall_s for j in jobs for s in j.stages for t in s.tasks]
+    task_times = [wall for walls in holder["stages"] for wall in walls]
     t1 = simulated_makespan(task_times, 1)
     tp = simulated_makespan(task_times, workers)
     benchmark.extra_info["workers"] = workers
@@ -86,15 +76,15 @@ def test_r4_population_scaling(benchmark, workers):
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_r4_projected_scaling(benchmark, workers):
-    jobs_overhead = {}
+    profile = {}
 
     def measured():
-        jobs_overhead["jo"] = _run_profiled()
+        profile["last"] = _run_profiled()
 
     benchmark.pedantic(measured, rounds=3, warmup_rounds=1)
-    jobs, overhead = jobs_overhead["jo"]
-    t1 = _projected(jobs, overhead, 1)
-    tp = _projected(jobs, overhead, workers)
+    stages, overhead = profile["last"]
+    t1 = projected_time(stages, 1, overhead)
+    tp = projected_time(stages, workers, overhead)
     benchmark.extra_info["workers"] = workers
     benchmark.extra_info["projected_time_s"] = tp
     benchmark.extra_info["projected_speedup"] = t1 / tp

@@ -23,6 +23,7 @@ from repro.halving.policy import (
     IndividualTestingPolicy,
 )
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 # Mild, dilution-free assay: R5 isolates *pooling* efficiency (the
 # Biostatistics'22 savings story); dilution stress is R7's subject.
@@ -49,8 +50,7 @@ def _mc_batch(prevalence: float, policy_factory) -> dict:
             MODEL,
             policy_factory(),
             rng=rng,
-            max_stages=60,
-            negative_threshold=neg_thr,
+            options=ScreenOptions(max_stages=60, negative_threshold=neg_thr),
         )
         tpis.append(res.tests_per_individual)
         stages.append(res.stages_used)

@@ -18,6 +18,7 @@ from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import BHAPolicy, LookaheadPolicy
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 MODEL = DilutionErrorModel(0.98, 0.995, 0.3)
 COHORT = SIZES["r6_cohort"]
@@ -37,7 +38,10 @@ def _mc_batch(rule_factory) -> dict:
     rng = np.random.default_rng(777)
     for rep in range(REPS):
         cohort = make_cohort(prior, rng=1000 + rep)  # shared across rules
-        res = run_screen(prior, MODEL, rule_factory(), rng=rng, cohort=cohort, max_stages=60)
+        res = run_screen(
+            prior, MODEL, rule_factory(), rng=rng, cohort=cohort,
+            options=ScreenOptions(max_stages=60),
+        )
         stages.append(res.stages_used)
         tests.append(res.efficiency.num_tests)
     return {

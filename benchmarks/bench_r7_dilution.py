@@ -18,6 +18,7 @@ from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 REPS = SIZES["r7_reps"]
 
@@ -29,7 +30,10 @@ def _mc_batch(dilution: float) -> dict:
     rng = np.random.default_rng(4242)
     for rep in range(REPS):
         cohort = make_cohort(prior, rng=2000 + rep)  # same cohorts per sweep point
-        res = run_screen(prior, model, BHAPolicy(), rng=rng, cohort=cohort, max_stages=80)
+        res = run_screen(
+            prior, model, BHAPolicy(), rng=rng, cohort=cohort,
+            options=ScreenOptions(max_stages=80),
+        )
         accs.append(res.accuracy)
         sens.append(res.confusion.sensitivity)
         tests.append(res.efficiency.num_tests)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.baseline.pydict import PyDictLattice
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
-from repro.engine import Context
+from repro.engine import Context, RecordingListener
 from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import PrefixCandidates
 from repro.halving.policy import BHAPolicy, DorfmanPolicy, IndividualTestingPolicy, LookaheadPolicy
@@ -252,13 +252,17 @@ def run_r4(cfg: dict, _ctx: Context) -> str:
 
     This host exposes a single vCPU, so physical multi-worker timing
     only measures contention.  Instead the workload runs once with many
-    blocks in serial mode while the engine records every task's wall
-    time; those task profiles are then LPT-scheduled onto p simulated
-    executors (``repro.engine.metrics.simulated_makespan``), including a
-    per-task dispatch overhead measured from the scheduler itself.  See
-    DESIGN.md, substitution table.
+    blocks in serial mode while a listener records every task's wall
+    time off the event stream; those task profiles are then
+    LPT-scheduled onto p simulated executors
+    (``benchmarks/task_profile.py``), including a per-task dispatch
+    overhead measured from the scheduler itself.  See DESIGN.md,
+    substitution table.
     """
-    from repro.engine.metrics import simulated_makespan
+    try:
+        from task_profile import projected_time, task_profile
+    except ImportError:  # imported as benchmarks.run_experiments
+        from benchmarks.task_profile import projected_time, task_profile
 
     n = cfg["r4_n"]
     num_blocks = 4 * max(cfg["r4_workers"])
@@ -268,29 +272,17 @@ def run_r4(cfg: dict, _ctx: Context) -> str:
 
     with Context(mode="serial") as sctx:
         dl = DistributedLattice.from_prior(sctx, PriorSpec.uniform(n, 0.03), num_blocks)
-        sctx.metrics.clear()
+        rec = sctx.add_listener(RecordingListener())
         dl.update(pool, log_lik)
         select_halving_pool_distributed(dl, cands)
         dl.marginals()
-        jobs = sctx.metrics.jobs
+        stages, per_task_overhead = task_profile(rec.events)
         dl.unpersist()
 
-    # Per-task dispatch overhead: job wall time not inside task bodies.
-    total_tasks = sum(j.num_tasks for j in jobs)
-    total_overhead = sum(j.scheduling_overhead_s for j in jobs)
-    per_task_overhead = total_overhead / max(total_tasks, 1)
-
-    def projected(workers: int) -> float:
-        return sum(
-            simulated_makespan([t.wall_s for t in s.tasks], workers, per_task_overhead)
-            for j in jobs
-            for s in j.stages
-        )
-
-    t1 = projected(1)
+    t1 = projected_time(stages, 1, per_task_overhead)
     rows = []
     for workers in cfg["r4_workers"]:
-        t = projected(workers)
+        t = projected_time(stages, workers, per_task_overhead)
         speedup = t1 / t
         eff = speedup / workers
         rows.append([workers, t, f"{speedup:.2f}x", f"{100 * eff:.1f}%"])

@@ -15,7 +15,7 @@ SBGT to a different backend or debugging a screen's execution profile.
 import numpy as np
 
 from repro.engine import Context, RecordingListener
-from repro.engine.listener import CacheHit, CacheMiss
+from repro.engine.listener import CacheHit, CacheMiss, JobEnd, StageEnd, TaskEnd
 
 N_ITEMS = 12  # 2^12 lattice states, split into 4 blocks
 POOL = 0b0000_0011_0110  # the individuals pooled into the test
@@ -54,13 +54,13 @@ def main() -> None:
         print(f"cache     : {misses} misses (first action), {hits} hits (second); "
               f"MAP state log-posterior {best - np.log(mass):.3f}")
 
-        # --- job → stage → task metrics of the last job ----------------
-        job = ctx.metrics.last()
-        (stage,) = job.stages
-        print(f"last job  : {len(job.stages)} {stage.kind} stage, {job.num_tasks} tasks, "
+        # --- job → stage → task telemetry of the last job: its events --
+        job, stage = events.of_type(JobEnd)[-1], events.of_type(StageEnd)[-1]
+        tasks = [t for t in events.of_type(TaskEnd) if t.stage_id == stage.stage_id]
+        print(f"last job  : 1 {stage.stage_kind} stage, {len(tasks)} tasks, "
               f"{job.wall_s * 1e3:.1f} ms wall, "
-              f"{job.scheduling_overhead_s * 1e3:.2f} ms scheduling overhead")
-        for task in stage.tasks:
+              f"{(job.wall_s - stage.wall_s) * 1e3:.2f} ms scheduling overhead")
+        for task in sorted(tasks, key=lambda t: t.partition):
             print(f"  task p{task.partition}: {task.wall_s * 1e6:.0f} us wall, "
                   f"{task.cpu_s * 1e6:.0f} us cpu, attempt {task.attempts}")
 

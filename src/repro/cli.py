@@ -12,7 +12,7 @@ Commands covering the workflows a surveillance program actually runs:
   (``--prom`` for the Prometheus text exposition);
 * ``serve``        — the asyncio JSON API server (``repro.serve``);
 * ``trace``        — summarize a JSONL trace captured with ``--trace``
-  (or :meth:`Tracer.dump_jsonl` / :meth:`MetricsRegistry.dump_jsonl`);
+  (or :meth:`Tracer.dump_jsonl`);
 * ``lint``         — static closure-safety / engine-concurrency analysis
   (:mod:`repro.lint`); exit 0 clean, 1 findings, 2 usage error.
 
@@ -561,13 +561,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.obs.metrics import HubMetricsListener
-
     prior = PriorSpec.uniform(args.cohort, args.prevalence)
     model = make_model("dilution", 0.98, 0.995, 0.3)
     config = SBGTConfig()
     with Context(mode=args.mode, parallelism=args.workers) as ctx:
-        ctx.add_listener(HubMetricsListener(ctx.metrics_hub))
         session = SBGTSession(ctx, prior, model, config)
         session.run_screen(make_policy("bha"), rng=args.seed)
         session.close()
@@ -665,20 +662,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             title="Screen stages",
         ))
 
-    jobs = by_kind.get("job", [])
-    if jobs:
-        rows = [
-            [j["job_id"], j.get("description", "") or "-", len(j.get("stages", [])),
-             sum(s.get("num_tasks", 0) for s in j.get("stages", [])),
-             f"{j['wall_s']:.4f}"]
-            for j in jobs
-        ]
-        print(format_table(
-            ["job", "description", "stages", "tasks", "wall (s)"], rows,
-            title="Engine jobs",
-        ))
-
-    known = sum(len(by_kind.get(k, [])) for k in ("span", "stage", "summary", "job"))
+    known = sum(len(by_kind.get(k, [])) for k in ("span", "stage", "summary"))
     if known < len(records):
         print(f"({len(records) - known} unrecognized record(s) skipped)")
     return 0

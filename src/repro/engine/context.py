@@ -1,7 +1,7 @@
 """The engine entry point: :class:`Context` (the ``SparkContext`` analogue).
 
 A context owns the executor pool, block store, event bus and metrics
-registry.  RDDs are created through it and every action funnels through
+hub.  RDDs are created through it and every action funnels through
 :meth:`run_job`.
 
 >>> from repro.engine import Context
@@ -22,7 +22,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.errors import ContextStoppedError
 from repro.engine.executor import BaseExecutor, make_executor
 from repro.engine.listener import EngineListener, EventBus, LockOrderViolation
-from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import RDD, ParallelCollectionRDD, RangeRDD
 from repro.engine.scheduler import Scheduler
 
@@ -57,27 +56,28 @@ class Context:
         if self.config.lock_sanitizer:
             lockorder.set_sanitizer_mode(self.config.lock_sanitizer)
         self.event_bus = EventBus(enabled=self.config.enable_events)
-        # The always-on black box: a bounded recorder every context gets
-        # by default so failures and /debug endpoints have history to
-        # show.  Imported lazily — repro.obs sits above the engine.
-        self.flight_recorder = None
-        if self.config.enable_events and self.config.flight_recorder:
-            from repro.obs.flight import FlightRecorder
-
-            self.flight_recorder = FlightRecorder(
-                capacity=self.config.flight_capacity,
-                slow_threshold_s=self.config.slow_threshold_s,
-            )
-            self.event_bus.register(self.flight_recorder)
-        self.block_store = BlockStore(self.config.cache_capacity_bytes, bus=self.event_bus)
-        # The context's labelled-metrics hub: the registry publishes job
-        # rollups into it and sinks (serve /metrics, Prometheus
-        # exposition, CLI) snapshot it.  Lazily imported like the flight
-        # recorder — repro.obs sits above the engine.
-        from repro.obs.metrics import MetricsHub
+        # Telemetry is two always-on bus listeners (imported lazily —
+        # repro.obs sits above the engine): the flight recorder, a
+        # bounded black box so failures and /debug endpoints have
+        # history to show, and the fold of the event stream into this
+        # context's labelled-metrics hub, which sinks (serve /metrics,
+        # Prometheus exposition, CLI) snapshot.  With events disabled
+        # neither exists and a job pays for no telemetry at all.
+        from repro.obs.metrics import HubMetricsListener, MetricsHub
 
         self.metrics_hub = MetricsHub()
-        self.metrics = MetricsRegistry(hub=self.metrics_hub)
+        self.flight_recorder = None
+        if self.config.enable_events:
+            if self.config.flight_recorder:
+                from repro.obs.flight import FlightRecorder
+
+                self.flight_recorder = FlightRecorder(
+                    capacity=self.config.flight_capacity,
+                    slow_threshold_s=self.config.slow_threshold_s,
+                )
+                self.event_bus.register(self.flight_recorder)
+            self.event_bus.register(HubMetricsListener(self.metrics_hub))
+        self.block_store = BlockStore(self.config.cache_capacity_bytes, bus=self.event_bus)
         self._scheduler = Scheduler(self)
         self._rdd_ids = itertools.count()
         self._lock = lockorder.OrderedLock("Context._lock")
@@ -223,7 +223,6 @@ class Context:
         self.flight_recorder = None
         self.block_store = None
         self.metrics_hub = None
-        self.metrics = None
         self._scheduler = None
         self._rdd_ids = itertools.count()
         self._lock = lockorder.OrderedLock("Context._lock")

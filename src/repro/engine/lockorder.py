@@ -75,7 +75,6 @@ LOCK_LEVELS: Dict[Tuple[str, str], int] = {
     ("Context", "_lock"): 20,
     ("ProcessExecutor", "_lock"): 30,
     ("BlockStore", "_lock"): 50,
-    ("MetricsRegistry", "_lock"): 70,
     ("EventBus", "_lock"): 80,
     # The hub's instruments are incremented from bus listeners (i.e.
     # under EventBus._lock), so the hub sits between the bus and leaves.
@@ -89,11 +88,9 @@ LOCK_LEVELS: Dict[Tuple[str, str], int] = {
     ("Sampler", "_lock"): 90,
 }
 
-#: Module-level lock names (the id counter and the default-hub singleton
-#: guard are leaves).
+#: Module-level lock names (the broadcast id counter is a leaf).
 MODULE_LOCK_LEVELS: Dict[str, int] = {
     "_ids_lock": 90,
-    "_DEFAULT_HUB_LOCK": 90,
 }
 
 #: Held-lock levels at or below this sit on the data plane: blocking

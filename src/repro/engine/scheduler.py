@@ -15,9 +15,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.engine.errors import JobFailedError
 from repro.engine.executor import Task, TaskEnv
 from repro.engine.listener import JobEnd, JobStart, StageEnd, StageStart
-from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.engine.rdd import RDD, TaskContext
-from repro.engine.tracing import EPOCH_OFFSET, current_trace_id
 
 __all__ = ["Scheduler"]
 
@@ -71,12 +69,10 @@ class Scheduler:
         ctx = self._ctx
         ctx.ensure_running()
         bus = ctx.event_bus
-        job = JobMetrics(job_id=next(self._job_ids), description=description)
-        job.trace_id = current_trace_id()
+        job_id = next(self._job_ids)
         t_job = time.perf_counter()
-        job.t0_wall = t_job + EPOCH_OFFSET
         if bus:
-            bus.post(JobStart(job_id=job.job_id, description=description))
+            bus.post(JobStart(job_id=job_id, description=description))
 
         succeeded = False
         try:
@@ -89,7 +85,7 @@ class Scheduler:
                             f"partition {p} out of range for RDD with "
                             f"{rdd.num_partitions} partitions"
                         )
-            results = self._run_stage(rdd, func, list(partitions), job)
+            results = self._run_stage(rdd, func, list(partitions), job_id)
             succeeded = True
         except Exception as exc:
             # Failure post-mortem: ship the flight recorder's last event
@@ -103,13 +99,8 @@ class Scheduler:
                     pass
             raise
         finally:
-            t1 = time.perf_counter()
-            job.wall_s = t1 - t_job
-            job.t1_wall = t1 + EPOCH_OFFSET
-            job.succeeded = succeeded
-            ctx.metrics.record(job)
             if bus:
-                bus.post(JobEnd(job_id=job.job_id, wall_s=job.wall_s, succeeded=succeeded))
+                bus.post(JobEnd(job_id, time.perf_counter() - t_job, succeeded))
         return results
 
     # ------------------------------------------------------------------
@@ -129,36 +120,18 @@ class Scheduler:
             task.worker_cache_bytes = worker_cache_bytes
 
     def _run_stage(
-        self, rdd: RDD, func: Callable, parts: List[int], job: JobMetrics
+        self, rdd: RDD, func: Callable, parts: List[int], job_id: int
     ) -> List[Any]:
         ctx = self._ctx
         stage_id = next(_stage_ids)
         tasks = [Task(stage_id, p, _task_body(rdd, p, stage_id, func)) for p in parts]
         self._attach_payloads(tasks, rdd)
         bus = ctx.event_bus
-        sm = StageMetrics(stage_id, "result", num_tasks=len(parts))
         t0 = time.perf_counter()
         if bus:
-            bus.post(StageStart(stage_id, "result", len(parts), job.job_id))
-        results = ctx.executor.submit(tasks)
-        by_partition = {res.partition: res for res in results}
-        out: List[Any] = []
-        for p in parts:
-            res = by_partition[p]
-            sm.tasks.append(
-                TaskMetrics(
-                    stage_id,
-                    p,
-                    res.wall_s,
-                    attempts=res.attempts,
-                    cpu_s=res.cpu_s,
-                    rss_peak_kb=res.rss_peak_kb,
-                    gc_collections=res.gc_collections,
-                )
-            )
-            out.append(res.value)
-        sm.wall_s = time.perf_counter() - t0
-        job.stages.append(sm)
+            bus.post(StageStart(stage_id, "result", len(parts), job_id))
+        by_partition = {res.partition: res.value for res in ctx.executor.submit(tasks)}
+        out = [by_partition[p] for p in parts]
         if bus:
-            bus.post(StageEnd(stage_id, "result", sm.wall_s, job.job_id))
+            bus.post(StageEnd(stage_id, "result", time.perf_counter() - t0, job_id))
         return out

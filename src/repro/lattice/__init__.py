@@ -54,7 +54,6 @@ __all__ = [
     "prune_by_mass",
     "prune_below",
     "PruneStats",
-    "PruneResult",
     "LatticeBlock",
     "partition_state_space",
     "merge_blocks",
@@ -63,12 +62,3 @@ __all__ = [
     "save_posterior",
     "load_posterior",
 ]
-
-
-def __getattr__(name: str):
-    if name == "PruneResult":
-        # Deprecated alias; the warning fires in repro.lattice.prune.
-        from repro.lattice import prune as _prune
-
-        return _prune.PruneResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

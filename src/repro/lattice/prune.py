@@ -11,7 +11,6 @@ exactly this shrinking of the model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +19,7 @@ import numpy as np
 from repro.lattice.ops import normalize_log_probs
 from repro.lattice.states import StateSpace
 
-__all__ = ["PruneStats", "PruneResult", "prune_by_mass", "prune_below"]
+__all__ = ["PruneStats", "prune_by_mass", "prune_below"]
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,6 @@ class PruneStats:
             f"PruneStats(kept={self.kept_states}, dropped={self.dropped_states}, "
             f"mass={self.dropped_mass:.3g})"
         )
-
-
-def __getattr__(name: str):
-    if name == "PruneResult":
-        warnings.warn(
-            "PruneResult is deprecated; use repro.lattice.PruneStats "
-            "(same fields, `space` moved last and optional)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PruneStats
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def prune_by_mass(space: StateSpace, epsilon: float) -> PruneStats:

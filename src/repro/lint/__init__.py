@@ -22,7 +22,6 @@ CLI: ``python -m repro lint [paths] [--format text|json|sarif]
 place with ``# repro: lint-ignore[RULE]``.
 """
 
-from repro.engine.lockorder import LOCK_LEVELS, MODULE_LOCK_LEVELS
 from repro.lint.analyzer import (
     JSON_SCHEMA_VERSION,
     LintError,
@@ -57,8 +56,6 @@ __all__ = [
     "CLOSURE_RULES",
     "CONCURRENCY_RULES",
     "DETERMINISM_RULES",
-    "LOCK_LEVELS",
-    "MODULE_LOCK_LEVELS",
     "CallGraph",
     "CaptureIssue",
     "analyze_file",

@@ -4,8 +4,7 @@ The engine's locks form a declared hierarchy (outer acquired first); the
 normative table lives in :mod:`repro.engine.lockorder` — one registry
 shared by this analyzer and the runtime sanitizer
 (:class:`repro.engine.lockorder.OrderedLock`), so the linter and live
-threads can never disagree about the order.  ``LOCK_LEVELS`` and
-``MODULE_LOCK_LEVELS`` are re-exported here for compatibility.
+threads can never disagree about the order.
 
 Identity is resolved syntactically: ``with self._lock:`` inside
 ``class BlockStore`` is the BlockStore lock, a module-level
@@ -46,7 +45,7 @@ from repro.lint.callgraph import (
 from repro.lint.model import LintFinding, dotted_name
 from repro.lint.rules import RULES
 
-__all__ = ["analyze_concurrency", "LOCK_LEVELS", "MODULE_LOCK_LEVELS", "is_engine_module"]
+__all__ = ["analyze_concurrency", "is_engine_module"]
 
 
 def is_engine_module(filename: str) -> bool:

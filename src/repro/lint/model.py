@@ -159,7 +159,6 @@ _CONSTRUCTOR_TAGS = {
     "UniformAllocator": "BudgetAllocator",
     "GreedyAllocator": "BudgetAllocator",
     "MetricsHub": "MetricsHub",
-    "default_hub": "MetricsHub",
     "Sampler": "Sampler",
     "Lock": "Lock",
     "RLock": "Lock",

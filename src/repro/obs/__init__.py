@@ -12,9 +12,10 @@ configured off), and :mod:`repro.obs.chrome` renders either source into
 Chrome trace-event JSON for ``chrome://tracing`` / Perfetto.
 
 :mod:`repro.obs.metrics` is the labelled metrics core — every
-:class:`~repro.engine.Context` owns a :class:`MetricsHub` that engine,
-serve and surveil telemetry folds into, with one snapshot feeding both
-the JSON ``/metrics`` document and the Prometheus text exposition.
+:class:`~repro.engine.Context` owns a :class:`MetricsHub` that its
+event stream folds into (engine, serve and surveil alike), with one
+snapshot feeding both the JSON ``/metrics`` document and the Prometheus
+text exposition.
 :mod:`repro.obs.sampler` adds a wall-clock sampling profiler whose
 collapsed stacks render to self-contained flamegraph HTML
 (:mod:`repro.obs.flamegraph`).
@@ -31,7 +32,6 @@ from repro.obs.metrics import (
     HubMetricsListener,
     MetricsHub,
     bucket_quantile,
-    default_hub,
     render_prometheus,
     validate_prometheus_text,
 )
@@ -73,7 +73,6 @@ __all__ = [
     "bucket_quantile",
     "render_prometheus",
     "validate_prometheus_text",
-    "default_hub",
     "Sampler",
     "current_sampler",
     "current_profile_hz",

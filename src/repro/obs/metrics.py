@@ -1,11 +1,12 @@
 """The labelled metrics core: one vocabulary, one exposition path.
 
-Before this module the repo spoke three disjoint metric dialects —
-engine job/stage/task rollups (:mod:`repro.engine.metrics`), serve's
-bespoke latency histograms (:mod:`repro.serve.events`), and surveil's
-campaign events — none of them labelled, none exportable to standard
-tooling.  :class:`MetricsHub` is the shared registry they all fold
-into: Counter / Gauge / Histogram instruments with label sets, exemplar
+The event bus is the only telemetry source; :class:`MetricsHub` is the
+one aggregate every vocabulary on it folds into — engine jobs, stages,
+tasks, retries and cache traffic and surveil's campaign events through
+:class:`HubMetricsListener`, which every context registers on its own
+hub, and serve's request events through
+:class:`~repro.serve.events.ServeMetricsListener`.  The hub offers
+Counter / Gauge / Histogram instruments with label sets, exemplar
 trace ids on histogram observations (stamped from the active
 :func:`~repro.engine.tracing.trace_scope`), a JSON-ready
 :meth:`MetricsHub.snapshot`, and a deterministic Prometheus text
@@ -22,8 +23,7 @@ Naming conventions (enforced only by review, checked by
 
 The hub is driver-side machinery (like the :class:`EventBus` it feeds
 from) — capture it into a task closure and ``repro lint`` flags C101.
-A process-wide hub is available via :func:`default_hub` for scripts;
-every :class:`~repro.engine.context.Context` owns its own hub so tests
+Every :class:`~repro.engine.context.Context` owns its own hub so tests
 and servers stay isolated.
 """
 
@@ -39,6 +39,9 @@ from repro.engine.listener import (
     CacheHit,
     CacheMiss,
     EngineListener,
+    JobEnd,
+    StageEnd,
+    TaskEnd,
     TaskRetry,
 )
 from repro.engine.lockorder import OrderedLock
@@ -54,7 +57,6 @@ __all__ = [
     "bucket_quantile",
     "render_prometheus",
     "validate_prometheus_text",
-    "default_hub",
 ]
 
 #: Default histogram bucket upper bounds, seconds (log-spaced; the last
@@ -563,18 +565,54 @@ def validate_prometheus_text(text: str) -> int:
 
 
 class HubMetricsListener(EngineListener):
-    """Folds bus-only engine and surveil events into hub instruments.
+    """Folds the engine and surveil event streams into hub instruments.
 
-    Job/stage/task rollups reach the hub through
-    :meth:`~repro.engine.metrics.MetricsRegistry.record` (which works in
-    every executor mode, bus or no bus); this listener covers the event
-    vocabularies that exist *only* on the bus — retries, cache traffic
-    and the surveillance campaign counters — without double-counting the
-    registry-fed families.
+    Every :class:`~repro.engine.context.Context` registers one on its
+    own hub, so the hub is a pure function of the event stream:
+    replaying a recorded stream into a fresh listener reproduces the
+    exposition byte for byte.  Jobs, tasks and their CPU / RSS / GC
+    telemetry fold from ``JobEnd`` / ``StageEnd`` / ``TaskEnd``;
+    retries, cache traffic and the surveillance campaign counters from
+    their own events.
     """
 
     def __init__(self, hub: MetricsHub) -> None:
         self.hub = hub
+        self._jobs = hub.counter(
+            "repro_engine_jobs_total", "Completed engine jobs by outcome",
+            labels=("status",),
+        )
+        # Fixed children resolved once: these handlers sit on the
+        # scheduler's hot path, so they must not pay the labels() lookup
+        # per event (see the <3% CI gate in
+        # benchmarks/bench_engine_micro.py).
+        self._jobs_ok = self._jobs.labels(status="ok")
+        self._job_seconds = hub.histogram(
+            "repro_engine_job_seconds", "End-to-end job wall time"
+        ).labels()
+        self._tasks = hub.counter(
+            "repro_engine_tasks_total", "Tasks that produced a result"
+        ).labels()
+        self._task_seconds = hub.histogram(
+            "repro_engine_task_seconds", "Per-task wall time"
+        ).labels()
+        self._cpu = hub.counter(
+            "repro_engine_task_cpu_seconds_total", "CPU seconds consumed by tasks"
+        ).labels()
+        self._gc = hub.counter(
+            "repro_engine_task_gc_collections_total",
+            "GC collection passes observed during tasks",
+        ).labels()
+        self._rss = hub.gauge(
+            "repro_engine_task_rss_peak_kb",
+            "Largest single-task peak-RSS growth seen, KiB",
+        ).labels()
+        self._overhead = hub.counter(
+            "repro_engine_scheduler_overhead_seconds_total",
+            "Job wall time outside the critical stage path",
+        ).labels()
+        #: job id -> wall of its finished stage, until the job ends.
+        self._stage_wall: Dict[int, float] = {}
         self._retries = hub.counter(
             "repro_engine_task_retries_total", "Task attempts that failed and were retried"
         )
@@ -583,6 +621,9 @@ class HubMetricsListener(EngineListener):
             "Block-store cache activity by outcome",
             labels=("event",),
         )
+        self._cache_hit = self._cache.labels(event="hit")
+        self._cache_miss = self._cache.labels(event="miss")
+        self._cache_evict = self._cache.labels(event="evict")
         self._rounds = hub.counter(
             "repro_surveil_rounds_total", "Completed surveillance rounds"
         )
@@ -602,13 +643,24 @@ class HubMetricsListener(EngineListener):
             "Budget allocations drawn, by allocator",
             labels=("allocator",),
         )
-        # Fixed-label children resolved once: the cache handlers
-        # sit on the scheduler's hot path, so they must not pay the
-        # labels() lookup per event (see the <3% CI gate in
-        # benchmarks/bench_engine_micro.py).
-        self._cache_hit = self._cache.labels(event="hit")
-        self._cache_miss = self._cache.labels(event="miss")
-        self._cache_evict = self._cache.labels(event="evict")
+
+    def on_task_end(self, event: TaskEnd) -> None:
+        self._tasks.inc()
+        self._task_seconds.observe(event.wall_s, trace_id=event.trace_id)
+        self._cpu.inc(event.cpu_s)
+        self._gc.inc(event.gc_collections)
+        self._rss.set_max(event.rss_peak_kb)
+
+    def on_stage_end(self, event: StageEnd) -> None:
+        self._stage_wall[event.job_id] = event.wall_s
+
+    def on_job_end(self, event: JobEnd) -> None:
+        # A failed job posts no StageEnd: its whole wall is overhead.
+        stage_wall = self._stage_wall.pop(event.job_id, 0.0)
+        outcome = self._jobs_ok if event.succeeded else self._jobs.labels(status="failed")
+        outcome.inc()
+        self._job_seconds.observe(event.wall_s, trace_id=event.trace_id)
+        self._overhead.inc(max(0.0, event.wall_s - stage_wall))
 
     def on_task_retry(self, event: TaskRetry) -> None:
         self._retries.inc()
@@ -634,16 +686,3 @@ class HubMetricsListener(EngineListener):
 
     def on_surveil_budget_allocated(self, event: Any) -> None:
         self._draws.labels(allocator=event.allocator).inc()
-
-
-_DEFAULT_HUB: Optional[MetricsHub] = None
-_DEFAULT_HUB_LOCK = OrderedLock("_DEFAULT_HUB_LOCK")
-
-
-def default_hub() -> MetricsHub:
-    """The process-wide hub (created on first use)."""
-    global _DEFAULT_HUB
-    with _DEFAULT_HUB_LOCK:
-        if _DEFAULT_HUB is None:
-            _DEFAULT_HUB = MetricsHub()
-        return _DEFAULT_HUB

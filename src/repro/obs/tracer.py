@@ -32,13 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.engine.listener import (
-    EngineListener,
-    JobEnd,
-    JobStart,
-    TaskEnd,
-    TaskRetry,
-)
+from repro.engine.listener import EngineListener, JobStart, TaskEnd, TaskRetry
 from repro.engine.lockorder import OrderedLock
 from repro.engine.tracing import EPOCH_OFFSET, phase_scope, reset_phase, set_phase
 
@@ -237,9 +231,6 @@ class Tracer(EngineListener):
         phase = self._current_phase
         with self._lock:
             self._phase_jobs[phase] = self._phase_jobs.get(phase, 0) + 1
-
-    def on_job_end(self, event: JobEnd) -> None:  # symmetric hook, kept for subclasses
-        pass
 
     def on_task_end(self, event: TaskEnd) -> None:
         phase = self._current_phase

@@ -22,6 +22,7 @@ so accuracy/efficiency tables can mix serial and distributed rows.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, List, Optional
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.simulate.testing import TestLab
 from repro.util.bits import as_mask_array
 from repro.util.rng import RngLike, as_rng
 from repro.workflows.classify import ScreenResult
-from repro.workflows.options import ScreenOptions, resolve_screen_options
+from repro.workflows.options import ScreenOptions
 
 __all__ = ["SBGTSession"]
 
@@ -266,45 +267,25 @@ class SBGTSession:
         cohort: Optional[Cohort] = None,
         stopping_rule=None,
         options: Optional[ScreenOptions] = None,
-        **legacy,
     ) -> ScreenResult:
         """Run the classify/select/assay/update loop to completion.
 
         ``options`` (a :class:`~repro.workflows.options.ScreenOptions`)
         overrides the corresponding :class:`SBGTConfig` fields for this
-        screen only; the old loose keywords remain deprecated aliases.
-        ``stopping_rule`` (see
+        screen only.  ``stopping_rule`` (see
         :class:`~repro.halving.stopping.LossBasedStopping`) additionally
         ends the screen once the residual misclassification risk is
         cheaper than testing further, issuing loss-optimal calls.
         """
-        from repro.workflows.classify import _loss_final_report
-
-        defaults = ScreenOptions(
-            positive_threshold=self.config.positive_threshold,
-            negative_threshold=self.config.negative_threshold,
-            max_stages=self.config.max_stages,
-            prune_epsilon=self.config.prune_epsilon,
-            track_entropy=self.config.track_entropy,
-        )
-        opts = resolve_screen_options(options, legacy, "SBGTSession.run_screen", defaults)
         saved_config = self.config
-        if opts != defaults:
-            self.config = self.config.with_(
-                positive_threshold=opts.positive_threshold,
-                negative_threshold=opts.negative_threshold,
-                max_stages=opts.max_stages,
-                prune_epsilon=opts.prune_epsilon,
-                track_entropy=opts.track_entropy,
-            )
+        if options is not None:
+            self.config = self.config.with_(**dataclasses.asdict(options))
         try:
-            return self._run_screen_loop(policy, rng, cohort, stopping_rule, _loss_final_report)
+            return self._run_screen_loop(policy, rng, cohort, stopping_rule)
         finally:
             self.config = saved_config
 
-    def _run_screen_loop(
-        self, policy, rng, cohort, stopping_rule, _loss_final_report
-    ) -> ScreenResult:
+    def _run_screen_loop(self, policy, rng, cohort, stopping_rule) -> ScreenResult:
         from repro.engine.tracing import ensure_trace
         from repro.sbgt.stepper import ScreenStepper
 

@@ -11,7 +11,6 @@ from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache
 from repro.serve.events import (
     BatchExecuted,
-    LatencyHistogram,
     RequestEnd,
     ServeMetricsListener,
     SessionEvent,
@@ -42,7 +41,6 @@ __all__ = [
     "RequestEnd",
     "BatchExecuted",
     "SessionEvent",
-    "LatencyHistogram",
     "ServeMetricsListener",
     "HttpError",
     "HttpServer",

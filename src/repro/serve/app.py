@@ -151,10 +151,10 @@ class ReproServer:
         # the driver closes never reaches EOF while a long-lived worker
         # holds a duplicate.
         _ = self.ctx.executor
-        # One hub for everything: the engine registry publishes job
-        # rollups into ctx.metrics_hub, and the serve listener folds the
-        # bus stream into the same hub — /metrics (JSON and Prometheus)
-        # renders from that single snapshot.
+        # One hub for everything: the context's own listener folds the
+        # engine events into ctx.metrics_hub and the serve listener folds
+        # the serve events into the same hub — /metrics (JSON and
+        # Prometheus) renders from that single snapshot.
         self.metrics_listener = ServeMetricsListener(hub=self.ctx.metrics_hub)
         self.ctx.add_listener(self.metrics_listener)
         self.cache: Optional[ResultCache] = (
@@ -400,10 +400,6 @@ class ReproServer:
         )
         doc["session_registry"] = self.sessions.snapshot()
         doc["campaign_registry"] = self.campaigns.snapshot()
-        doc["engine"]["registry_jobs"] = len(self.ctx.metrics.jobs)
-        doc["engine"]["registry_task_time_s"] = round(
-            self.ctx.metrics.total_task_time(), 6
-        )
         return json_response(doc)
 
     def _debug(self, rest, request: Request) -> Tuple[str, Response, str]:

@@ -4,26 +4,25 @@ The server posts its own event vocabulary — request lifecycle, batch
 execution, session lifecycle — on the **same** :class:`EventBus` the
 engine emits job/stage/task/cache events on (PR 1's telemetry spine).
 :class:`ServeMetricsListener` subscribes to that bus and folds the
-combined stream into labelled :class:`~repro.obs.metrics.MetricsHub`
-instruments; both ``GET /metrics`` documents — the JSON report and the
-Prometheus text exposition — render from that one hub snapshot.
-Nothing here polls; the bus pushes.
+serve events into labelled instruments on the context's
+:class:`~repro.obs.metrics.MetricsHub`, beside the engine families the
+context's own listener folds; both ``GET /metrics`` documents — the JSON
+report and the Prometheus text exposition — render from that one hub
+snapshot.  Nothing here polls; the bus pushes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from repro.engine.listener import EngineEvent, register_event_type
-from repro.obs.metrics import HubMetricsListener, MetricsHub, bucket_quantile
+from repro.engine.listener import EngineEvent, EngineListener, register_event_type
+from repro.obs.metrics import MetricsHub
 
 __all__ = [
     "RequestEnd",
     "BatchExecuted",
     "SessionEvent",
-    "LatencyHistogram",
     "ServeMetricsListener",
 ]
 
@@ -69,50 +68,8 @@ register_event_type(SessionEvent, "session_event")
 LATENCY_BUCKETS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 
 
-class LatencyHistogram:
-    """Fixed log-spaced latency histogram with percentile estimates."""
-
-    __slots__ = ("counts", "count", "total_ms", "max_ms")
-
-    def __init__(self) -> None:
-        self.counts = [0] * (len(LATENCY_BUCKETS_MS) + 1)
-        self.count = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
-
-    def observe(self, wall_s: float) -> None:
-        ms = wall_s * 1000.0
-        self.counts[bisect_left(LATENCY_BUCKETS_MS, ms)] += 1
-        self.count += 1
-        self.total_ms += ms
-        if ms > self.max_ms:
-            self.max_ms = ms
-
-    def quantile(self, q: float) -> float:
-        """Interpolated q-quantile estimate in ms.
-
-        Linear within the winning bucket (the Prometheus
-        ``histogram_quantile`` convention), clamped to the observed
-        maximum so a lone sample reports itself rather than its bucket's
-        ceiling.
-        """
-        return bucket_quantile(q, LATENCY_BUCKETS_MS, self.counts, self.count, self.max_ms)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "mean_ms": round(self.total_ms / self.count, 3) if self.count else 0.0,
-            "p50_ms": round(self.quantile(0.50), 3),
-            "p95_ms": round(self.quantile(0.95), 3),
-            "p99_ms": round(self.quantile(0.99), 3),
-            "max_ms": round(self.max_ms, 3),
-            "buckets_ms": list(LATENCY_BUCKETS_MS),
-            "bucket_counts": list(self.counts),
-        }
-
-
 def _latency_doc(child) -> Dict[str, Any]:
-    """The legacy per-endpoint latency block, read from a hub histogram."""
+    """The per-endpoint latency block, read from a hub histogram."""
     count = child.count
     return {
         "count": count,
@@ -126,20 +83,20 @@ def _latency_doc(child) -> Dict[str, Any]:
     }
 
 
-class ServeMetricsListener(HubMetricsListener):
-    """Folds the bus stream into hub instruments; snapshots ``/metrics``.
+class ServeMetricsListener(EngineListener):
+    """Folds serve events into hub instruments; snapshots ``/metrics``.
 
     Serve events become labelled ``repro_http_*`` / ``repro_serve_*``
-    families on the hub (the server passes its context's hub, so engine
-    registry rollups and the bus-only vocabularies folded by
-    :class:`~repro.obs.metrics.HubMetricsListener` land in the same
-    place).  :meth:`snapshot` then *reads back* from the hub to build
+    families on *hub* — the server passes its context's, where that
+    context's :class:`~repro.obs.metrics.HubMetricsListener` already
+    folds the engine and surveil vocabularies, so nothing is counted
+    twice.  :meth:`snapshot` then *reads back* from the hub to build
     the JSON ``/metrics`` document — one data path feeds both the JSON
     report and the Prometheus text exposition.
     """
 
-    def __init__(self, hub: Optional[MetricsHub] = None) -> None:
-        super().__init__(hub if hub is not None else MetricsHub())
+    def __init__(self, hub: MetricsHub) -> None:
+        self.hub = hub
         self._requests = self.hub.counter(
             "repro_http_requests_total",
             "HTTP requests by endpoint, status and response source",
@@ -180,7 +137,7 @@ class ServeMetricsListener(HubMetricsListener):
 
     # export -------------------------------------------------------------
     def _engine_doc(self) -> Dict[str, Any]:
-        """Engine totals from the registry-fed ``repro_engine_*`` families."""
+        """Engine totals from the hub's ``repro_engine_*`` families."""
         jobs = tasks = 0
         job_wall_s = 0.0
         fam = self.hub.get("repro_engine_jobs_total")
@@ -229,12 +186,3 @@ class ServeMetricsListener(HubMetricsListener):
             },
             "engine": self._engine_doc(),
         }
-
-
-def request_totals(listener: ServeMetricsListener) -> List[str]:
-    """Flat endpoint summary lines (handy for logs/tests)."""
-    snap = listener.snapshot()
-    return [
-        f"{name}: {info['requests']} requests, p95={info['latency']['p95_ms']}ms"
-        for name, info in snap["endpoints"].items()
-    ]

@@ -26,7 +26,7 @@ from repro.metrics.efficiency import EfficiencyReport, efficiency_report
 from repro.simulate.population import Cohort, make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import RngLike, as_rng
-from repro.workflows.options import ScreenOptions, resolve_screen_options
+from repro.workflows.options import ScreenOptions
 
 __all__ = [
     "ScreenResult",
@@ -73,10 +73,6 @@ class ScreenResult:
         }
 
 
-def _eligible_mask(report: ClassificationReport) -> int:
-    return report.undetermined_mask()
-
-
 def _loss_final_report(marginals: np.ndarray, stopping_rule) -> ClassificationReport:
     """Terminal report when a loss-based rule fires: every individual
     gets their loss-optimal call (no undetermined left)."""
@@ -90,74 +86,36 @@ def _loss_final_report(marginals: np.ndarray, stopping_rule) -> ClassificationRe
     return ClassificationReport(marginals=np.asarray(marginals), statuses=statuses)
 
 
-def run_screen(
-    prior: PriorSpec,
-    model: ResponseModel,
+def _run_stages(
+    posterior: Posterior,
+    cohort: Cohort,
+    lab: TestLab,
     policy: SelectionPolicy,
-    rng: RngLike = None,
-    cohort: Optional[Cohort] = None,
-    options: Optional[ScreenOptions] = None,
+    opts: ScreenOptions,
     stopping_rule=None,
-    **legacy,
 ) -> ScreenResult:
-    """Run one complete sequential screen.
-
-    Parameters
-    ----------
-    prior, model, policy:
-        The Bayesian model and the test-selection rule.
-    rng:
-        Drives truth draw (when *cohort* is None) and assay noise.
-    cohort:
-        Fixed ground truth; drawn from the prior when omitted.
-    options:
-        The :class:`~repro.workflows.options.ScreenOptions` bundle
-        (thresholds, stage budget, pruning, entropy tracking).  The old
-        loose keywords (``positive_threshold``, ``negative_threshold``,
-        ``max_stages``, ``prune_epsilon``, ``track_entropy``) remain as
-        deprecated aliases.
-    stopping_rule:
-        Optional :class:`~repro.halving.stopping.LossBasedStopping`:
-        the screen also ends when residual misclassification risk drops
-        below the cost of testing further, with every individual given
-        their loss-optimal call (no undetermined statuses).
-    """
-    opts = resolve_screen_options(options, legacy, "run_screen")
-    positive_threshold, negative_threshold = opts.positive_threshold, opts.negative_threshold
-    max_stages, prune_epsilon = opts.max_stages, opts.prune_epsilon
-    track_entropy = opts.track_entropy
-    gen = as_rng(rng)
-    if cohort is None:
-        cohort = make_cohort(prior, gen)
-    elif cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
-        raise ValueError("cohort does not match the prior's cohort size")
-
-    lab = TestLab(model, cohort.truth_mask, gen)
-    posterior = Posterior.from_prior(prior, model, track_entropy=track_entropy)
+    """The stage loop both serial drivers share, over a ready posterior."""
     policy.reset()
-
     stages_used = 0
     exhausted = False
-    report = posterior.classify(positive_threshold, negative_threshold)
+    report = posterior.classify(opts.positive_threshold, opts.negative_threshold)
     while not report.all_classified:
         if stopping_rule is not None and stopping_rule.should_stop(report.marginals):
             report = _loss_final_report(report.marginals, stopping_rule)
             break
-        if stages_used >= max_stages:
+        if stages_used >= opts.max_stages:
             exhausted = True
             break
-        eligible = _eligible_mask(report)
-        pools = policy.select(posterior, eligible)
+        pools = policy.select(posterior, report.undetermined_mask())
         if not pools:
             raise RuntimeError(f"policy {policy.name} proposed no pools")
         posterior.begin_stage()
         stages_used += 1
         for pool in pools:
-            outcome = lab.run(pool)
-            posterior.update(pool, outcome)
-        if prune_epsilon > 0.0:
-            posterior.prune(prune_epsilon)
-        report = posterior.classify(positive_threshold, negative_threshold)
+            posterior.update(pool, lab.run(pool))
+        if opts.prune_epsilon > 0.0:
+            posterior.prune(opts.prune_epsilon)
+        report = posterior.classify(opts.positive_threshold, opts.negative_threshold)
 
     confusion = evaluate_classification(report, cohort.truth_mask)
     eff = efficiency_report(
@@ -172,6 +130,46 @@ def run_screen(
         stages_used=stages_used,
         exhausted_budget=exhausted,
     )
+
+
+def run_screen(
+    prior: PriorSpec,
+    model: ResponseModel,
+    policy: SelectionPolicy,
+    rng: RngLike = None,
+    cohort: Optional[Cohort] = None,
+    options: Optional[ScreenOptions] = None,
+    stopping_rule=None,
+) -> ScreenResult:
+    """Run one complete sequential screen.
+
+    Parameters
+    ----------
+    prior, model, policy:
+        The Bayesian model and the test-selection rule.
+    rng:
+        Drives truth draw (when *cohort* is None) and assay noise.
+    cohort:
+        Fixed ground truth; drawn from the prior when omitted.
+    options:
+        The :class:`~repro.workflows.options.ScreenOptions` bundle
+        (thresholds, stage budget, pruning, entropy tracking).
+    stopping_rule:
+        Optional :class:`~repro.halving.stopping.LossBasedStopping`:
+        the screen also ends when residual misclassification risk drops
+        below the cost of testing further, with every individual given
+        their loss-optimal call (no undetermined statuses).
+    """
+    opts = options or ScreenOptions()
+    gen = as_rng(rng)
+    if cohort is None:
+        cohort = make_cohort(prior, gen)
+    elif cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
+        raise ValueError("cohort does not match the prior's cohort size")
+
+    lab = TestLab(model, cohort.truth_mask, gen)
+    posterior = Posterior.from_prior(prior, model, track_entropy=opts.track_entropy)
+    return _run_stages(posterior, cohort, lab, policy, opts, stopping_rule)
 
 
 def screen_with_backend(
@@ -224,7 +222,6 @@ def run_screen_from_space(
     rng: RngLike = None,
     truth_mask: Optional[int] = None,
     options: Optional[ScreenOptions] = None,
-    **legacy,
 ) -> ScreenResult:
     """Run a screen whose prior is an arbitrary state space.
 
@@ -236,14 +233,10 @@ def run_screen_from_space(
     *marginals* (a summary — the full dependence structure lives in the
     posterior's state space).
     """
-    from repro.bayes.posterior import Posterior
     from repro.lattice.ops import marginals as space_marginals
     from repro.simulate.population import draw_truth_from_space
 
-    opts = resolve_screen_options(options, legacy, "run_screen_from_space")
-    positive_threshold, negative_threshold = opts.positive_threshold, opts.negative_threshold
-    max_stages, prune_epsilon = opts.max_stages, opts.prune_epsilon
-    track_entropy = opts.track_entropy
+    opts = options or ScreenOptions()
     gen = as_rng(rng)
     if truth_mask is None:
         truth_mask = draw_truth_from_space(space, gen)
@@ -251,37 +244,5 @@ def run_screen_from_space(
     cohort = Cohort(prior=marginal_prior, truth_mask=int(truth_mask))
 
     lab = TestLab(model, cohort.truth_mask, gen)
-    posterior = Posterior(space.copy(), model, track_entropy=track_entropy)
-    policy.reset()
-
-    stages_used = 0
-    exhausted = False
-    report = posterior.classify(positive_threshold, negative_threshold)
-    while not report.all_classified:
-        if stages_used >= max_stages:
-            exhausted = True
-            break
-        pools = policy.select(posterior, report.undetermined_mask())
-        if not pools:
-            raise RuntimeError(f"policy {policy.name} proposed no pools")
-        posterior.begin_stage()
-        stages_used += 1
-        for pool in pools:
-            posterior.update(pool, lab.run(pool))
-        if prune_epsilon > 0.0:
-            posterior.prune(prune_epsilon)
-        report = posterior.classify(positive_threshold, negative_threshold)
-
-    confusion = evaluate_classification(report, cohort.truth_mask)
-    eff = efficiency_report(
-        cohort.n_items, lab.stats.num_tests, stages_used, lab.stats.num_samples_used
-    )
-    return ScreenResult(
-        cohort=cohort,
-        report=report,
-        confusion=confusion,
-        efficiency=eff,
-        posterior=posterior,
-        stages_used=stages_used,
-        exhausted_budget=exhausted,
-    )
+    posterior = Posterior(space.copy(), model, track_entropy=opts.track_entropy)
+    return _run_stages(posterior, cohort, lab, policy, opts)

@@ -2,19 +2,15 @@
 
 :func:`repro.workflows.run_screen` (serial) and
 :meth:`repro.sbgt.SBGTSession.run_screen` (distributed) run the same
-stage protocol but historically took the tuning knobs as loose keyword
-arguments.  :class:`ScreenOptions` is the one bundle both accept; the
-old keywords still work as deprecated aliases (one release of grace)
-through :func:`resolve_screen_options`.
+stage protocol; :class:`ScreenOptions` is the one bundle of tuning knobs
+both accept.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
 
-__all__ = ["ScreenOptions", "resolve_screen_options"]
+__all__ = ["ScreenOptions"]
 
 
 @dataclass(frozen=True)
@@ -51,43 +47,3 @@ class ScreenOptions:
 
     def with_(self, **kwargs) -> "ScreenOptions":
         return replace(self, **kwargs)
-
-
-_OPTION_NAMES = frozenset(f.name for f in fields(ScreenOptions))
-
-
-def resolve_screen_options(
-    options: Optional[ScreenOptions],
-    legacy: Dict[str, object],
-    where: str,
-    defaults: Optional[ScreenOptions] = None,
-) -> ScreenOptions:
-    """Merge the ``options=`` bundle with deprecated loose keywords.
-
-    *legacy* is the caller's ``**kwargs``; unknown names raise
-    :class:`TypeError` exactly like a normal bad keyword would, known
-    names emit a :class:`DeprecationWarning` and override *defaults*.
-    Mixing ``options=`` with legacy keywords is ambiguous and rejected.
-    """
-    unknown = sorted(set(legacy) - _OPTION_NAMES)
-    if unknown:
-        raise TypeError(
-            f"{where}() got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    if legacy and options is not None:
-        raise TypeError(
-            f"{where}() takes either options=ScreenOptions(...) or the "
-            f"deprecated loose keywords ({', '.join(sorted(legacy))}), not both"
-        )
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        warnings.warn(
-            f"passing {names} to {where}() is deprecated; "
-            f"use options=ScreenOptions(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(defaults or ScreenOptions(), **legacy)
-    if options is not None:
-        return options
-    return defaults or ScreenOptions()

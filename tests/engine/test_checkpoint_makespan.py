@@ -1,14 +1,10 @@
-"""RDD.checkpoint and the simulated-makespan projection."""
+"""RDD.checkpoint and the simulated-makespan projection (R4's, which
+lives with the benchmarks that use it)."""
 
 import pytest
 
-from repro.engine import Context
-from repro.engine.metrics import (
-    StageMetrics,
-    TaskMetrics,
-    simulated_makespan,
-    simulated_stage_time,
-)
+from benchmarks.task_profile import projected_time, simulated_makespan, task_profile
+from repro.engine import Context, RecordingListener
 
 
 class TestCheckpoint:
@@ -97,28 +93,26 @@ class TestSimulatedMakespan:
             simulated_makespan([1.0], -3)
 
     def test_stage_time_wrapper(self):
-        sm = StageMetrics(0, "result", num_tasks=2)
-        sm.tasks = [TaskMetrics(0, 0, 1.0), TaskMetrics(0, 1, 3.0)]
-        assert simulated_stage_time(sm, 2) == pytest.approx(3.0)
+        assert projected_time([[1.0, 3.0]], 2) == pytest.approx(3.0)
+        # Stages run one after another; each pays the per-task dispatch.
+        assert projected_time([[1.0, 3.0], [2.0]], 2, 0.5) == pytest.approx(3.5 + 2.5)
         with pytest.raises(ValueError):
-            simulated_stage_time(sm, 0)
+            projected_time([[1.0, 3.0]], 0)
 
+    def test_profile_reads_the_event_stream(self):
+        with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
+            ctx.range(12, num_partitions=3).sum()
+            ctx.range(4, num_partitions=2).sum()
+        stages, per_task_overhead = task_profile(rec.events)
+        assert [len(walls) for walls in stages] == [3, 2]
+        assert all(wall > 0.0 for walls in stages for wall in walls)
+        assert per_task_overhead > 0.0
 
-class TestStageSkew:
-    def test_empty_stage_is_balanced(self):
-        assert StageMetrics(0, "result").skew == 1.0
-
-    def test_zero_duration_tasks_are_balanced(self):
-        sm = StageMetrics(0, "result", num_tasks=2)
-        sm.tasks = [TaskMetrics(0, 0, 0.0), TaskMetrics(0, 1, 0.0)]
-        assert sm.skew == 1.0
-
-    def test_single_task_is_balanced(self):
-        sm = StageMetrics(0, "result", num_tasks=1)
-        sm.tasks = [TaskMetrics(0, 0, 2.5)]
-        assert sm.skew == pytest.approx(1.0)
-
-    def test_straggler_raises_skew(self):
-        sm = StageMetrics(0, "result", num_tasks=4)
-        sm.tasks = [TaskMetrics(0, p, 1.0) for p in range(3)] + [TaskMetrics(0, 3, 5.0)]
-        assert sm.skew == pytest.approx(5.0 / 2.0)
+    def test_profile_keeps_every_job(self):
+        # The job list this replaced silently kept only the last 256.
+        with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
+            for _ in range(300):
+                ctx.range(2, num_partitions=1).count()
+        assert len(task_profile(rec.events)[0]) == 300

@@ -1,11 +1,10 @@
-"""EngineConfig validation and metrics objects."""
+"""EngineConfig validation."""
 
 import dataclasses
 
 import pytest
 
 from repro.engine.config import EngineConfig
-from repro.engine.metrics import JobMetrics, MetricsRegistry, StageMetrics, TaskMetrics
 
 
 class TestEngineConfig:
@@ -48,36 +47,3 @@ class TestEngineConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.mode = "serial"
 
-
-class TestMetricsObjects:
-    def test_stage_rollups(self):
-        stage = StageMetrics(1, "result", num_tasks=2)
-        stage.tasks = [TaskMetrics(1, 0, wall_s=1.0), TaskMetrics(1, 1, wall_s=3.0)]
-        assert stage.task_time_s == 4.0
-        assert stage.max_task_s == 3.0
-        assert stage.skew == 1.5
-
-    def test_stage_skew_empty(self):
-        assert StageMetrics(0, "result").skew == 1.0
-
-    def test_job_summary(self):
-        job = JobMetrics(0, wall_s=2.0)
-        stage = StageMetrics(1, "result", num_tasks=1, wall_s=1.5)
-        stage.tasks = [TaskMetrics(1, 0, wall_s=1.4)]
-        job.stages.append(stage)
-        summary = job.summary()
-        assert summary["tasks"] == 1.0
-        assert summary["overhead_s"] == pytest.approx(0.5)
-
-    def test_registry_bounded(self):
-        reg = MetricsRegistry(keep_last=3)
-        for i in range(10):
-            reg.record(JobMetrics(i))
-        assert len(reg.jobs) == 3
-        assert reg.last().job_id == 9
-
-    def test_registry_clear(self):
-        reg = MetricsRegistry()
-        reg.record(JobMetrics(0))
-        reg.clear()
-        assert reg.last() is None

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import Context, RecordingListener
 from repro.engine.errors import TaskFailedError
-from repro.engine.listener import StageStart, TaskRetry
+from repro.engine.listener import JobEnd, StageStart, TaskEnd, TaskRetry
 
 
 class _FlakyOnce:
@@ -62,7 +62,8 @@ class TestThreadModeFailures:
             kinds = [d["kind"] for d in info.value.post_mortem]
             assert kinds[:2] == ["job_start", "stage_start"]
             assert "task_retry" in kinds
-            assert not ctx.metrics.last().succeeded
+            (end,) = rec.of_type(JobEnd)
+            assert not end.succeeded
 
     def test_context_usable_after_failed_job(self):
         with Context(mode="threads", parallelism=2, max_task_retries=0) as ctx:
@@ -125,6 +126,7 @@ class TestRetrySemantics:
                     raise RuntimeError("once")
                 return list(it)
 
+            rec = ctx.add_listener(RecordingListener())
             ctx.range(3, num_partitions=1).map_partitions_with_index(flaky).collect()
-            job = ctx.metrics.last()
-            assert job.stages[-1].tasks[0].attempts == 2
+            (task,) = rec.of_type(TaskEnd)
+            assert task.attempts == 2

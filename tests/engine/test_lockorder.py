@@ -39,7 +39,6 @@ class TestRegistry:
             ("ReproServer", "_engine_lock"),
             ("Context", "_lock"),
             ("BlockStore", "_lock"),
-            ("MetricsRegistry", "_lock"),
             ("EventBus", "_lock"),
             ("MetricsHub", "_lock"),
             ("RecordingListener", "_lock"),

@@ -1,7 +1,7 @@
 """Retry/attempt accounting across all three executor modes.
 
-The metrics contract: a task that succeeds on attempt N reports
-``attempts == N`` in :class:`TaskMetrics`; a task that exhausts its
+The telemetry contract: a task that succeeds on attempt N reports
+``attempts == N`` on its :class:`TaskEnd`; a task that exhausts its
 retries raises :class:`TaskFailedError` carrying the original cause and
 the total attempt count.  Flakiness is injected through a marker file so
 the same test body works across fork boundaries (process mode).
@@ -12,9 +12,10 @@ import time
 
 import pytest
 
-from repro.engine import Context
+from repro.engine import Context, RecordingListener
 from repro.engine.errors import JobFailedError, TaskFailedError
 from repro.engine.executor import ProcessExecutor, Task, TaskResult
+from repro.engine.listener import TaskEnd
 
 MODES = ["serial", "threads", "processes"]
 
@@ -43,17 +44,18 @@ def _flaky_via_marker(marker: str, succeed_on_attempt: int):
 class TestRetryAccounting:
     def test_success_on_second_attempt_recorded(self, mode, tmp_path):
         with Context(mode=mode, parallelism=2, max_task_retries=2) as ctx:
+            rec = ctx.add_listener(RecordingListener())
             flaky = _flaky_via_marker(str(tmp_path / "m"), succeed_on_attempt=2)
             out = ctx.range(6, num_partitions=2).map_partitions_with_index(flaky).collect()
             assert out == list(range(6))
-            job = ctx.metrics.last()
-            assert [t.attempts for t in job.stages[-1].tasks] == [2, 2]
+            assert [t.attempts for t in rec.of_type(TaskEnd)] == [2, 2]
+            assert ctx.metrics_hub.get("repro_engine_task_retries_total").value == 2
 
     def test_first_try_success_counts_one_attempt(self, mode):
         with Context(mode=mode, parallelism=2, max_task_retries=2) as ctx:
+            rec = ctx.add_listener(RecordingListener())
             assert ctx.range(8, num_partitions=2).sum() == 28
-            job = ctx.metrics.last()
-            assert all(t.attempts == 1 for t in job.stages[-1].tasks)
+            assert [t.attempts for t in rec.of_type(TaskEnd)] == [1, 1]
 
     def test_exhausted_retries_raise_with_cause(self, mode, tmp_path):
         with Context(mode=mode, parallelism=2, max_task_retries=1) as ctx:
@@ -67,10 +69,11 @@ class TestRetryAccounting:
     def test_third_attempt_success(self, mode, tmp_path):
         with Context(mode=mode, parallelism=2, max_task_retries=3) as ctx:
             flaky = _flaky_via_marker(str(tmp_path / "m"), succeed_on_attempt=3)
+            rec = ctx.add_listener(RecordingListener())
             out = ctx.range(4, num_partitions=1).map_partitions_with_index(flaky).collect()
             assert out == list(range(4))
-            job = ctx.metrics.last()
-            assert job.stages[-1].tasks[0].attempts == 3
+            (task,) = rec.of_type(TaskEnd)
+            assert task.attempts == 3
 
 
 class TestThreadFailFast:

@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.engine import Context
+from repro.engine import Context, RecordingListener
 from repro.engine.errors import TaskFailedError
+from repro.engine.listener import JobEnd, StageStart, TaskEnd
 
 
 class TestStageGraph:
     def test_narrow_only_single_stage(self):
         with Context(mode="serial") as ctx:
             rdd = ctx.range(10, num_partitions=2).map(lambda x: x).filter(lambda x: True)
+            rec = ctx.add_listener(RecordingListener())
             assert rdd.count() == 10
-            (stage,) = ctx.metrics.last().stages
-            assert stage.kind == "result"
-            assert stage.num_tasks == len(stage.tasks) == 2
+            (stage,) = rec.of_type(StageStart)
+            assert stage.stage_kind == "result"
+            assert stage.num_tasks == len(rec.of_type(TaskEnd)) == 2
 
 
 class TestCacheReuse:
@@ -99,8 +101,9 @@ class TestContextLifecycle:
 
     def test_metrics_recorded_per_job(self):
         with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
             ctx.range(10, num_partitions=4).sum()
-            job = ctx.metrics.last()
-            assert job is not None
-            assert job.num_tasks == 4
+            (job,) = rec.of_type(JobEnd)
+            assert len(rec.of_type(TaskEnd)) == 4
             assert job.wall_s > 0
+            assert ctx.metrics_hub.get("repro_engine_jobs_total").labels(status="ok").value == 1

@@ -1,27 +1,35 @@
 """Per-task resource telemetry: CPU time, peak-RSS delta, GC counts.
 
-Every executor mode must produce the same summary vocabulary — serial,
-threads and processes all stamp ``cpu_s`` / ``rss_peak_kb`` /
-``gc_collections`` on task results, the scheduler rolls them into
-stage/job metrics, and ``TaskEnd`` events carry them on the bus.
+Every executor mode must produce the same vocabulary — serial, threads
+and processes all stamp ``cpu_s`` / ``rss_peak_kb`` / ``gc_collections``
+on task results, ``TaskEnd`` events carry them on the bus (the only
+copy), and the context's hub folds them from there.
 """
 
 import time
 
 import pytest
 
-from repro.engine import Context
-from repro.engine.listener import EngineListener, TaskEnd
+from repro.engine import Context, RecordingListener
+from repro.engine.listener import EngineListener, JobEnd, JobStart, StageEnd, TaskEnd
 
-SUMMARY_KEYS = {
-    "wall_s",
-    "stages",
-    "tasks",
-    "task_time_s",
-    "overhead_s",
-    "cpu_s",
-    "rss_peak_kb",
-    "gc_collections",
+TASK_END_KEYS = {
+    "kind", "time", "wall", "trace_id", "span_id", "phase",
+    "stage_id", "partition", "wall_s", "attempts", "t0_wall", "worker",
+    "cpu_s", "rss_peak_kb", "gc_collections",
+}
+
+ENGINE_FAMILIES = {
+    "repro_engine_jobs_total",
+    "repro_engine_job_seconds",
+    "repro_engine_tasks_total",
+    "repro_engine_task_seconds",
+    "repro_engine_task_cpu_seconds_total",
+    "repro_engine_task_gc_collections_total",
+    "repro_engine_task_rss_peak_kb",
+    "repro_engine_scheduler_overhead_seconds_total",
+    "repro_engine_task_retries_total",
+    "repro_engine_cache_events_total",
 }
 
 
@@ -45,21 +53,24 @@ class TestSummaryKeysAcrossModes:
     @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
     def test_summary_vocabulary_is_identical(self, mode):
         with Context(mode=mode, parallelism=2) as ctx:
+            rec = ctx.add_listener(RecordingListener())
             assert ctx.parallelize(range(8), 4).map(_burn).count() == 8
-            summary = ctx.metrics.last().summary()
-        assert set(summary) == SUMMARY_KEYS
-        assert summary["tasks"] == 4.0
-        assert summary["cpu_s"] >= 0.0
-        assert summary["rss_peak_kb"] >= 0.0
-        assert summary["gc_collections"] >= 0.0
+            families = {f.name for f in ctx.metrics_hub.families()}
+            tasks = ctx.metrics_hub.get("repro_engine_tasks_total").value
+        ends = rec.of_type(TaskEnd)
+        assert len(ends) == tasks == 4
+        assert all(set(e.to_dict()) == TASK_END_KEYS for e in ends)
+        assert {f for f in families if f.startswith("repro_engine_")} == ENGINE_FAMILIES
 
     @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
     def test_busy_tasks_accumulate_cpu(self, mode):
         with Context(mode=mode, parallelism=2) as ctx:
+            rec = ctx.add_listener(RecordingListener())
             ctx.parallelize(range(8), 4).map(_burn).count()
-            summary = ctx.metrics.last().summary()
+            hub_cpu_s = ctx.metrics_hub.get("repro_engine_task_cpu_seconds_total").value
         # Four 20ms spin tasks: well over 10ms of CPU in any mode.
-        assert summary["cpu_s"] > 0.01
+        assert sum(e.cpu_s for e in rec.of_type(TaskEnd)) > 0.01
+        assert hub_cpu_s > 0.01
 
 
 class TestTaskEndCarriesTelemetry:
@@ -88,12 +99,22 @@ class TestTaskEndCarriesTelemetry:
 class TestStageRollups:
     def test_stage_aggregates(self):
         with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
             ctx.parallelize(range(8), 4).map(_burn).count()
-            job = ctx.metrics.last()
-        stage = job.stages[-1]
-        assert stage.cpu_time_s == pytest.approx(sum(t.cpu_s for t in stage.tasks))
-        assert stage.rss_peak_kb == max(t.rss_peak_kb for t in stage.tasks)
-        assert stage.gc_collections == sum(t.gc_collections for t in stage.tasks)
+            hub = ctx.metrics_hub
+            (stage,) = rec.of_type(StageEnd)
+            tasks = [t for t in rec.of_type(TaskEnd) if t.stage_id == stage.stage_id]
+            assert len(tasks) == 4
+            cpu = hub.get("repro_engine_task_cpu_seconds_total").value
+            assert cpu == pytest.approx(sum(t.cpu_s for t in tasks))
+            assert hub.get("repro_engine_task_rss_peak_kb").value == max(
+                t.rss_peak_kb for t in tasks
+            )
+            assert hub.get("repro_engine_task_gc_collections_total").value == sum(
+                t.gc_collections for t in tasks
+            )
+            # The stage's wall covers its slowest task.
+            assert stage.wall_s >= max(t.wall_s for t in tasks)
 
     def test_gc_collections_counted_when_forced(self):
         import gc
@@ -105,9 +126,12 @@ class TestStageRollups:
             return x
 
         with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
             ctx.parallelize(range(2), 1).map(churn).count()
-            summary = ctx.metrics.last().summary()
-        assert summary["gc_collections"] >= 1
+            counted = ctx.metrics_hub.get("repro_engine_task_gc_collections_total").value
+        (task,) = rec.of_type(TaskEnd)
+        assert task.gc_collections >= 1
+        assert counted == task.gc_collections
 
 
 class TestJobStamps:
@@ -116,30 +140,24 @@ class TestJobStamps:
 
         before = time.time()
         with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
             with trace_scope(name="stamped") as tc:
                 ctx.parallelize(range(4), 2).sum()
-            job = ctx.metrics.last()
-        assert job.trace_id == tc.trace_id
-        assert before - 1.0 <= job.t0_wall <= job.t1_wall <= time.time() + 1.0
-        assert job.succeeded
-
-    def test_dump_jsonl_carries_stamps(self, tmp_path):
-        import json
-
-        with Context(mode="serial") as ctx:
-            ctx.parallelize(range(4), 2).sum()
-            path = tmp_path / "jobs.jsonl"
-            assert ctx.metrics.dump_jsonl(path) == 1
-        record = json.loads(path.read_text().splitlines()[0])
-        assert {"t0_wall", "t1_wall", "trace_id"} <= set(record)
-        assert record["t1_wall"] >= record["t0_wall"] > 0
+            exemplar = ctx.metrics_hub.get("repro_engine_job_seconds").labels().exemplar
+        (start,), (end,) = rec.of_type(JobStart), rec.of_type(JobEnd)
+        assert start.trace_id == end.trace_id == tc.trace_id
+        assert before - 1.0 <= start.wall <= end.wall <= time.time() + 1.0
+        assert end.succeeded
+        assert exemplar == {"trace_id": tc.trace_id, "value": end.wall_s}
 
     def test_failed_job_recorded_as_failed(self):
         with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
             with pytest.raises(Exception):
                 ctx.parallelize(range(4), 2).map(lambda x: 1 // 0).count()
-            job = ctx.metrics.last()
-        assert not job.succeeded
+        (end,) = rec.of_type(JobEnd)
+        assert not end.succeeded
+        assert rec.of_type(StageEnd) == []
 
 
 class TestHubPublication:
@@ -158,6 +176,18 @@ class TestHubPublication:
                 ctx.parallelize(range(2), 1).map(lambda x: 1 // 0).count()
             fam = ctx.metrics_hub.get("repro_engine_jobs_total")
             assert fam.labels(status="failed").value == 1
+
+    @pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+    def test_bare_context_counts_cache_events_too(self, mode):
+        # No add_listener call: the context's own fold feeds every family.
+        with Context(mode=mode, parallelism=2) as ctx:
+            assert ctx.parallelize(range(8), 2).cache().count() == 8
+            hub = ctx.metrics_hub
+            assert hub.get("repro_engine_jobs_total").labels(status="ok").value == 1
+            assert hub.get("repro_engine_tasks_total").value == 2
+            cache = hub.get("repro_engine_cache_events_total")
+            assert cache.labels(event="miss").value == 2
+            assert hub.get("repro_engine_task_retries_total") is not None
 
 
 class TestWorkerProfileRelay:

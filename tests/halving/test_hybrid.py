@@ -7,6 +7,7 @@ from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import BHAPolicy, DorfmanPolicy
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 
 class TestStageBehaviour:
@@ -63,7 +64,8 @@ class TestHybridScreens:
             cohort = make_cohort(prior, rng=900 + seed)
             for name, factory in factories.items():
                 res = run_screen(
-                    prior, model, factory(), rng=seed, cohort=cohort, max_stages=60
+                    prior, model, factory(), rng=seed, cohort=cohort,
+                    options=ScreenOptions(max_stages=60),
                 )
                 totals[name][0] += res.efficiency.num_tests
                 totals[name][1] += res.stages_used

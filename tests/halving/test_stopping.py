@@ -7,6 +7,7 @@ from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
 from repro.halving.stopping import LossBasedStopping, terminal_loss
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 
 class TestTerminalLoss:
@@ -63,7 +64,7 @@ class TestScreensWithStopping:
         rule = LossBasedStopping(fp_cost=1.0, fn_cost=20.0, test_cost=0.5)
         result = run_screen(
             prior, BinaryErrorModel(0.98, 0.99), BHAPolicy(), rng=3,
-            stopping_rule=rule, max_stages=60,
+            stopping_rule=rule, options=ScreenOptions(max_stages=60),
         )
         assert result.report.all_classified  # loss rule leaves no limbo
         assert not result.exhausted_budget
@@ -80,11 +81,11 @@ class TestScreensWithStopping:
             cohort = make_cohort(prior, rng=800 + seed)
             totals["expensive"] += run_screen(
                 prior, model, BHAPolicy(), rng=seed, cohort=cohort,
-                stopping_rule=expensive, max_stages=60,
+                stopping_rule=expensive, options=ScreenOptions(max_stages=60),
             ).efficiency.num_tests
             totals["cheap"] += run_screen(
                 prior, model, BHAPolicy(), rng=seed, cohort=cohort,
-                stopping_rule=cheap, max_stages=60,
+                stopping_rule=cheap, options=ScreenOptions(max_stages=60),
             ).efficiency.num_tests
         assert totals["cheap"] >= totals["expensive"]
 
@@ -106,6 +107,6 @@ class TestScreensWithStopping:
         rule = LossBasedStopping(fp_cost=1.0, fn_cost=50.0, test_cost=5.0)
         result = run_screen(
             prior, BinaryErrorModel(0.9, 0.9), BHAPolicy(), rng=1,
-            stopping_rule=rule, max_stages=3,
+            stopping_rule=rule, options=ScreenOptions(max_stages=3),
         )
         assert result.report.all_classified

@@ -3,7 +3,8 @@ post-then-mutate — plus the engine-path gating and with-line anchors."""
 
 from __future__ import annotations
 
-from repro.lint import LOCK_LEVELS, analyze_source
+from repro.engine.lockorder import LOCK_LEVELS
+from repro.lint import analyze_source
 from repro.lint.concurrency_rules import is_engine_module
 
 

@@ -11,6 +11,7 @@ from repro.metrics.calibration import (
     collect_screen_calibration,
 )
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 
 class TestCalibrationReport:
@@ -64,7 +65,7 @@ class TestScreenCalibration:
     def _screens(self, model, n=40):
         prior = PriorSpec.uniform(8, 0.1)
         return [
-            run_screen(prior, model, BHAPolicy(), rng=seed, max_stages=6)
+            run_screen(prior, model, BHAPolicy(), rng=seed, options=ScreenOptions(max_stages=6))
             for seed in range(n)
         ]
 

@@ -9,8 +9,12 @@ accepts.
 
 import pytest
 
-from repro.engine.listener import CacheHit, CacheMiss, TaskRetry
+from repro.bayes.dilution import BinaryErrorModel
+from repro.bayes.priors import PriorSpec
+from repro.engine import Context, EngineConfig, RecordingListener
+from repro.engine.listener import CacheHit, CacheMiss, JobEnd, TaskEnd, TaskRetry
 from repro.engine.tracing import trace_scope
+from repro.halving.policy import BHAPolicy
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     HubMetricsListener,
@@ -19,6 +23,7 @@ from repro.obs.metrics import (
     render_prometheus,
     validate_prometheus_text,
 )
+from repro.sbgt.session import SBGTSession
 
 
 class TestInstruments:
@@ -264,10 +269,70 @@ class TestHubMetricsListener:
         assert cache.labels(event="hit").value == 2
         assert cache.labels(event="miss").value == 1
 
-    def test_does_not_declare_job_families(self):
-        # Job/task rollups come from the registry; declaring them here
-        # would double-count.
+    def test_declares_job_families(self):
+        # The listener is the hub's only feed, so it owns every engine
+        # family — the job and task ones included.
         hub = MetricsHub()
         HubMetricsListener(hub)
-        assert hub.get("repro_engine_jobs_total") is None
-        assert hub.get("repro_engine_tasks_total") is None
+        assert hub.get("repro_engine_jobs_total").labelnames == ("status",)
+        assert hub.get("repro_engine_job_seconds").buckets == DEFAULT_BUCKETS
+        for name in (
+            "repro_engine_tasks_total",
+            "repro_engine_task_seconds",
+            "repro_engine_task_cpu_seconds_total",
+            "repro_engine_task_gc_collections_total",
+            "repro_engine_task_rss_peak_kb",
+            "repro_engine_scheduler_overhead_seconds_total",
+        ):
+            assert hub.get(name).labelnames == ()
+
+
+def _cohort12_screen(ctx):
+    session = SBGTSession(ctx, PriorSpec.uniform(12, 0.05), BinaryErrorModel(0.99, 0.99))
+    try:
+        session.run_screen(BHAPolicy(), rng=7)
+    finally:
+        session.close()
+
+
+class TestHubIsAFunctionOfTheEventStream:
+    def test_replayed_stream_renders_identical_bytes(self):
+        with Context(mode="serial") as ctx:
+            rec = ctx.add_listener(RecordingListener())
+            _cohort12_screen(ctx)
+            live = ctx.metrics_hub.snapshot()
+        # The one family no event feeds: Context's sanitizer counter.
+        del live["repro_lock_order_violations_total"]
+        replayed = MetricsHub()
+        listener = HubMetricsListener(replayed)
+        for event in rec.events:
+            listener.on_event(event)
+        assert live == replayed.snapshot()  # exemplars included
+        assert render_prometheus(live) == replayed.render_prometheus()
+
+        task_walls = [e.wall_s for e in rec.of_type(TaskEnd)]
+        series = replayed.get("repro_engine_task_seconds").labels()
+        assert series.count == len(task_walls) > 0
+        assert series.sum == pytest.approx(sum(task_walls), rel=1e-12)
+        assert replayed.get("repro_engine_jobs_total").labels(status="ok").value == len(
+            rec.of_type(JobEnd)
+        )
+
+    def test_failed_job_is_all_overhead(self):
+        with Context(mode="serial", max_task_retries=0) as ctx:
+            rec = ctx.add_listener(RecordingListener())
+            with pytest.raises(Exception):
+                ctx.range(4, num_partitions=2).map(lambda x: 1 // 0).count()
+            hub = ctx.metrics_hub
+            (end,) = rec.of_type(JobEnd)
+            jobs = hub.get("repro_engine_jobs_total")
+            assert jobs.labels(status="failed").value == 1
+            assert jobs.labels(status="ok").value == 0
+            assert hub.get("repro_engine_scheduler_overhead_seconds_total").value == end.wall_s
+
+    def test_events_off_renders_no_engine_sample(self):
+        with Context(config=EngineConfig(mode="serial", enable_events=False)) as ctx:
+            assert ctx.range(10, num_partitions=2).sum() == 45
+            text = ctx.metrics_hub.render_prometheus()
+        assert "repro_engine_" not in text
+        assert validate_prometheus_text(text) == 0

@@ -346,14 +346,6 @@ def test_make_posterior_dispatch(ctx):
         SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense"))
 
 
-def test_prune_result_alias_warns():
-    import repro.lattice as lattice_pkg
-
-    with pytest.deprecated_call():
-        alias = lattice_pkg.PruneResult
-    assert alias is PruneStats
-
-
 def test_prune_stats_is_one_type_everywhere():
     from repro.lattice import PruneStats as lattice_stats
     from repro.sbgt.distributed_lattice import PruneStats as sbgt_stats

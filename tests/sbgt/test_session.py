@@ -92,7 +92,8 @@ class TestSerialAgreement:
     def test_full_screen_matches_serial(self, ctx, prior, model, policy_factory):
         cohort = make_cohort(prior, rng=21)
         serial = run_screen(
-            prior, model, policy_factory(), rng=77, cohort=cohort, max_stages=40
+            prior, model, policy_factory(), rng=77, cohort=cohort,
+            options=ScreenOptions(max_stages=40),
         )
         session = SBGTSession(ctx, prior, model, SBGTConfig(max_stages=40))
         dist = session.run_screen(policy_factory(), rng=77, cohort=cohort)

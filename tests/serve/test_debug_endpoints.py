@@ -31,11 +31,12 @@ def test_screen_request_correlates_serve_and_engine_events(engine_mode):
         )
         assert status == 200
         trace_id = headers["x-repro-trace"]
-        return trace_id, await http_call(
+        jobs = server.ctx.metrics_hub.get("repro_engine_jobs_total")
+        return trace_id, jobs.labels(status="ok").value, await http_call(
             host, port, "GET", f"/debug/traces/{trace_id}"
         )
 
-    trace_id, (status, doc, _, _) = run_with_server(
+    trace_id, jobs_counted, (status, doc, _, _) = run_with_server(
         scenario, _config(engine_mode=engine_mode)
     )
     assert status == 200
@@ -52,6 +53,8 @@ def test_screen_request_correlates_serve_and_engine_events(engine_mode):
     # request_end closes the trace: it is the last event recorded for it
     assert events[-1]["kind"] == "request_end"
     assert events[-1]["endpoint"] == "/screen"
+    # One fold per event: the hub counts each of the request's jobs once.
+    assert jobs_counted == summary["kinds"]["job_end"] > 0
 
 
 def test_client_supplied_trace_id_is_honored():

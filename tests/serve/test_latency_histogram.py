@@ -1,13 +1,38 @@
-"""LatencyHistogram unit contract: quantile edges and snapshot shape.
+"""The ``/metrics`` latency block: quantile edges and snapshot shape.
 
-The histogram backs every ``/metrics`` latency block, so its edge
-behaviour (no observations, one observation, q at the extremes) and its
-snapshot keys are locked down here — dashboards parse these fields.
+A hub histogram over ``LATENCY_BUCKETS_MS`` backs every ``/metrics``
+latency block, so its edge behaviour (no observations, one observation,
+q at the extremes) and the block's keys are locked down here —
+dashboards parse these fields.
 """
 
 import pytest
 
-from repro.serve.events import LATENCY_BUCKETS_MS, LatencyHistogram
+from repro.obs.metrics import MetricsHub
+from repro.serve.events import (
+    LATENCY_BUCKETS_MS,
+    RequestEnd,
+    ServeMetricsListener,
+    _latency_doc,
+)
+
+
+class LatencyHistogram:
+    """One endpoint's latency series, fed and read the way production does."""
+
+    def __init__(self):
+        self._listener = ServeMetricsListener(MetricsHub())
+        self._series = self._listener._duration.labels(endpoint="/x")
+        self.counts = self._series.counts
+
+    def observe(self, wall_s):
+        self._listener.on_request_end(RequestEnd("/x", 200, wall_s))
+
+    def quantile(self, q):
+        return self._series.quantile(q)
+
+    def snapshot(self):
+        return _latency_doc(self._series)
 
 
 class TestQuantileEdges:
@@ -97,7 +122,7 @@ class TestSnapshot:
         assert snap["max_ms"] == pytest.approx(7.0)
 
     def test_bound_observation_lands_in_its_bucket(self):
-        """1 ms lands in the 1 ms bucket (bisect_left: bounds inclusive)."""
+        """1 ms lands in the 1 ms bucket (bounds inclusive)."""
         h = LatencyHistogram()
         h.observe(0.001)
         assert h.counts[0] == 1

@@ -13,6 +13,7 @@ from repro.halving.policy import (
 )
 from repro.simulate.population import Cohort, make_cohort
 from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
 
 
 class TestRunScreen:
@@ -74,7 +75,7 @@ class TestRunScreen:
     def test_stage_budget_exhaustion(self):
         prior = PriorSpec.uniform(8, 0.3)
         model = BinaryErrorModel(0.8, 0.8)  # noisy: needs many tests
-        result = run_screen(prior, model, BHAPolicy(), rng=0, max_stages=2)
+        result = run_screen(prior, model, BHAPolicy(), rng=0, options=ScreenOptions(max_stages=2))
         assert result.stages_used == 2
         assert result.exhausted_budget
         assert not result.report.all_classified
@@ -84,7 +85,8 @@ class TestRunScreen:
         cohort = make_cohort(prior, rng=8)
         exact = run_screen(prior, PerfectTest(), BHAPolicy(), rng=1, cohort=cohort)
         pruned = run_screen(
-            prior, PerfectTest(), BHAPolicy(), rng=1, cohort=cohort, prune_epsilon=1e-9
+            prior, PerfectTest(), BHAPolicy(), rng=1, cohort=cohort,
+            options=ScreenOptions(prune_epsilon=1e-9),
         )
         assert pruned.report.statuses == exact.report.statuses
 
@@ -97,7 +99,7 @@ class TestRunScreen:
     def test_track_entropy_records_gains(self):
         prior = PriorSpec.uniform(6, 0.1)
         result = run_screen(
-            prior, PerfectTest(), BHAPolicy(), rng=3, track_entropy=True
+            prior, PerfectTest(), BHAPolicy(), rng=3, options=ScreenOptions(track_entropy=True)
         )
         gains = [r.information_gain for r in result.posterior.log.records]
         assert all(g is not None for g in gains)

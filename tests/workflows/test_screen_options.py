@@ -1,4 +1,4 @@
-"""ScreenOptions: validation, resolution, and driver equivalence."""
+"""ScreenOptions: validation, and how the two screen drivers resolve it."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,11 @@ from repro.bayes.dilution import BinaryErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context
 from repro.halving.policy import BHAPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.sbgt.session import SBGTSession
-from repro.simulate.population import make_cohort
+from repro.simulate.population import Cohort, make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions, resolve_screen_options
+from repro.workflows.options import ScreenOptions
 
 MODEL = BinaryErrorModel(0.99, 0.99)
 PRIOR = PriorSpec.uniform(6, 0.1)
@@ -53,50 +54,44 @@ class TestValidation:
             ScreenOptions().max_stages = 3
 
 
+INFECTED = Cohort(prior=PRIOR, truth_mask=0b000101)  # takes several stages to settle
+
+
+def _screen(**kwargs):
+    return run_screen(
+        PRIOR, MODEL, BHAPolicy(), rng=np.random.default_rng(0), cohort=INFECTED, **kwargs
+    )
+
+
 class TestResolution:
     def test_options_passed_through(self):
-        opts = ScreenOptions(max_stages=7)
-        assert resolve_screen_options(opts, {}, "f") is opts
+        assert _screen(options=ScreenOptions(max_stages=1)).exhausted_budget
 
     def test_no_args_yields_defaults(self):
-        assert resolve_screen_options(None, {}, "f") == ScreenOptions()
+        a, b = _screen(), _screen(options=ScreenOptions())
+        assert not a.exhausted_budget
+        assert a.stages_used == b.stages_used
+        assert a.report.statuses == b.report.statuses
 
     def test_custom_defaults_used(self):
-        d = ScreenOptions(max_stages=9)
-        assert resolve_screen_options(None, {}, "f", defaults=d) is d
-
-    def test_legacy_overrides_defaults_with_warning(self):
-        d = ScreenOptions(max_stages=9, track_entropy=True)
-        with pytest.warns(DeprecationWarning, match="max_stages.*deprecated"):
-            out = resolve_screen_options(None, {"max_stages": 3}, "f", defaults=d)
-        assert out.max_stages == 3
-        assert out.track_entropy is True  # non-overridden defaults survive
+        # The session's defaults are its SBGTConfig, not ScreenOptions().
+        with Context(mode="serial") as ctx:
+            session = SBGTSession(ctx, PRIOR, MODEL, SBGTConfig(max_stages=1))
+            assert session.run_screen(BHAPolicy(), rng=0, cohort=INFECTED).exhausted_budget
 
     def test_unknown_keyword_raises_type_error(self):
-        with pytest.raises(TypeError, match=r"f\(\) got unexpected keyword.*max_stage\b"):
-            resolve_screen_options(None, {"max_stage": 3}, "f")
+        with pytest.raises(TypeError, match=r"unexpected keyword.*max_stage\b"):
+            _screen(max_stage=3)
 
     def test_options_plus_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_screen_options(ScreenOptions(), {"max_stages": 3}, "f")
+        # The loose keywords are gone, with or without options=.
+        with pytest.raises(TypeError, match="unexpected keyword.*max_stages"):
+            _screen(options=ScreenOptions(), max_stages=3)
+        with pytest.raises(TypeError, match="unexpected keyword.*track_entropy"):
+            _screen(track_entropy=True)
 
 
 class TestWorkflowDriver:
-    def test_options_and_legacy_kwargs_equivalent(self):
-        cohort = make_cohort(PRIOR, rng=1)
-        new = run_screen(
-            PRIOR, MODEL, BHAPolicy(), rng=np.random.default_rng(0), cohort=cohort,
-            options=ScreenOptions(max_stages=10),
-        )
-        with pytest.warns(DeprecationWarning):
-            old = run_screen(
-                PRIOR, MODEL, BHAPolicy(), rng=np.random.default_rng(0), cohort=cohort,
-                max_stages=10,
-            )
-        assert new.stages_used == old.stages_used
-        assert new.efficiency.num_tests == old.efficiency.num_tests
-        assert new.report.statuses == old.report.statuses
-
     def test_unknown_kwarg_names_driver(self):
         with pytest.raises(TypeError, match=r"run_screen\(\)"):
             run_screen(PRIOR, MODEL, BHAPolicy(), rng=0, bogus=1)
@@ -121,22 +116,10 @@ class TestSessionDriver:
             assert res.stages_used <= 10
             assert session.config == before  # temporary override rolled back
 
-    def test_session_legacy_kwargs_warn_and_match_options(self):
-        with Context(mode="serial") as ctx:
-            new = SBGTSession(ctx, PRIOR, MODEL).run_screen(
-                BHAPolicy(), rng=0, options=ScreenOptions(max_stages=10)
-            )
-            with pytest.warns(DeprecationWarning, match="SBGTSession.run_screen"):
-                old = SBGTSession(ctx, PRIOR, MODEL).run_screen(
-                    BHAPolicy(), rng=0, max_stages=10
-                )
-        assert new.stages_used == old.stages_used
-        assert new.report.statuses == old.report.statuses
-
     def test_session_rejects_options_plus_legacy(self):
         with Context(mode="serial") as ctx:
             session = SBGTSession(ctx, PRIOR, MODEL)
-            with pytest.raises(TypeError, match="not both"):
+            with pytest.raises(TypeError, match="unexpected keyword.*max_stages"):
                 session.run_screen(
                     BHAPolicy(), rng=0,
                     options=ScreenOptions(), max_stages=3,

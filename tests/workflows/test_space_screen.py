@@ -9,6 +9,7 @@ from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
 from repro.simulate.population import draw_truth_from_space
 from repro.workflows.classify import run_screen, run_screen_from_space
+from repro.workflows.options import ScreenOptions
 
 
 class TestDrawTruthFromSpace:
@@ -54,10 +55,12 @@ class TestRunScreenFromSpace:
         from repro.simulate.population import make_cohort
 
         cohort = make_cohort(prior, rng=9)
-        a = run_screen(prior, model, BHAPolicy(), rng=3, cohort=cohort, max_stages=40)
+        a = run_screen(
+            prior, model, BHAPolicy(), rng=3, cohort=cohort, options=ScreenOptions(max_stages=40)
+        )
         b = run_screen_from_space(
             prior.build_dense(), model, BHAPolicy(), rng=3,
-            truth_mask=cohort.truth_mask, max_stages=40,
+            truth_mask=cohort.truth_mask, options=ScreenOptions(max_stages=40),
         )
         assert a.report.statuses == b.report.statuses
         assert a.efficiency.num_tests == b.efficiency.num_tests
@@ -85,7 +88,7 @@ class TestRunScreenFromSpace:
         space = HouseholdPrior([3, 3], 0.1, 0.5).build_dense()
         result = run_screen_from_space(
             space, PerfectTest(), BHAPolicy(), rng=5,
-            prune_epsilon=1e-9, track_entropy=True,
+            options=ScreenOptions(prune_epsilon=1e-9, track_entropy=True),
         )
         gains = [r.information_gain for r in result.posterior.log.records]
         assert all(g is not None for g in gains)
