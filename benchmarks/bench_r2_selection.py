@@ -13,11 +13,13 @@ import pytest
 
 from benchmarks.conftest import SIZES
 from repro.baseline.pydict import PyDictLattice
+from repro.bayes.dilution import BinaryErrorModel
+from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import PrefixCandidates
+from repro.halving.lookahead import select_lookahead_pools
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import select_halving_pool_distributed
 
 
 def _candidates(n: int) -> np.ndarray:
@@ -36,9 +38,9 @@ def test_r2_select_pydict(benchmark, n):
 
 @pytest.mark.parametrize("n", SIZES["r2_sbgt"])
 def test_r2_select_numpy(benchmark, n):
-    space = PriorSpec.uniform(n, 0.03).build_dense()
+    serial = Posterior.from_prior(PriorSpec.uniform(n, 0.03), BinaryErrorModel(0.99, 0.99))
     cands = _candidates(n)
-    benchmark(select_halving_pool, space, cands)
+    benchmark(select_halving_pool, serial, cands)
     benchmark.extra_info["impl"] = "numpy-serial"
     benchmark.extra_info["candidates"] = int(cands.size)
 
@@ -47,7 +49,7 @@ def test_r2_select_numpy(benchmark, n):
 def test_r2_select_sbgt(benchmark, bench_ctx, n):
     lattice = DistributedLattice.from_prior(bench_ctx, PriorSpec.uniform(n, 0.03), 8)
     cands = _candidates(n)
-    benchmark(select_halving_pool_distributed, lattice, cands)
+    benchmark(select_halving_pool, lattice, cands)
     benchmark.extra_info["impl"] = "sbgt"
     benchmark.extra_info["candidates"] = int(cands.size)
     lattice.unpersist()
@@ -56,10 +58,8 @@ def test_r2_select_sbgt(benchmark, bench_ctx, n):
 @pytest.mark.parametrize("n", SIZES["r2_sbgt"][:3])
 def test_r2_lookahead_sbgt(benchmark, bench_ctx, n):
     """Batch (look-ahead) selection: the multi-pool generalisation."""
-    from repro.sbgt.selector import select_lookahead_pools_distributed
-
     lattice = DistributedLattice.from_prior(bench_ctx, PriorSpec.uniform(n, 0.03), 8)
     cands = _candidates(n)
-    benchmark(select_lookahead_pools_distributed, lattice, cands, 2)
+    benchmark(select_lookahead_pools, lattice, cands, 2)
     benchmark.extra_info["impl"] = "sbgt-lookahead2"
     lattice.unpersist()

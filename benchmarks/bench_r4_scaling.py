@@ -20,9 +20,9 @@ from benchmarks.task_profile import projected_time, simulated_makespan, task_pro
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context, RecordingListener
+from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import PrefixCandidates
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import select_halving_pool_distributed
 
 MODEL = DilutionErrorModel(0.98, 0.995, 0.35)
 N = SIZES["r4_n"]
@@ -40,7 +40,7 @@ def _run_profiled() -> tuple:
         lattice = DistributedLattice.from_prior(ctx, PriorSpec.uniform(N, 0.03), NUM_BLOCKS)
         rec = ctx.add_listener(RecordingListener())
         lattice.update(pool, log_lik)
-        select_halving_pool_distributed(lattice, cands)
+        select_halving_pool(lattice, cands)
         lattice.marginals()
         profile = task_profile(rec.events)
         lattice.unpersist()

@@ -20,9 +20,9 @@ from benchmarks.conftest import SIZES
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context
+from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import PrefixCandidates
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import select_halving_pool_distributed
 
 MODEL = DilutionErrorModel(0.98, 0.995, 0.35)
 N = SIZES["r8_n"]
@@ -32,7 +32,7 @@ def _workload(lattice: DistributedLattice) -> None:
     log_lik = MODEL.log_likelihood_by_count(True, N // 2)
     lattice.update((1 << (N // 2)) - 1, log_lik)
     cands = PrefixCandidates(max_pool_size=N).generate(np.full(N, 0.03), (1 << N) - 1)
-    select_halving_pool_distributed(lattice, cands)
+    select_halving_pool(lattice, cands)
     lattice.marginals()
 
 
@@ -134,7 +134,7 @@ def test_r8_candidate_strategy(benchmark, bench_ctx, strategy):
     lattice = DistributedLattice.from_prior(bench_ctx, PriorSpec.uniform(N, 0.03), 8)
     cands = gens[strategy].generate(np.full(N, 0.03), (1 << N) - 1)
 
-    benchmark(select_halving_pool_distributed, lattice, cands)
+    benchmark(select_halving_pool, lattice, cands)
     benchmark.extra_info["strategy"] = strategy
     benchmark.extra_info["candidates"] = int(cands.size)
     lattice.unpersist()

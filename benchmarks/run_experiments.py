@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.baseline.pydict import PyDictLattice
 from repro.bayes.dilution import DilutionErrorModel
+from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context, RecordingListener
 from repro.halving.bha import select_halving_pool
@@ -36,7 +37,6 @@ from repro.lattice.ops import posterior_update
 from repro.metrics.reporting import format_table
 from repro.obs import PHASE_ANALYSIS, PHASE_LATTICE, PHASE_SELECTION, Tracer
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import select_halving_pool_distributed
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
 from repro.workflows.options import ScreenOptions
@@ -181,13 +181,13 @@ def run_r2(cfg: dict, ctx: Context) -> str:
         else:
             t_base = float("nan")
 
-        space = PriorSpec.uniform(n, 0.03).build_dense()
-        t_np = best_of(lambda: select_halving_pool(space, cands), cfg["repeats"])
+        serial = Posterior.from_prior(PriorSpec.uniform(n, 0.03), MODEL)
+        t_np = best_of(lambda: select_halving_pool(serial, cands), cfg["repeats"])
 
         dl = DistributedLattice.from_prior(ctx, PriorSpec.uniform(n, 0.03), 8)
-        t_sbgt = best_of(lambda: select_halving_pool_distributed(dl, cands), cfg["repeats"])
+        t_sbgt = best_of(lambda: select_halving_pool(dl, cands), cfg["repeats"])
         t_phase = traced_phase_wall(
-            PHASE_SELECTION, lambda: select_halving_pool_distributed(dl, cands), ctx
+            PHASE_SELECTION, lambda: select_halving_pool(dl, cands), ctx
         )
         dl.unpersist()
 
@@ -274,7 +274,7 @@ def run_r4(cfg: dict, _ctx: Context) -> str:
         dl = DistributedLattice.from_prior(sctx, PriorSpec.uniform(n, 0.03), num_blocks)
         rec = sctx.add_listener(RecordingListener())
         dl.update(pool, log_lik)
-        select_halving_pool_distributed(dl, cands)
+        select_halving_pool(dl, cands)
         dl.marginals()
         stages, per_task_overhead = task_profile(rec.events)
         dl.unpersist()
@@ -420,7 +420,7 @@ def run_r8(cfg: dict, _ctx: Context) -> str:
 
             def step():
                 dl.update(pool, log_lik)
-                select_halving_pool_distributed(dl, cands)
+                select_halving_pool(dl, cands)
                 dl.marginals()
 
             rows.append([blocks, best_of(step, cfg["repeats"])])
@@ -436,7 +436,7 @@ def run_r8(cfg: dict, _ctx: Context) -> str:
 
             def step():
                 dl.update(pool, log_lik)
-                select_halving_pool_distributed(dl, cands)
+                select_halving_pool(dl, cands)
                 dl.marginals()
 
             rows.append([mode, best_of(step, cfg["repeats"])])

@@ -38,7 +38,7 @@ def main() -> None:
         policy = BHAPolicy()
         for _ in range(2):
             report = session.classify()
-            pools = session.select_pools(policy, report.undetermined_mask())
+            pools = policy.select(session, report.undetermined_mask())
             session.begin_stage()
             for pool in pools:
                 session.update(pool, lab.run(pool))
@@ -58,7 +58,7 @@ def main() -> None:
         policy = BHAPolicy()
         report = session.classify()
         while not report.all_classified and session.log.num_stages < 40:
-            pools = session.select_pools(policy, report.undetermined_mask())
+            pools = policy.select(session, report.undetermined_mask())
             session.begin_stage()
             for pool in pools:
                 session.update(pool, lab.run(pool))

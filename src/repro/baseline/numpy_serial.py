@@ -14,6 +14,7 @@ from typing import Any, List, Sequence, Tuple
 import numpy as np
 
 from repro.bayes.dilution import ResponseModel
+from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.halving.bha import select_halving_pool
 from repro.lattice import ops as lops
@@ -48,7 +49,8 @@ class NumpySerialRunner:
         return lops.entropy(self.space)
 
     def select_halving_pool(self, candidate_masks: Sequence[int]) -> Tuple[int, float, float]:
-        return select_halving_pool(self.space, np.asarray(candidate_masks, dtype=np.uint64))
+        belief = Posterior(self.space, self.model)  # a view: shares the space
+        return select_halving_pool(belief, np.asarray(candidate_masks, dtype=np.uint64))
 
     def top_states(self, k: int) -> List[Tuple[int, float]]:
         return lops.top_states(self.space, k)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.util.bits import indices_from_mask
+import numpy as np
+
+from repro.util.bits import as_mask_array, indices_from_mask
 
 __all__ = ["CohortIndexMap"]
 
@@ -83,6 +85,16 @@ class CohortIndexMap:
                 )
             out |= 1 << position[orig]
         return out
+
+    def to_compact_masks(self, original_masks) -> np.ndarray:
+        """:meth:`to_compact_mask` over a whole table of pool masks.
+
+        The table itself (as an array) while nothing is settled — the
+        every-stage case of a screen that does not contract.
+        """
+        if not self._settled:
+            return np.asarray(original_masks)
+        return as_mask_array(self.to_compact_mask(int(m)) for m in original_masks)
 
     def to_original_mask(self, compact_mask: int) -> int:
         """Translate compact lattice bits back to original indices."""

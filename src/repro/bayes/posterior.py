@@ -2,12 +2,17 @@
 
 This is the serial reference implementation of the belief state that
 SBGT distributes.  The two share :func:`~repro.util.bits.intersect_count`
-and, through :mod:`repro.halving.bha`,
-:func:`~repro.lattice.partition.block_down_set_partial`; update,
+and :func:`~repro.lattice.partition.block_down_set_partial`; update,
 normalisation and marginals are :mod:`repro.lattice.ops` here and the
 cube kernels of :mod:`repro.lattice.partition` there, held together by
 the parity tests (marginals, log-evidence and whole screens to 1e-12
 across serial, threads and processes).
+
+It answers the three selection statistics the rules of
+:mod:`repro.halving` are written against (``down_set_masses``,
+``pool_count_hists``, ``refined_cell_masses``) in original cohort
+indices, so ``policy.select(posterior, eligible_mask)`` picks the pools
+an :class:`~repro.sbgt.session.SBGTSession` would.
 
 A stage costs one lattice-wide ``logsumexp``, one ``intersect_count``
 and one marginal sweep, however many readers ask for the marginals.
@@ -26,9 +31,15 @@ from repro.bayes.dilution import ResponseModel
 from repro.bayes.evidence import EvidenceLog, TestRecord
 from repro.bayes.priors import PriorSpec
 from repro.lattice import ops as lops
+from repro.lattice.partition import (
+    LatticeBlock,
+    block_count_hists_partial,
+    block_down_set_partial,
+    block_refined_cell_partial,
+)
 from repro.lattice.prune import PruneStats, prune_by_mass
 from repro.lattice.states import StateSpace
-from repro.util.bits import mask_from_indices
+from repro.util.bits import mask_from_indices, popcount64
 from repro.util.numerics import logsumexp
 
 __all__ = ["Posterior", "Classification", "ClassificationReport", "classify_marginals"]
@@ -131,6 +142,10 @@ class Posterior:
         extra sweep per test; used by information-gain analyses).
     """
 
+    #: Sums over an explicit lattice: selection orders the statistics
+    #: with ulp-apart values as ties (:func:`repro.halving.bha.ordering_key`).
+    exact = True
+
     def __init__(
         self,
         space: StateSpace,
@@ -185,11 +200,9 @@ class Posterior:
 
         The lattice-contraction operation (irreversible — the lattice is
         conditioned on the committed value).  Afterwards the posterior
-        keeps answering in original cohort indices; *pools must not
-        contain settled individuals*.  Note that lattice-reading
-        selection policies (BHA & co.) access ``self.space`` directly in
-        compact coordinates — the distributed session translates for
-        them; serial drivers using contraction must do the same.
+        keeps answering in original cohort indices, the selection
+        statistics included; *pools must not contain settled
+        individuals*.
         """
         project = self._index.num_live > 1
         pos = self._index.settle(individual, as_positive)  # validates
@@ -239,6 +252,57 @@ class Posterior:
         result = prune_by_mass(self.space, epsilon)
         self.space = result.space
         return result
+
+    # ------------------------------------------------------------------
+    # selection statistics (pools in original cohort indices)
+    # ------------------------------------------------------------------
+    def _compact_pools(self, pool_masks) -> np.ndarray:
+        return np.asarray(self._index.to_compact_masks(pool_masks), dtype=np.uint64)
+
+    def _block(self, shift: float = 0.0) -> LatticeBlock:
+        """The whole lattice as one kernel block (log-probs less *shift*)."""
+        space = self.space
+        return LatticeBlock(space.n_items, space.masks, space.log_probs - shift)
+
+    def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
+        """P(no positives in pool) per candidate pool (vectorised).
+
+        Weights are exponentiated against the running maximum so the
+        result is stable for unnormalised log-probabilities too.
+        """
+        log_probs = self.space.log_probs
+        shift = float(log_probs.max())
+        partial = block_down_set_partial(self._block(shift), self._compact_pools(pool_masks))
+        return partial / np.exp(log_probs - shift).sum()
+
+    def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:
+        """P(k positives in pool) per candidate, one row each.
+
+        An ``(n_candidates, max_pool_size + 1)`` array; columns beyond a
+        pool's size stay zero.
+        """
+        pools = self._compact_pools(candidate_masks)
+        max_size = int(popcount64(pools).max()) if pools.size else 0
+        return block_count_hists_partial(
+            self._block(), pools, max_size, self.space.log_total_mass
+        )
+
+    def refined_cell_masses(
+        self, chosen: Sequence[int], candidate_masks: np.ndarray, n_cells: int
+    ) -> np.ndarray:
+        """Cell masses of the partition ``chosen + [candidate]``, per candidate.
+
+        Row ``c`` of the ``(n_candidates, n_cells)`` result holds the
+        mass of every cell (cell index bit ``j`` set iff the state meets
+        pool ``j``) — the greedy look-ahead step's statistic.
+        """
+        return block_refined_cell_partial(
+            self._block(),
+            tuple(self._compact_pools(chosen).tolist()),
+            self._compact_pools(candidate_masks),
+            n_cells,
+            self.space.log_total_mass,
+        )
 
     # ------------------------------------------------------------------
     # statistical analyses

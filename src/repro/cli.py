@@ -280,17 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--explain", metavar="RULE", default=None,
                         help="print a rule's rationale with bad/good examples "
                              "('all' prints every rule) and exit")
-    p_lint.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyze files on N worker processes (default: 1)")
-    p_lint.add_argument("--cache", metavar="FILE", default=None,
-                        help="per-file mtime cache; reused when the analysis "
-                             "configuration and engine call graph are unchanged")
-    p_lint.add_argument("--baseline", metavar="FILE", default=None,
-                        help="suppress findings recorded in FILE; only new "
-                             "findings are reported and gate the exit code")
-    p_lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                        dest="write_baseline",
-                        help="record current findings to FILE and exit 0")
     p_lint.add_argument("--output", metavar="FILE", default=None,
                         help="write the report to FILE instead of stdout")
     return parser
@@ -674,14 +663,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         RULES,
         LintError,
-        filter_new_findings,
         format_explain,
         format_json,
         format_sarif,
         format_text,
         lint_paths,
-        load_baseline,
-        write_baseline,
     )
 
     if args.explain:
@@ -703,38 +689,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.baseline and args.write_baseline:
-        print("error: --baseline and --write-baseline are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
-        findings, files_checked = lint_paths(
-            paths, select=select, ignore=ignore,
-            jobs=args.jobs, cache_path=args.cache,
-        )
+        findings, files_checked = lint_paths(paths, select=select, ignore=ignore)
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        recorded = write_baseline(args.write_baseline, findings)
-        print(f"baseline: recorded {recorded} finding(s) to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        known = len(findings)
-        findings = filter_new_findings(findings, baseline)
-        suppressed = known - len(findings)
-        if suppressed:
-            print(f"baseline: {suppressed} known finding(s) suppressed",
-                  file=sys.stderr)
 
     if args.fmt == "json":
         formatter = format_json

@@ -13,8 +13,9 @@ from repro.halving.candidates import (
     RandomCandidates,
     SlidingWindowCandidates,
 )
-from repro.halving.bha import down_set_masses, halving_objective, select_halving_pool
-from repro.halving.lookahead import select_lookahead_pools, cell_masses
+from repro.halving.bha import halving_objective, ordering_key, select_halving_pool
+from repro.halving.lookahead import batch_balance_objective, select_lookahead_pools
+from repro.halving.infogain import select_infogain_pool
 from repro.halving.policy import (
     SelectionPolicy,
     BHAPolicy,
@@ -33,11 +34,12 @@ __all__ = [
     "ExhaustiveCandidates",
     "RandomCandidates",
     "SlidingWindowCandidates",
-    "down_set_masses",
+    "ordering_key",
     "halving_objective",
     "select_halving_pool",
+    "batch_balance_objective",
     "select_lookahead_pools",
-    "cell_masses",
+    "select_infogain_pool",
     "SelectionPolicy",
     "BHAPolicy",
     "LookaheadPolicy",

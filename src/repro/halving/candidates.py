@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.util.bits import as_mask_array
+from repro.util.bits import as_mask_array, indices_from_mask
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive_int
 
@@ -29,18 +29,6 @@ __all__ = [
     "RandomCandidates",
     "SlidingWindowCandidates",
 ]
-
-
-def _eligible_indices(eligible_mask: int) -> List[int]:
-    out = []
-    mask = int(eligible_mask)
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return out
 
 
 class CandidateGenerator:
@@ -86,7 +74,7 @@ class PrefixCandidates(CandidateGenerator):
         self.include_descending = bool(include_descending)
 
     def generate(self, marginals: np.ndarray, eligible_mask: int) -> np.ndarray:
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if not idx:
             raise ValueError("no eligible individuals")
         marg = np.asarray(marginals, dtype=np.float64)
@@ -116,7 +104,7 @@ class ExhaustiveCandidates(CandidateGenerator):
         self.max_pool_size = check_positive_int(max_pool_size, "max_pool_size")
 
     def generate(self, marginals: np.ndarray, eligible_mask: int) -> np.ndarray:
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if not idx:
             raise ValueError("no eligible individuals")
         masks: List[int] = []
@@ -138,7 +126,7 @@ class RandomCandidates(CandidateGenerator):
         self._rng = as_rng(rng if rng is not None else 1234)
 
     def generate(self, marginals: np.ndarray, eligible_mask: int) -> np.ndarray:
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if not idx:
             raise ValueError("no eligible individuals")
         masks: List[int] = []
@@ -165,7 +153,7 @@ class SlidingWindowCandidates(CandidateGenerator):
             raise ValueError("window sizes must be positive")
 
     def generate(self, marginals: np.ndarray, eligible_mask: int) -> np.ndarray:
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if not idx:
             raise ValueError("no eligible individuals")
         marg = np.asarray(marginals, dtype=np.float64)

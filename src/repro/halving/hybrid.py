@@ -54,17 +54,8 @@ class HybridPolicy(SelectionPolicy):
         mean_risk = float(np.clip(marginals[members].mean(), 1e-6, 1 - 1e-6))
         return DorfmanPolicy.optimal_for(mean_risk, max_pool_size=len(members))
 
-    def next_stage_policy(self, posterior, eligible_mask: int) -> SelectionPolicy:
-        """Advance one stage and return the policy that selects it.
-
-        A fresh Dorfman grid first, the halving policy afterwards — so a
-        driver that runs halving its own way (the distributed session)
-        can dispatch on what it gets.
-        """
+    def select(self, belief, eligible_mask: int) -> List[int]:
+        """A fresh Dorfman grid first, the halving policy afterwards."""
         self._stage += 1
-        if self._stage == 1:
-            return self._stage_one(posterior, eligible_mask)
-        return self._bha
-
-    def select(self, posterior, eligible_mask: int) -> List[int]:
-        return self.next_stage_policy(posterior, eligible_mask).select(posterior, eligible_mask)
+        policy = self._stage_one(belief, eligible_mask) if self._stage == 1 else self._bha
+        return policy.select(belief, eligible_mask)

@@ -16,32 +16,14 @@ tests (later pools in a batch are chosen with less information).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.lattice.states import StateSpace
-from repro.util.bits import popcount64
+from repro.halving.bha import scan_order
+from repro.util.bits import popcount_any
 
-__all__ = ["cell_masses", "batch_balance_objective", "select_lookahead_pools"]
-
-
-def _cell_index(masks: np.ndarray, pools: Sequence[int]) -> np.ndarray:
-    """Cell id of each state: bit j set iff state is dirty for pool j."""
-    idx = np.zeros(masks.size, dtype=np.int64)
-    for j, pool in enumerate(pools):
-        dirty = (masks & np.uint64(int(pool))) != np.uint64(0)
-        idx |= dirty.astype(np.int64) << j
-    return idx
-
-
-def cell_masses(space: StateSpace, pools: Sequence[int]) -> np.ndarray:
-    """Posterior mass of each of the ``2^s`` cells induced by *pools*."""
-    if len(pools) > 20:
-        raise ValueError("too many pools for explicit cell enumeration")
-    p = space.probs()
-    idx = _cell_index(space.masks, pools)
-    return np.bincount(idx, weights=p, minlength=1 << len(pools))
+__all__ = ["batch_balance_objective", "select_lookahead_pools"]
 
 
 def batch_balance_objective(masses: np.ndarray) -> float:
@@ -52,44 +34,38 @@ def batch_balance_objective(masses: np.ndarray) -> float:
 
 
 def select_lookahead_pools(
-    space: StateSpace, candidate_masks: np.ndarray, s: int
+    belief, candidate_masks: np.ndarray, s: int
 ) -> Tuple[List[int], float]:
     """Greedy s-pool batch minimising cell-mass imbalance.
 
     Returns ``(pools, final_objective)``.  Pool ``j+1`` is chosen given
     pools ``1..j`` by refining every existing cell into clean/dirty
-    halves and scoring the refined partition's distance from uniform.
-    ``s = 1`` coincides with :func:`repro.halving.bha.select_halving_pool`
-    up to tie-breaking.
+    halves — one ``belief.refined_cell_masses`` call per greedy step —
+    and scoring the refined partition's distance from uniform, scanning
+    the candidates small pools first.  ``s = 1`` coincides with
+    :func:`repro.halving.bha.select_halving_pool` up to tie-breaking.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    candidates = np.asarray(candidate_masks, dtype=np.uint64)
+    candidates = np.asarray(candidate_masks)
     if candidates.size == 0:
         raise ValueError("no candidate pools supplied")
+    order = scan_order(candidates, popcount_any(candidates))
 
-    p = space.probs()
     chosen: List[int] = []
-    # cell id per state for the pools chosen so far (refined as we go).
-    cell_idx = np.zeros(space.size, dtype=np.int64)
     best_obj = np.inf
-
-    sizes = popcount64(candidates)
     for j in range(min(s, candidates.size)):
-        n_cells = 1 << (j + 1)
+        masses = belief.refined_cell_masses(chosen, candidates, 1 << (j + 1))
         best = None
-        for c_i in np.lexsort((candidates, sizes)):  # deterministic scan order
-            pool = candidates[c_i]
-            if int(pool) in chosen:
+        for c_i in order:
+            pool = int(candidates[c_i])
+            if pool in chosen:
                 continue
-            dirty = (space.masks & pool) != np.uint64(0)
-            refined = cell_idx | (dirty.astype(np.int64) << j)
-            masses = np.bincount(refined, weights=p, minlength=n_cells)
-            obj = batch_balance_objective(masses)
+            obj = batch_balance_objective(masses[c_i])
             if best is None or obj < best[0] - 1e-15:
-                best = (obj, int(pool), refined)
+                best = (obj, pool)
         if best is None:
             break
-        best_obj, pool, cell_idx = best
+        best_obj, pool = best
         chosen.append(pool)
     return chosen, float(best_obj)

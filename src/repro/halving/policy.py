@@ -1,23 +1,25 @@
 """Selection policies: the pluggable "which pools next?" strategies.
 
-A policy proposes one *stage* of pooled tests given the current posterior
-and the set of still-undetermined individuals.  Bayesian rules (halving,
-look-ahead, information gain) read the lattice; the classical baselines
-(individual testing, Dorfman) ignore it — they exist so the efficiency
-experiments can reproduce the paper's comparisons.
+A policy proposes one *stage* of pooled tests given the current belief
+and the set of still-undetermined individuals.  ``policy.select(belief,
+eligible_mask)`` is the one selection entry point: *belief* is a serial
+:class:`~repro.bayes.posterior.Posterior`, an
+:class:`~repro.sbgt.session.SBGTSession` or a bare posterior backend.
+Bayesian rules (halving, look-ahead, information gain) read its
+marginals and selection statistics; the classical baselines (individual
+testing, Dorfman) read at most the marginals — they exist so the
+efficiency experiments can reproduce the paper's comparisons.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
-from repro.halving.bha import select_halving_pool
+from repro.halving.bha import ordering_key, select_halving_pool
 from repro.halving.candidates import CandidateGenerator, PrefixCandidates
+from repro.halving.infogain import select_infogain_pool
 from repro.halving.lookahead import select_lookahead_pools
-from repro.lattice.ops import pool_count_distribution
-from repro.util.numerics import tie_key
+from repro.util.bits import indices_from_mask
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -31,16 +33,9 @@ __all__ = [
 ]
 
 
-def _eligible_indices(eligible_mask: int) -> List[int]:
-    out = []
-    mask = int(eligible_mask)
-    pos = 0
-    while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
-    return out
+def _candidate_table(generator: CandidateGenerator, belief, eligible_mask: int):
+    """One stage's candidate pools, in the belief's marginal order."""
+    return generator.generate(ordering_key(belief, belief.marginals()), eligible_mask)
 
 
 class SelectionPolicy:
@@ -52,7 +47,7 @@ class SelectionPolicy:
     def reset(self) -> None:
         """Forget any per-screen state (called once per session)."""
 
-    def select(self, posterior, eligible_mask: int) -> List[int]:
+    def select(self, belief, eligible_mask: int) -> List[int]:
         """Return pool masks (non-empty subsets of *eligible_mask*)."""
         raise NotImplementedError
 
@@ -65,10 +60,9 @@ class BHAPolicy(SelectionPolicy):
     def __init__(self, candidates: Optional[CandidateGenerator] = None) -> None:
         self.candidates = candidates or PrefixCandidates()
 
-    def select(self, posterior, eligible_mask: int) -> List[int]:
-        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
-        pool, _mass, _gap = select_halving_pool(posterior.space, pools)
-        return [pool]
+    def select(self, belief, eligible_mask: int) -> List[int]:
+        pools = _candidate_table(self.candidates, belief, eligible_mask)
+        return [select_halving_pool(belief, pools)[0]]
 
 
 class LookaheadPolicy(SelectionPolicy):
@@ -85,20 +79,16 @@ class LookaheadPolicy(SelectionPolicy):
         self.candidates = candidates or PrefixCandidates()
         self.name = f"lookahead-{self.depth}"
 
-    def select(self, posterior, eligible_mask: int) -> List[int]:
-        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
-        chosen, _obj = select_lookahead_pools(posterior.space, pools, self.depth)
-        return chosen
+    def select(self, belief, eligible_mask: int) -> List[int]:
+        pools = _candidate_table(self.candidates, belief, eligible_mask)
+        return select_lookahead_pools(belief, pools, self.depth)[0]
 
 
 class InformationGainPolicy(SelectionPolicy):
     """Pick the pool maximising mutual information with its outcome.
 
-    For binary response models the expected information of testing pool
-    ``A`` is ``I(Y; S) = H(Y) − Σ_k P(k) H(Y | k)`` with ``P(k)`` the
-    posterior distribution of positives inside the pool.  Halving is the
-    noiseless special case; this rule additionally discounts pools whose
-    outcome the dilution noise would blur.
+    Needs a binary response model, read off ``belief.model``
+    (:func:`repro.halving.infogain.select_infogain_pool` has the rule).
     """
 
     name = "infogain"
@@ -106,30 +96,9 @@ class InformationGainPolicy(SelectionPolicy):
     def __init__(self, candidates: Optional[CandidateGenerator] = None) -> None:
         self.candidates = candidates or PrefixCandidates()
 
-    @staticmethod
-    def _binary_entropy(p: np.ndarray) -> np.ndarray:
-        p = np.clip(p, 1e-12, 1 - 1e-12)
-        return -(p * np.log(p) + (1 - p) * np.log1p(-p))
-
-    def select(self, posterior, eligible_mask: int) -> List[int]:
-        model = posterior.model
-        if not getattr(model, "binary", False):
-            raise ValueError("InformationGainPolicy requires a binary response model")
-        pools = self.candidates.generate(tie_key(posterior.marginals()), eligible_mask)
-        best_pool, best_info = None, -np.inf
-        for pool in pools:
-            pool = int(pool)
-            pool_size = bin(pool).count("1")
-            pk = pool_count_distribution(posterior.space, pool)
-            p_pos_given_k = model.positive_prob_by_count(pool_size)
-            p_pos = float(pk @ p_pos_given_k)
-            h_y = float(self._binary_entropy(np.array([p_pos]))[0])
-            h_y_given_k = float(pk @ self._binary_entropy(p_pos_given_k))
-            info = h_y - h_y_given_k
-            if info > best_info + 1e-15:
-                best_pool, best_info = pool, info
-        assert best_pool is not None
-        return [best_pool]
+    def select(self, belief, eligible_mask: int) -> List[int]:
+        pools = _candidate_table(self.candidates, belief, eligible_mask)
+        return [select_infogain_pool(belief, pools, belief.model)[0]]
 
 
 class IndividualTestingPolicy(SelectionPolicy):
@@ -142,7 +111,7 @@ class IndividualTestingPolicy(SelectionPolicy):
     name = "individual"
 
     def select(self, posterior, eligible_mask: int) -> List[int]:
-        return [1 << i for i in _eligible_indices(eligible_mask)]
+        return [1 << i for i in indices_from_mask(eligible_mask)]
 
 
 class DorfmanPolicy(SelectionPolicy):
@@ -184,7 +153,7 @@ class DorfmanPolicy(SelectionPolicy):
 
     def select(self, posterior, eligible_mask: int) -> List[int]:
         self._stage += 1
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if self._stage == 1:
             pools = []
             for lo in range(0, len(idx), self.pool_size):
@@ -227,7 +196,7 @@ class ArrayTestingPolicy(SelectionPolicy):
 
     def select(self, posterior, eligible_mask: int) -> List[int]:
         self._stage += 1
-        idx = _eligible_indices(eligible_mask)
+        idx = indices_from_mask(eligible_mask)
         if self._stage > 1:
             return [1 << i for i in idx]
         capacity = self.rows * self.cols

@@ -48,7 +48,6 @@ __all__ = [
     "block_scale",
     "block_marginal_partial",
     "block_down_set_partial",
-    "block_count_distribution_partial",
     "block_entropy_partial",
     "block_histogram_partial",
     "block_count_hists_partial",
@@ -381,17 +380,6 @@ def block_down_set_partial(
     for c, pool in enumerate(pools.tolist()):
         if pool & block.base == 0:
             out[c] = tensor[tuple([keep_or_clean[(pool >> j) & 1] for j in axis_bits])].sum()
-    return out
-
-
-def block_count_distribution_partial(
-    block: LatticeBlock, pool_mask: int, pool_size: int, log_offset: float = 0.0
-) -> np.ndarray:
-    """P(k positives in pool) histogram for the block."""
-    counts, shift = _pool_counts(block, int(pool_mask))
-    p = _block_probs(block, log_offset)
-    out = np.zeros(pool_size + 1, dtype=np.float64)
-    out[shift:] = np.bincount(counts, weights=p, minlength=pool_size + 1 - shift)
     return out
 
 

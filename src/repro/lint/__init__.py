@@ -17,8 +17,7 @@ Two rule families over plain ``ast`` (no imports of analyzed code):
   dependence.
 
 CLI: ``python -m repro lint [paths] [--format text|json|sarif]
-[--select ..] [--ignore ..] [--explain RULE] [--jobs N] [--cache FILE]
-[--baseline FILE | --write-baseline FILE]``.  Suppress a finding in
+[--select ..] [--ignore ..] [--explain RULE]``.  Suppress a finding in
 place with ``# repro: lint-ignore[RULE]``.
 """
 
@@ -32,7 +31,6 @@ from repro.lint.analyzer import (
     iter_python_files,
     lint_paths,
 )
-from repro.lint.baseline import filter_new_findings, load_baseline, write_baseline
 from repro.lint.bridge import CaptureIssue, capture_report, find_unpicklable
 from repro.lint.callgraph import CallGraph, build_callgraph
 from repro.lint.model import LintFinding, Suppressions
@@ -62,7 +60,6 @@ __all__ = [
     "analyze_source",
     "build_callgraph",
     "capture_report",
-    "filter_new_findings",
     "find_unpicklable",
     "format_explain",
     "format_json",
@@ -70,6 +67,4 @@ __all__ = [
     "format_text",
     "iter_python_files",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -36,8 +36,6 @@ acquires nothing; deferred bodies are checked on their own.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -173,11 +171,7 @@ def classify_blocking(name: str) -> Optional[str]:
 # ----------------------------------------------------------------------
 @dataclass
 class FunctionSummary:
-    """What calling one function may do, transitively.
-
-    Plain strings and tuples throughout so summaries pickle cleanly into
-    ``--jobs`` worker processes and hash stably into the analysis cache.
-    """
+    """What calling one function may do, transitively."""
 
     #: "Class._attr" / bare module lock -> (level, example call path).
     #: An empty path means the function acquires the lock directly.
@@ -236,18 +230,6 @@ class CallGraph:
         if summary is None:
             return None
         return self.display(qid), summary
-
-    def fingerprint(self) -> str:
-        """Stable digest of every summary (part of the analysis-cache key)."""
-        payload = {
-            qid: {
-                "locks": {k: [v[0], list(v[1])] for k, v in sorted(s.locks.items())},
-                "blocking": {k: list(v) for k, v in sorted(s.blocking.items())},
-            }
-            for qid, s in sorted(self.summaries.items())
-        }
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
 
 class _DirectFacts(ast.NodeVisitor):

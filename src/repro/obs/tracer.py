@@ -10,7 +10,7 @@ that fires while a span is open is attributed to that phase.
 
 Span accounting uses **self time**: a span's ``self_s`` is its wall time
 minus the wall time of its direct children, so nested instrumentation
-(a selector calling ``down_set_masses``, a session update re-reading
+(a selection step calling ``down_set_masses``, a session update re-reading
 entropy) never double-counts.  Phase totals sum self times and therefore
 partition the instrumented wall clock.
 

@@ -7,7 +7,8 @@ operation classes the paper accelerates map onto engine primitives:
   Bayes updates with deferred normalisation, conditioning,
   histogram-guided pruning (:class:`DistributedLattice`);
 * test selection — broadcast candidate pools, per-partition down-set
-  partials, tree-reduced arg-min (:mod:`repro.sbgt.selector`);
+  partials, tree-reduced into the statistics the one set of rules in
+  :mod:`repro.halving` finishes at the driver;
 * statistical analysis — marginals, entropy, top states and
   classification reports as tree aggregations (:class:`DistributedAnalyzer`).
 
@@ -25,12 +26,6 @@ that scale past the dense 2^N wall to cohorts in the hundreds.
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import (
-    down_set_masses_distributed,
-    select_halving_pool_distributed,
-    select_infogain_pool_distributed,
-    select_lookahead_pools_distributed,
-)
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.particle import ParticlePosterior
 from repro.sbgt.session import SBGTSession
@@ -46,8 +41,4 @@ __all__ = [
     "DistributedAnalyzer",
     "SBGTSession",
     "ScreenStepper",
-    "down_set_masses_distributed",
-    "select_halving_pool_distributed",
-    "select_infogain_pool_distributed",
-    "select_lookahead_pools_distributed",
 ]

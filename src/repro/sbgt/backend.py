@@ -1,7 +1,8 @@
 """The :class:`PosteriorBackend` protocol — what a posterior must do.
 
 Every consumer of a posterior in this library — the halving/lookahead/
-infogain selectors, the screen stepper, the analyzer, the serving layer —
+infogain rules of :mod:`repro.halving`, the screen stepper, the analyzer,
+the serving layer —
 talks to the belief state through this surface and nothing else.  The
 dense distributed lattice (:class:`~repro.sbgt.distributed_lattice.
 DistributedLattice`) is one implementation; the sparse above-floor
@@ -95,17 +96,13 @@ class PosteriorBackend(ABC):
         """P(no positives in pool) per candidate pool."""
 
     @abstractmethod
-    def count_distribution(self, pool_mask: int) -> np.ndarray:
-        """P(k positives in pool) for k = 0..|pool|."""
-
-    @abstractmethod
     def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:
         """Positives-in-pool distributions for a whole candidate table.
 
         Returns an ``(n_candidates, max_pool_size + 1)`` array whose row
-        ``c`` is :meth:`count_distribution` of candidate ``c`` (columns
-        beyond a pool's size stay zero).  One pass over the state set
-        regardless of the candidate count.
+        ``c`` is P(k positives in candidate ``c``) for k = 0..|pool|
+        (columns beyond a pool's size stay zero).  One pass over the
+        state set regardless of the candidate count.
         """
 
     @abstractmethod

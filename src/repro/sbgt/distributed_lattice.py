@@ -49,7 +49,6 @@ from repro.lattice.builder import (
 from repro.lattice.partition import (
     LatticeBlock,
     MassMarginals,
-    block_count_distribution_partial,
     block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
@@ -417,7 +416,7 @@ class DistributedLattice(PosteriorBackend):
         self._updates_since_checkpoint = 0
 
     # ------------------------------------------------------------------
-    # test selection partials (R2) — consumed by repro.sbgt.selector
+    # test selection statistics (R2) — consumed by the rules of repro.halving
     # ------------------------------------------------------------------
     @traced(PHASE_SELECTION, "down_set_masses")
     def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
@@ -428,18 +427,6 @@ class DistributedLattice(PosteriorBackend):
         return self.rdd.tree_aggregate(
             np.zeros(pools.size),
             lambda acc, b: acc + block_down_set_partial(b, pools_bc.value, off),
-            lambda a, b: a + b,
-        )
-
-    @traced(PHASE_SELECTION, "count_distribution")
-    def count_distribution(self, pool_mask: int) -> np.ndarray:
-        """P(k positives in pool) for k = 0..|pool| (one aggregation)."""
-        pool_mask = int(pool_mask)
-        pool_size = int(popcount64(np.asarray([pool_mask], dtype=np.uint64))[0])
-        off = self._log_offset
-        return self.rdd.tree_aggregate(
-            np.zeros(pool_size + 1),
-            lambda acc, b: acc + block_count_distribution_partial(b, pool_mask, pool_size, off),
             lambda a, b: a + b,
         )
 

@@ -28,7 +28,6 @@ from repro.obs.tracer import PHASE_ANALYSIS, PHASE_LATTICE, PHASE_SELECTION, tra
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.sparse import (
     _pool_columns,
-    matrix_count_distribution,
     matrix_down_set_masses,
     matrix_pool_count_hists,
     matrix_refined_cell_masses,
@@ -241,10 +240,6 @@ class ParticlePosterior(PosteriorBackend):
     @traced(PHASE_SELECTION, "particle_down_set_masses")
     def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
         return matrix_down_set_masses(self.states, self._probs(), pool_masks, self.n_items)
-
-    @traced(PHASE_SELECTION, "particle_count_distribution")
-    def count_distribution(self, pool_mask: int) -> np.ndarray:
-        return matrix_count_distribution(self.states, self._probs(), pool_mask, self.n_items)
 
     @traced(PHASE_SELECTION, "particle_pool_count_hists")
     def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:

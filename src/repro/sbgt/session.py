@@ -3,18 +3,17 @@
 Runs the same stage protocol as the serial driver
 (:func:`repro.workflows.classify.run_screen`) — classify, select, assay,
 update — but every lattice touch goes through the engine.  The policy
-objects are the *same* classes the serial driver takes; halving,
-look-ahead and information-gain policies are transparently dispatched to
-their distributed selector implementations, while lattice-free baselines
-(individual, Dorfman) run their own logic against the session's
-marginals.
+objects are the *same* classes the serial driver takes and are called
+the same way, ``policy.select(session, eligible_mask)``: the session
+answers the marginals and the three selection statistics the rules of
+:mod:`repro.halving` read, from whatever backend ``self.lattice`` is.
 
 With ``SBGTConfig(compact_classified=True)`` the session additionally
 performs *lattice contraction*: each settled diagnosis is conditioned on
 and its bit projected out, so the state space halves per settled
 individual.  Externally everything stays in original cohort indices —
 the session owns the live/settled bookkeeping and translates pool masks
-both ways.
+on the way in (the backend speaks its own compact bits).
 
 Produces the same :class:`~repro.workflows.classify.ScreenResult` shape,
 so accuracy/efficiency tables can mix serial and distributed rows.
@@ -23,7 +22,7 @@ so accuracy/efficiency tables can mix serial and distributed rows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, List, Optional
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -33,25 +32,12 @@ from repro.bayes.indexmap import CohortIndexMap
 from repro.bayes.posterior import Classification, ClassificationReport, classify_marginals
 from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
-from repro.halving.hybrid import HybridPolicy
-from repro.halving.policy import (
-    BHAPolicy,
-    InformationGainPolicy,
-    LookaheadPolicy,
-    SelectionPolicy,
-)
+from repro.halving.policy import SelectionPolicy
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice, PruneStats
-from repro.sbgt.selector import (
-    ordering_key,
-    select_halving_pool_distributed,
-    select_infogain_pool_distributed,
-    select_lookahead_pools_distributed,
-)
 from repro.simulate.population import Cohort, make_cohort
 from repro.simulate.testing import TestLab
-from repro.util.bits import as_mask_array
 from repro.util.rng import RngLike, as_rng
 from repro.workflows.classify import ScreenResult
 from repro.workflows.options import ScreenOptions
@@ -120,13 +106,6 @@ class SBGTSession:
     def _invalidate(self) -> None:
         self._marginals_cache = None
 
-    # index translation (original cohort <-> compact lattice)
-    def _to_compact_mask(self, pool_mask: int) -> int:
-        return self._index.to_compact_mask(pool_mask)
-
-    def _to_original_mask(self, compact_mask: int) -> int:
-        return self._index.to_original_mask(compact_mask)
-
     # ------------------------------------------------------------------
     # belief-state API (mirrors repro.bayes.Posterior)
     # ------------------------------------------------------------------
@@ -149,7 +128,7 @@ class SBGTSession:
     def map_state(self) -> int:
         """Most probable infection pattern, in original indices."""
         compact = self.analyzer.map_state()
-        return self._to_original_mask(compact) | self._index.settled_positive_mask()
+        return self._index.to_original_mask(compact) | self._index.settled_positive_mask()
 
     def classify(
         self,
@@ -176,7 +155,7 @@ class SBGTSession:
         if pool_mask <= 0:
             raise ValueError("pool must contain at least one individual")
         pool_size = bin(pool_mask).count("1")
-        compact_pool = self._to_compact_mask(pool_mask)
+        compact_pool = self._index.to_compact_mask(pool_mask)
         log_lik = self.model.log_likelihood_by_count(outcome, pool_size)
 
         ent_before = self.entropy() if self.config.track_entropy else None
@@ -235,27 +214,30 @@ class SBGTSession:
             self.settle(i, status is Classification.POSITIVE)
 
     # ------------------------------------------------------------------
-    # policy dispatch
+    # selection statistics (pools in original cohort indices)
     # ------------------------------------------------------------------
-    def select_pools(self, policy: SelectionPolicy, eligible_mask: int) -> List[int]:
-        """One stage of pool proposals (original indices), distributed
-        where the policy's math touches the lattice."""
-        if isinstance(policy, HybridPolicy):
-            policy = policy.next_stage_policy(self, eligible_mask)
-        if not isinstance(policy, (LookaheadPolicy, BHAPolicy, InformationGainPolicy)):
-            # Lattice-free baselines (individual, Dorfman, custom): they see
-            # the session itself, which quacks enough (marginals()).
-            return policy.select(self, eligible_mask)
-        order = ordering_key(self.lattice, self.marginals())
-        cands = policy.candidates.generate(order, eligible_mask)
-        compact = as_mask_array([self._to_compact_mask(int(c)) for c in cands])
-        if isinstance(policy, LookaheadPolicy):
-            pools, _ = select_lookahead_pools_distributed(self.lattice, compact, policy.depth)
-        elif isinstance(policy, BHAPolicy):
-            pools = [select_halving_pool_distributed(self.lattice, compact)[0]]
-        else:
-            pools = [select_infogain_pool_distributed(self.lattice, compact, self.model)[0]]
-        return [self._to_original_mask(p) for p in pools]
+    @property
+    def exact(self) -> bool:
+        """Whether the backend's statistics are exact lattice sums."""
+        return self.lattice.exact
+
+    def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
+        """P(no positives in pool) per candidate pool."""
+        return self.lattice.down_set_masses(self._index.to_compact_masks(pool_masks))
+
+    def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:
+        """P(k positives in pool) per candidate, one row each."""
+        return self.lattice.pool_count_hists(self._index.to_compact_masks(candidate_masks))
+
+    def refined_cell_masses(
+        self, chosen: Sequence[int], candidate_masks: np.ndarray, n_cells: int
+    ) -> np.ndarray:
+        """Cell masses of the partition ``chosen + [candidate]``, per candidate."""
+        return self.lattice.refined_cell_masses(
+            [self._index.to_compact_mask(pool) for pool in chosen],
+            self._index.to_compact_masks(candidate_masks),
+            n_cells,
+        )
 
     # ------------------------------------------------------------------
     # full screen

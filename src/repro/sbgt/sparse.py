@@ -60,15 +60,6 @@ def matrix_down_set_masses(
     return out
 
 
-def matrix_count_distribution(
-    states: np.ndarray, p: np.ndarray, pool_mask: int, n_items: int
-) -> np.ndarray:
-    """P(k positives in pool) for k = 0..|pool| over a state matrix."""
-    cols = _pool_columns(pool_mask, n_items)
-    counts = states[:, cols].sum(axis=1)
-    return np.bincount(counts, weights=p, minlength=cols.size + 1)
-
-
 def matrix_pool_count_hists(
     states: np.ndarray, p: np.ndarray, candidate_masks: np.ndarray, n_items: int
 ) -> np.ndarray:
@@ -321,10 +312,6 @@ class SparsePosterior(PosteriorBackend):
     @traced(PHASE_SELECTION, "sparse_down_set_masses")
     def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
         return matrix_down_set_masses(self.states, self._probs(), pool_masks, self.n_items)
-
-    @traced(PHASE_SELECTION, "sparse_count_distribution")
-    def count_distribution(self, pool_mask: int) -> np.ndarray:
-        return matrix_count_distribution(self.states, self._probs(), pool_mask, self.n_items)
 
     @traced(PHASE_SELECTION, "sparse_pool_count_hists")
     def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.engine.tracing import current_trace, trace_scope
 from repro.halving.policy import SelectionPolicy
 from repro.metrics.classification import evaluate_classification
 from repro.metrics.efficiency import efficiency_report
-from repro.obs.tracer import current_tracer
+from repro.obs.tracer import PHASE_SELECTION, current_tracer, trace_phase
 from repro.simulate.population import Cohort
 
 __all__ = ["ScreenStepper"]
@@ -137,8 +137,10 @@ class ScreenStepper:
             eligible = 0
             for i in self.report.undetermined():
                 eligible |= 1 << i
-            with self._stage_scope("select"):
-                pools = self.session.select_pools(self.policy, eligible)
+            with self._stage_scope("select"), trace_phase(
+                PHASE_SELECTION, f"select_{self.policy.name}"
+            ):
+                pools = self.policy.select(self.session, eligible)
             if not pools:
                 raise RuntimeError(f"policy {self.policy.name} proposed no pools")
             self._pending = [int(p) for p in pools]

@@ -36,7 +36,7 @@ class TestNumpySerialRunner:
         from repro.halving.bha import select_halving_pool
 
         assert runner.select_halving_pool(cands) == select_halving_pool(
-            post.space, np.array(cands, dtype=np.uint64)
+            post, np.array(cands, dtype=np.uint64)
         )
 
     def test_counts_tests(self, prior, model):

@@ -45,6 +45,23 @@ class TestStageBehaviour:
         pools = policy.select(post, 0b111111)
         assert len(pools) == 2
 
+    def test_same_stages_on_a_session(self, ctx):
+        """The session needs no dispatch hook: ``select`` is the whole
+        interface, grid first and halving afterwards on either belief."""
+        from repro.sbgt.session import SBGTSession
+
+        prior, model = PriorSpec.uniform(8, 0.05), BinaryErrorModel(0.99, 0.995)
+        serial, session = Posterior.from_prior(prior, model), SBGTSession(ctx, prior, model)
+        try:
+            on_serial, on_session = HybridPolicy(pool_size=4), HybridPolicy(pool_size=4)
+            for _ in range(3):
+                pools = on_serial.select(serial, 0xFF)
+                assert on_session.select(session, 0xFF) == pools
+                for belief in (serial, session):
+                    belief.update(pools[0], True)
+        finally:
+            session.close()
+
     def test_name(self):
         assert HybridPolicy(4).name == "hybrid-4"
         assert HybridPolicy().name == "hybrid-auto"

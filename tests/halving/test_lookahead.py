@@ -3,15 +3,25 @@
 import numpy as np
 import pytest
 
+from repro.bayes.dilution import PerfectTest
+from repro.bayes.posterior import Posterior
 from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import ExhaustiveCandidates
-from repro.halving.lookahead import (
-    batch_balance_objective,
-    cell_masses,
-    select_lookahead_pools,
-)
+from repro.halving.lookahead import batch_balance_objective, select_lookahead_pools
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.states import StateSpace
+
+
+def belief(space: StateSpace) -> Posterior:
+    """The serial belief state over *space* (the rule reads its statistics)."""
+    return Posterior(space, PerfectTest())
+
+
+def cell_masses(space: StateSpace, pools) -> np.ndarray:
+    """Mass of each of the ``2^s`` cells *pools* induce, via the look-ahead
+    statistic: the last pool refines the partition of the others."""
+    *chosen, last = pools
+    return belief(space).refined_cell_masses(chosen, [last], 1 << len(pools))[0]
 
 
 class TestCellMasses:
@@ -33,10 +43,6 @@ class TestCellMasses:
         masses = cell_masses(space, [0b001, 0b010, 0b100])
         assert np.allclose(masses, 1 / 8)
 
-    def test_too_many_pools_raises(self):
-        with pytest.raises(ValueError):
-            cell_masses(StateSpace.dense(2), list(range(1, 22)))
-
 
 class TestBatchBalanceObjective:
     def test_uniform_is_zero(self):
@@ -52,14 +58,14 @@ class TestSelectLookaheadPools:
     def test_s1_matches_bha_choice(self):
         space = build_dense_prior(np.full(6, 0.12))
         cands = ExhaustiveCandidates(max_pool_size=3).generate(np.zeros(6), 0b111111)
-        la_pools, _ = select_lookahead_pools(space, cands, 1)
-        bha_pool, _, _ = select_halving_pool(space, cands)
+        la_pools, _ = select_lookahead_pools(belief(space), cands, 1)
+        bha_pool, _, _ = select_halving_pool(belief(space), cands)
         assert la_pools == [bha_pool]
 
     def test_uniform_lattice_picks_orthogonal_singletons(self):
         space = StateSpace.dense(4)
         cands = ExhaustiveCandidates(max_pool_size=1).generate(np.zeros(4), 0b1111)
-        pools, obj = select_lookahead_pools(space, cands, 3)
+        pools, obj = select_lookahead_pools(belief(space), cands, 3)
         assert len(pools) == 3
         assert len(set(pools)) == 3  # distinct pools
         assert obj == pytest.approx(0.0, abs=1e-12)  # singleton bits halve exactly
@@ -67,20 +73,20 @@ class TestSelectLookaheadPools:
     def test_no_repeated_pools(self):
         space = build_dense_prior(np.full(5, 0.2))
         cands = ExhaustiveCandidates(max_pool_size=2).generate(np.zeros(5), 0b11111)
-        pools, _ = select_lookahead_pools(space, cands, 4)
+        pools, _ = select_lookahead_pools(belief(space), cands, 4)
         assert len(pools) == len(set(pools))
 
     def test_s_capped_by_candidate_count(self):
         space = StateSpace.dense(3)
         cands = np.array([0b001, 0b010], dtype=np.uint64)
-        pools, _ = select_lookahead_pools(space, cands, 5)
+        pools, _ = select_lookahead_pools(belief(space), cands, 5)
         assert len(pools) == 2
 
     def test_objective_decreases_with_depth(self):
         space = build_dense_prior(np.full(6, 0.3))
         cands = ExhaustiveCandidates(max_pool_size=2).generate(np.zeros(6), 0b111111)
-        _, obj1 = select_lookahead_pools(space, cands, 1)
-        _, obj3 = select_lookahead_pools(space, cands, 3)
+        _, obj1 = select_lookahead_pools(belief(space), cands, 1)
+        _, obj3 = select_lookahead_pools(belief(space), cands, 3)
         # Deeper batches measure a harder objective; raw comparability is
         # not guaranteed — but both must be finite and non-negative.
         assert obj1 >= 0 and obj3 >= 0
@@ -88,6 +94,6 @@ class TestSelectLookaheadPools:
     def test_invalid_args(self):
         space = StateSpace.dense(2)
         with pytest.raises(ValueError):
-            select_lookahead_pools(space, np.array([1], dtype=np.uint64), 0)
+            select_lookahead_pools(belief(space), np.array([1], dtype=np.uint64), 0)
         with pytest.raises(ValueError):
-            select_lookahead_pools(space, np.array([], dtype=np.uint64), 1)
+            select_lookahead_pools(belief(space), np.array([], dtype=np.uint64), 1)

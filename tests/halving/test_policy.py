@@ -12,6 +12,9 @@ from repro.halving.policy import (
     InformationGainPolicy,
     LookaheadPolicy,
 )
+from repro.sbgt.config import SBGTConfig
+from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.session import SBGTSession
 
 
 @pytest.fixture
@@ -72,6 +75,37 @@ class TestInformationGainPolicy:
         assert abs(down_set_mass(post.space, ig_pool) - 0.5) == pytest.approx(
             abs(down_set_mass(post.space, bha_pool) - 0.5), abs=1e-9
         )
+
+
+class TestOneEntryPoint:
+    """``policy.select(belief, eligible)`` is the same call for the serial
+    posterior, a session and a bare backend, and picks the same pools."""
+
+    @pytest.mark.parametrize(
+        "policy", [BHAPolicy, lambda: LookaheadPolicy(2), InformationGainPolicy],
+        ids=["bha", "lookahead-2", "infogain"],
+    )
+    def test_same_pools_from_posterior_and_session(self, ctx, posterior, policy):
+        prior, model = PriorSpec.uniform(8, 0.08), posterior.model
+        session = SBGTSession(ctx, prior, model, SBGTConfig(num_blocks=2))
+        try:
+            for belief in (posterior, session):
+                belief.update(0b00001111, True)
+            assert policy().select(session, ALL_ELIGIBLE) == policy().select(
+                posterior, ALL_ELIGIBLE
+            )
+        finally:
+            session.close()
+
+    def test_bare_backend_is_a_belief(self, ctx, posterior):
+        lattice = DistributedLattice.from_prior(ctx, PriorSpec.uniform(8, 0.08), 2)
+        try:
+            for policy in (BHAPolicy(), LookaheadPolicy(2)):
+                assert policy.select(lattice, ALL_ELIGIBLE) == policy.select(
+                    posterior, ALL_ELIGIBLE
+                )
+        finally:
+            lattice.unpersist()
 
 
 class TestIndividualTestingPolicy:

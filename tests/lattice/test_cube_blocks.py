@@ -15,7 +15,6 @@ from repro.engine.closure import deserialize_oob, serialize_oob
 from repro.lattice.builder import dense_prior_log, product_prior_log
 from repro.lattice.partition import (
     LatticeBlock,
-    block_count_distribution_partial,
     block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
@@ -164,11 +163,13 @@ class TestKernelsAgree:
 
     def test_count_distribution(self, pair):
         rng, cube, twin = pair
-        for pool in random_pools(rng, cube.n_items, 6).tolist():
-            size = bin(pool).count("1")
+        """One-pool tables, empty blocks included (``test_count_hists``
+        has the many-pool table)."""
+        for pool in random_pools(rng, cube.n_items, 6):
+            table, size = pool[None], int(pool).bit_count()
             np.testing.assert_allclose(
-                block_count_distribution_partial(cube, pool, size, 0.5),
-                block_count_distribution_partial(twin, pool, size, 0.5),
+                block_count_hists_partial(cube, table, size, 0.5),
+                block_count_hists_partial(twin, table, size, 0.5),
                 **TOL,
             )
 

@@ -7,7 +7,7 @@ from repro.lattice.builder import build_dense_prior
 from repro.lattice.ops import down_set_mass, entropy, marginals, pool_count_distribution
 from repro.lattice.partition import (
     LatticeBlock,
-    block_count_distribution_partial,
+    block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
     block_filter_consistent,
@@ -88,8 +88,9 @@ class TestBlockKernels:
 
     def test_count_distribution_partials_sum(self, space):
         pool, pool_size = 0b01011, 3
+        table = np.array([pool], dtype=np.uint64)
         blocks = partition_state_space(space, 6)
-        total = sum(block_count_distribution_partial(b, pool, pool_size) for b in blocks)
+        (total,) = sum(block_count_hists_partial(b, table, pool_size) for b in blocks)
         assert np.allclose(total, pool_count_distribution(space, pool), atol=1e-12)
 
     def test_update_matches_whole_space(self, space):

@@ -1,4 +1,4 @@
-"""SARIF output, finding baselines, parallel analysis and the cache."""
+"""SARIF output, the plain exit-code gate and skipped files."""
 
 from __future__ import annotations
 
@@ -10,15 +10,7 @@ import sys
 
 import pytest
 
-from repro.lint import (
-    LintFinding,
-    filter_new_findings,
-    format_sarif,
-    lint_paths,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.baseline import fingerprint
+from repro.lint import LintFinding, format_sarif, lint_paths
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -96,118 +88,14 @@ class TestSarif:
         assert any(r["ruleId"] == "C104" for r in log["runs"][0]["results"])
 
 
-class TestBaseline:
-    def test_fingerprint_is_position_independent(self):
-        a = _finding(line=3, message="acquired line 3")
-        b = _finding(line=40, message="acquired line 40")
-        assert fingerprint(a) == fingerprint(b)
+class TestPlainGate:
+    """The exit code is the gate: no baseline, pool or cache flags."""
 
-    def test_fingerprint_distinguishes_rule_file_message(self):
-        base = _finding()
-        assert fingerprint(base) != fingerprint(_finding(rule="C103"))
-        assert fingerprint(base) != fingerprint(_finding(file="other.py"))
-        assert fingerprint(base) != fingerprint(_finding(message="different"))
-
-    def test_roundtrip_and_filtering(self, tmp_path):
-        known = _finding()
-        path = tmp_path / "base.json"
-        write_baseline(str(path), [known])
-        baseline = load_baseline(str(path))
-        assert filter_new_findings([known], baseline) == []
-        fresh = _finding(rule="C103", message="new problem")
-        assert filter_new_findings([known, fresh], baseline) == [fresh]
-
-    def test_counts_gate_duplicate_findings(self, tmp_path):
-        one = _finding()
-        path = tmp_path / "base.json"
-        write_baseline(str(path), [one])
-        baseline = load_baseline(str(path))
-        # two identical findings, baseline covers one -> one is new
-        assert len(filter_new_findings([one, one], baseline)) == 1
-
-    def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-        path.write_text(json.dumps({"version": 99, "fingerprints": {}}))
-        with pytest.raises(ValueError):
-            load_baseline(str(path))
-
-    def test_cli_write_then_gate(self, tmp_path):
-        bad = FIXTURES / "closure_c104_bad.py"
-        base = tmp_path / "lint-baseline.json"
-        proc = run_lint(str(bad), "--write-baseline", str(base))
-        assert proc.returncode == 0, proc.stderr
-        assert "recorded" in proc.stdout
-        proc = run_lint(str(bad), "--baseline", str(base))
-        assert proc.returncode == 0, proc.stdout
-        assert "clean: 0 findings" in proc.stdout
-        assert "known finding(s) suppressed" in proc.stderr
-
-    def test_cli_missing_baseline_exits_two(self):
-        proc = run_lint(str(FIXTURES / "closure_c101_good.py"),
-                        "--baseline", "no/such/baseline.json")
+    @pytest.mark.parametrize("flag", ["--jobs", "--cache", "--baseline", "--write-baseline"])
+    def test_cli_removed_flag_is_a_usage_error(self, flag):
+        proc = run_lint(flag, "1", str(FIXTURES / "closure_c101_good.py"))
         assert proc.returncode == 2
-        assert "cannot load baseline" in proc.stderr
-
-    def test_cli_baseline_and_write_conflict(self):
-        proc = run_lint(str(FIXTURES / "closure_c101_good.py"),
-                        "--baseline", "a.json", "--write-baseline", "b.json")
-        assert proc.returncode == 2
-
-
-class TestJobsAndCache:
-    def test_parallel_matches_serial(self):
-        serial, n1 = lint_paths([str(FIXTURES)])
-        parallel, n2 = lint_paths([str(FIXTURES)], jobs=3)
-        assert n1 == n2
-        assert serial == parallel
-        assert serial  # the fixtures directory is full of findings
-
-    def test_cache_reuse_and_invalidation(self, tmp_path):
-        src = tmp_path / "repro" / "sbgt" / "gen.py"
-        src.parent.mkdir(parents=True)
-        src.write_text("import numpy as np\ng = np.random.default_rng()\n")
-        cache = tmp_path / "cache.json"
-
-        first, _ = lint_paths([str(tmp_path)], cache_path=str(cache))
-        assert [f.rule for f in first] == ["D301"]
-        payload = json.loads(cache.read_text())
-        assert str(src) in payload["entries"]
-
-        # warm run: identical findings out of the cache
-        second, _ = lint_paths([str(tmp_path)], cache_path=str(cache))
-        assert second == first
-
-        # content change invalidates the entry
-        src.write_text("import numpy as np\ng = np.random.default_rng(42)\n")
-        third, _ = lint_paths([str(tmp_path)], cache_path=str(cache))
-        assert third == []
-
-    def test_cache_keyed_on_config(self, tmp_path):
-        src = tmp_path / "repro" / "sbgt" / "gen.py"
-        src.parent.mkdir(parents=True)
-        src.write_text("import numpy as np\ng = np.random.default_rng()\n")
-        cache = tmp_path / "cache.json"
-        lint_paths([str(tmp_path)], cache_path=str(cache))
-        with_ignore, _ = lint_paths(
-            [str(tmp_path)], ignore=["D301"], cache_path=str(cache)
-        )
-        assert with_ignore == []
-
-    def test_corrupt_cache_is_cold_not_fatal(self, tmp_path):
-        src = tmp_path / "repro" / "sbgt" / "gen.py"
-        src.parent.mkdir(parents=True)
-        src.write_text("import numpy as np\ng = np.random.default_rng()\n")
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        findings, _ = lint_paths([str(tmp_path)], cache_path=str(cache))
-        assert [f.rule for f in findings] == ["D301"]
-
-    def test_cli_jobs_zero_rejected(self):
-        proc = run_lint("--jobs", "0", str(FIXTURES / "closure_c101_good.py"))
-        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
 
 
 class TestSkippedFiles:

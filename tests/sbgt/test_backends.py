@@ -22,17 +22,15 @@ import pytest
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.halving.bha import select_halving_pool
+from repro.halving.infogain import select_infogain_pool
+from repro.halving.lookahead import select_lookahead_pools
 from repro.halving.policy import BHAPolicy
 from repro.lattice.prune import PruneStats
 from repro.sbgt.backend import BACKENDS, PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.sbgt.particle import ParticlePosterior
-from repro.sbgt.selector import (
-    select_halving_pool_distributed,
-    select_infogain_pool_distributed,
-    select_lookahead_pools_distributed,
-)
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
 from repro.workflows.payloads import make_posterior
@@ -80,10 +78,6 @@ def test_protocol_conformance(backend, ctx):
     assert all(isinstance(m, int) for m, _ in top)
     assert post.map_state() == top[0][0]
 
-    dist = post.count_distribution(0b000111)
-    assert dist.shape == (4,)
-    assert dist.sum() == pytest.approx(1.0, abs=1e-9)
-
     pools = np.array([0b000011, 0b001100, 0b110000], dtype=np.uint64)
     masses = post.down_set_masses(pools)
     assert masses.shape == (3,)
@@ -92,6 +86,9 @@ def test_protocol_conformance(backend, ctx):
     hists = post.pool_count_hists(pools)
     assert hists.shape == (3, 3)  # max pool size 2 -> counts 0..2
     assert np.allclose(hists.sum(axis=1), 1.0, atol=1e-9)
+    (dist,) = post.pool_count_hists(np.array([0b000111], dtype=np.uint64))
+    assert dist.shape == (4,)
+    assert dist.sum() == pytest.approx(1.0, abs=1e-9)
 
     cells = post.refined_cell_masses((0b000011,), pools, 4)
     assert cells.shape == (3, 4)
@@ -118,15 +115,15 @@ def test_selectors_speak_the_protocol(backend, ctx):
     post.update(0b000111, _ll(True, 0b000111))
     cands = np.array([0b000011, 0b000101, 0b011000, 0b100001], dtype=np.uint64)
 
-    pool, gap, mass = select_halving_pool_distributed(post, cands)
+    pool, gap, mass = select_halving_pool(post, cands)
     assert int(pool) in {int(c) for c in cands}
     assert 0.0 <= mass <= 1.0 and gap >= 0.0
 
-    pool, gain = select_infogain_pool_distributed(post, cands, MODEL)
+    pool, gain = select_infogain_pool(post, cands, MODEL)
     assert int(pool) in {int(c) for c in cands}
     assert np.isfinite(gain)
 
-    pools, obj = select_lookahead_pools_distributed(post, cands, 2)
+    pools, obj = select_lookahead_pools(post, cands, 2)
     assert len(pools) == 2 and np.isfinite(obj)
     post.unpersist()
 
@@ -163,14 +160,10 @@ def test_sparse_floor0_matches_dense(ctx):
         assert np.allclose(
             sparse.down_set_masses(pools), dense.down_set_masses(pools), atol=1e-12
         )
-        assert np.allclose(
-            sparse.count_distribution(0b001111),
-            dense.count_distribution(0b001111),
-            atol=1e-12,
-        )
-        assert np.allclose(
-            sparse.pool_count_hists(pools), dense.pool_count_hists(pools), atol=1e-12
-        )
+        for table in (pools, np.array([0b001111], dtype=np.uint64)):
+            assert np.allclose(
+                sparse.pool_count_hists(table), dense.pool_count_hists(table), atol=1e-12
+            )
         assert np.allclose(
             sparse.refined_cell_masses((0b000011,), pools, 4),
             dense.refined_cell_masses((0b000011,), pools, 4),
@@ -264,7 +257,7 @@ def test_session_orders_candidates_by_the_backends_key(backend, ctx):
                           MODEL, config)
     try:
         session.update(0b000000111, True)
-        session.select_pools(BHAPolicy(Spy()), (1 << 9) - 1)
+        BHAPolicy(Spy()).select(session, (1 << 9) - 1)
         marginals = session.marginals()
     finally:
         session.close()
@@ -456,5 +449,5 @@ def test_no_stray_warnings_from_protocol_path():
         post = _build("sparse", None)
         post.update(0b000111, _ll(True, 0b000111))
         cands = np.array([0b000011, 0b000101], dtype=np.uint64)
-        select_halving_pool_distributed(post, cands)
+        select_halving_pool(post, cands)
         post.prune(1e-9)

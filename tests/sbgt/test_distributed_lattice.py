@@ -121,14 +121,13 @@ class TestAnalyses:
         dl.unpersist()
 
     def test_down_set_masses_match(self, ctx, prior):
-        from repro.halving.bha import down_set_masses
+        from repro.lattice.ops import down_set_mass
 
         dl = DistributedLattice.from_prior(ctx, prior, 4)
         space = prior.build_dense()
         pools = np.array([0b000001, 0b000111, 0b111111], dtype=np.uint64)
-        assert np.allclose(
-            dl.down_set_masses(pools), down_set_masses(space, pools), atol=1e-10
-        )
+        expected = [down_set_mass(space, int(p)) for p in pools]
+        assert np.allclose(dl.down_set_masses(pools), expected, atol=1e-10)
         dl.unpersist()
 
     def test_count_distribution_matches(self, ctx, prior):
@@ -136,11 +135,13 @@ class TestAnalyses:
 
         dl = DistributedLattice.from_prior(ctx, prior, 4)
         space = prior.build_dense()
-        assert np.allclose(
-            dl.count_distribution(0b001011),
-            pool_count_distribution(space, 0b001011),
-            atol=1e-10,
-        )
+        pools = np.array([0b001011, 0b110000], dtype=np.uint64)
+        hists = dl.pool_count_hists(pools)
+        assert hists.shape == (2, 4)
+        for row, pool in zip(hists, pools.tolist()):
+            dist = pool_count_distribution(space, pool)
+            assert np.allclose(row[: dist.size], dist, atol=1e-10)
+            assert not row[dist.size :].any()  # columns past the pool's size stay zero
         dl.unpersist()
 
 

@@ -1,4 +1,13 @@
-"""Distributed selector parity with the serial rules."""
+"""One selector per rule: every belief state answers the same statistics.
+
+The halving, look-ahead and information-gain rules live once, in
+:mod:`repro.halving`, and read a *belief*: the serial
+:class:`~repro.bayes.posterior.Posterior`, an
+:class:`~repro.sbgt.session.SBGTSession` or a bare backend.  These tests
+pin what that buys — equal statistics, equal pools, equal screens — and
+the coordinates each speaks (belief states original cohort indices, a
+backend its own bits).
+"""
 
 import numpy as np
 import pytest
@@ -6,17 +15,21 @@ import pytest
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel, LogNormalViralLoadModel
 from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.engine import Context
 from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import ExhaustiveCandidates, PrefixCandidates
+from repro.halving.infogain import select_infogain_pool
 from repro.halving.lookahead import select_lookahead_pools
 from repro.halving.policy import InformationGainPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.selector import (
-    down_set_masses_distributed,
-    select_halving_pool_distributed,
-    select_infogain_pool_distributed,
-    select_lookahead_pools_distributed,
-)
+from repro.sbgt.session import SBGTSession
+from repro.sbgt.sparse import SparsePosterior
+from repro.workflows.classify import run_screen
+from repro.workflows.options import ScreenOptions
+from repro.workflows.payloads import make_policy
+
+BINARY = BinaryErrorModel(0.95, 0.98)
 
 
 @pytest.fixture
@@ -36,41 +49,68 @@ def space(prior):
     return prior.build_dense()
 
 
+@pytest.fixture
+def serial(space):
+    return Posterior(space, BINARY)
+
+
 ALL = 0b1111111
 
 
+class TestStatisticsParity:
+    """``Posterior`` ≡ ``DistributedLattice`` ≡ ``SparsePosterior(floor=0)``."""
+
+    POOLS = np.array([0b0000001, 0b0011111, 0b0101010, ALL], dtype=np.uint64)
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [
+            lambda b, pools: b.down_set_masses(pools),
+            lambda b, pools: b.pool_count_hists(pools),
+            lambda b, pools: b.refined_cell_masses([], pools, 2),
+            lambda b, pools: b.refined_cell_masses([0b0000110, 0b1000001], pools, 8),
+        ],
+        ids=["down_set_masses", "pool_count_hists", "refined_cells-1", "refined_cells-3"],
+    )
+    def test_same_numbers_from_every_belief(self, dl, serial, prior, statistic):
+        sparse = SparsePosterior.from_prior(prior, floor=0.0)
+        reference = statistic(serial, self.POOLS)
+        assert reference.shape[0] == self.POOLS.size
+        for belief in (dl, sparse):
+            np.testing.assert_allclose(statistic(belief, self.POOLS), reference, atol=1e-12)
+
+    def test_every_belief_declares_exactness(self, dl, serial, ctx, prior):
+        session = SBGTSession(None, prior, BINARY, SBGTConfig(backend="sparse"))
+        assert serial.exact and dl.exact
+        assert not session.exact and not session.lattice.exact
+
+
 class TestHalvingParity:
-    def test_same_pool_selected(self, dl, space):
+    def test_same_pool_selected(self, dl, serial, space):
         cands = PrefixCandidates().generate(space.marginals(), ALL)
-        assert select_halving_pool_distributed(dl, cands) == pytest.approx(
-            select_halving_pool(space, cands)
+        assert select_halving_pool(dl, cands) == pytest.approx(
+            select_halving_pool(serial, cands)
         )
 
-    def test_exhaustive_candidates(self, dl, space):
+    def test_exhaustive_candidates(self, dl, serial, space):
         cands = ExhaustiveCandidates(max_pool_size=2).generate(space.marginals(), ALL)
-        d = select_halving_pool_distributed(dl, cands)
-        s = select_halving_pool(space, cands)
+        d = select_halving_pool(dl, cands)
+        s = select_halving_pool(serial, cands)
         assert d[0] == s[0]
         assert d[1] == pytest.approx(s[1], abs=1e-10)
 
-    def test_down_set_masses_parity(self, dl, space):
-        from repro.halving.bha import down_set_masses
-
+    def test_down_set_masses_parity(self, dl, serial):
         cands = np.array([0b0000001, 0b0011111, ALL], dtype=np.uint64)
-        assert np.allclose(
-            down_set_masses_distributed(dl, cands),
-            down_set_masses(space, cands),
-            atol=1e-10,
-        )
+        assert np.allclose(dl.down_set_masses(cands), serial.down_set_masses(cands), atol=1e-10)
 
     def test_empty_candidates_raise(self, dl):
         with pytest.raises(ValueError):
-            select_halving_pool_distributed(dl, np.array([], dtype=np.uint64))
+            select_halving_pool(dl, np.array([], dtype=np.uint64))
 
 
 class TestUlpRobustTies:
-    """Gaps equal in exact arithmetic tie-break by (pool size, mask) in the
-    serial and the distributed rule alike, whatever the masses' last bit."""
+    """Gaps equal in exact arithmetic tie-break by (pool size, mask),
+    whatever the masses' last bit and whichever belief computed them."""
 
     POOLS = np.array([0b0110, 0b0001, 0b1000, 0b0011], dtype=np.uint64)
     #: |0.3 − ½| and |0.7 − ½| differ in float64; 0b0001 must still win.
@@ -91,13 +131,12 @@ class TestUlpRobustTies:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_distributed_rule(self, seed):
+        """A bare backend's masses (a stub here), an ulp off either way."""
         masses = self.jittered(seed)
-        pool, mass, gap = select_halving_pool_distributed(self.FixedMasses(masses), self.POOLS)
+        pool, mass, gap = select_halving_pool(self.FixedMasses(masses), self.POOLS)
         assert pool == 0b0011  # the two exact halves tie; smaller mask of size 2 wins
         assert gap == pytest.approx(0.0, abs=1e-15)
-        pool, _, _ = select_halving_pool_distributed(
-            self.FixedMasses(masses[1:3]), self.POOLS[1:3]
-        )
+        pool, _, _ = select_halving_pool(self.FixedMasses(masses[1:3]), self.POOLS[1:3])
         assert pool == 0b0001
 
     def test_approximate_backend_compares_as_computed(self):
@@ -106,35 +145,35 @@ class TestUlpRobustTies:
         masses = self.MASSES[1:3]
         assert abs(masses[1] - 0.5) < abs(masses[0] - 0.5)
         approximate = self.FixedMasses(masses, exact=False)
-        assert select_halving_pool_distributed(approximate, self.POOLS[1:3])[0] == 0b1000
+        assert select_halving_pool(approximate, self.POOLS[1:3])[0] == 0b1000
 
     def test_backends_declare_exactness(self, dl):
         from repro.sbgt.particle import ParticlePosterior
-        from repro.sbgt.sparse import SparsePosterior
 
         assert dl.exact and not SparsePosterior.exact and not ParticlePosterior.exact
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_serial_rule(self, seed, space, monkeypatch):
+    def test_serial_rule(self, seed, serial, monkeypatch):
+        """The serial posterior goes through the same ordering."""
         masses = self.jittered(seed)
-        monkeypatch.setattr("repro.halving.bha.down_set_masses", lambda space, pools: masses)
-        assert select_halving_pool(space, self.POOLS)[0] == 0b0011
-        monkeypatch.setattr("repro.halving.bha.down_set_masses", lambda space, pools: masses[1:3])
-        assert select_halving_pool(space, self.POOLS[1:3])[0] == 0b0001
+        monkeypatch.setattr(Posterior, "down_set_masses", lambda self, pools: masses)
+        assert select_halving_pool(serial, self.POOLS)[0] == 0b0011
+        monkeypatch.setattr(Posterior, "down_set_masses", lambda self, pools: masses[1:3])
+        assert select_halving_pool(serial, self.POOLS[1:3])[0] == 0b0001
 
 
 class TestLookaheadParity:
     @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_same_batch_selected(self, dl, space, depth):
+    def test_same_batch_selected(self, dl, serial, space, depth):
         cands = PrefixCandidates().generate(space.marginals(), ALL)
-        d_pools, d_obj = select_lookahead_pools_distributed(dl, cands, depth)
-        s_pools, s_obj = select_lookahead_pools(space, cands, depth)
+        d_pools, d_obj = select_lookahead_pools(dl, cands, depth)
+        s_pools, s_obj = select_lookahead_pools(serial, cands, depth)
         assert d_pools == s_pools
         assert d_obj == pytest.approx(s_obj, abs=1e-10)
 
     def test_invalid_s(self, dl):
         with pytest.raises(ValueError):
-            select_lookahead_pools_distributed(dl, np.array([1], dtype=np.uint64), 0)
+            select_lookahead_pools(dl, np.array([1], dtype=np.uint64), 0)
 
 
 class TestInfogainParity:
@@ -143,16 +182,82 @@ class TestInfogainParity:
         [BinaryErrorModel(0.95, 0.98), DilutionErrorModel(0.97, 0.99, 0.5)],
         ids=["binary", "dilution"],
     )
-    def test_same_pool_selected(self, dl, space, prior, model):
+    def test_same_pool_selected(self, dl, space, model):
         post = Posterior(space.copy(), model)
         cands = PrefixCandidates().generate(space.marginals(), ALL)
-        serial_pool = InformationGainPolicy(PrefixCandidates()).select(post, ALL)[0]
-        dist_pool, info = select_infogain_pool_distributed(dl, cands, model)
-        assert dist_pool == serial_pool
+        policy_pool = InformationGainPolicy(PrefixCandidates()).select(post, ALL)[0]
+        dist_pool, info = select_infogain_pool(dl, cands, model)
+        assert dist_pool == policy_pool == select_infogain_pool(post, cands, model)[0]
         assert info > 0
 
     def test_continuous_model_rejected(self, dl):
         with pytest.raises(ValueError):
-            select_infogain_pool_distributed(
-                dl, np.array([1], dtype=np.uint64), LogNormalViralLoadModel()
-            )
+            select_infogain_pool(dl, np.array([1], dtype=np.uint64), LogNormalViralLoadModel())
+
+
+# ---------------------------------------------------------------------------
+# whole screens: the serial driver and the session pick the same pools
+# ---------------------------------------------------------------------------
+SWEEP_PRIORS = {
+    "uniform": lambda seed: PriorSpec.uniform(8, 0.08),
+    "sampled": lambda seed: PriorSpec.sampled(8, 0.08, rng=1000 + seed),
+}
+
+
+@pytest.fixture(scope="module", params=["serial", "threads", "processes"])
+def mode_ctx(request):
+    with Context(mode=request.param, parallelism=2) as c:
+        yield c
+
+
+@pytest.mark.parametrize("prior_kind", sorted(SWEEP_PRIORS))
+@pytest.mark.parametrize("policy", ["bha", "lookahead-2", "infogain", "hybrid"])
+def test_serial_and_session_screens_test_the_same_pools(mode_ctx, policy, prior_kind):
+    """4 policies × 2 priors × 10 seeds, in every executor mode."""
+    options = ScreenOptions(max_stages=40)
+    for seed in range(10):
+        prior = SWEEP_PRIORS[prior_kind](seed)
+        serial = run_screen(prior, BINARY, make_policy(policy), rng=seed, options=options)
+        session = SBGTSession(mode_ctx, prior, BINARY, SBGTConfig(num_blocks=2))
+        try:
+            dist = session.run_screen(make_policy(policy), rng=seed, options=options)
+        finally:
+            session.close()
+        tested = [(r.stage, r.pool_mask, r.outcome) for r in serial.posterior.log.records]
+        assert [(r.stage, r.pool_mask, r.outcome) for r in session.log.records] == tested, seed
+        assert dist.report.statuses == serial.report.statuses, seed
+
+
+# ---------------------------------------------------------------------------
+# contraction: statistics stay in original cohort indices
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "settled",
+    [{0: False}, {2: True}, {0: False, 4: True}],
+    ids=["negative", "positive", "both"],
+)
+@pytest.mark.parametrize("policy", ["bha", "lookahead-2", "infogain"])
+def test_settled_beliefs_select_the_same_original_index_pools(ctx, policy, settled):
+    """After ``settle()`` the lattice is compact but pools are not: a
+    policy reading a contracted serial posterior used to hand
+    original-index masks to the compacted lattice and get another pool
+    than the session, which translated."""
+    prior = PriorSpec(np.array([0.05, 0.2, 0.1, 0.3, 0.15, 0.08]))
+    serial = Posterior.from_prior(prior, BINARY)
+    session = SBGTSession(ctx, prior, BINARY, SBGTConfig(compact_classified=True))
+    try:
+        for belief in (serial, session):
+            belief.update(0b001110, True)
+            for individual, positive in settled.items():
+                belief.settle(individual, positive)
+        live = sum(1 << i for i in range(6) if i not in settled)
+        pools = make_policy(policy).select(serial, live)
+        assert pools == make_policy(policy).select(session, live)
+        assert all(pool & ~live == 0 for pool in pools)
+        np.testing.assert_allclose(
+            serial.down_set_masses(np.array(pools, dtype=np.uint64)),
+            [serial.down_set_mass(pool) for pool in pools],
+            atol=1e-12,
+        )
+    finally:
+        session.close()

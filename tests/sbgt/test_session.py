@@ -139,7 +139,7 @@ class TestSerialAgreement:
 
 
 def test_hybrid_policy_runs_distributed(ctx, model):
-    """The hybrid's halving stages go through the distributed selector:
+    """The hybrid's halving stages read the session like any belief:
     same pools, in the same order, as the serial driver."""
     from repro.halving.hybrid import HybridPolicy
 

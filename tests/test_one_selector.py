@@ -1,0 +1,44 @@
+"""Each selection rule is written once, and nothing dispatches on a policy.
+
+The halving, look-ahead and information-gain arg-mins are module-level
+functions of :mod:`repro.halving` that read a belief's statistics; the
+session and the stepper call ``policy.select`` and never ask what kind
+of policy it is.  The scan is static, like
+``tests/test_no_deprecation_shims.py``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+RULES = ("select_halving_pool", "select_lookahead_pools", "select_infogain_pool")
+
+
+def test_each_rule_is_defined_exactly_once():
+    # Module-level functions only: the baselines' same-named *methods*
+    # are the independent references the R2 speedups are taken against.
+    defined = {rule: [] for rule in RULES}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(path.relative_to(SRC).as_posix())
+    assert defined == {
+        "select_halving_pool": ["halving/bha.py"],
+        "select_lookahead_pools": ["halving/lookahead.py"],
+        "select_infogain_pool": ["halving/infogain.py"],
+    }
+
+
+def test_sbgt_has_no_distributed_twin_and_no_policy_dispatch():
+    found = []
+    for path in sorted((SRC / "sbgt").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "_distributed" in text:
+            found.append(f"{path.name}: a _distributed name")
+        if re.search(r"isinstance\([^)]*policy", text, re.IGNORECASE):
+            found.append(f"{path.name}: isinstance on a policy")
+    assert found == []
+    assert not (SRC / "sbgt" / "selector.py").exists()
