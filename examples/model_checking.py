@@ -20,7 +20,7 @@ analysis pipelines assumes it doesn't.
 import numpy as np
 
 from repro import BinaryErrorModel, DilutionErrorModel, Posterior, PriorSpec
-from repro.bayes.model_selection import compare_models, format_comparison
+from repro.bayes.model_selection import format_comparison
 from repro.metrics.calibration import calibration_report
 from repro.simulate.population import make_cohort
 from repro.simulate.testing import TestLab

@@ -1,16 +1,14 @@
-"""Comparator implementations.
+"""Comparator implementation.
 
-* :mod:`repro.baseline.pydict` — a per-state, dict-backed pure-Python
-  implementation of the same Bayesian lattice algorithms.  It stands in
-  for the prior framework SBGT was evaluated against (unavailable closed
-  research code): algorithmically identical, one-state-at-a-time, no
-  vectorisation — the cost profile SBGT's speedups are measured from.
-* :mod:`repro.baseline.numpy_serial` — the single-threaded NumPy path
-  (the serial :class:`~repro.bayes.posterior.Posterior`), separating
-  "vectorisation" from "distribution" in the speedup ablation.
+:mod:`repro.baseline.pydict` — a per-state, dict-backed pure-Python
+implementation of the same Bayesian lattice algorithms.  It stands in
+for the prior framework SBGT was evaluated against (unavailable closed
+research code): algorithmically identical, one-state-at-a-time, no
+vectorisation — the cost profile SBGT's speedups are measured from.
+The single-threaded NumPy path is the serial
+:class:`~repro.bayes.posterior.Posterior` itself.
 """
 
 from repro.baseline.pydict import PyDictLattice, PyDictPosterior
-from repro.baseline.numpy_serial import NumpySerialRunner
 
-__all__ = ["PyDictLattice", "PyDictPosterior", "NumpySerialRunner"]
+__all__ = ["PyDictLattice", "PyDictPosterior"]

@@ -25,7 +25,6 @@ from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
 from repro.bayes.indexmap import CohortIndexMap
 from repro.bayes.model_selection import (
     ModelEvidence,
-    compare_models,
     replay_log_evidence,
 )
 from repro.bayes.prevalence import (
@@ -51,7 +50,6 @@ __all__ = [
     "pairwise_correlation",
     "CohortIndexMap",
     "ModelEvidence",
-    "compare_models",
     "replay_log_evidence",
     "PrevalencePosterior",
     "estimate_prevalence",

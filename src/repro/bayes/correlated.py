@@ -78,11 +78,6 @@ class HouseholdPrior:
             for i in range(len(self.household_sizes))
         ]
 
-    def household_mask(self, h: int) -> int:
-        """Bit mask of household *h*'s members."""
-        start, size = self.households()[h]
-        return ((1 << size) - 1) << start
-
     def _household_log_prior(self, size: int) -> np.ndarray:
         """Log P(local pattern) over the ``2^size`` patterns of one household.
 

@@ -10,7 +10,7 @@ the model stopped explaining the outcomes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 __all__ = ["TestRecord", "EvidenceLog"]
 
@@ -59,17 +59,6 @@ class EvidenceLog:
     def log_evidence(self) -> float:
         """Total log marginal likelihood of all observed outcomes."""
         return float(sum(r.log_predictive for r in self.records))
-
-    def tests_per_stage(self) -> List[Tuple[int, int]]:
-        counts: dict = {}
-        for r in self.records:
-            counts[r.stage] = counts.get(r.stage, 0) + 1
-        return sorted(counts.items())
-
-    def total_information_gain(self) -> float:
-        return float(
-            sum(g for r in self.records if (g := r.information_gain) is not None)
-        )
 
     def to_json(self) -> str:
         """Serialize the full test trail (audit-log export).

@@ -12,7 +12,7 @@ from the chemistry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.metrics.reporting import format_table
 
-__all__ = ["ModelEvidence", "compare_models", "replay_log_evidence", "format_comparison"]
+__all__ = ["ModelEvidence", "replay_log_evidence", "format_comparison"]
 
 TestTrail = Sequence[Tuple[int, Any]]  # (pool_mask, outcome) pairs
 
@@ -51,32 +51,6 @@ def replay_log_evidence(
     for pool_mask, outcome in trail:
         posterior.update(int(pool_mask), outcome)
     return posterior.log.log_evidence
-
-
-def compare_models(
-    prior: PriorSpec,
-    models: Dict[str, ResponseModel],
-    trail: TestTrail,
-) -> List[ModelEvidence]:
-    """Score candidate models on one trail, best first.
-
-    All models must produce non-zero likelihood for every observed
-    outcome (a model that cannot explain an outcome scores ``-inf`` and
-    ranks last rather than raising).
-    """
-    if not models:
-        raise ValueError("at least one candidate model required")
-    if not trail:
-        raise ValueError("an empty trail cannot discriminate models")
-    scored = []
-    for name, model in models.items():
-        try:
-            log_ev = replay_log_evidence(prior, model, trail)
-        except ValueError:
-            log_ev = float("-inf")
-        scored.append(ModelEvidence(name=name, log_evidence=log_ev))
-    scored.sort(key=lambda m: -m.log_evidence)
-    return scored
 
 
 def format_comparison(scored: Sequence[ModelEvidence]) -> str:

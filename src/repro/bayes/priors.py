@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.lattice.builder import build_dense_prior, build_restricted_prior
+from repro.lattice.builder import build_dense_prior
 from repro.lattice.states import StateSpace
 from repro.util.rng import RngLike, as_rng
 from repro.util.validation import check_positive_int, check_probability
@@ -87,34 +87,9 @@ class PriorSpec:
     def n_items(self) -> int:
         return int(self.risks.size)
 
-    @property
-    def expected_positives(self) -> float:
-        return float(self.risks.sum())
-
-    def subset(self, indices: Sequence[int]) -> "PriorSpec":
-        """Prior restricted to the given individuals (for sub-cohorts)."""
-        idx = np.asarray(list(indices), dtype=np.intp)
-        if idx.size == 0:
-            raise ValueError("subset must keep at least one individual")
-        return PriorSpec(self.risks[idx])
-
-    def sorted_by_risk(self, descending: bool = True) -> Tuple["PriorSpec", np.ndarray]:
-        """Risk-sorted copy plus the permutation applied.
-
-        The Bayesian Halving Algorithm's candidate pools are prefixes in
-        marginal-probability order, so cohorts are usually re-indexed
-        this way before a session.
-        """
-        order = np.argsort(-self.risks if descending else self.risks, kind="stable")
-        return PriorSpec(self.risks[order]), order
-
     # ------------------------------------------------------------------
     # lattice construction
     # ------------------------------------------------------------------
     def build_dense(self) -> StateSpace:
         """Full 2^n lattice with this prior (n ≤ 30)."""
         return build_dense_prior(self.risks)
-
-    def build_restricted(self, max_positives: int) -> Tuple[StateSpace, float]:
-        """Rank-restricted lattice; returns (space, log mass discarded)."""
-        return build_restricted_prior(self.risks, max_positives)

@@ -46,9 +46,33 @@ from repro.workflows.payloads import (
     make_policy,
 )
 from repro.surveil import ALLOCATOR_HELP, FLEET_KINDS
+from repro.util.validation import check_in_range, check_positive_int, check_probability
 from repro.workflows.surveillance import run_surveillance
 
 __all__ = ["main", "build_parser"]
+
+
+def _checked(convert, check, *bounds):
+    """An argparse ``type=`` that converts, then range-checks with *check*.
+
+    Out-of-range values become a usage error (exit 2) at parse time
+    instead of a traceback from deep inside the model constructors.
+    """
+
+    def parse(text: str):
+        value = convert(text)  # unparsable text keeps argparse's own message
+        try:
+            return check(value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_probability = _checked(float, check_probability)
+_positive_int = _checked(int, check_positive_int)
+_dilution_exponent = _checked(float, check_in_range, 0.0, 10.0)
 
 
 def _make_policy(name: str) -> SelectionPolicy:
@@ -124,9 +148,10 @@ def _profiled(args: argparse.Namespace, title: str):
 
 def _add_assay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--assay", choices=["perfect", "binary", "dilution"], default="dilution")
-    p.add_argument("--sensitivity", type=float, default=0.98)
-    p.add_argument("--specificity", type=float, default=0.995)
-    p.add_argument("--dilution", type=float, default=0.3, help="dilution exponent δ")
+    p.add_argument("--sensitivity", type=_probability, default=0.98)
+    p.add_argument("--specificity", type=_probability, default=0.995)
+    p.add_argument("--dilution", type=_dilution_exponent, default=0.3,
+                   help="dilution exponent δ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--cohort", type=int, default=16,
                           help="cohort size (<= 24 dense, larger with an "
                                "approximate backend)")
-    p_screen.add_argument("--prevalence", type=float, default=0.02)
+    p_screen.add_argument("--prevalence", type=_probability, default=0.02)
     p_screen.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
                           help="use a named scenario instead of --prevalence/assay")
     p_screen.add_argument("--policy", type=_make_policy, default="bha",
                           help=f"selection policy ({POLICY_HELP})")
     p_screen.add_argument("--seed", type=int, default=0)
-    p_screen.add_argument("--max-stages", type=int, default=60)
+    p_screen.add_argument("--max-stages", type=_positive_int, default=60)
     p_screen.add_argument("--workers", type=int, default=4)
     p_screen.add_argument("--compact", action="store_true",
                           help="enable lattice contraction of settled diagnoses")
@@ -163,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_calc = sub.add_parser("calculator", help="pool/don't-pool decision table")
     p_calc.add_argument("--cohort", type=int, default=12)
-    p_calc.add_argument("--prevalences", type=float, nargs="+",
+    p_calc.add_argument("--prevalences", type=_probability, nargs="+",
                         default=[0.005, 0.01, 0.02, 0.05, 0.10, 0.20, 0.30])
-    p_calc.add_argument("--replications", type=int, default=15)
+    p_calc.add_argument("--replications", type=_positive_int, default=15)
     p_calc.add_argument("--policy", type=_make_policy, default="bha",
                         help=f"selection policy ({POLICY_HELP})")
     p_calc.add_argument("--seed", type=int, default=0)
@@ -175,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_assay_args(p_calc)
 
     p_surv = sub.add_parser("surveillance", help="multi-day campaign over an epidemic wave")
-    p_surv.add_argument("--days", type=int, default=30)
-    p_surv.add_argument("--cohort", type=int, default=12)
+    p_surv.add_argument("--days", type=_positive_int, default=30)
+    p_surv.add_argument("--cohort", type=_positive_int, default=12)
     p_surv.add_argument("--beta", type=float, default=0.35, help="SIR transmission rate")
     p_surv.add_argument("--gamma", type=float, default=0.10, help="SIR recovery rate")
     p_surv.add_argument("--i0", type=float, default=0.005, help="initial prevalence")
@@ -220,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument("--prom", action="store_true",
                            help="Prometheus text exposition instead of JSON")
-    p_metrics.add_argument("--cohort", type=int, default=12)
-    p_metrics.add_argument("--prevalence", type=float, default=0.05)
+    p_metrics.add_argument("--cohort", type=_positive_int, default=12)
+    p_metrics.add_argument("--prevalence", type=_probability, default=0.05)
     p_metrics.add_argument("--seed", type=int, default=0)
     p_metrics.add_argument("--workers", type=int, default=4)
     p_metrics.add_argument("--mode", choices=["serial", "threads", "processes"],

@@ -16,17 +16,13 @@ import io
 import marshal
 import pickle
 import types
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.engine.errors import ClosureSerializationError, SerializationError
 
 __all__ = [
-    "serialize",
-    "deserialize",
     "serialize_oob",
     "deserialize_oob",
-    "serialize_function",
-    "deserialize_function",
 ]
 
 #: Out-of-band buffers need pickle protocol 5 (Python >= 3.8, always true
@@ -138,21 +134,6 @@ def _raise_serialization_error(obj: Any, exc: Exception) -> None:
     raise SerializationError(f"cannot serialize {type(obj).__name__}: {exc}") from exc
 
 
-def serialize(obj: Any) -> bytes:
-    """Pickle *obj*, tolerating lambdas and nested functions."""
-    buf = io.BytesIO()
-    try:
-        _ClosurePickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
-    except Exception as exc:
-        _raise_serialization_error(obj, exc)
-    return buf.getvalue()
-
-
-def deserialize(data: bytes) -> Any:
-    """Inverse of :func:`serialize`."""
-    return pickle.loads(data)
-
-
 def serialize_oob(obj: Any) -> Tuple[bytes, List[bytearray]]:
     """Pickle *obj* with protocol-5 out-of-band buffers.
 
@@ -178,14 +159,3 @@ def deserialize_oob(data: bytes, buffers: Sequence[Any]) -> Any:
     """Inverse of :func:`serialize_oob` (buffers resolve by position)."""
     return pickle.loads(data, buffers=buffers)
 
-
-def serialize_function(fn: Callable) -> bytes:
-    """Serialize a callable specifically (same machinery, clearer intent)."""
-    return serialize(fn)
-
-
-def deserialize_function(data: bytes) -> Callable:
-    fn = deserialize(data)
-    if not callable(fn):
-        raise SerializationError("deserialized object is not callable")
-    return fn

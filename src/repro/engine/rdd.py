@@ -154,11 +154,6 @@ class RDD(Generic[T]):
     def filter(self, pred: Callable[[T], bool]) -> "RDD[T]":
         return self.map_partitions_with_index(lambda _i, it: (x for x in it if pred(x)))
 
-    def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD[U]":
-        return self.map_partitions_with_index(
-            lambda _i, it: itertools.chain.from_iterable(f(x) for x in it)
-        )
-
     # ------------------------------------------------------------------
     # actions
     # ------------------------------------------------------------------
@@ -167,14 +162,8 @@ class RDD(Generic[T]):
         parts = self.ctx.run_job(self, list)
         return [x for p in parts for x in p]
 
-    def collect_partitions(self) -> List[List[T]]:
-        return self.ctx.run_job(self, list)
-
     def count(self) -> int:
         return sum(self.ctx.run_job(self, lambda it: sum(1 for _ in it)))
-
-    def is_empty(self) -> bool:
-        return len(self.take(1)) == 0
 
     def reduce(self, op: Callable[[T, T], T]) -> T:
         """Combine all records with *op* (associative & commutative)."""
@@ -256,12 +245,6 @@ class RDD(Generic[T]):
             if len(out) >= n:
                 break
         return out[:n]
-
-    def first(self) -> T:
-        got = self.take(1)
-        if not got:
-            raise EngineError("first() of empty RDD")
-        return got[0]
 
     def sum(self) -> Any:
         return self.fold(0, lambda a, b: a + b)

@@ -40,7 +40,6 @@ __all__ = [
     "new_trace_id",
     "current_trace",
     "current_trace_id",
-    "current_span_id",
     "current_phase",
     "trace_scope",
     "ensure_trace",
@@ -94,12 +93,6 @@ def current_trace_id() -> str:
     """The active trace id ("" when no scope is open)."""
     tc = _trace_var.get()
     return tc.trace_id if tc is not None else ""
-
-
-def current_span_id() -> str:
-    """The active span id ("" when no scope is open)."""
-    tc = _trace_var.get()
-    return tc.span_id if tc is not None else ""
 
 
 def current_phase() -> str:

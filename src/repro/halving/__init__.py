@@ -25,7 +25,6 @@ from repro.halving.policy import (
     DorfmanPolicy,
     ArrayTestingPolicy,
 )
-from repro.halving.stopping import LossBasedStopping, terminal_loss
 from repro.halving.hybrid import HybridPolicy
 
 __all__ = [
@@ -48,6 +47,4 @@ __all__ = [
     "DorfmanPolicy",
     "ArrayTestingPolicy",
     "HybridPolicy",
-    "LossBasedStopping",
-    "terminal_loss",
 ]

@@ -18,20 +18,16 @@ from repro.lattice.ops import (
     map_state,
     top_states,
     down_set_mass,
-    up_set_mass,
     pool_count_distribution,
     posterior_update,
     condition_on_classification,
     project_out_bit,
-    kl_divergence,
 )
-from repro.lattice.prune import prune_below, prune_by_mass, PruneStats
+from repro.lattice.prune import prune_by_mass, PruneStats
 from repro.lattice.partition import LatticeBlock, partition_state_space, merge_blocks
 from repro.lattice.serialize import (
     load_posterior,
-    load_state_space,
     save_posterior,
-    save_state_space,
 )
 
 __all__ = [
@@ -45,20 +41,15 @@ __all__ = [
     "map_state",
     "top_states",
     "down_set_mass",
-    "up_set_mass",
     "pool_count_distribution",
     "posterior_update",
     "condition_on_classification",
     "project_out_bit",
-    "kl_divergence",
     "prune_by_mass",
-    "prune_below",
     "PruneStats",
     "LatticeBlock",
     "partition_state_space",
     "merge_blocks",
-    "save_state_space",
-    "load_state_space",
     "save_posterior",
     "load_posterior",
 ]

@@ -5,10 +5,10 @@ These are the three operation classes SBGT's evaluation times:
 * *manipulation* — :func:`posterior_update`, :func:`normalize_log_probs`,
   :func:`condition_on_classification` (and pruning, in
   :mod:`repro.lattice.prune`);
-* *test selection* — :func:`down_set_mass` / :func:`up_set_mass`, the
-  quantities the Bayesian Halving Algorithm ranks candidate pools by;
+* *test selection* — :func:`down_set_mass`, the quantity the Bayesian
+  Halving Algorithm ranks candidate pools by;
 * *statistical analysis* — :func:`marginals`, :func:`entropy`,
-  :func:`map_state`, :func:`top_states`, :func:`kl_divergence`.
+  :func:`map_state`, :func:`top_states`.
 
 Every function is a pure NumPy sweep over the mask/log-prob arrays.
 """
@@ -30,12 +30,10 @@ __all__ = [
     "map_state",
     "top_states",
     "down_set_mass",
-    "up_set_mass",
     "pool_count_distribution",
     "conditioned_log_probs",
     "posterior_update",
     "condition_on_classification",
-    "kl_divergence",
 ]
 
 
@@ -93,11 +91,6 @@ def down_set_mass(space: StateSpace, pool_mask: int) -> float:
     p = space.probs()
     clean = (space.masks & np.uint64(pool_mask)) == np.uint64(0)
     return float(p[clean].sum())
-
-
-def up_set_mass(space: StateSpace, pool_mask: int) -> float:
-    """Posterior mass of states with at least one positive in the pool."""
-    return 1.0 - down_set_mass(space, pool_mask)
 
 
 def pool_count_distribution(space: StateSpace, pool_mask: int) -> np.ndarray:
@@ -200,14 +193,3 @@ def project_out_bit(space: StateSpace, bit: int, keep_positive: bool) -> StateSp
     new_masks = low | high
     log_probs = normalize_log_probs(space.log_probs[keep])
     return StateSpace(space.n_items - 1, new_masks, log_probs)
-
-
-def kl_divergence(p_space: StateSpace, q_space: StateSpace) -> float:
-    """KL(p ‖ q) between two distributions on the *same* mask family."""
-    if p_space.size != q_space.size or not np.array_equal(p_space.masks, q_space.masks):
-        raise ValueError("KL divergence requires identical state supports")
-    lp = normalize_log_probs(p_space.log_probs)
-    lq = normalize_log_probs(q_space.log_probs)
-    p = np.exp(lp)
-    mask = p > 0.0
-    return float(np.sum(p[mask] * (lp[mask] - lq[mask])))

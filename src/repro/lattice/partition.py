@@ -45,7 +45,6 @@ __all__ = [
     "block_mass_marginals",
     "merge_mass_marginals",
     "block_update",
-    "block_scale",
     "block_marginal_partial",
     "block_down_set_partial",
     "block_entropy_partial",
@@ -251,12 +250,6 @@ def block_update(block: LatticeBlock, pool_mask: int, log_lik_by_count: np.ndarr
     updated = _pool_log_lik(block, int(pool_mask), ll)
     updated += block.log_probs
     block.log_probs = updated
-    return block
-
-
-def block_scale(block: LatticeBlock, log_shift: float) -> LatticeBlock:
-    """Subtract a global log-mass (the distributed normalisation step)."""
-    block.log_probs -= log_shift
     return block
 
 

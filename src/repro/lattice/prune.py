@@ -19,16 +19,16 @@ import numpy as np
 from repro.lattice.ops import normalize_log_probs
 from repro.lattice.states import StateSpace
 
-__all__ = ["PruneStats", "prune_by_mass", "prune_below"]
+__all__ = ["PruneStats", "prune_by_mass"]
 
 
 @dataclass(frozen=True)
 class PruneStats:
     """Outcome of a pruning pass (serial or distributed).
 
-    The serial kernels (:func:`prune_by_mass`, :func:`prune_below`)
-    attach the surviving :class:`StateSpace` as ``space``; distributed
-    and backend prunes mutate in place and leave ``space`` as ``None``.
+    The serial kernel (:func:`prune_by_mass`) attaches the surviving
+    :class:`StateSpace` as ``space``; distributed and backend prunes
+    mutate in place and leave ``space`` as ``None``.
     """
 
     kept_states: int
@@ -77,27 +77,4 @@ def prune_by_mass(space: StateSpace, epsilon: float) -> PruneStats:
         kept_states=int(keep_idx.size),
         dropped_states=int(p.size - keep_idx.size),
         dropped_mass=max(0.0, dropped_mass),
-    )
-
-
-def prune_below(space: StateSpace, floor: float) -> PruneStats:
-    """Drop states with posterior probability strictly below *floor*."""
-    if not 0.0 <= floor < 1.0:
-        raise ValueError("floor must be in [0, 1)")
-    p = space.probs()
-    keep = p >= floor
-    if not keep.any():
-        keep[int(np.argmax(p))] = True
-    keep_idx = np.flatnonzero(keep)
-    dropped_mass = float(p[~keep].sum())
-    new_space = StateSpace(
-        space.n_items,
-        space.masks[keep_idx],
-        normalize_log_probs(space.log_probs[keep_idx]),
-    )
-    return PruneStats(
-        space=new_space,
-        kept_states=int(keep_idx.size),
-        dropped_states=int(p.size - keep_idx.size),
-        dropped_mass=dropped_mass,
     )

@@ -21,35 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids lattice↔bayes cycl
     from repro.bayes.dilution import ResponseModel
     from repro.bayes.posterior import Posterior
 
-__all__ = ["save_state_space", "load_state_space", "save_posterior", "load_posterior"]
+__all__ = ["save_posterior", "load_posterior"]
 
 PathLike = Union[str, Path]
 
 _FORMAT_VERSION = 1
-
-
-def save_state_space(space: StateSpace, path: PathLike) -> None:
-    """Write a state space to ``.npz`` (compressed)."""
-    np.savez_compressed(
-        Path(path),
-        version=np.int64(_FORMAT_VERSION),
-        n_items=np.int64(space.n_items),
-        masks=space.masks,
-        log_probs=space.log_probs,
-    )
-
-
-def load_state_space(path: PathLike) -> StateSpace:
-    """Read a state space written by :func:`save_state_space`."""
-    with np.load(Path(path)) as data:
-        version = int(data["version"])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported lattice file version {version}")
-        return StateSpace(
-            int(data["n_items"]),
-            data["masks"].copy(),
-            data["log_probs"].copy(),
-        )
 
 
 def save_posterior(posterior: "Posterior", path: PathLike) -> None:

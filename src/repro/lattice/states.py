@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.util.bits import MAX_ITEMS, popcount64
+from repro.util.bits import MAX_ITEMS
 from repro.util.numerics import logsumexp
 
 __all__ = ["StateSpace"]
@@ -85,10 +85,6 @@ class StateSpace:
     def probs(self) -> np.ndarray:
         """Normalised linear-space probabilities."""
         return np.exp(self.log_probs - self.log_total_mass)
-
-    def positive_counts(self) -> np.ndarray:
-        """Per-state number of infected individuals (lattice rank)."""
-        return popcount64(self.masks)
 
     def copy(self) -> "StateSpace":
         return StateSpace(self.n_items, self.masks.copy(), self.log_probs.copy())

@@ -24,7 +24,6 @@ place with ``# repro: lint-ignore[RULE]``.
 from repro.lint.analyzer import (
     JSON_SCHEMA_VERSION,
     LintError,
-    analyze_file,
     analyze_source,
     format_json,
     format_text,
@@ -56,7 +55,6 @@ __all__ = [
     "DETERMINISM_RULES",
     "CallGraph",
     "CaptureIssue",
-    "analyze_file",
     "analyze_source",
     "build_callgraph",
     "capture_report",

@@ -37,7 +37,6 @@ from repro.lint.rules import RULES
 __all__ = [
     "LintError",
     "analyze_source",
-    "analyze_file",
     "iter_python_files",
     "lint_paths",
     "format_text",
@@ -116,28 +115,6 @@ def analyze_source(
         kept.append(f)
     kept.sort(key=lambda f: (f.file, f.line, f.col, f.rule))
     return kept
-
-
-def analyze_file(
-    path: Path,
-    *,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    force_engine: bool = False,
-    callgraph: Optional[CallGraph] = None,
-) -> List[LintFinding]:
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"cannot read {path}: {exc}") from exc
-    return analyze_source(
-        source,
-        filename=str(path),
-        select=select,
-        ignore=ignore,
-        force_engine=force_engine,
-        callgraph=callgraph,
-    )
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:

@@ -1,6 +1,6 @@
 """Runtime bridge: map pickling failures back to lint's capture model.
 
-When ``closure.serialize`` fails, the raw pickle error names a type
+When ``closure.serialize_oob`` fails, the raw pickle error names a type
 three frames deep and nothing else.  This module re-walks the payload
 the way the pickler would — function closure cells (paired with
 ``co_freevars``), default arguments, containers, object ``__dict__`` —

@@ -442,7 +442,7 @@ class _ClosureAnalyzer(ast.NodeVisitor):
                 self.emit(
                     "C102", node,
                     f"captures {name!r} ({tag}) — unpicklable, the job dies in "
-                    "closure.serialize under the processes executor",
+                    "closure.serialize_oob under the processes executor",
                     chain=chain,
                     anchor_lines=anchor_lines,
                 )

@@ -102,7 +102,6 @@ TRANSFORM_METHODS = frozenset(
     {
         "map",
         "filter",
-        "flat_map",
         "map_partitions",
         "map_partitions_with_index",
         "reduce",

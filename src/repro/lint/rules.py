@@ -96,7 +96,7 @@ _RULES: Tuple[Rule, ...] = (
         rationale=(
             "Process-mode tasks ship as protocol-5 pickles. Locks, open "
             "files, sockets, queues, threads and generators are unpicklable: "
-            "the job dies in closure.serialize long after the defect was "
+            "the job dies in closure.serialize_oob long after the defect was "
             "written, and thread mode silently *shares* the handle instead — "
             "the same code behaves differently per executor mode."
         ),

@@ -2,16 +2,14 @@
 
 from repro.metrics.classification import ConfusionCounts, evaluate_classification
 from repro.metrics.efficiency import EfficiencyReport, efficiency_report
-from repro.metrics.reporting import format_table, format_speedup_table
+from repro.metrics.reporting import format_table
 from repro.metrics.bounds import (
-    halving_optimality_ratio,
     min_expected_tests,
     prior_entropy_bits,
 )
 from repro.metrics.calibration import (
     CalibrationReport,
     calibration_report,
-    collect_screen_calibration,
 )
 
 __all__ = [
@@ -20,11 +18,8 @@ __all__ = [
     "EfficiencyReport",
     "efficiency_report",
     "format_table",
-    "format_speedup_table",
     "prior_entropy_bits",
     "min_expected_tests",
-    "halving_optimality_ratio",
     "CalibrationReport",
     "calibration_report",
-    "collect_screen_calibration",
 ]

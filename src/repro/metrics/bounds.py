@@ -22,7 +22,6 @@ from repro.lattice.states import StateSpace
 __all__ = [
     "prior_entropy_bits",
     "min_expected_tests",
-    "halving_optimality_ratio",
 ]
 
 _LN2 = math.log(2.0)
@@ -47,20 +46,3 @@ def prior_entropy_bits(prior: Union[PriorSpec, StateSpace]) -> float:
 def min_expected_tests(prior: Union[PriorSpec, StateSpace]) -> float:
     """Shannon floor: expected binary tests any noiseless strategy needs."""
     return prior_entropy_bits(prior)
-
-
-def halving_optimality_ratio(
-    prior: Union[PriorSpec, StateSpace], measured_tests: float
-) -> float:
-    """measured / bound — 1.0 is information-theoretic optimality.
-
-    Only meaningful for noiseless binary assays; noise and dilution push
-    the true optimum above the Shannon floor, so ratios there overstate
-    the gap.
-    """
-    bound = min_expected_tests(prior)
-    if bound <= 0.0:
-        raise ValueError("prior carries no uncertainty; bound is zero")
-    if measured_tests < 0:
-        raise ValueError("measured_tests must be non-negative")
-    return float(measured_tests) / bound

@@ -12,7 +12,7 @@ dilution when the assay dilutes) long before accuracy collapses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -116,17 +116,3 @@ def calibration_report(
         brier_score=float(np.mean((p - y) ** 2)),
         expected_calibration_error=float(ece / p.size),
     )
-
-
-def collect_screen_calibration(
-    screens: Sequence,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Extract (final marginal, truth) pairs from finished ScreenResults."""
-    preds: List[float] = []
-    truths: List[bool] = []
-    for s in screens:
-        truth_mask = int(s.cohort.truth_mask)
-        for i, m in enumerate(s.report.marginals):
-            preds.append(float(m))
-            truths.append(bool((truth_mask >> i) & 1))
-    return np.asarray(preds), np.asarray(truths)

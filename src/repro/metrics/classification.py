@@ -51,12 +51,6 @@ class ConfusionCounts:
             return 1.0
         return (self.true_positive + self.true_negative) / self.n_items
 
-    @property
-    def determined_fraction(self) -> float:
-        if self.n_items == 0:
-            return 1.0
-        return 1.0 - self.undetermined / self.n_items
-
 
 def evaluate_classification(report: ClassificationReport, truth_mask: int) -> ConfusionCounts:
     """Score a classification report against the hidden truth mask."""

@@ -35,10 +35,6 @@ class EfficiencyReport:
         """
         return 1.0 - self.tests_per_individual
 
-    @property
-    def samples_per_individual(self) -> float:
-        return self.num_samples_used / self.n_items if self.n_items else 0.0
-
 
 def efficiency_report(
     n_items: int, num_tests: int, num_stages: int, num_samples_used: int

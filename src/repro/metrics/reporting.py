@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-__all__ = ["format_table", "format_markdown_table", "format_csv", "format_speedup_table"]
+__all__ = ["format_table"]
 
 
 def _fmt(value: Any) -> str:
@@ -39,63 +39,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
     for row in cells:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_markdown_table(
-    headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = ""
-) -> str:
-    """Render a GitHub-flavored Markdown table (EXPERIMENTS.md format)."""
-    cells = [[_fmt(v) for v in row] for row in rows]
-    for row in cells:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match headers")
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines: List[str] = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(h.ljust(w) for h, w in zip(headers, widths)) + " |")
-    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-    for row in cells:
-        lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")
-    return "\n".join(lines)
-
-
-def format_csv(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render rows as CSV (quoting only where needed)."""
-    import csv
-    import io
-
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match headers")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue().rstrip("\n")
-
-
-def format_speedup_table(
-    labels: Sequence[Any],
-    baseline_s: Sequence[float],
-    system_s: Sequence[float],
-    label_header: str = "n",
-    baseline_header: str = "baseline (s)",
-    system_header: str = "sbgt (s)",
-    title: str = "",
-) -> str:
-    """Two timing columns plus the derived speedup column."""
-    if not (len(labels) == len(baseline_s) == len(system_s)):
-        raise ValueError("column lengths differ")
-    rows = []
-    for lab, b, s in zip(labels, baseline_s, system_s):
-        speedup = b / s if s > 0 else float("inf")
-        rows.append([lab, b, s, f"{speedup:.1f}x"])
-    return format_table(
-        [label_header, baseline_header, system_header, "speedup"], rows, title=title
-    )

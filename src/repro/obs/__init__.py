@@ -21,8 +21,8 @@ collapsed stacks render to self-contained flamegraph HTML
 (:mod:`repro.obs.flamegraph`).
 """
 
-from repro.obs.chrome import chrome_trace, read_jsonl_records, validate_chrome_trace
-from repro.obs.flamegraph import flamegraph_html, folded_lines
+from repro.obs.chrome import chrome_trace, validate_chrome_trace
+from repro.obs.flamegraph import flamegraph_html
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -35,7 +35,7 @@ from repro.obs.metrics import (
     render_prometheus,
     validate_prometheus_text,
 )
-from repro.obs.sampler import Sampler, current_profile_hz, current_sampler
+from repro.obs.sampler import Sampler, current_profile_hz
 from repro.obs.tracer import (
     PHASE_ANALYSIS,
     PHASE_LATTICE,
@@ -62,7 +62,6 @@ __all__ = [
     "traced",
     "FlightRecorder",
     "chrome_trace",
-    "read_jsonl_records",
     "validate_chrome_trace",
     "Counter",
     "Gauge",
@@ -74,8 +73,6 @@ __all__ = [
     "render_prometheus",
     "validate_prometheus_text",
     "Sampler",
-    "current_sampler",
     "current_profile_hz",
     "flamegraph_html",
-    "folded_lines",
 ]

@@ -29,11 +29,9 @@ step to guarantee exported files actually load in the viewer.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
-__all__ = ["chrome_trace", "validate_chrome_trace", "read_jsonl_records"]
+__all__ = ["chrome_trace", "validate_chrome_trace"]
 
 #: Driver-side pseudo pid for records with no worker attribution.
 _DRIVER_PID = 0
@@ -68,17 +66,6 @@ def _instant_name(rec: Dict[str, Any]) -> Union[str, None]:
             f"{rec.get('cases_found', '?')} cases / {rec.get('tests_used', '?')} tests"
         )
     return None
-
-
-def read_jsonl_records(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
-    """Load record dicts from a JSON-lines file (blank lines skipped)."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def _slice_name(rec: Dict[str, Any]) -> str:

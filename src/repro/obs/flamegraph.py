@@ -17,14 +17,9 @@ from __future__ import annotations
 
 import html
 import json
-from typing import Dict, List
+from typing import Dict
 
-__all__ = ["flamegraph_html", "folded_lines"]
-
-
-def folded_lines(folded: Dict[str, int]) -> List[str]:
-    """Canonical collapsed-stack lines (``stack count``), sorted."""
-    return [f"{stack} {count}" for stack, count in sorted(folded.items())]
+__all__ = ["flamegraph_html"]
 
 
 def _build_tree(folded: Dict[str, int]) -> Dict:

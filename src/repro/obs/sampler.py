@@ -26,9 +26,8 @@ an accepted loss for a statistical profiler.
 
 Like the :class:`~repro.obs.tracer.Tracer`, a sampler becomes *the*
 process profiler via :meth:`Sampler.install`; the registry is consulted
-through :func:`current_sampler` / :func:`current_profile_hz`.  The
-sampler is driver-resident machinery — capturing it into a task closure
-is a C101 lint finding.
+through :func:`current_profile_hz`.  The sampler is driver-resident
+machinery — capturing it into a task closure is a C101 lint finding.
 """
 
 from __future__ import annotations
@@ -36,14 +35,12 @@ from __future__ import annotations
 import os
 import sys
 import threading
-import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.engine.lockorder import OrderedLock
 
 __all__ = [
     "Sampler",
-    "current_sampler",
     "current_profile_hz",
     "merge_into_installed",
     "worker_sync",
@@ -201,11 +198,6 @@ class Sampler:
 
 
 _active: Optional[Sampler] = None
-
-
-def current_sampler() -> Optional[Sampler]:
-    """The installed sampler, or None."""
-    return _active
 
 
 def current_profile_hz() -> float:

@@ -247,27 +247,23 @@ class SBGTSession:
         policy: SelectionPolicy,
         rng: RngLike = None,
         cohort: Optional[Cohort] = None,
-        stopping_rule=None,
         options: Optional[ScreenOptions] = None,
     ) -> ScreenResult:
         """Run the classify/select/assay/update loop to completion.
 
         ``options`` (a :class:`~repro.workflows.options.ScreenOptions`)
         overrides the corresponding :class:`SBGTConfig` fields for this
-        screen only.  ``stopping_rule`` (see
-        :class:`~repro.halving.stopping.LossBasedStopping`) additionally
-        ends the screen once the residual misclassification risk is
-        cheaper than testing further, issuing loss-optimal calls.
+        screen only.
         """
         saved_config = self.config
         if options is not None:
             self.config = self.config.with_(**dataclasses.asdict(options))
         try:
-            return self._run_screen_loop(policy, rng, cohort, stopping_rule)
+            return self._run_screen_loop(policy, rng, cohort)
         finally:
             self.config = saved_config
 
-    def _run_screen_loop(self, policy, rng, cohort, stopping_rule) -> ScreenResult:
+    def _run_screen_loop(self, policy, rng, cohort) -> ScreenResult:
         from repro.engine.tracing import ensure_trace
         from repro.sbgt.stepper import ScreenStepper
 
@@ -278,7 +274,7 @@ class SBGTSession:
         # Correlate the whole screen under one trace_id (inheriting the
         # caller's — e.g. a serve request — when one is already open).
         with ensure_trace(name="run_screen"):
-            stepper = ScreenStepper(self, policy, stopping_rule=stopping_rule)
+            stepper = ScreenStepper(self, policy)
             while not stepper.done:
                 pools = stepper.next_pools()
                 stepper.submit_outcomes([lab.run(pool) for pool in pools])

@@ -2,8 +2,8 @@
 
 The dense lattice carries every state of the Boolean lattice; sequential
 screens concentrate mass onto a vanishing fraction of them within a few
-stages.  :class:`SparsePosterior` generalises :func:`repro.lattice.prune.
-prune_below` into the *representation*: only states whose posterior
+stages.  :class:`SparsePosterior` turns pruning below a probability
+floor into the *representation*: only states whose posterior
 probability clears a floor stay explicit, as rows of a boolean
 state-matrix with a log-weight each, so memory tracks surviving mass
 instead of 2^N.  With ``floor=0`` and a support budget covering the full

@@ -6,7 +6,7 @@ happens each stage) to the *assay source* (a simulated
 :class:`~repro.simulate.testing.TestLab`).  An interactive deployment —
 the serving layer, a real laboratory — needs the same protocol with the
 outcomes arriving from outside.  :class:`ScreenStepper` is that
-extraction: it owns stage sequencing, stopping checks, pruning,
+extraction: it owns stage sequencing, termination checks, pruning,
 classification and compaction, while the caller supplies outcomes for
 the pools it proposes.
 
@@ -45,8 +45,8 @@ class ScreenStepper:
     The stepper advances in stages: :meth:`next_pools` proposes the
     coming stage's pools (idempotent until outcomes arrive), then
     :meth:`submit_outcomes` conditions the lattice on the assay results
-    and re-classifies.  ``done`` flips when every individual is settled,
-    the stopping rule fires, or the stage budget runs out.
+    and re-classifies.  ``done`` flips when every individual is settled
+    or the stage budget runs out.
 
     Parameters
     ----------
@@ -56,24 +56,14 @@ class ScreenStepper:
     policy:
         Selection policy (reset on construction, exactly like the
         batch loop did).
-    stopping_rule:
-        Optional :class:`~repro.halving.stopping.LossBasedStopping`;
-        when it fires the final report carries loss-optimal calls.
     """
 
-    def __init__(
-        self,
-        session,
-        policy: SelectionPolicy,
-        stopping_rule=None,
-    ) -> None:
+    def __init__(self, session, policy: SelectionPolicy) -> None:
         self.session = session
         self.policy = policy
-        self.stopping_rule = stopping_rule
         policy.reset()
         self.stages_used = 0
         self.exhausted_budget = False
-        self.stopped_by_rule = False
         self.num_tests = 0
         self.num_samples = 0
         self._pending: Optional[List[int]] = None
@@ -106,17 +96,8 @@ class ScreenStepper:
 
     def _check_done(self) -> None:
         # Mirrors the batch loop's check order: full classification ends
-        # the screen, then the loss-based rule, then the stage budget.
+        # the screen, then the stage budget.
         if self.report.all_classified:
-            self._done = True
-            return
-        if self.stopping_rule is not None and self.stopping_rule.should_stop(
-            self.report.marginals
-        ):
-            from repro.workflows.classify import _loss_final_report
-
-            self.report = _loss_final_report(self.report.marginals, self.stopping_rule)
-            self.stopped_by_rule = True
             self._done = True
             return
         if self.stages_used >= self.session.config.max_stages:

@@ -10,12 +10,6 @@ from repro.simulate.population import Cohort, draw_truth, draw_truth_from_space,
 from repro.simulate.testing import TestLab, LabStats
 from repro.simulate.epidemic import sir_prevalence, surveillance_priors
 from repro.simulate.scenario import Scenario, SCENARIOS, get_scenario
-from repro.simulate.linelist import (
-    LogisticRiskModel,
-    PersonRecord,
-    generate_line_list,
-    line_list_to_prior,
-)
 
 __all__ = [
     "Cohort",
@@ -29,8 +23,4 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "get_scenario",
-    "PersonRecord",
-    "LogisticRiskModel",
-    "generate_line_list",
-    "line_list_to_prior",
 ]

@@ -45,10 +45,6 @@ class Cohort:
     def n_positive(self) -> int:
         return bin(self.truth_mask).count("1")
 
-    @property
-    def true_prevalence(self) -> float:
-        return self.n_positive / self.n_items
-
     def positives(self) -> list[int]:
         return indices_from_mask(self.truth_mask)
 

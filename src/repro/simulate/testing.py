@@ -56,10 +56,6 @@ class TestLab:
         self.stats.record(pool_mask, outcome)
         return outcome
 
-    def run_batch(self, pool_masks: List[int]) -> List[Any]:
-        """Assay a stage's worth of pools (order preserved)."""
-        return [self.run(p) for p in pool_masks]
-
     @property
     def num_tests(self) -> int:
         return self.stats.num_tests

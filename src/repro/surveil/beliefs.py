@@ -45,10 +45,6 @@ class BetaHyperprior:
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def pseudo_count(self) -> float:
-        return self.alpha + self.beta
-
 
 @dataclass
 class SiteBelief:

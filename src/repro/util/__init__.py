@@ -9,11 +9,9 @@ from repro.util.bits import (
     indices_from_mask,
     popcount64,
     intersect_count,
-    is_subset,
 )
 from repro.util.numerics import log1mexp
-from repro.util.rng import as_rng, spawn_rngs
-from repro.util.timer import Timer, WallClock
+from repro.util.rng import as_rng
 from repro.util.validation import (
     check_probability,
     check_probability_array,
@@ -26,12 +24,8 @@ __all__ = [
     "indices_from_mask",
     "popcount64",
     "intersect_count",
-    "is_subset",
     "log1mexp",
     "as_rng",
-    "spawn_rngs",
-    "Timer",
-    "WallClock",
     "check_probability",
     "check_probability_array",
     "check_positive_int",

@@ -9,7 +9,7 @@ branch-free integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "popcount64",
     "popcount_any",
     "intersect_count",
-    "is_subset",
     "bit_column",
 ]
 
@@ -139,20 +138,9 @@ def intersect_count(masks: np.ndarray, pool_mask: int) -> np.ndarray:
     return popcount64(np.asarray(masks, dtype=np.uint64) & np.uint64(pool_mask))
 
 
-def is_subset(masks: np.ndarray, super_mask: int) -> np.ndarray:
-    """Boolean array: does each state lie entirely inside *super_mask*?"""
-    m = np.asarray(masks, dtype=np.uint64)
-    return (m & ~np.uint64(super_mask)) == np.uint64(0)
-
-
 def bit_column(masks: np.ndarray, bit: int) -> np.ndarray:
     """Boolean array: is *bit* set in each mask?  (Marginal indicator.)"""
     if not 0 <= bit < MAX_ITEMS:
         raise ValueError(f"bit index {bit} outside [0, {MAX_ITEMS})")
     m = np.asarray(masks, dtype=np.uint64)
     return (m >> np.uint64(bit)) & np.uint64(1) == np.uint64(1)
-
-
-def masks_for_pool(pool: Sequence[int]) -> np.uint64:
-    """Alias of :func:`mask_from_indices` reading better at call sites."""
-    return mask_from_indices(pool)

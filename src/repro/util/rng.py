@@ -13,7 +13,7 @@ import numpy as np
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
-__all__ = ["as_rng", "spawn_rngs", "RngLike"]
+__all__ = ["as_rng", "RngLike"]
 
 
 def as_rng(rng: RngLike = None) -> np.random.Generator:
@@ -30,12 +30,3 @@ def as_rng(rng: RngLike = None) -> np.random.Generator:
     if isinstance(rng, (int, np.integer, np.random.SeedSequence)):
         return np.random.default_rng(rng)
     raise TypeError(f"cannot interpret {type(rng).__name__} as an RNG")
-
-
-def spawn_rngs(rng: RngLike, n: int) -> list[np.random.Generator]:
-    """Derive *n* independent child generators (for per-worker streams)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    base = as_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

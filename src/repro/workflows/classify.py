@@ -73,26 +73,12 @@ class ScreenResult:
         }
 
 
-def _loss_final_report(marginals: np.ndarray, stopping_rule) -> ClassificationReport:
-    """Terminal report when a loss-based rule fires: every individual
-    gets their loss-optimal call (no undetermined left)."""
-    from repro.bayes.posterior import Classification
-
-    calls = stopping_rule.classify_now(marginals)
-    statuses = tuple(
-        Classification.POSITIVE if positive else Classification.NEGATIVE
-        for positive in calls
-    )
-    return ClassificationReport(marginals=np.asarray(marginals), statuses=statuses)
-
-
 def _run_stages(
     posterior: Posterior,
     cohort: Cohort,
     lab: TestLab,
     policy: SelectionPolicy,
     opts: ScreenOptions,
-    stopping_rule=None,
 ) -> ScreenResult:
     """The stage loop both serial drivers share, over a ready posterior."""
     policy.reset()
@@ -100,9 +86,6 @@ def _run_stages(
     exhausted = False
     report = posterior.classify(opts.positive_threshold, opts.negative_threshold)
     while not report.all_classified:
-        if stopping_rule is not None and stopping_rule.should_stop(report.marginals):
-            report = _loss_final_report(report.marginals, stopping_rule)
-            break
         if stages_used >= opts.max_stages:
             exhausted = True
             break
@@ -139,7 +122,6 @@ def run_screen(
     rng: RngLike = None,
     cohort: Optional[Cohort] = None,
     options: Optional[ScreenOptions] = None,
-    stopping_rule=None,
 ) -> ScreenResult:
     """Run one complete sequential screen.
 
@@ -154,11 +136,6 @@ def run_screen(
     options:
         The :class:`~repro.workflows.options.ScreenOptions` bundle
         (thresholds, stage budget, pruning, entropy tracking).
-    stopping_rule:
-        Optional :class:`~repro.halving.stopping.LossBasedStopping`:
-        the screen also ends when residual misclassification risk drops
-        below the cost of testing further, with every individual given
-        their loss-optimal call (no undetermined statuses).
     """
     opts = options or ScreenOptions()
     gen = as_rng(rng)
@@ -169,7 +146,7 @@ def run_screen(
 
     lab = TestLab(model, cohort.truth_mask, gen)
     posterior = Posterior.from_prior(prior, model, track_entropy=opts.track_entropy)
-    return _run_stages(posterior, cohort, lab, policy, opts, stopping_rule)
+    return _run_stages(posterior, cohort, lab, policy, opts)
 
 
 def screen_with_backend(
@@ -180,7 +157,6 @@ def screen_with_backend(
     rng: RngLike = None,
     cohort: Optional[Cohort] = None,
     options: Optional[ScreenOptions] = None,
-    stopping_rule=None,
 ) -> ScreenResult:
     """Run one screen on the named posterior backend.
 
@@ -197,20 +173,14 @@ def screen_with_backend(
     dispatch through here so backend semantics stay in one place.
     """
     if backend == "dense":
-        return run_screen(
-            prior, model, policy, rng=rng, cohort=cohort,
-            options=options, stopping_rule=stopping_rule,
-        )
+        return run_screen(prior, model, policy, rng=rng, cohort=cohort, options=options)
     # Deferred import: repro.sbgt reaches back into workflows for payloads.
     from repro.sbgt.config import SBGTConfig
     from repro.sbgt.session import SBGTSession
 
     session = SBGTSession(None, prior, model, SBGTConfig(backend=backend))
     try:
-        return session.run_screen(
-            policy, rng=rng, cohort=cohort,
-            stopping_rule=stopping_rule, options=options,
-        )
+        return session.run_screen(policy, rng=rng, cohort=cohort, options=options)
     finally:
         session.close()
 

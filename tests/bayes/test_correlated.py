@@ -22,11 +22,6 @@ class TestConstruction:
     def test_households_layout(self, prior):
         assert prior.households() == [(0, 3), (3, 2), (5, 4)]
 
-    def test_household_mask(self, prior):
-        assert prior.household_mask(0) == 0b000000111
-        assert prior.household_mask(1) == 0b000011000
-        assert prior.household_mask(2) == 0b111100000
-
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
             HouseholdPrior([14, 14])
@@ -113,7 +108,7 @@ class TestTruthAndInference:
     def test_negative_household_pool_clears_household(self, prior):
         space = prior.build_dense()
         post = Posterior(space, PerfectTest())
-        post.update(prior.household_mask(1), False)
+        post.update(0b000011000, False)  # household 1: members 3 and 4
         m = post.marginals()
         assert np.allclose(m[3:5], 0.0, atol=1e-12)
         assert np.allclose(m[:3], prior.marginal_risk(), atol=1e-9)

@@ -48,18 +48,6 @@ class TestEvidenceLog:
         log.append(make_record(log_pred=-0.25))
         assert log.log_evidence == pytest.approx(-1.25)
 
-    def test_tests_per_stage(self):
-        log = EvidenceLog()
-        for stage in (1, 1, 2, 3, 3, 3):
-            log.append(make_record(stage=stage))
-        assert log.tests_per_stage() == [(1, 2), (2, 1), (3, 3)]
-
-    def test_total_information_gain_skips_untracked(self):
-        log = EvidenceLog()
-        log.append(make_record(ent_before=2.0, ent_after=1.0))
-        log.append(make_record())  # untracked
-        assert log.total_information_gain() == pytest.approx(1.0)
-
     def test_empty_log(self):
         log = EvidenceLog()
         assert log.num_tests == 0

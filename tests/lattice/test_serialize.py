@@ -6,37 +6,7 @@ import pytest
 from repro.bayes.dilution import BinaryErrorModel, LogNormalViralLoadModel
 from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
-from repro.lattice.serialize import (
-    load_posterior,
-    load_state_space,
-    save_posterior,
-    save_state_space,
-)
-
-
-class TestStateSpaceRoundTrip:
-    def test_round_trip(self, tmp_path):
-        space = PriorSpec(np.array([0.1, 0.3, 0.05])).build_dense()
-        path = tmp_path / "lattice.npz"
-        save_state_space(space, path)
-        loaded = load_state_space(path)
-        assert loaded.n_items == space.n_items
-        assert np.array_equal(loaded.masks, space.masks)
-        assert np.allclose(loaded.log_probs, space.log_probs)
-
-    def test_restricted_support_round_trip(self, tmp_path):
-        space, _ = PriorSpec.uniform(12, 0.03).build_restricted(3)
-        path = tmp_path / "restricted.npz"
-        save_state_space(space, path)
-        loaded = load_state_space(path)
-        assert loaded.size == space.size
-
-    def test_loaded_arrays_are_writable(self, tmp_path):
-        space = PriorSpec.uniform(4, 0.1).build_dense()
-        path = tmp_path / "l.npz"
-        save_state_space(space, path)
-        loaded = load_state_space(path)
-        loaded.log_probs += 1.0  # must not raise (copies, not mmap views)
+from repro.lattice.serialize import load_posterior, save_posterior
 
 
 class TestPosteriorCheckpoint:

@@ -61,10 +61,6 @@ class TestProperties:
         space = StateSpace.from_masks(1, [0, 1], np.log([1.0, 3.0]))
         assert space.log_total_mass == pytest.approx(np.log(4.0))
 
-    def test_positive_counts(self):
-        space = StateSpace.from_masks(3, [0b000, 0b101, 0b111])
-        assert space.positive_counts().tolist() == [0, 2, 3]
-
     def test_copy_is_independent(self):
         space = StateSpace.dense(2)
         clone = space.copy()

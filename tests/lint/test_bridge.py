@@ -9,14 +9,14 @@ import threading
 import pytest
 
 from repro.engine import ClosureSerializationError, Context, EngineError
-from repro.engine.closure import serialize
+from repro.engine.closure import serialize_oob
 from repro.lint import analyze_source, find_unpicklable
 from repro.lint.bridge import capture_report
 
 
 def _can_pickle(value):
     try:
-        serialize(value)
+        serialize_oob(value)
         return True
     except Exception:
         return False
@@ -64,7 +64,7 @@ class TestClosureSerializationError:
                 return x
 
         with pytest.raises(ClosureSerializationError) as exc_info:
-            serialize(guarded)
+            serialize_oob(guarded)
         err = exc_info.value
         assert "closure cell 'lock'" in str(err)
         assert "python -m repro lint" in str(err)
@@ -74,7 +74,7 @@ class TestClosureSerializationError:
     def test_generator_capture(self):
         gen = (i for i in range(3))
         with pytest.raises(ClosureSerializationError) as exc_info:
-            serialize(lambda x: next(gen) + x)
+            serialize_oob(lambda x: next(gen) + x)
         assert "closure cell 'gen'" in str(exc_info.value)
 
 

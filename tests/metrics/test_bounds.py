@@ -8,10 +8,7 @@ from repro.bayes.correlated import HouseholdPrior
 from repro.bayes.dilution import PerfectTest
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
-from repro.metrics.bounds import (
-    halving_optimality_ratio,
-    prior_entropy_bits,
-)
+from repro.metrics.bounds import min_expected_tests, prior_entropy_bits
 from repro.workflows.classify import run_screen
 
 
@@ -51,7 +48,7 @@ class TestOptimalityRatio:
             total_tests += run_screen(
                 prior, PerfectTest(), BHAPolicy(), rng=seed
             ).efficiency.num_tests
-        ratio = halving_optimality_ratio(prior, total_tests / 8)
+        ratio = (total_tests / 8) / min_expected_tests(prior)
         assert 1.0 <= ratio < 2.5
 
     def test_individual_testing_far_from_floor(self):
@@ -59,10 +56,5 @@ class TestOptimalityRatio:
 
         prior = PriorSpec.uniform(12, 0.02)
         res = run_screen(prior, PerfectTest(), IndividualTestingPolicy(), rng=0)
-        ratio = halving_optimality_ratio(prior, res.efficiency.num_tests)
+        ratio = res.efficiency.num_tests / min_expected_tests(prior)
         assert ratio > 4.0  # 12 tests vs an entropy floor well under 2 bits
-
-    def test_validation(self):
-        prior = PriorSpec.uniform(3, 0.1)
-        with pytest.raises(ValueError):
-            halving_optimality_ratio(prior, -1.0)

@@ -6,10 +6,7 @@ import pytest
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
-from repro.metrics.calibration import (
-    calibration_report,
-    collect_screen_calibration,
-)
+from repro.metrics.calibration import calibration_report
 from repro.workflows.classify import run_screen
 from repro.workflows.options import ScreenOptions
 
@@ -69,16 +66,20 @@ class TestScreenCalibration:
             for seed in range(n)
         ]
 
-    def test_collect_pairs_shape(self):
-        screens = self._screens(BinaryErrorModel(0.95, 0.98), n=5)
-        p, y = collect_screen_calibration(screens)
-        assert p.shape == y.shape == (40,)
+    def _pairs(self, screens):
+        """(final marginal, truth) for every individual of every screen."""
+        p = np.concatenate([s.report.marginals for s in screens])
+        y = np.concatenate([
+            [bool((s.cohort.truth_mask >> i) & 1) for i in range(s.cohort.n_items)]
+            for s in screens
+        ])
+        return p, y
 
     def test_well_specified_model_roughly_calibrated(self):
         # Truncated screens (max_stages=6) leave informative mid-range
         # marginals; with the true model they should not be wildly off.
         screens = self._screens(BinaryErrorModel(0.95, 0.98))
-        p, y = collect_screen_calibration(screens)
+        p, y = self._pairs(screens)
         report = calibration_report(p, y, num_bins=5)
         assert report.expected_calibration_error < 0.12
 

@@ -48,10 +48,6 @@ class TestConfusionCounts:
         assert counts.specificity == 1.0
         assert counts.accuracy == 1.0
 
-    def test_determined_fraction(self):
-        counts = ConfusionCounts(1, 0, 2, 0, 1)
-        assert counts.determined_fraction == pytest.approx(0.75)
-
     def test_n_items(self):
         counts = ConfusionCounts(1, 2, 3, 4, 5)
         assert counts.n_items == 15

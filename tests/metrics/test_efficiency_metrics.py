@@ -18,10 +18,6 @@ class TestEfficiencyReport:
         rep = efficiency_report(4, 10, 5, 12)
         assert rep.savings_vs_individual < 0
 
-    def test_samples_per_individual(self):
-        rep = efficiency_report(10, 4, 3, 25)
-        assert rep.samples_per_individual == pytest.approx(2.5)
-
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             efficiency_report(0, 1, 1, 1)

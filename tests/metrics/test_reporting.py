@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.reporting import format_speedup_table, format_table
+from repro.metrics.reporting import format_table
 
 
 class TestFormatTable:
@@ -29,60 +29,3 @@ class TestFormatTable:
         assert "0.123" in out
         assert "1.23e+04" in out or "12345" in out
 
-
-class TestMarkdownTable:
-    def test_structure(self):
-        from repro.metrics.reporting import format_markdown_table
-
-        out = format_markdown_table(["a", "b"], [[1, 2.5]], title="T")
-        lines = out.splitlines()
-        assert lines[0] == "**T**"
-        assert lines[2].startswith("| a")
-        assert set(lines[3]) <= {"|", "-"}
-        assert "2.500" in lines[4]
-
-    def test_no_title(self):
-        from repro.metrics.reporting import format_markdown_table
-
-        out = format_markdown_table(["x"], [[1]])
-        assert out.splitlines()[0].startswith("| x")
-
-    def test_width_mismatch(self):
-        from repro.metrics.reporting import format_markdown_table
-
-        with pytest.raises(ValueError):
-            format_markdown_table(["a"], [[1, 2]])
-
-
-class TestCsv:
-    def test_round_trips_through_csv_reader(self):
-        import csv
-        import io
-
-        from repro.metrics.reporting import format_csv
-
-        out = format_csv(["name", "value"], [["alpha, beta", 1], ["g", 2.25]])
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["name", "value"]
-        assert rows[1] == ["alpha, beta", "1"]
-        assert rows[2] == ["g", "2.250"]
-
-    def test_width_mismatch(self):
-        from repro.metrics.reporting import format_csv
-
-        with pytest.raises(ValueError):
-            format_csv(["a", "b"], [[1]])
-
-
-class TestSpeedupTable:
-    def test_speedup_column(self):
-        out = format_speedup_table([10], [2.0], [0.5])
-        assert "4.0x" in out
-
-    def test_infinite_speedup_guard(self):
-        out = format_speedup_table([1], [1.0], [0.0])
-        assert "inf" in out
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            format_speedup_table([1, 2], [1.0], [1.0])

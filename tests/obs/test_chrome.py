@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import Context, trace_scope
-from repro.obs.chrome import chrome_trace, read_jsonl_records, validate_chrome_trace
+from repro.obs.chrome import chrome_trace, validate_chrome_trace
 
 
 def _events(doc, ph=None):
@@ -183,13 +183,7 @@ class TestValidator:
 
 
 # ---------------------------------------------------------------------------
-# JSONL loading + end-to-end
-
-
-def test_read_jsonl_records_skips_blank_lines(tmp_path):
-    p = tmp_path / "t.jsonl"
-    p.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
-    assert read_jsonl_records(p) == [{"a": 1}, {"b": 2}]
+# end-to-end
 
 
 @pytest.mark.parametrize("mode", ["serial", "processes"])

@@ -11,13 +11,12 @@ import time
 
 import pytest
 
-from repro.obs.flamegraph import flamegraph_html, folded_lines
+from repro.obs.flamegraph import flamegraph_html
 from repro.obs.sampler import (
     MAX_FRAMES,
     Sampler,
     _fold_stack,
     current_profile_hz,
-    current_sampler,
     merge_into_installed,
     worker_sync,
 )
@@ -105,20 +104,18 @@ class TestRelay:
         assert sampler.folded() == {"a;b": 5, "a;c": 1}
 
     def test_install_registry(self):
-        assert current_sampler() is None
         assert current_profile_hz() == 0.0
         sampler = Sampler(hz=100).start().install()
         try:
-            assert current_sampler() is sampler
             assert current_profile_hz() == 100.0
             merge_into_installed([("x;y", 4)])
             assert sampler.folded()["x;y"] == 4
         finally:
             sampler.stop()
             sampler.uninstall()
-        assert current_sampler() is None
         # merging with nothing installed is a no-op, not an error
         merge_into_installed([("x;y", 1)])
+        assert sampler.folded()["x;y"] == 4
 
     def test_stopped_sampler_reports_zero_hz(self):
         sampler = Sampler(hz=100).install()
@@ -155,10 +152,6 @@ class TestExport:
         assert "select_pool" in html and "update_posterior" in html
         # Self-contained: no external scripts or stylesheets.
         assert "src=" not in html and "href=" not in html
-
-    def test_folded_lines_round_trip(self):
-        folded = {"b;c": 2, "a": 1}
-        assert folded_lines(folded) == ["a 1", "b;c 2"]
 
     def test_dump_flamegraph(self, tmp_path):
         sampler = Sampler(hz=100)

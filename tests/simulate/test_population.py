@@ -32,7 +32,6 @@ class TestCohort:
         cohort = Cohort(PriorSpec.uniform(6, 0.1), truth_mask=0b100101)
         assert cohort.n_items == 6
         assert cohort.n_positive == 3
-        assert cohort.true_prevalence == 0.5
         assert cohort.positives() == [0, 2, 5]
 
     def test_is_positive(self):

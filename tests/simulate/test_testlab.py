@@ -28,11 +28,6 @@ class TestLabBasics:
         with pytest.raises(ValueError):
             lab.run(0)
 
-    def test_run_batch_order(self):
-        lab = TestLab(PerfectTest(), truth_mask=0b01, rng=0)
-        outcomes = lab.run_batch([0b01, 0b10])
-        assert outcomes == [True, False]
-
     def test_noise_uses_rng_deterministically(self):
         model = BinaryErrorModel(0.7, 0.7)
         a = TestLab(model, truth_mask=0b1, rng=42)

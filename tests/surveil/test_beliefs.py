@@ -9,7 +9,7 @@ class TestBetaHyperprior:
     def test_mean_and_pseudo_count(self):
         h = BetaHyperprior(alpha=2.0, beta=18.0)
         assert h.mean == pytest.approx(0.1)
-        assert h.pseudo_count == pytest.approx(20.0)
+        assert h.alpha + h.beta == pytest.approx(20.0)
 
     def test_default_is_low_prevalence(self):
         h = BetaHyperprior()
@@ -80,10 +80,9 @@ class TestLearnHyperprior:
             b = SiteBelief()
             b.observe(cases, 50)
             heterogeneous.append(b)
-        assert (
-            learn_hyperprior(homogeneous).pseudo_count
-            > learn_hyperprior(heterogeneous).pseudo_count
-        )
+        tight = learn_hyperprior(homogeneous)
+        loose = learn_hyperprior(heterogeneous)
+        assert tight.alpha + tight.beta > loose.alpha + loose.beta
 
     def test_pseudo_count_clamped(self):
         near_identical = []
@@ -92,7 +91,7 @@ class TestLearnHyperprior:
             b.observe(cases, 1000)
             near_identical.append(b)
         fitted = learn_hyperprior(near_identical, max_pseudo=200.0)
-        assert fitted.pseudo_count == pytest.approx(200.0)
+        assert fitted.alpha + fitted.beta == pytest.approx(200.0)
 
     def test_degenerate_variance_keeps_default(self):
         default = BetaHyperprior()

@@ -9,7 +9,6 @@ from repro.util.bits import (
     bit_column,
     indices_from_mask,
     intersect_count,
-    is_subset,
     mask_from_indices,
     popcount64,
 )
@@ -96,25 +95,6 @@ class TestIntersectCount:
         masks = np.array(values, dtype=np.uint64)
         expected = [bin(v & pool).count("1") for v in values]
         assert intersect_count(masks, pool).tolist() == expected
-
-
-class TestIsSubset:
-    def test_subset_true(self):
-        assert is_subset(np.array([0b0101], dtype=np.uint64), 0b1101)[0]
-
-    def test_subset_false(self):
-        assert not is_subset(np.array([0b0101], dtype=np.uint64), 0b1100)[0]
-
-    def test_zero_subset_of_anything(self):
-        assert is_subset(np.array([0], dtype=np.uint64), 0)[0]
-
-    @given(
-        st.integers(min_value=0, max_value=2**30),
-        st.integers(min_value=0, max_value=2**30),
-    )
-    def test_matches_python(self, mask, super_mask):
-        expected = (mask & ~super_mask) == 0
-        assert bool(is_subset(np.array([mask], dtype=np.uint64), super_mask)[0]) == expected
 
 
 class TestBitColumn:

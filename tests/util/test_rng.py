@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import as_rng, spawn_rngs
+from repro.util.rng import as_rng
 
 
 class TestAsRng:
@@ -30,23 +30,3 @@ class TestAsRng:
         with pytest.raises(TypeError):
             as_rng("not-an-rng")
 
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_independent(self):
-        a, b = spawn_rngs(0, 2)
-        assert a.integers(0, 2**31) != b.integers(0, 2**31)
-
-    def test_deterministic_from_seed(self):
-        first = [g.integers(1000) for g in spawn_rngs(99, 3)]
-        second = [g.integers(1000) for g in spawn_rngs(99, 3)]
-        assert first == second

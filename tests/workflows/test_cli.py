@@ -46,6 +46,39 @@ class TestParser:
         assert args.policy.pool_size == 6
 
 
+OUT_OF_RANGE = [
+    ["screen", "--prevalence", "1.5"],
+    ["screen", "--prevalence", "-0.1"],
+    ["screen", "--max-stages", "0"],
+    ["screen", "--sensitivity", "2"],
+    ["screen", "--dilution", "-1"],
+    ["calculator", "--prevalences", "1.5"],
+    ["calculator", "--replications", "0"],
+    ["metrics", "--cohort", "0"],
+    ["metrics", "--prevalence", "2"],
+    ["surveillance", "--days", "0"],
+    ["surveillance", "--cohort", "0"],
+]
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+    def test_out_of_range_is_a_usage_error(self, argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_prevalence_bounds_still_accepted(self, value):
+        args = build_parser().parse_args(["screen", "--prevalence", value])
+        assert args.prevalence == float(value)
+
+
 class TestCommands:
     def test_scenarios(self, capsys):
         assert main(["scenarios"]) == 0
