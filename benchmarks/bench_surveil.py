@@ -9,7 +9,8 @@ seeded fleet under every allocator; the asserted gate
 (:func:`test_thompson_beats_uniform`) is the CI acceptance criterion —
 Thompson must find at least **1.2×** the cases uniform does.
 :func:`test_site_screen_kernel_calls` is the other CI gate: a count of
-the lattice-wide kernel calls one serial site screen makes per stage.
+the lattice-wide kernel calls one context-free site screen makes per
+stage.
 
 Usage::
 
@@ -28,11 +29,9 @@ from typing import Any, Dict, Optional
 
 import pytest
 
-from repro.bayes import posterior as bayes_posterior
 from repro.engine import Context
-from repro.lattice import ops as lops
-from repro.lattice import states as lattice_states
 from repro.metrics.reporting import format_table
+from repro.sbgt import local_lattice
 from repro.surveil import (
     Campaign,
     CampaignConfig,
@@ -125,13 +124,14 @@ def test_thompson_beats_uniform():
 
 
 def test_site_screen_kernel_calls(monkeypatch):
-    """The serial screen's call budget — a count, so it cannot flake.
+    """The context-free screen's call budget — a count, so it cannot flake.
 
-    Per BHA stage (one pool each): one lattice-wide ``logsumexp`` and
-    one ``intersect_count`` in ``Posterior.update``, and one marginal
-    sweep shared by ``classify()`` and the policy; per screen, one more
-    sweep for the prior's read-out and at most one ``logsumexp`` for the
-    mass of a prior the posterior has not normalised itself.
+    The lattice is one driver-resident cube block.  Per BHA stage (one
+    pool each): one ``block_update`` and one ``block_log_mass`` in the
+    update, one ``block_down_set_partial`` for the selection, and one
+    ``block_mass_marginals`` fold shared by ``classify()`` and the
+    policy; per screen, one more fold that normalises the prior and
+    reads its marginals.
     """
     site = 5  # the hottest of the seeded fleet (15 %): an 8-stage screen
     spec = heterogeneous_fleet(FLEET_SITES, **FLEET_KWARGS)[site]
@@ -144,20 +144,18 @@ def test_site_screen_kernel_calls(monkeypatch):
 
     calls: Counter = Counter()
 
-    def count(module, name, key):
-        kernel = getattr(module, name)
+    def count(name):
+        kernel = getattr(local_lattice, name)
 
         def counting(*args, **kwargs):
-            calls[key] += 1
+            calls[name] += 1
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(local_lattice, name, counting)
 
-    count(lops, "logsumexp", "update logsumexp")
-    count(lops, "intersect_count", "update intersect_count")
-    count(bayes_posterior, "logsumexp", "prior-mass logsumexp")
-    count(lops, "marginals", "marginal sweeps")
-    count(lattice_states, "logsumexp", "probs() logsumexp")
+    for name in ("block_update", "block_log_mass", "block_down_set_partial",
+                 "block_mass_marginals"):
+        count(name)
     assert run_site_screen(job) == outcome
     stages = outcome.stages_used
     print(
@@ -166,11 +164,10 @@ def test_site_screen_kernel_calls(monkeypatch):
     )
     assert stages == outcome.tests_used == 8
     assert calls == {
-        "update logsumexp": stages,
-        "update intersect_count": stages,
-        "prior-mass logsumexp": 1,
-        "marginal sweeps": stages + 1,
-        "probs() logsumexp": stages + 1,  # one inside each sweep
+        "block_update": stages,
+        "block_log_mass": stages,
+        "block_down_set_partial": stages,
+        "block_mass_marginals": stages + 1,  # and one for the prior
     }
 
 

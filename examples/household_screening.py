@@ -16,29 +16,19 @@ independence prior with matched marginals, on identical ground truths.
 
 import numpy as np
 
-from repro import BHAPolicy, BinaryErrorModel, Context, PriorSpec
+from repro import BHAPolicy, BinaryErrorModel, PriorSpec, ScreenOptions
 from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
-from repro.bayes.posterior import Posterior
-from repro.metrics.classification import evaluate_classification
 from repro.metrics.reporting import format_table
-from repro.simulate.testing import TestLab
+from repro.workflows import run_screen_from_space
 
 
 def run_with_space(space, model, truth_mask, rng, max_stages=60):
     """Screen driven directly from an arbitrary prior state space."""
-    posterior = Posterior(space.copy(), model)
-    lab = TestLab(model, truth_mask, rng)
-    policy = BHAPolicy()
-    stages = 0
-    report = posterior.classify(0.99, 0.01)
-    while not report.all_classified and stages < max_stages:
-        pools = policy.select(posterior, report.undetermined_mask())
-        posterior.begin_stage()
-        stages += 1
-        for pool in pools:
-            posterior.update(pool, lab.run(pool))
-        report = posterior.classify(0.99, 0.01)
-    return report, lab.stats.num_tests, stages
+    result = run_screen_from_space(
+        space, model, BHAPolicy(), rng=rng, truth_mask=truth_mask,
+        options=ScreenOptions(max_stages=max_stages),
+    )
+    return result, result.efficiency.num_tests, result.stages_used
 
 
 def main() -> None:
@@ -60,8 +50,8 @@ def main() -> None:
     for trial in range(6):
         truth = hp.draw_truth(rng=100 + trial)  # truth follows the household law
         for label, space in (("household", household_space), ("independent", indep_space)):
-            report, tests, stages = run_with_space(space, model, truth, np.random.default_rng(7))
-            conf = evaluate_classification(report, truth)
+            result, tests, stages = run_with_space(space, model, truth, np.random.default_rng(7))
+            conf = result.confusion
             totals[label][0] += tests
             totals[label][1] += stages
             totals[label][2] += conf.accuracy

@@ -19,7 +19,7 @@ analysis pipelines assumes it doesn't.
 
 import numpy as np
 
-from repro import BinaryErrorModel, DilutionErrorModel, Posterior, PriorSpec
+from repro import BinaryErrorModel, DilutionErrorModel, PriorSpec, SBGTSession
 from repro.bayes.model_selection import format_comparison
 from repro.metrics.calibration import calibration_report
 from repro.simulate.population import make_cohort
@@ -67,7 +67,7 @@ def main() -> None:
         for seed in range(120):
             cohort = make_cohort(prior, rng=1000 + seed)
             lab = TestLab(TRUE_MODEL, cohort.truth_mask, rng=seed)
-            post = Posterior.from_prior(prior, infer_model)
+            post = SBGTSession(None, prior, infer_model)
             for pool in POOLS[:3]:
                 post.update(pool, lab.run(pool))
             preds.extend(post.marginals())

@@ -1,9 +1,10 @@
 """The Bayesian group-testing model (Biostatistics'22 statistical core).
 
 Priors over infection states, pooled-test response models with dilution
-effects (binary and continuous), and the :class:`Posterior` object tying
-a lattice state space to a response model with sequential Bayes updates,
-classification, and evidence tracking.
+effects (binary and continuous), classification read-outs of posterior
+marginals, and evidence tracking.  The belief state itself is
+:class:`repro.sbgt.SBGTSession` (``Posterior.from_prior`` builds a
+context-free one).
 """
 
 from repro.bayes.priors import PriorSpec

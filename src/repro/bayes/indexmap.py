@@ -2,9 +2,8 @@
 
 When settled individuals are projected out of a lattice, the remaining
 bits compact downward, but callers keep speaking original cohort
-indices.  :class:`CohortIndexMap` owns that translation for both the
-serial :class:`~repro.bayes.posterior.Posterior` and the distributed
-:class:`~repro.sbgt.session.SBGTSession`.
+indices.  :class:`CohortIndexMap` owns that translation for
+:class:`~repro.sbgt.session.SBGTSession`, whatever its backend.
 """
 
 from __future__ import annotations
@@ -73,12 +72,21 @@ class CohortIndexMap:
 
     # ------------------------------------------------------------------
     def to_compact_mask(self, original_mask: int) -> int:
-        """Translate an original-index mask into compact lattice bits."""
+        """Translate an original-index mask into compact lattice bits.
+
+        A bit at or above ``n_items`` names no one in the cohort and
+        raises ``ValueError``, settled or not.
+        """
+        original_mask = int(original_mask)
+        if original_mask >> self.n_items:
+            raise ValueError(
+                f"pool mask selects bit {original_mask.bit_length() - 1} outside cohort"
+            )
         if not self._settled:
-            return int(original_mask)
+            return original_mask
         position = {orig: i for i, orig in enumerate(self._live)}
         out = 0
-        for orig in indices_from_mask(int(original_mask)):
+        for orig in indices_from_mask(original_mask):
             if orig in self._settled:
                 raise ValueError(
                     f"individual {orig} is already settled and projected out"

@@ -17,7 +17,6 @@ from typing import Any, Sequence, Tuple
 import numpy as np
 
 from repro.bayes.dilution import ResponseModel
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.metrics.reporting import format_table
 
@@ -47,10 +46,12 @@ def replay_log_evidence(
     *model*; the accumulated predictive log-probabilities are the log
     evidence.  The trail's pool masks are in original cohort indices.
     """
-    posterior = Posterior.from_prior(prior, model)
+    from repro.sbgt.session import SBGTSession  # deferred: repro.sbgt imports bayes
+
+    session = SBGTSession(None, prior, model)
     for pool_mask, outcome in trail:
-        posterior.update(int(pool_mask), outcome)
-    return posterior.log.log_evidence
+        session.update(int(pool_mask), outcome)
+    return session.log.log_evidence
 
 
 def format_comparison(scored: Sequence[ModelEvidence]) -> str:

@@ -12,9 +12,9 @@ class is precisely a massively-parallel arg-min of this objective.
 Every rule in this package is written once, against a *belief*: anything
 that answers the selection statistics (``down_set_masses``,
 ``pool_count_hists``, ``refined_cell_masses``) and declares whether they
-are ``exact``.  The serial :class:`~repro.bayes.posterior.Posterior`, an
-:class:`~repro.sbgt.session.SBGTSession` and a bare
-:class:`~repro.sbgt.backend.PosteriorBackend` all do; the rules cannot
+are ``exact``.  An :class:`~repro.sbgt.session.SBGTSession` (with or
+without an engine context) and a bare
+:class:`~repro.sbgt.backend.PosteriorBackend` both do; the rules cannot
 tell which one computed the numbers, so they pick the same pools.
 """
 

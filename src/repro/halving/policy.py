@@ -2,8 +2,7 @@
 
 A policy proposes one *stage* of pooled tests given the current belief
 and the set of still-undetermined individuals.  ``policy.select(belief,
-eligible_mask)`` is the one selection entry point: *belief* is a serial
-:class:`~repro.bayes.posterior.Posterior`, an
+eligible_mask)`` is the one selection entry point: *belief* is an
 :class:`~repro.sbgt.session.SBGTSession` or a bare posterior backend.
 Bayesian rules (halving, look-ahead, information gain) read its
 marginals and selection statistics; the classical baselines (individual

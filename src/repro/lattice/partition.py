@@ -2,8 +2,9 @@
 
 A :class:`LatticeBlock` is a contiguous chunk of (masks, log_probs).
 SBGT's RDDs carry one block per record so partition tasks run whole-block
-NumPy kernels; the same blocks also back the serial NumPy baseline, which
-keeps the distributed and serial code paths numerically identical.
+NumPy kernels; the context-free :class:`~repro.sbgt.local_lattice.LocalLattice`
+holds one such block and calls the same kernels, which keeps screens
+with and without an engine context numerically identical.
 
 A block whose masks are an aligned run ``base + [0, 2^bits)`` — every
 block of a dense lattice — is a Boolean **sub-cube**: state ``i`` *is*

@@ -12,12 +12,14 @@ operation classes the paper accelerates map onto engine primitives:
 * statistical analysis — marginals, entropy, top states and
   classification reports as tree aggregations (:class:`DistributedAnalyzer`).
 
-:class:`SBGTSession` drives a full sequential screen with the same
-protocol and result type as the serial reference driver.
+:class:`SBGTSession` is the one belief state and screen driver; its
+:class:`ScreenStepper` is the one stage loop.
 
 Posteriors are pluggable: every consumer speaks the
 :class:`PosteriorBackend` protocol, with the dense
-:class:`DistributedLattice` as the exact implementation and
+:class:`DistributedLattice` (on an engine context) and
+:class:`LocalLattice` (one driver-resident block, no context) as the
+exact implementations and
 :class:`SparsePosterior` (explicit above-floor states) and
 :class:`ParticlePosterior` (SMC cloud) as approximate implementations
 that scale past the dense 2^N wall to cohorts in the hundreds.
@@ -26,6 +28,7 @@ that scale past the dense 2^N wall to cohorts in the hundreds.
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.particle import ParticlePosterior
 from repro.sbgt.session import SBGTSession
@@ -36,6 +39,7 @@ __all__ = [
     "SBGTConfig",
     "PosteriorBackend",
     "DistributedLattice",
+    "LocalLattice",
     "SparsePosterior",
     "ParticlePosterior",
     "DistributedAnalyzer",

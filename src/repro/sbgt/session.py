@@ -1,12 +1,18 @@
-"""The SBGT session: a full sequential screen on the distributed lattice.
+"""The SBGT session: the one belief state a sequential screen runs on.
 
-Runs the same stage protocol as the serial driver
-(:func:`repro.workflows.classify.run_screen`) — classify, select, assay,
-update — but every lattice touch goes through the engine.  The policy
-objects are the *same* classes the serial driver takes and are called
-the same way, ``policy.select(session, eligible_mask)``: the session
-answers the marginals and the three selection statistics the rules of
-:mod:`repro.halving` read, from whatever backend ``self.lattice`` is.
+Every screen — the CLI and the server on an engine context, and the
+context-free ``run_screen`` / ``screen_with_backend`` /
+``run_screen_from_space`` that site screens, the calculator and the
+population program call — is an :class:`SBGTSession` driven by a
+:class:`~repro.sbgt.stepper.ScreenStepper`: classify, select, assay,
+update.  The exact dense lattice is a
+:class:`~repro.sbgt.distributed_lattice.DistributedLattice` when the
+session has a context and a driver-resident
+:class:`~repro.sbgt.local_lattice.LocalLattice` when it has none; the
+policy calls ``policy.select(session, eligible_mask)`` either way, and
+the session answers the marginals and the three selection statistics
+the rules of :mod:`repro.halving` read from whatever backend
+``self.lattice`` is.
 
 With ``SBGTConfig(compact_classified=True)`` the session additionally
 performs *lattice contraction*: each settled diagnosis is conditioned on
@@ -14,9 +20,6 @@ and its bit projected out, so the state space halves per settled
 individual.  Externally everything stays in original cohort indices —
 the session owns the live/settled bookkeeping and translates pool masks
 on the way in (the backend speaks its own compact bits).
-
-Produces the same :class:`~repro.workflows.classify.ScreenResult` shape,
-so accuracy/efficiency tables can mix serial and distributed rows.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
 from repro.halving.policy import SelectionPolicy
 from repro.sbgt.analyzer import DistributedAnalyzer
+from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice, PruneStats
+from repro.sbgt.local_lattice import LocalLattice
 from repro.simulate.population import Cohort, make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import RngLike, as_rng
@@ -46,7 +51,7 @@ __all__ = ["SBGTSession"]
 
 
 class SBGTSession:
-    """Distributed Bayesian group-testing session for one cohort."""
+    """Bayesian group-testing session for one cohort (engine context optional)."""
 
     def __init__(
         self,
@@ -55,30 +60,46 @@ class SBGTSession:
         model: ResponseModel,
         config: Optional[SBGTConfig] = None,
     ) -> None:
+        from repro.workflows.payloads import make_posterior
+
+        config = config or SBGTConfig()
+        lattice = make_posterior(
+            config.backend,
+            prior=prior,
+            ctx=ctx,
+            num_blocks=config.num_blocks,
+            max_positives=config.max_positives,
+            sparse_floor=config.sparse_floor,
+            max_states=config.max_states,
+            num_particles=config.num_particles,
+            ess_threshold=config.ess_threshold,
+            seed=config.backend_seed,
+        )
+        self._bind(ctx, prior, model, config, lattice)
+
+    @classmethod
+    def _on_lattice(
+        cls,
+        ctx: Optional[Context],
+        prior: PriorSpec,
+        model: ResponseModel,
+        config: SBGTConfig,
+        lattice: PosteriorBackend,
+    ) -> "SBGTSession":
+        """A fresh session over a ready *lattice* (checkpoints, state-space priors)."""
+        session = cls.__new__(cls)
+        session._bind(ctx, prior, model, config, lattice)
+        return session
+
+    def _bind(self, ctx, prior, model, config, lattice) -> None:
         self.ctx = ctx
         self.prior = prior
         self.model = model
-        self.config = config or SBGTConfig()
-        if self.config.backend == "dense" and ctx is None:
-            raise ValueError("the dense backend needs an engine Context (ctx)")
+        self.config = config
+        self.lattice = lattice
         #: Log prior mass outside a rank-restricted support (−inf = dense).
-        self.log_discarded_prior = -np.inf
-        from repro.workflows.payloads import make_posterior
-
-        self.lattice = make_posterior(
-            self.config.backend,
-            prior=prior,
-            ctx=ctx,
-            num_blocks=self.config.num_blocks,
-            max_positives=self.config.max_positives,
-            sparse_floor=self.config.sparse_floor,
-            max_states=self.config.max_states,
-            num_particles=self.config.num_particles,
-            ess_threshold=self.config.ess_threshold,
-            seed=self.config.backend_seed,
-        )
-        self.log_discarded_prior = getattr(self.lattice, "log_discarded_prior", -np.inf)
-        self.analyzer = DistributedAnalyzer(self.lattice)
+        self.log_discarded_prior = getattr(lattice, "log_discarded_prior", -np.inf)
+        self.analyzer = DistributedAnalyzer(lattice)
         self.log = EvidenceLog()
         self._stage = 0
         self._marginals_cache: Optional[np.ndarray] = None
@@ -107,7 +128,7 @@ class SBGTSession:
         self._marginals_cache = None
 
     # ------------------------------------------------------------------
-    # belief-state API (mirrors repro.bayes.Posterior)
+    # belief-state API
     # ------------------------------------------------------------------
     def marginals(self) -> np.ndarray:
         """Posterior infection probability per *original* individual."""
@@ -119,7 +140,7 @@ class SBGTSession:
             for pos, orig in enumerate(self._index.live):
                 full[orig] = compact[pos]
             self._marginals_cache = full
-        return self._marginals_cache
+        return self._marginals_cache.copy()
 
     def entropy(self) -> float:
         """Posterior entropy (settled individuals contribute zero)."""
@@ -141,7 +162,7 @@ class SBGTSession:
         return ClassificationReport(marginals=marg, statuses=classify_marginals(marg, pos, neg))
 
     def update(self, pool: Any, outcome: Any) -> TestRecord:
-        """Condition the distributed lattice on one pooled outcome.
+        """Condition the lattice on one pooled outcome.
 
         *pool* is given in original cohort indices (mask or index
         iterable) and must not contain settled individuals.
@@ -154,9 +175,13 @@ class SBGTSession:
                 pool_mask |= 1 << int(i)
         if pool_mask <= 0:
             raise ValueError("pool must contain at least one individual")
-        pool_size = bin(pool_mask).count("1")
+        pool_size = pool_mask.bit_count()
         compact_pool = self._index.to_compact_mask(pool_mask)
         log_lik = self.model.log_likelihood_by_count(outcome, pool_size)
+        if len(log_lik) <= pool_size:
+            raise ValueError(
+                f"log_lik_by_count has {len(log_lik)} entries for a pool of {pool_size}"
+            )
 
         ent_before = self.entropy() if self.config.track_entropy else None
         log_pred = self.lattice.update(compact_pool, log_lik)
@@ -286,25 +311,17 @@ class SBGTSession:
     def save(self, path) -> None:
         """Checkpoint the session (lattice + evidence trail) to ``.npz``.
 
-        The distributed lattice is collected to the driver for the
-        write; contraction must not have started (same restriction as
-        the serial checkpoint).  Restore with :meth:`load`.
+        The lattice is collected to the driver for the write;
+        contraction must not have started.  Restore with :meth:`load`.
         """
-        from repro.bayes.posterior import Posterior
         from repro.lattice.serialize import save_posterior
 
-        if self._index.any_settled:
-            raise ValueError("checkpointing a contracted session is not supported")
-        snapshot = Posterior(self.lattice.collect(), self.model,
-                             track_entropy=self.config.track_entropy)
-        snapshot._stage = self._stage
-        snapshot.log = self.log
-        save_posterior(snapshot, path)
+        save_posterior(self, path)
 
     @classmethod
     def load(
         cls,
-        ctx: Context,
+        ctx: Optional[Context],
         path,
         prior: PriorSpec,
         model: ResponseModel,
@@ -312,31 +329,27 @@ class SBGTSession:
     ) -> "SBGTSession":
         """Restore a checkpointed session onto a (possibly new) context.
 
-        *prior* and *model* are configuration and must match what the
-        checkpointed screen was using; the belief state itself comes
-        from the file.
+        With ``ctx=None`` the lattice is restored driver-resident (a
+        :class:`~repro.sbgt.local_lattice.LocalLattice`).  *prior* and
+        *model* are configuration and must match what the checkpointed
+        screen was using; the belief state itself comes from the file,
+        and so does ``track_entropy`` when no *config* is given.
         """
         from repro.lattice.serialize import load_posterior
 
         if config is not None and config.backend != "dense":
             raise ValueError("checkpoint restore is only supported for the dense backend")
-        snapshot = load_posterior(path, model)
-        if snapshot.space.n_items != prior.n_items:
+        space, stage, track_entropy, log = load_posterior(path)
+        config = config or SBGTConfig(track_entropy=track_entropy)
+        if space.n_items != prior.n_items:
             raise ValueError("checkpoint cohort size does not match the prior")
-        session = cls.__new__(cls)
-        session.ctx = ctx
-        session.prior = prior
-        session.model = model
-        session.config = config or SBGTConfig()
-        session.log_discarded_prior = -np.inf
-        session.lattice = DistributedLattice.from_state_space(
-            ctx, snapshot.space, session.config.num_blocks
-        )
-        session.analyzer = DistributedAnalyzer(session.lattice)
-        session.log = snapshot.log
-        session._stage = snapshot._stage
-        session._marginals_cache = None
-        session._index = CohortIndexMap(prior.n_items)
+        if ctx is None:
+            lattice = LocalLattice.from_state_space(space)
+        else:
+            lattice = DistributedLattice.from_state_space(ctx, space, config.num_blocks)
+        session = cls._on_lattice(ctx, prior, model, config, lattice)
+        session.log = log
+        session._stage = stage
         return session
 
     def close(self) -> None:

@@ -1,18 +1,15 @@
-"""Stage-by-stage driver of a distributed screen.
+"""The one stage loop: every screen, batch or interactive, runs here.
 
-:meth:`SBGTSession.run_screen` historically owned the whole
-classify/select/assay/update loop, which welded the *protocol* (what
-happens each stage) to the *assay source* (a simulated
-:class:`~repro.simulate.testing.TestLab`).  An interactive deployment —
-the serving layer, a real laboratory — needs the same protocol with the
-outcomes arriving from outside.  :class:`ScreenStepper` is that
-extraction: it owns stage sequencing, termination checks, pruning,
-classification and compaction, while the caller supplies outcomes for
-the pools it proposes.
-
-The batch path (:meth:`SBGTSession.run_screen`) is now a thin loop over
-a stepper plus a virtual lab, so interactive and batch screens are the
-*same code* and produce byte-identical classifications from equal seeds.
+:class:`ScreenStepper` owns stage sequencing, termination checks,
+pruning, classification and compaction over an
+:class:`~repro.sbgt.session.SBGTSession`, while the caller supplies
+outcomes for the pools it proposes.  The batch path
+(:meth:`SBGTSession.run_screen`, and through it ``run_screen``,
+``screen_with_backend`` and ``run_screen_from_space``) is a thin loop
+over a stepper plus a virtual lab; the serving layer and a real
+laboratory feed it outcomes from outside.  Interactive and batch screens
+are the *same code* and produce byte-identical classifications from
+equal seeds.
 
 Protocol::
 
@@ -115,9 +112,7 @@ class ScreenStepper:
         if self._done:
             return []
         if self._pending is None:
-            eligible = 0
-            for i in self.report.undetermined():
-                eligible |= 1 << i
+            eligible = self.report.undetermined_mask()
             with self._stage_scope("select"), trace_phase(
                 PHASE_SELECTION, f"select_{self.policy.name}"
             ):

@@ -5,7 +5,6 @@ These helpers are deliberately dependency-light; every other subpackage of
 """
 
 from repro.util.bits import (
-    mask_from_indices,
     indices_from_mask,
     popcount64,
     intersect_count,
@@ -20,7 +19,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "mask_from_indices",
     "indices_from_mask",
     "popcount64",
     "intersect_count",

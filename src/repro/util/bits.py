@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "MAX_ITEMS",
-    "mask_from_indices",
     "indices_from_mask",
     "as_mask_array",
     "popcount64",
@@ -33,24 +32,6 @@ _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
 _SHIFT56 = np.uint64(56)
-
-
-def mask_from_indices(indices: Iterable[int]) -> np.uint64:
-    """Build a uint64 mask with the given bit positions set.
-
-    Parameters
-    ----------
-    indices:
-        Iterable of bit positions in ``[0, 64)``.  Duplicates are allowed
-        and collapse to a single set bit.
-    """
-    mask = 0
-    for i in indices:
-        i = int(i)
-        if not 0 <= i < MAX_ITEMS:
-            raise ValueError(f"bit index {i} outside [0, {MAX_ITEMS})")
-        mask |= 1 << i
-    return np.uint64(mask)
 
 
 def indices_from_mask(mask: int) -> list[int]:

@@ -69,7 +69,7 @@ def pooling_calculator(
     pooled test is always required.
 
     ``backend`` picks the posterior representation per replication:
-    ``"dense"`` runs the serial exact reference; ``"sparse"`` /
+    ``"dense"`` runs the exact driver-resident lattice; ``"sparse"`` /
     ``"particle"`` run driver-local approximate screens, which is what
     makes cohorts beyond the dense 2^N wall tabulable.
     """

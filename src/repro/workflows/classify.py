@@ -1,32 +1,36 @@
-"""The sequential classification loop (serial reference driver).
+"""The screen entry points that need no engine context.
 
 One *screen* classifies a cohort: at each stage the policy proposes
 pools, the virtual lab assays them, the posterior conditions on the
 outcomes, and individuals crossing the marginal thresholds are settled.
 The loop ends when everyone is classified or the stage budget runs out.
 
-:class:`SBGTSession` (:mod:`repro.sbgt.session`) runs the same protocol
-against the distributed lattice; both produce a :class:`ScreenResult`,
-so every accuracy/efficiency experiment can compare them row for row.
+Each function here builds a context-free
+:class:`~repro.sbgt.session.SBGTSession` and runs its one stage loop
+(:class:`~repro.sbgt.stepper.ScreenStepper`); the dense lattice is then
+one driver-resident block.  Every caller gets a :class:`ScreenResult`,
+so accuracy/efficiency experiments compare backends row for row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.bayes.dilution import ResponseModel
-from repro.bayes.posterior import ClassificationReport, Posterior
+from repro.bayes.posterior import ClassificationReport
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import SelectionPolicy
-from repro.metrics.classification import ConfusionCounts, evaluate_classification
-from repro.metrics.efficiency import EfficiencyReport, efficiency_report
-from repro.simulate.population import Cohort, make_cohort
-from repro.simulate.testing import TestLab
+from repro.metrics.classification import ConfusionCounts
+from repro.metrics.efficiency import EfficiencyReport
+from repro.simulate.population import Cohort
 from repro.util.rng import RngLike, as_rng
 from repro.workflows.options import ScreenOptions
+
+if TYPE_CHECKING:  # pragma: no cover - repro.sbgt imports this module back
+    from repro.sbgt.session import SBGTSession
 
 __all__ = [
     "ScreenResult",
@@ -44,7 +48,7 @@ class ScreenResult:
     report: ClassificationReport
     confusion: ConfusionCounts
     efficiency: EfficiencyReport
-    posterior: Posterior
+    posterior: "SBGTSession"
     stages_used: int
     exhausted_budget: bool
 
@@ -73,48 +77,6 @@ class ScreenResult:
         }
 
 
-def _run_stages(
-    posterior: Posterior,
-    cohort: Cohort,
-    lab: TestLab,
-    policy: SelectionPolicy,
-    opts: ScreenOptions,
-) -> ScreenResult:
-    """The stage loop both serial drivers share, over a ready posterior."""
-    policy.reset()
-    stages_used = 0
-    exhausted = False
-    report = posterior.classify(opts.positive_threshold, opts.negative_threshold)
-    while not report.all_classified:
-        if stages_used >= opts.max_stages:
-            exhausted = True
-            break
-        pools = policy.select(posterior, report.undetermined_mask())
-        if not pools:
-            raise RuntimeError(f"policy {policy.name} proposed no pools")
-        posterior.begin_stage()
-        stages_used += 1
-        for pool in pools:
-            posterior.update(pool, lab.run(pool))
-        if opts.prune_epsilon > 0.0:
-            posterior.prune(opts.prune_epsilon)
-        report = posterior.classify(opts.positive_threshold, opts.negative_threshold)
-
-    confusion = evaluate_classification(report, cohort.truth_mask)
-    eff = efficiency_report(
-        cohort.n_items, lab.stats.num_tests, stages_used, lab.stats.num_samples_used
-    )
-    return ScreenResult(
-        cohort=cohort,
-        report=report,
-        confusion=confusion,
-        efficiency=eff,
-        posterior=posterior,
-        stages_used=stages_used,
-        exhausted_budget=exhausted,
-    )
-
-
 def run_screen(
     prior: PriorSpec,
     model: ResponseModel,
@@ -137,16 +99,9 @@ def run_screen(
         The :class:`~repro.workflows.options.ScreenOptions` bundle
         (thresholds, stage budget, pruning, entropy tracking).
     """
-    opts = options or ScreenOptions()
-    gen = as_rng(rng)
-    if cohort is None:
-        cohort = make_cohort(prior, gen)
-    elif cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
+    if cohort is not None and cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
         raise ValueError("cohort does not match the prior's cohort size")
-
-    lab = TestLab(model, cohort.truth_mask, gen)
-    posterior = Posterior.from_prior(prior, model, track_entropy=opts.track_entropy)
-    return _run_stages(posterior, cohort, lab, policy, opts)
+    return screen_with_backend(prior, model, policy, rng=rng, cohort=cohort, options=options)
 
 
 def screen_with_backend(
@@ -158,31 +113,24 @@ def screen_with_backend(
     cohort: Optional[Cohort] = None,
     options: Optional[ScreenOptions] = None,
 ) -> ScreenResult:
-    """Run one screen on the named posterior backend.
+    """Run one screen on the named posterior backend, without a context.
 
-    ``"dense"`` runs the serial exact reference (:func:`run_screen` on a
-    :class:`~repro.bayes.posterior.Posterior`, no engine job): a stage
-    costs one lattice-wide ``logsumexp``, one ``intersect_count`` and one
-    marginal sweep that ``classify()`` and the policy share — the path
-    every site screen of a ``surveil`` campaign takes;
-    ``"sparse"`` / ``"particle"`` run the same protocol against a
-    driver-local approximate :class:`~repro.sbgt.session.SBGTSession`
-    (no engine context needed), which is what lifts cohorts past the
-    dense ``2^N`` wall.  All callers that fan screens out over backends
-    — the calculator, longitudinal surveillance, multi-site campaigns —
-    dispatch through here so backend semantics stay in one place.
+    ``"dense"`` is the exact lattice in one driver-resident block (no
+    engine job): a stage costs one update kernel, one down-set kernel
+    and one marginal fold that ``classify()`` and the policy share — the
+    path every site screen of a ``surveil`` campaign takes;
+    ``"sparse"`` / ``"particle"`` are the approximate backends that lift
+    cohorts past the dense ``2^N`` wall.  All callers that fan screens
+    out over backends — the calculator, longitudinal surveillance,
+    multi-site campaigns — dispatch through here so backend semantics
+    stay in one place.
     """
-    if backend == "dense":
-        return run_screen(prior, model, policy, rng=rng, cohort=cohort, options=options)
-    # Deferred import: repro.sbgt reaches back into workflows for payloads.
+    # Deferred imports: repro.sbgt reaches back into workflows.
     from repro.sbgt.config import SBGTConfig
     from repro.sbgt.session import SBGTSession
 
     session = SBGTSession(None, prior, model, SBGTConfig(backend=backend))
-    try:
-        return session.run_screen(policy, rng=rng, cohort=cohort, options=options)
-    finally:
-        session.close()
+    return session.run_screen(policy, rng=rng, cohort=cohort, options=options)
 
 
 def run_screen_from_space(
@@ -203,16 +151,16 @@ def run_screen_from_space(
     *marginals* (a summary — the full dependence structure lives in the
     posterior's state space).
     """
-    from repro.lattice.ops import marginals as space_marginals
+    from repro.sbgt.config import SBGTConfig
+    from repro.sbgt.local_lattice import LocalLattice
+    from repro.sbgt.session import SBGTSession
     from repro.simulate.population import draw_truth_from_space
 
-    opts = options or ScreenOptions()
     gen = as_rng(rng)
     if truth_mask is None:
         truth_mask = draw_truth_from_space(space, gen)
-    marginal_prior = PriorSpec(np.clip(space_marginals(space), 1e-9, 1 - 1e-9))
+    lattice = LocalLattice.from_state_space(space)
+    marginal_prior = PriorSpec(np.clip(lattice.marginals(), 1e-9, 1 - 1e-9))
     cohort = Cohort(prior=marginal_prior, truth_mask=int(truth_mask))
-
-    lab = TestLab(model, cohort.truth_mask, gen)
-    posterior = Posterior(space.copy(), model, track_entropy=opts.track_entropy)
-    return _run_stages(posterior, cohort, lab, policy, opts)
+    session = SBGTSession._on_lattice(None, marginal_prior, model, SBGTConfig(), lattice)
+    return session.run_screen(policy, rng=gen, cohort=cohort, options=options)

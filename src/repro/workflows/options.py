@@ -1,9 +1,10 @@
-"""Shared options for the two screen drivers.
+"""Per-screen options.
 
-:func:`repro.workflows.run_screen` (serial) and
-:meth:`repro.sbgt.SBGTSession.run_screen` (distributed) run the same
-stage protocol; :class:`ScreenOptions` is the one bundle of tuning knobs
-both accept.
+Every screen runs :class:`~repro.sbgt.stepper.ScreenStepper` on an
+:class:`~repro.sbgt.session.SBGTSession`;
+:class:`ScreenOptions` is the one bundle of tuning knobs
+:meth:`~repro.sbgt.session.SBGTSession.run_screen` and the context-free
+entry points of :mod:`repro.workflows.classify` accept.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ __all__ = ["ScreenOptions"]
 
 @dataclass(frozen=True)
 class ScreenOptions:
-    """Tuning knobs shared by the serial and distributed screen drivers.
+    """Tuning knobs of one screen (they override the session's ``SBGTConfig``).
 
     Parameters
     ----------

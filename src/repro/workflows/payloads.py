@@ -116,7 +116,9 @@ def make_posterior(
     """Build a :class:`~repro.sbgt.backend.PosteriorBackend` by name.
 
     The posterior twin of :func:`make_policy` / :func:`make_model`:
-    ``"dense"`` is the distributed lattice (needs an engine ``ctx``),
+    ``"dense"`` is the exact lattice — distributed over *ctx*, or one
+    driver-resident block when *ctx* is None (a rank-restricted
+    ``max_positives`` lattice needs the context) —
     ``"sparse"`` the driver-resident above-floor representation,
     ``"particle"`` the SMC cloud.  Every returned backend carries a
     ``log_discarded_prior`` attribute (−inf when the support is exact).
@@ -127,9 +129,12 @@ def make_posterior(
         # Deferred imports: repro.sbgt pulls this module back in for the
         # session's backend dispatch.
         from repro.sbgt.distributed_lattice import DistributedLattice
+        from repro.sbgt.local_lattice import LocalLattice
 
         if ctx is None:
-            raise ValueError("the dense backend needs an engine Context (ctx)")
+            if max_positives is not None:
+                raise ValueError("the restricted dense backend needs an engine Context (ctx)")
+            return LocalLattice.from_prior(prior)
         if max_positives is not None:
             lattice, log_disc = DistributedLattice.from_restricted_prior(
                 ctx, prior, max_positives, num_blocks

@@ -4,7 +4,7 @@ A city-scale program doesn't build one 10,000-person lattice — it splits
 the population into pooling cohorts (the regime where exact Bayesian
 inference is cheap) and runs the cohorts concurrently.  This workflow
 expresses exactly that on the dataflow engine: one task per cohort, each
-task running the full serial screen, results reduced to program-level
+task running a full context-free screen, results reduced to program-level
 statistics.  It is the second axis of SBGT's scalability (R4 covers the
 within-lattice axis).
 """

@@ -110,7 +110,7 @@ def run_surveillance(
     ``policy_factory`` builds a fresh policy per day (policies may carry
     per-screen state).  Pass an explicit *prevalence* series to pin the
     epidemic; the default is the standard SIR wave.  ``backend`` picks
-    the per-day posterior representation (``"dense"`` exact serial,
+    the per-day posterior representation (``"dense"`` exact driver-resident,
     ``"sparse"`` / ``"particle"`` approximate driver-local), so
     epidemic-wave campaigns can run cohorts past the dense ``2^N`` wall.
     """

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
 from repro.bayes.dilution import PerfectTest
-from repro.bayes.posterior import Posterior
 from repro.lattice.ops import marginals
+from repro.sbgt.local_lattice import LocalLattice
 
 
 @pytest.fixture
@@ -97,18 +97,17 @@ class TestTruthAndInference:
     def test_one_positive_raises_household_marginals(self, prior):
         # The lattice-exclusive behaviour: a positive member implicates
         # their housemates, not the rest of the cohort.
-        space = prior.build_dense()
-        post = Posterior(space, PerfectTest())
-        post.update([0], True)
+        post = LocalLattice.from_state_space(prior.build_dense())
+        post.update(0b1, PerfectTest().log_likelihood_by_count(True, 1))
         m = post.marginals()
         assert m[0] == pytest.approx(1.0)
         assert m[1] > prior.marginal_risk() * 3  # housemates implicated
         assert m[3] == pytest.approx(prior.marginal_risk(), abs=1e-9)  # others not
 
     def test_negative_household_pool_clears_household(self, prior):
-        space = prior.build_dense()
-        post = Posterior(space, PerfectTest())
-        post.update(0b000011000, False)  # household 1: members 3 and 4
+        post = LocalLattice.from_state_space(prior.build_dense())
+        # household 1: members 3 and 4
+        post.update(0b000011000, PerfectTest().log_likelihood_by_count(False, 2))
         m = post.marginals()
         assert np.allclose(m[3:5], 0.0, atol=1e-12)
         assert np.allclose(m[:3], prior.marginal_risk(), atol=1e-9)

@@ -1,12 +1,13 @@
-"""CohortIndexMap and serial Posterior contraction."""
+"""CohortIndexMap and contraction of the context-free session."""
 
 import numpy as np
 import pytest
 
 from repro.bayes.dilution import PerfectTest
 from repro.bayes.indexmap import CohortIndexMap
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.sbgt.config import SBGTConfig
+from repro.sbgt.session import SBGTSession
 
 
 class TestCohortIndexMap:
@@ -68,16 +69,16 @@ class TestCohortIndexMap:
 
 class TestPosteriorContraction:
     def test_settle_fixes_marginal(self):
-        post = Posterior.from_prior(PriorSpec.uniform(5, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(5, 0.1), PerfectTest())
         post.settle(2, True)
         m = post.marginals()
         assert m[2] == 1.0
         assert len(m) == 5
         assert post.num_live == 4
-        assert post.space.n_items == 4
+        assert post.lattice.n_items == 4
 
     def test_update_in_original_indices(self):
-        post = Posterior.from_prior(PriorSpec.uniform(5, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(5, 0.1), PerfectTest())
         post.settle(0, False)
         post.update([3, 4], False)
         m = post.marginals()
@@ -85,25 +86,26 @@ class TestPosteriorContraction:
         assert np.allclose(m[[1, 2]], 0.1, atol=1e-10)
 
     def test_pool_with_settled_rejected(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         post.settle(1, False)
         with pytest.raises(ValueError):
             post.update([1, 2], False)
 
     def test_map_state_includes_settled_positive(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         post.settle(3, True)
         assert post.map_state() & 0b1000
 
     def test_down_set_mass_translated(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.2), PerfectTest())
-        before = post.down_set_mass([2, 3])
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.2), PerfectTest())
+        pools = np.array([0b1100], dtype=np.uint64)
+        before = post.down_set_masses(pools)[0]
         post.settle(0, False)
-        after = post.down_set_mass([2, 3])
+        after = post.down_set_masses(pools)[0]
         assert after == pytest.approx(before, abs=1e-10)  # independent prior
 
     def test_classify_reports_settled(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.2), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.2), PerfectTest())
         post.settle(1, True)
         report = post.classify()
         from repro.bayes.posterior import Classification
@@ -111,13 +113,10 @@ class TestPosteriorContraction:
         assert report.statuses[1] is Classification.POSITIVE
 
     def test_parity_with_sbgt_session(self, ctx):
-        """Serial and distributed contraction agree step for step."""
-        from repro.sbgt.config import SBGTConfig
-        from repro.sbgt.session import SBGTSession
-
+        """Context-free and engine contraction agree step for step."""
         prior = PriorSpec.sampled(7, 0.1, rng=2)
         model = PerfectTest()
-        post = Posterior.from_prior(prior, model)
+        post = SBGTSession(None, prior, model)
         session = SBGTSession(ctx, prior, model, SBGTConfig())
         moves = [
             ("update", ([0, 1, 2], False)),

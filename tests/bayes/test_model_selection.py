@@ -11,8 +11,9 @@ from repro.bayes.model_selection import (
     format_comparison,
     replay_log_evidence,
 )
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.sbgt.config import SBGTConfig
+from repro.sbgt.session import SBGTSession
 from repro.simulate.population import make_cohort
 from repro.simulate.testing import TestLab
 
@@ -33,7 +34,7 @@ class TestReplayLogEvidence:
         model = BinaryErrorModel(0.95, 0.98)
         trail = generate_trail(prior, model, 3, POOLS)
         direct = replay_log_evidence(prior, model, trail)
-        post = Posterior.from_prior(prior, model)
+        post = SBGTSession(None, prior, model)
         for pool, outcome in trail:
             post.update(pool, outcome)
         assert direct == pytest.approx(post.log.log_evidence, abs=1e-12)
@@ -85,7 +86,7 @@ class TestCompareModels:
 class TestEvidenceJson:
     def test_round_trips_through_json(self):
         prior = PriorSpec.uniform(5, 0.1)
-        post = Posterior.from_prior(prior, BinaryErrorModel(0.95, 0.98), track_entropy=True)
+        post = SBGTSession(None, prior, BinaryErrorModel(0.95, 0.98), SBGTConfig(track_entropy=True))
         post.begin_stage()
         post.update([0, 1, 2], True)
         post.update([3], False)
@@ -100,7 +101,7 @@ class TestEvidenceJson:
         from repro.bayes.dilution import LogNormalViralLoadModel
 
         prior = PriorSpec.uniform(4, 0.1)
-        post = Posterior.from_prior(prior, LogNormalViralLoadModel())
+        post = SBGTSession(None, prior, LogNormalViralLoadModel())
         post.update([0, 1], 5.25)
         payload = json.loads(post.log.to_json())
         assert payload["tests"][0]["outcome"] == pytest.approx(5.25)

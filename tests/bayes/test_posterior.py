@@ -1,4 +1,8 @@
-"""Posterior: sequential updates, classification, the dict oracle."""
+"""The exact belief state: sequential updates, classification, the dict oracle.
+
+The belief state is a context-free :class:`SBGTSession`, whose dense
+lattice is one driver-resident block (:class:`LocalLattice`).
+"""
 
 import math
 import warnings
@@ -17,48 +21,62 @@ from repro.bayes.dilution import (
 from repro.bayes.posterior import Classification, Posterior, classify_marginals
 from repro.bayes.priors import PriorSpec
 from repro.lattice import ops as lops
+from repro.sbgt import local_lattice
+from repro.sbgt.config import SBGTConfig
+from repro.sbgt.session import SBGTSession
+
+
+def session(prior, model, **config):
+    return SBGTSession(None, prior, model, SBGTConfig(**config))
+
+
+def test_from_prior_builds_a_context_free_dense_session():
+    post = Posterior.from_prior(PriorSpec.uniform(5, 0.1), PerfectTest())
+    assert isinstance(post, SBGTSession) and post.ctx is None
+    assert isinstance(post.lattice, local_lattice.LocalLattice) and post.lattice.exact
+    np.testing.assert_allclose(post.marginals(), [0.1] * 5, rtol=0, atol=1e-12)
 
 
 class TestUpdates:
     def test_negative_pool_clears_members(self):
-        post = Posterior.from_prior(PriorSpec.uniform(6, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(6, 0.1), PerfectTest())
         post.update([0, 1, 2], False)
         m = post.marginals()
         assert np.allclose(m[:3], 0.0, atol=1e-12)
         assert np.allclose(m[3:], 0.1, atol=1e-10)
 
     def test_positive_pool_raises_members(self):
-        post = Posterior.from_prior(PriorSpec.uniform(6, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(6, 0.1), PerfectTest())
         before = post.marginals()[0]
         post.update([0, 1], True)
         assert post.marginals()[0] > before
 
     def test_individual_positive_test_settles(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         post.update([2], True)
         assert post.marginals()[2] == pytest.approx(1.0)
 
     def test_pool_accepts_mask_or_indices(self):
-        p1 = Posterior.from_prior(PriorSpec.uniform(4, 0.2), PerfectTest())
-        p2 = Posterior.from_prior(PriorSpec.uniform(4, 0.2), PerfectTest())
+        p1 = SBGTSession(None, PriorSpec.uniform(4, 0.2), PerfectTest())
+        p2 = SBGTSession(None, PriorSpec.uniform(4, 0.2), PerfectTest())
         p1.update([0, 2], False)
         p2.update(0b0101, False)
         assert np.allclose(p1.marginals(), p2.marginals())
 
     def test_empty_pool_raises(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.1), PerfectTest())
         with pytest.raises(ValueError):
             post.update(0, False)
 
     def test_num_tests_counted(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.1), BinaryErrorModel())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.1), BinaryErrorModel())
         post.update([0], False)
         post.update([1], False)
         assert post.num_tests == 2
 
     def test_repeated_noisy_tests_converge(self):
         model = BinaryErrorModel(0.9, 0.9)
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.3), model)
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.3), model)
         for _ in range(10):
             post.update([0], True)
         assert post.marginals()[0] > 0.99
@@ -78,7 +96,7 @@ class TestAgainstPyDictOracle:
     )
     def test_marginals_match_after_test_sequence(self, model):
         risks = [0.05, 0.15, 0.3, 0.08, 0.2]
-        fast = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+        fast = SBGTSession(None, PriorSpec(np.array(risks)), model)
         oracle = PyDictPosterior(risks, model)
         sequence = [([0, 1, 2], True), ([0], False), ([3, 4], False), ([1, 2], True), ([1], True)]
         for pool, outcome in sequence:
@@ -89,7 +107,7 @@ class TestAgainstPyDictOracle:
     def test_entropy_matches(self):
         risks = [0.1, 0.25, 0.4]
         model = BinaryErrorModel(0.9, 0.95)
-        fast = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+        fast = SBGTSession(None, PriorSpec(np.array(risks)), model)
         oracle = PyDictPosterior(risks, model)
         fast.update([0, 1], True)
         oracle.update([0, 1], True)
@@ -98,7 +116,7 @@ class TestAgainstPyDictOracle:
     def test_map_state_matches(self):
         risks = [0.05, 0.4, 0.2, 0.1]
         model = DilutionErrorModel(0.95, 0.99, 0.3)
-        fast = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+        fast = SBGTSession(None, PriorSpec(np.array(risks)), model)
         oracle = PyDictPosterior(risks, model)
         for pool, outcome in [([1, 2], True), ([0, 3], False)]:
             fast.update(pool, outcome)
@@ -108,7 +126,7 @@ class TestAgainstPyDictOracle:
 
 class TestClassification:
     def test_thresholds(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         post.update([0], True)
         post.update([1], False)
         report = post.classify(0.99, 0.01)
@@ -117,7 +135,7 @@ class TestClassification:
         assert report.statuses[2] is Classification.UNDETERMINED
 
     def test_report_index_lists(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.1), PerfectTest())
         post.update([0], True)
         post.update([1], False)
         post.update([2], False)
@@ -127,12 +145,12 @@ class TestClassification:
         assert report.all_classified
 
     def test_invalid_thresholds(self):
-        post = Posterior.from_prior(PriorSpec.uniform(2, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(2, 0.1), PerfectTest())
         with pytest.raises(ValueError):
             post.classify(0.5, 0.6)
 
     def test_n_classified(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.3), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.3), PerfectTest())
         report = post.classify()
         assert report.n_classified == 0
         assert not report.all_classified
@@ -174,7 +192,7 @@ class TestThresholdEdge:
         """Prevalence 0.01 against the default negative threshold 0.01:
         serial, dict-oracle and summation-order variants all agree."""
         prior = PriorSpec.uniform(10, 0.01)
-        post = Posterior.from_prior(prior, PerfectTest())
+        post = SBGTSession(None, prior, PerfectTest())
         assert post.classify().n_classified == 0
         assert PyDictPosterior([0.01] * 6, PerfectTest()).classify() == ["undetermined"] * 6
         for m in (0.010000000000000002, 0.009999999999999992):
@@ -184,12 +202,12 @@ class TestThresholdEdge:
 class TestEvidence:
     def test_log_predictive_of_certain_outcome(self):
         # Pool of all with perfect test: P(negative) = prod(1 - risk)
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         rec = post.update([0, 1, 2, 3], False)
         assert rec.log_predictive == pytest.approx(4 * math.log(0.9), abs=1e-9)
 
     def test_log_evidence_accumulates(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.2), BinaryErrorModel())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.2), BinaryErrorModel())
         post.update([0], False)
         post.update([1], False)
         assert post.log.log_evidence == pytest.approx(
@@ -197,29 +215,27 @@ class TestEvidence:
         )
 
     def test_entropy_tracking(self):
-        post = Posterior.from_prior(
-            PriorSpec.uniform(3, 0.2), PerfectTest(), track_entropy=True
-        )
+        post = session(PriorSpec.uniform(3, 0.2), PerfectTest(), track_entropy=True)
         rec = post.update([0, 1, 2], False)
         assert rec.entropy_before is not None
         assert rec.entropy_after is not None
         assert rec.information_gain > 0
 
     def test_entropy_not_tracked_by_default(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.2), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.2), PerfectTest())
         rec = post.update([0], False)
         assert rec.entropy_before is None
         assert rec.information_gain is None
 
     def test_prune_keeps_marginals_close(self):
-        post = Posterior.from_prior(PriorSpec.uniform(8, 0.05), BinaryErrorModel())
+        post = session(PriorSpec.uniform(8, 0.05), BinaryErrorModel(), prune_epsilon=1e-6)
         post.update([0, 1, 2, 3], False)
         before = post.marginals()
-        post.prune(1e-6)
+        assert post.prune().dropped_states > 0
         assert np.allclose(post.marginals(), before, atol=1e-4)
 
     def test_stage_counter(self):
-        post = Posterior.from_prior(PriorSpec.uniform(2, 0.1), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(2, 0.1), PerfectTest())
         assert post.begin_stage() == 1
         post.update([0], False)
         assert post.log.records[-1].stage == 1
@@ -243,24 +259,25 @@ class _ShortTable(PerfectTest):
 
 class TestUpdateIsAtomic:
     def test_zero_probability_outcome_leaves_posterior_intact(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), _Noiseless())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), _Noiseless())
         post.update([0, 1], False)
-        space, log_probs = post.space, post.space.log_probs.copy()
+        space = post.lattice.collect()
         marginals, evidence = post.marginals(), post.log.log_evidence
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="zero probability under the model"):
                 post.update([0], True)  # individual 0 was just cleared
             assert np.array_equal(post.marginals(), marginals)
-        assert post.space is space
-        assert np.array_equal(post.space.log_probs, log_probs)
+        after = post.lattice.collect()
+        assert np.array_equal(after.masks, space.masks)
+        assert np.array_equal(after.log_probs, space.log_probs)
         assert post.num_tests == 1 and post.log.log_evidence == evidence
         post.update([2], True)
         assert post.num_tests == 2
         assert post.marginals() == pytest.approx([0.0, 0.0, 1.0, 0.1], abs=1e-12)
 
     def test_short_likelihood_table_raises_value_error(self):
-        post = Posterior.from_prior(PriorSpec.uniform(3, 0.2), _ShortTable())
+        post = SBGTSession(None, PriorSpec.uniform(3, 0.2), _ShortTable())
         before = post.marginals()
         with pytest.raises(ValueError, match="log_lik_by_count has 2 entries"):
             post.update([0, 1], True)
@@ -270,15 +287,17 @@ class TestUpdateIsAtomic:
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Calls to ``lops.marginals`` since the last read of the counter."""
+    """Marginal kernel calls since the last read of the counter."""
     calls = []
-    kernel = lops.marginals
+    kernel = local_lattice.block_mass_marginals
 
-    def counting(space):
-        calls.append(space)
-        return kernel(space)
+    def counting(block, need_marginals=False):
+        mass, marginals = kernel(block, need_marginals)
+        if marginals is not None:  # a generic block may report its mass alone
+            calls.append(block)
+        return mass, marginals
 
-    monkeypatch.setattr(lops, "marginals", counting)
+    monkeypatch.setattr(local_lattice, "block_mass_marginals", counting)
 
     def taken():
         n = len(calls)
@@ -288,12 +307,17 @@ def sweeps(monkeypatch):
     return taken
 
 
+def reference_marginals(post):
+    """The per-bit ``lattice.ops`` sweep over the collected lattice."""
+    return lops.marginals(post.lattice.collect())
+
+
 class TestServedMarginals:
-    """One marginal sweep per lattice state, however many readers ask."""
+    """One marginal kernel per lattice state, however many readers ask."""
 
     @staticmethod
-    def posterior(n=5):
-        return Posterior.from_prior(PriorSpec.uniform(n, 0.2), BinaryErrorModel(0.95, 0.98))
+    def posterior(n=5, **config):
+        return session(PriorSpec.uniform(n, 0.2), BinaryErrorModel(0.95, 0.98), **config)
 
     def test_reads_between_mutations_cost_one_sweep(self, sweeps):
         post = self.posterior()
@@ -326,14 +350,15 @@ class TestServedMarginals:
         assert after[0] > before[0]
 
     def test_prune_invalidates(self, sweeps):
-        post = self.posterior()
+        post = self.posterior(prune_epsilon=0.01)
         post.update([0, 1, 2], False)
         before = post.marginals()
-        assert post.prune(0.01).dropped_states > 0
+        assert sweeps() == 2  # the prior's and the update's
+        assert post.prune().dropped_states > 0
         after = post.marginals()
-        assert sweeps() == 2
+        assert sweeps() == 1
         assert not np.array_equal(after, before)
-        assert np.array_equal(after, lops.marginals(post.space))
+        np.testing.assert_allclose(after, reference_marginals(post), rtol=0, atol=1e-12)
 
     def test_settle_invalidates_and_reads_stay_exact(self, sweeps):
         post = self.posterior(3)
@@ -350,26 +375,7 @@ class TestServedMarginals:
         post.settle(2, False)
         assert post.marginals().tolist() == [0.0, 1.0, 0.0]
         assert post.classify(0.99, 0.01).all_classified
-
-    def test_assigning_a_space_invalidates(self, sweeps):
-        post = self.posterior()
-        post.marginals()
-        post.space = PriorSpec.uniform(5, 0.4).build_dense()
-        assert post.marginals() == pytest.approx([0.4] * 5)
-        assert sweeps() == 2
-
-    def test_external_update_and_normalize_invalidate(self, sweeps):
-        post = self.posterior()
-        post.marginals()
-        table = post.model.log_likelihood_by_count(False, 2)
-        lops.posterior_update(post.space, 0b11, table)
-        after = post.marginals()
-        assert sweeps() == 2
-        assert np.array_equal(after, lops.marginals(post.space))
-        assert after[0] < 0.2
-        post.space.normalize()
-        post.marginals()
-        assert sweeps() == 2  # the comparison sweep above, and the re-read
+        assert sweeps() == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -381,5 +387,6 @@ class TestServedMarginals:
         post = self.posterior()
         for pool, outcome in seq:
             post.update(pool, outcome)
-            assert np.array_equal(post.marginals(), lops.marginals(post.space))
-            assert np.array_equal(post.classify().marginals, lops.marginals(post.space))
+            served = post.marginals()
+            assert np.array_equal(post.classify().marginals, served)
+            np.testing.assert_allclose(served, reference_marginals(post), rtol=0, atol=1e-12)

@@ -12,8 +12,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from repro.baseline.pydict import PyDictPosterior
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
+from repro.sbgt.session import SBGTSession
 from repro.util.bits import intersect_count
 
 common = settings(
@@ -42,7 +42,7 @@ def screen_sequences(draw):
 def test_binary_model_agreement(data):
     risks, seq = data
     model = BinaryErrorModel(0.93, 0.97)
-    fast = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    fast = SBGTSession(None, PriorSpec(np.array(risks)), model)
     oracle = PyDictPosterior(risks, model)
     for pool, outcome in seq:
         fast.update(pool, outcome)
@@ -55,7 +55,7 @@ def test_binary_model_agreement(data):
 def test_dilution_model_agreement(data, delta):
     risks, seq = data
     model = DilutionErrorModel(0.96, 0.99, delta)
-    fast = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    fast = SBGTSession(None, PriorSpec(np.array(risks)), model)
     oracle = PyDictPosterior(risks, model)
     for pool, outcome in seq:
         fast.update(pool, outcome)
@@ -68,10 +68,10 @@ def test_dilution_model_agreement(data, delta):
 def test_posterior_always_normalized(data):
     risks, seq = data
     model = BinaryErrorModel(0.9, 0.95)
-    post = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    post = SBGTSession(None, PriorSpec(np.array(risks)), model)
     for pool, outcome in seq:
         post.update(pool, outcome)
-        assert post.space.is_normalized(atol=1e-8)
+        assert post.lattice.collect().is_normalized(atol=1e-8)
         m = post.marginals()
         assert np.all(m >= -1e-12) and np.all(m <= 1 + 1e-12)
 
@@ -81,7 +81,7 @@ def test_posterior_always_normalized(data):
 def test_entropy_never_negative(data):
     risks, seq = data
     model = BinaryErrorModel(0.9, 0.95)
-    post = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    post = SBGTSession(None, PriorSpec(np.array(risks)), model)
     for pool, outcome in seq:
         post.update(pool, outcome)
         assert post.entropy() >= -1e-12
@@ -93,7 +93,7 @@ def test_evidence_additivity(data):
     """Total log evidence equals the log joint of the outcome sequence."""
     risks, seq = data
     model = BinaryErrorModel(0.9, 0.95)
-    post = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    post = SBGTSession(None, PriorSpec(np.array(risks)), model)
     for pool, outcome in seq:
         post.update(pool, outcome)
     # Recompute the joint directly on the dict oracle: product over the
@@ -121,12 +121,13 @@ def test_log_predictive_is_the_ratio_of_masses(data, delta):
     two-``logsumexp`` formula it replaced is the reference."""
     risks, seq = data
     model = DilutionErrorModel(0.96, 0.99, delta)
-    post = Posterior.from_prior(PriorSpec(np.array(risks)), model)
+    post = SBGTSession(None, PriorSpec(np.array(risks)), model)
     total = 0.0
     for pool, outcome in seq:
-        lp = post.space.log_probs.copy()
+        space = post.lattice.collect()
+        lp = space.log_probs
         ll = model.log_likelihood_by_count(outcome, bin(pool).count("1"))
-        counts = intersect_count(post.space.masks, pool)
+        counts = intersect_count(space.masks, pool)
         expected = float(scipy_logsumexp(lp + ll[counts]) - scipy_logsumexp(lp))
         record = post.update(pool, outcome)
         assert record.log_predictive == pytest.approx(expected, abs=1e-12, rel=0)

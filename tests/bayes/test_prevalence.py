@@ -113,11 +113,11 @@ class TestEstimatePrevalence:
 
     def test_consumes_evidence_log_shapes(self):
         # The estimator plugs straight into screen evidence records.
-        from repro.bayes.posterior import Posterior
+        from repro.sbgt.session import SBGTSession
         from repro.bayes.priors import PriorSpec
 
         model = BinaryErrorModel(0.98, 0.99)
-        post = Posterior.from_prior(PriorSpec.uniform(8, 0.05), model)
+        post = SBGTSession(None, PriorSpec.uniform(8, 0.05), model)
         post.update([0, 1, 2, 3], False)
         post.update([4, 5], False)
         outcomes = [(r.pool_size, r.outcome) for r in post.log.records]

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bayes.dilution import PerfectTest
-from repro.bayes.posterior import Posterior
 from repro.halving.bha import halving_objective, select_halving_pool
 from repro.halving.candidates import ExhaustiveCandidates
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.ops import down_set_mass
 from repro.lattice.states import StateSpace
+from repro.sbgt.local_lattice import LocalLattice
 
 
-def belief(space: StateSpace) -> Posterior:
-    """The serial belief state over *space* (the rule reads its statistics)."""
-    return Posterior(space, PerfectTest())
+def belief(space: StateSpace) -> LocalLattice:
+    """The exact belief state over *space* (the rule reads its statistics)."""
+    return LocalLattice.from_state_space(space)
 
 
 class TestDownSetMasses:

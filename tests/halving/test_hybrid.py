@@ -1,10 +1,10 @@
 """Hybrid (Dorfman → BHA) policy."""
 
 from repro.bayes.dilution import BinaryErrorModel, PerfectTest
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import BHAPolicy, DorfmanPolicy
+from repro.sbgt.session import SBGTSession
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
 from repro.workflows.options import ScreenOptions
@@ -12,14 +12,14 @@ from repro.workflows.options import ScreenOptions
 
 class TestStageBehaviour:
     def test_stage_one_is_dorfman_grid(self):
-        post = Posterior.from_prior(PriorSpec.uniform(8, 0.05), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(8, 0.05), PerfectTest())
         policy = HybridPolicy(pool_size=4)
         pools = policy.select(post, 0xFF)
         assert len(pools) == 2
         assert all(bin(p).count("1") == 4 for p in pools)
 
     def test_later_stages_are_bha(self):
-        post = Posterior.from_prior(PriorSpec.uniform(8, 0.05), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(8, 0.05), PerfectTest())
         policy = HybridPolicy(pool_size=4)
         policy.select(post, 0xFF)
         second = policy.select(post, 0xFF)
@@ -27,17 +27,17 @@ class TestStageBehaviour:
 
     def test_auto_pool_size_follows_risk(self):
         policy = HybridPolicy()  # auto sizing
-        low = Posterior.from_prior(PriorSpec.uniform(12, 0.01), PerfectTest())
+        low = SBGTSession(None, PriorSpec.uniform(12, 0.01), PerfectTest())
         pools_low = policy.select(low, (1 << 12) - 1)
         policy.reset()
-        high = Posterior.from_prior(PriorSpec.uniform(12, 0.25), PerfectTest())
+        high = SBGTSession(None, PriorSpec.uniform(12, 0.25), PerfectTest())
         pools_high = policy.select(high, (1 << 12) - 1)
         max_low = max(bin(p).count("1") for p in pools_low)
         max_high = max(bin(p).count("1") for p in pools_high)
         assert max_low > max_high  # bigger pools when prevalence is low
 
     def test_reset_restores_stage_one(self):
-        post = Posterior.from_prior(PriorSpec.uniform(6, 0.05), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(6, 0.05), PerfectTest())
         policy = HybridPolicy(pool_size=3)
         policy.select(post, 0b111111)
         policy.select(post, 0b111111)
@@ -48,10 +48,8 @@ class TestStageBehaviour:
     def test_same_stages_on_a_session(self, ctx):
         """The session needs no dispatch hook: ``select`` is the whole
         interface, grid first and halving afterwards on either belief."""
-        from repro.sbgt.session import SBGTSession
-
         prior, model = PriorSpec.uniform(8, 0.05), BinaryErrorModel(0.99, 0.995)
-        serial, session = Posterior.from_prior(prior, model), SBGTSession(ctx, prior, model)
+        serial, session = SBGTSession(None, prior, model), SBGTSession(ctx, prior, model)
         try:
             on_serial, on_session = HybridPolicy(pool_size=4), HybridPolicy(pool_size=4)
             for _ in range(3):

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.bayes.dilution import PerfectTest
-from repro.bayes.posterior import Posterior
 from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import ExhaustiveCandidates
 from repro.halving.lookahead import batch_balance_objective, select_lookahead_pools
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.states import StateSpace
+from repro.sbgt.local_lattice import LocalLattice
 
 
-def belief(space: StateSpace) -> Posterior:
-    """The serial belief state over *space* (the rule reads its statistics)."""
-    return Posterior(space, PerfectTest())
+def belief(space: StateSpace) -> LocalLattice:
+    """The exact belief state over *space* (the rule reads its statistics)."""
+    return LocalLattice.from_state_space(space)
 
 
 def cell_masses(space: StateSpace, pools) -> np.ndarray:

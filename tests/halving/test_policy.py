@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bayes.dilution import BinaryErrorModel, LogNormalViralLoadModel, PerfectTest
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import (
     BHAPolicy,
@@ -19,7 +18,7 @@ from repro.sbgt.session import SBGTSession
 
 @pytest.fixture
 def posterior():
-    return Posterior.from_prior(PriorSpec.uniform(8, 0.08), BinaryErrorModel(0.95, 0.98))
+    return SBGTSession(None, PriorSpec.uniform(8, 0.08), BinaryErrorModel(0.95, 0.98))
 
 
 ALL_ELIGIBLE = 0xFF
@@ -60,20 +59,21 @@ class TestInformationGainPolicy:
         assert len(pools) == 1
 
     def test_requires_binary_model(self):
-        post = Posterior.from_prior(PriorSpec.uniform(4, 0.1), LogNormalViralLoadModel())
+        post = SBGTSession(None, PriorSpec.uniform(4, 0.1), LogNormalViralLoadModel())
         with pytest.raises(ValueError):
             InformationGainPolicy().select(post, 0b1111)
 
     def test_perfect_test_matches_halving_gap_ranking(self):
         # With a noiseless binary test, mutual information is maximised
         # exactly where |down-set mass − ½| is minimised.
-        post = Posterior.from_prior(PriorSpec.uniform(6, 0.15), PerfectTest())
+        post = SBGTSession(None, PriorSpec.uniform(6, 0.15), PerfectTest())
         ig_pool = InformationGainPolicy().select(post, 0b111111)[0]
         bha_pool = BHAPolicy().select(post, 0b111111)[0]
         from repro.lattice.ops import down_set_mass
 
-        assert abs(down_set_mass(post.space, ig_pool) - 0.5) == pytest.approx(
-            abs(down_set_mass(post.space, bha_pool) - 0.5), abs=1e-9
+        space = post.lattice.collect()
+        assert abs(down_set_mass(space, ig_pool) - 0.5) == pytest.approx(
+            abs(down_set_mass(space, bha_pool) - 0.5), abs=1e-9
         )
 
 

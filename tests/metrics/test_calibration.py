@@ -91,13 +91,13 @@ class TestScreenCalibration:
         wrong_model = BinaryErrorModel(0.98, 0.99)
         from repro.simulate.population import make_cohort
         from repro.simulate.testing import TestLab
-        from repro.bayes.posterior import Posterior
+        from repro.sbgt.session import SBGTSession
 
         preds, truths = [], []
         for seed in range(60):
             cohort = make_cohort(prior, rng=seed)
             lab = TestLab(true_model, cohort.truth_mask, rng=seed)
-            post = Posterior.from_prior(prior, wrong_model)
+            post = SBGTSession(None, prior, wrong_model)
             post.update([0, 1, 2, 3, 4, 5, 6, 7], lab.run(0xFF))
             for i, m in enumerate(post.marginals()):
                 preds.append(m)
@@ -108,7 +108,7 @@ class TestScreenCalibration:
         for seed in range(60):
             cohort = make_cohort(prior, rng=seed)
             lab = TestLab(true_model, cohort.truth_mask, rng=seed)
-            post = Posterior.from_prior(prior, true_model)
+            post = SBGTSession(None, prior, true_model)
             post.update([0, 1, 2, 3, 4, 5, 6, 7], lab.run(0xFF))
             for i, m in enumerate(post.marginals()):
                 preds2.append(m)

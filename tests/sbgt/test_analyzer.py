@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.bayes.posterior import Classification, Posterior
+from repro.bayes.posterior import Classification
 from repro.bayes.dilution import BinaryErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.session import SBGTSession
 
 
 @pytest.fixture
@@ -58,7 +59,7 @@ class TestAnalyzer:
         model = BinaryErrorModel(0.99, 0.99)
         dl = DistributedLattice.from_prior(ctx, prior, 3)
         analyzer = DistributedAnalyzer(dl)
-        post = Posterior.from_prior(prior, model)
+        post = SBGTSession(None, prior, model)
         ll = model.log_likelihood_by_count(False, 2)
         dl.update(0b0011, ll)
         post.update(0b0011, False)

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.bayes.dilution import DilutionErrorModel
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.halving.bha import select_halving_pool
 from repro.halving.infogain import select_infogain_pool
@@ -30,6 +29,7 @@ from repro.lattice.prune import PruneStats
 from repro.sbgt.backend import BACKENDS, PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.particle import ParticlePosterior
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
@@ -40,7 +40,13 @@ N = 6
 PRIOR = PriorSpec(np.array([0.05, 0.2, 0.1, 0.3, 0.15, 0.08]))
 
 
+#: Every backend, plus the dense lattice built without a context.
+BUILDS = BACKENDS + ("dense-local",)
+
+
 def _build(backend: str, ctx) -> PosteriorBackend:
+    if backend == "dense-local":
+        backend, ctx = "dense", None
     return make_posterior(
         backend, prior=PRIOR, ctx=ctx, sparse_floor=0.0, num_particles=512, seed=0
     )
@@ -53,7 +59,7 @@ def _ll(outcome: bool, pool: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # protocol conformance, all three backends
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BUILDS)
 def test_protocol_conformance(backend, ctx):
     post = _build(backend, ctx)
     assert isinstance(post, PosteriorBackend)
@@ -109,7 +115,7 @@ def test_protocol_conformance(backend, ctx):
     post.unpersist()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BUILDS)
 def test_selectors_speak_the_protocol(backend, ctx):
     post = _build(backend, ctx)
     post.update(0b000111, _ll(True, 0b000111))
@@ -197,9 +203,9 @@ def test_sparse_condition_and_project_match_dense(ctx):
 
 
 def test_sparse_prune_matches_serial_reference():
-    serial = Posterior.from_prior(PRIOR, MODEL)
+    serial = LocalLattice.from_prior(PRIOR)
     sparse = SparsePosterior.from_prior(PRIOR, floor=0.0)
-    serial.update(0b000111, True)
+    serial.update(0b000111, _ll(True, 0b000111))
     sparse.update(0b000111, _ll(True, 0b000111))
     eps = 1e-4
     st_serial = serial.prune(eps)
@@ -207,7 +213,7 @@ def test_sparse_prune_matches_serial_reference():
     assert st_sparse.kept_states == st_serial.kept_states
     assert st_sparse.dropped_states == st_serial.dropped_states
     assert st_sparse.dropped_mass == pytest.approx(st_serial.dropped_mass, abs=1e-12)
-    assert np.array_equal(sparse.collect().masks, serial.space.masks)
+    assert np.array_equal(sparse.collect().masks, serial.collect().masks)
 
 
 def test_sparse_session_screen_replays_dense(ctx):
@@ -293,7 +299,7 @@ def test_particle_is_deterministic_given_seed():
 
 
 def test_particle_converges_to_exact_marginals():
-    exact = Posterior.from_prior(PRIOR, MODEL)
+    exact = SBGTSession(None, PRIOR, MODEL)
     post = ParticlePosterior(PRIOR, num_particles=8192, rng=5)
     for pool, outcome in [(0b000111, True), (0b111000, False)]:
         exact.update(pool, outcome)
@@ -329,14 +335,16 @@ def test_particle_condition_is_respected_through_rejuvenation():
 # ---------------------------------------------------------------------------
 def test_make_posterior_dispatch(ctx):
     assert isinstance(make_posterior("dense", prior=PRIOR, ctx=ctx), DistributedLattice)
+    assert isinstance(make_posterior("dense", prior=PRIOR), LocalLattice)
+    assert isinstance(SBGTSession(None, PRIOR, MODEL).lattice, LocalLattice)
     assert isinstance(make_posterior("sparse", prior=PRIOR), SparsePosterior)
     assert isinstance(make_posterior("particle", prior=PRIOR), ParticlePosterior)
     with pytest.raises(ValueError, match="unknown posterior backend"):
         make_posterior("exactly", prior=PRIOR)
     with pytest.raises(ValueError, match="needs an engine Context"):
-        make_posterior("dense", prior=PRIOR)
+        make_posterior("dense", prior=PRIOR, max_positives=2)
     with pytest.raises(ValueError, match="needs an engine Context"):
-        SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense"))
+        SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense", max_positives=2))
 
 
 def test_prune_stats_is_one_type_everywhere():

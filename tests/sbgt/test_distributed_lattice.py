@@ -1,13 +1,19 @@
-"""DistributedLattice parity with the serial reference."""
+"""DistributedLattice parity with the ``lattice.ops`` reference on a StateSpace."""
 
 import numpy as np
 import pytest
 
 from repro.bayes.dilution import DilutionErrorModel
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.lattice.builder import build_restricted_prior
-from repro.lattice.ops import map_state, marginals, top_states
+from repro.lattice.ops import (
+    conditioned_log_probs,
+    entropy,
+    map_state,
+    marginals,
+    posterior_update,
+    top_states,
+)
 from repro.lattice.partition import partition_state_space
 from repro.sbgt.distributed_lattice import DistributedLattice
 
@@ -65,28 +71,26 @@ class TestConstruction:
 class TestUpdate:
     def test_update_matches_serial(self, ctx, prior, model):
         dl = DistributedLattice.from_prior(ctx, prior, 4)
-        post = Posterior.from_prior(prior, model)
+        ref = prior.build_dense()
         for pool, outcome in [(0b000111, True), (0b111000, False), (0b000011, True)]:
             size = bin(pool).count("1")
             ll = model.log_likelihood_by_count(outcome, size)
             dl.update(pool, ll)
-            post.update(pool, outcome)
-            assert np.allclose(dl.marginals(), post.marginals(), atol=1e-10)
+            posterior_update(ref, pool, ll)
+            assert np.allclose(dl.marginals(), marginals(ref), atol=1e-10)
         dl.unpersist()
 
     def test_log_predictive_matches_serial(self, ctx, prior, model):
         dl = DistributedLattice.from_prior(ctx, prior, 4)
-        post = Posterior.from_prior(prior, model)
         ll = model.log_likelihood_by_count(True, 3)
         log_pred = dl.update(0b000111, ll)
-        rec = post.update(0b000111, True)
-        assert log_pred == pytest.approx(rec.log_predictive, abs=1e-10)
+        _, expected = conditioned_log_probs(prior.build_dense(), 0b000111, ll)
+        assert log_pred == pytest.approx(expected, abs=1e-10)
         dl.unpersist()
 
     def test_entropy_matches(self, ctx, prior, model):
         dl = DistributedLattice.from_prior(ctx, prior, 4)
-        post = Posterior.from_prior(prior, model)
-        assert dl.entropy() == pytest.approx(post.entropy(), abs=1e-9)
+        assert dl.entropy() == pytest.approx(entropy(prior.build_dense()), abs=1e-9)
         dl.unpersist()
 
     def test_impossible_outcome_raises(self, ctx):
@@ -213,32 +217,30 @@ class TestCheckpointing:
     def test_checkpoint_preserves_distribution(self, ctx, prior, model):
         dl = DistributedLattice.from_prior(ctx, prior, 4)
         dl.checkpoint_interval = 3
-        post = Posterior.from_prior(prior, model)
+        ref = prior.build_dense()
         ll = model.log_likelihood_by_count(True, 3)
         for _ in range(7):
             dl.update(0b000111, ll)
-            post.update(0b000111, True)
-        assert np.allclose(dl.marginals(), post.marginals(), atol=1e-9)
+            posterior_update(ref, 0b000111, ll)
+        assert np.allclose(dl.marginals(), marginals(ref), atol=1e-9)
         dl.unpersist()
 
 
 class TestAcrossModes:
     def test_serial_mode_parity(self, serial_ctx, prior, model):
         dl = DistributedLattice.from_prior(serial_ctx, prior, 3)
-        post = Posterior.from_prior(prior, model)
         ll = model.log_likelihood_by_count(True, 2)
         dl.update(0b000011, ll)
-        post.update(0b000011, True)
-        assert np.allclose(dl.marginals(), post.marginals(), atol=1e-10)
+        ref = posterior_update(prior.build_dense(), 0b000011, ll)
+        assert np.allclose(dl.marginals(), marginals(ref), atol=1e-10)
         dl.unpersist()
 
     def test_process_mode_parity(self, process_ctx, prior, model):
         dl = DistributedLattice.from_prior(process_ctx, prior, 2)
-        post = Posterior.from_prior(prior, model)
         ll = model.log_likelihood_by_count(False, 3)
         dl.update(0b000111, ll)
-        post.update(0b000111, False)
-        assert np.allclose(dl.marginals(), post.marginals(), atol=1e-10)
+        ref = posterior_update(prior.build_dense(), 0b000111, ll)
+        assert np.allclose(dl.marginals(), marginals(ref), atol=1e-10)
         dl.unpersist()
 
 

@@ -1,19 +1,17 @@
 """One selector per rule: every belief state answers the same statistics.
 
 The halving, look-ahead and information-gain rules live once, in
-:mod:`repro.halving`, and read a *belief*: the serial
-:class:`~repro.bayes.posterior.Posterior`, an
-:class:`~repro.sbgt.session.SBGTSession` or a bare backend.  These tests
-pin what that buys — equal statistics, equal pools, equal screens — and
-the coordinates each speaks (belief states original cohort indices, a
-backend its own bits).
+:mod:`repro.halving`, and read a *belief*: an
+:class:`~repro.sbgt.session.SBGTSession` (with or without an engine
+context) or a bare backend.  These tests pin what that buys — equal
+statistics, equal pools, equal screens — and the coordinates each speaks
+(sessions original cohort indices, a backend its own bits).
 """
 
 import numpy as np
 import pytest
 
 from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel, LogNormalViralLoadModel
-from repro.bayes.posterior import Posterior
 from repro.bayes.priors import PriorSpec
 from repro.engine import Context
 from repro.halving.bha import select_halving_pool
@@ -22,7 +20,9 @@ from repro.halving.infogain import select_infogain_pool
 from repro.halving.lookahead import select_lookahead_pools
 from repro.halving.policy import InformationGainPolicy
 from repro.sbgt.config import SBGTConfig
+from repro.lattice import ops as lops
 from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
 from repro.workflows.classify import run_screen
@@ -50,15 +50,16 @@ def space(prior):
 
 
 @pytest.fixture
-def serial(space):
-    return Posterior(space, BINARY)
+def serial(prior):
+    """The context-free session: one driver-resident block."""
+    return SBGTSession(None, prior, BINARY)
 
 
 ALL = 0b1111111
 
 
 class TestStatisticsParity:
-    """``Posterior`` ≡ ``DistributedLattice`` ≡ ``SparsePosterior(floor=0)``."""
+    """Context-free session ≡ ``DistributedLattice`` ≡ ``SparsePosterior(floor=0)``."""
 
     POOLS = np.array([0b0000001, 0b0011111, 0b0101010, ALL], dtype=np.uint64)
 
@@ -154,11 +155,11 @@ class TestUlpRobustTies:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_serial_rule(self, seed, serial, monkeypatch):
-        """The serial posterior goes through the same ordering."""
+        """The context-free session goes through the same ordering."""
         masses = self.jittered(seed)
-        monkeypatch.setattr(Posterior, "down_set_masses", lambda self, pools: masses)
+        monkeypatch.setattr(LocalLattice, "down_set_masses", lambda self, pools: masses)
         assert select_halving_pool(serial, self.POOLS)[0] == 0b0011
-        monkeypatch.setattr(Posterior, "down_set_masses", lambda self, pools: masses[1:3])
+        monkeypatch.setattr(LocalLattice, "down_set_masses", lambda self, pools: masses[1:3])
         assert select_halving_pool(serial, self.POOLS[1:3])[0] == 0b0001
 
 
@@ -182,8 +183,8 @@ class TestInfogainParity:
         [BinaryErrorModel(0.95, 0.98), DilutionErrorModel(0.97, 0.99, 0.5)],
         ids=["binary", "dilution"],
     )
-    def test_same_pool_selected(self, dl, space, model):
-        post = Posterior(space.copy(), model)
+    def test_same_pool_selected(self, dl, prior, space, model):
+        post = SBGTSession(None, prior, model)
         cands = PrefixCandidates().generate(space.marginals(), ALL)
         policy_pool = InformationGainPolicy(PrefixCandidates()).select(post, ALL)[0]
         dist_pool, info = select_infogain_pool(dl, cands, model)
@@ -196,7 +197,7 @@ class TestInfogainParity:
 
 
 # ---------------------------------------------------------------------------
-# whole screens: the serial driver and the session pick the same pools
+# whole screens: context-free and engine sessions pick the same pools
 # ---------------------------------------------------------------------------
 SWEEP_PRIORS = {
     "uniform": lambda seed: PriorSpec.uniform(8, 0.08),
@@ -238,12 +239,10 @@ def test_serial_and_session_screens_test_the_same_pools(mode_ctx, policy, prior_
 )
 @pytest.mark.parametrize("policy", ["bha", "lookahead-2", "infogain"])
 def test_settled_beliefs_select_the_same_original_index_pools(ctx, policy, settled):
-    """After ``settle()`` the lattice is compact but pools are not: a
-    policy reading a contracted serial posterior used to hand
-    original-index masks to the compacted lattice and get another pool
-    than the session, which translated."""
+    """After ``settle()`` the lattice is compact but pools are not: both
+    sessions translate original-index masks, whatever their backend."""
     prior = PriorSpec(np.array([0.05, 0.2, 0.1, 0.3, 0.15, 0.08]))
-    serial = Posterior.from_prior(prior, BINARY)
+    serial = SBGTSession(None, prior, BINARY)
     session = SBGTSession(ctx, prior, BINARY, SBGTConfig(compact_classified=True))
     try:
         for belief in (serial, session):
@@ -254,9 +253,16 @@ def test_settled_beliefs_select_the_same_original_index_pools(ctx, policy, settl
         pools = make_policy(policy).select(serial, live)
         assert pools == make_policy(policy).select(session, live)
         assert all(pool & ~live == 0 for pool in pools)
+        # The uncontracted reference: the same evidence on the full
+        # lattice, conditioned on the settled calls (original indices).
+        table = BINARY.log_likelihood_by_count(True, 3)
+        updated = lops.posterior_update(prior.build_dense(), 0b001110, table)
+        positive = sum(1 << i for i, p in settled.items() if p)
+        negative = sum(1 << i for i, p in settled.items() if not p)
+        reference = lops.condition_on_classification(updated, positive, negative)
         np.testing.assert_allclose(
             serial.down_set_masses(np.array(pools, dtype=np.uint64)),
-            [serial.down_set_mass(pool) for pool in pools],
+            [lops.down_set_mass(reference, pool) for pool in pools],
             atol=1e-12,
         )
     finally:

@@ -3,7 +3,8 @@
 The halving, look-ahead and information-gain arg-mins are module-level
 functions of :mod:`repro.halving` that read a belief's statistics; the
 session and the stepper call ``policy.select`` and never ask what kind
-of policy it is.  The scan is static, like
+of policy it is, and only the stepper runs the stage loop.  The scan is
+static, like
 ``tests/test_no_deprecation_shims.py``.
 """
 
@@ -42,3 +43,19 @@ def test_sbgt_has_no_distributed_twin_and_no_policy_dispatch():
             found.append(f"{path.name}: isinstance on a policy")
     assert found == []
     assert not (SRC / "sbgt" / "selector.py").exists()
+
+
+def test_one_stage_loop():
+    """``policy.select`` is called from the stepper's stage loop and from
+    the hybrid policy's delegation to its halving half — nowhere else,
+    so no second driver can grow its own stage order."""
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "select"
+            ):
+                callers.append(path.relative_to(SRC).as_posix())
+    assert sorted(callers) == ["halving/hybrid.py", "sbgt/stepper.py"]
