@@ -1,0 +1,177 @@
+"""The golden payload ledger: which requests it pins and how a record is hashed.
+
+Each record is a public request body and the sha256 of the text the
+server (and the CLI's ``--json``) would emit for it, ``dump_payload`` of
+the result.  ``/sessions`` records hash a whole interactive transcript:
+the creation snapshot, then every ``next-pool`` proposal and ``results``
+document up to the end of the screen, with a client-side lab that draws
+the cohort and the assay noise off one generator in the batch loop's
+order.
+
+``tests/golden/test_ledger.py`` checks the ledger;
+``tests/golden/rebuild.py`` rewrites it and prints the records that moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+from typing import Any, Dict, List, Optional
+
+from repro.serve.protocol import (
+    CalculatorRequest,
+    ScreenRequest,
+    SessionCreateRequest,
+    SurveilRequest,
+)
+from repro.serve.sessions import SessionRegistry
+from repro.simulate.population import make_cohort
+from repro.simulate.testing import TestLab
+from repro.util.rng import as_rng
+from repro.workflows.payloads import dump_payload
+
+LEDGER_PATH = pathlib.Path(__file__).with_name("ledger.json")
+
+POLICIES = ("bha", "lookahead-2", "infogain", "hybrid", "dorfman-4")
+
+
+def _bodies() -> List[Dict[str, Any]]:
+    """Every ledger record as ``{"endpoint", "body"}``, in ledger order."""
+    out: List[Dict[str, Any]] = []
+
+    def add(endpoint: str, body: Dict[str, Any]) -> None:
+        out.append({"endpoint": endpoint, "body": body})
+
+    # /screen: dense at cohort 12, with and without contraction.
+    for policy in POLICIES:
+        for compact in (False, True):
+            for seed in (0, 1, 2):
+                add("/screen", {"cohort": 12, "prevalence": 0.06, "policy": policy,
+                                "seed": seed, "compact": compact})
+    for policy in POLICIES:
+        for seed in (3, 4):
+            add("/screen", {"cohort": 12, "prevalence": 0.12, "policy": policy, "seed": seed})
+    for scenario in ("community", "outbreak", "hospital"):
+        for seed in (3, 4):
+            add("/screen", {"cohort": 12, "scenario": scenario, "seed": seed, "compact": True})
+    add("/screen", {"cohort": 12, "prevalence": 0.1, "seed": 5,
+                    "assay": {"assay": "binary", "sensitivity": 0.95, "specificity": 0.99}})
+    add("/screen", {"cohort": 12, "prevalence": 0.04, "seed": 6, "assay": {"assay": "perfect"}})
+    # /screen: the approximate backends (sparse is slow past cohort 12).
+    for policy in POLICIES:
+        for seed in (0, 1):
+            add("/screen", {"cohort": 40, "prevalence": 0.03, "policy": policy,
+                            "seed": seed, "backend": "particle"})
+            add("/screen", {"cohort": 10, "prevalence": 0.06, "policy": policy,
+                            "seed": seed, "backend": "sparse"})
+    add("/screen", {"cohort": 12, "prevalence": 0.05, "seed": 7, "compact": True,
+                    "backend": "sparse"})
+
+    # /calculator (always context-free).
+    for policy, backend in (("bha", "dense"), ("lookahead-2", "dense"), ("infogain", "dense"),
+                            ("dorfman-4", "dense"), ("bha", "sparse"), ("bha", "particle")):
+        add("/calculator", {"cohort": 8, "prevalences": [0.02, 0.1], "replications": 3,
+                            "policy": policy, "seed": 1, "backend": backend})
+    for policy in POLICIES:
+        add("/calculator", {"cohort": 10, "prevalences": [0.01, 0.05, 0.15], "replications": 4,
+                            "policy": policy, "seed": 2})
+
+    # /surveil, household fleets included.
+    small = {"sites": 4, "cohort": 9, "rounds": 3, "budget": 3}
+    for allocator in ("thompson", "uniform", "greedy", "greedy-20"):
+        for seed in (0, 1):
+            add("/surveil", {**small, "allocator": allocator, "seed": seed})
+        add("/surveil", {**small, "allocator": allocator, "seed": 2, "fleet": "household"})
+    for fleet in ("epidemic", "household"):
+        add("/surveil", {**small, "fleet": fleet, "seed": 3, "policy": "lookahead-2"})
+    add("/surveil", {**small, "seed": 4, "assay": {"assay": "dilution"}})
+    add("/surveil", {**small, "seed": 5, "backend": "particle"})
+    for seed in range(6, 12):
+        add("/surveil", {"sites": 6, "cohort": 10, "rounds": 4, "budget": 6, "seed": seed})
+    for seed in range(6, 10):
+        add("/surveil", {**small, "cohort": 12, "fleet": "household", "seed": seed})
+
+    # /sessions: one interactive transcript per backend.
+    add("/sessions", {"cohort": 10, "prevalence": 0.08, "seed": 11})
+    add("/sessions", {"cohort": 10, "prevalence": 0.08, "seed": 12, "compact": True,
+                      "policy": "lookahead-2"})
+    add("/sessions", {"cohort": 10, "prevalence": 0.08, "seed": 11, "backend": "sparse"})
+    add("/sessions", {"cohort": 24, "prevalence": 0.05, "seed": 11, "backend": "particle"})
+    return out
+
+
+RECORDS = _bodies()
+
+
+def record_id(record: Dict[str, Any]) -> str:
+    """A stable, readable name for a record (the test id and the ledger key)."""
+    return record["endpoint"] + " " + json.dumps(record["body"], sort_keys=True)
+
+
+def uses_engine(record: Dict[str, Any]) -> bool:
+    """Whether the record's result depends on the engine context it runs on."""
+    return record["endpoint"] in ("/screen", "/sessions", "/surveil") and (
+        record["body"].get("backend", "dense") == "dense"
+    )
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _transcript(ctx, body: Dict[str, Any]) -> str:
+    """The documents an interactive client reads over a whole screen."""
+    request = SessionCreateRequest.from_payload(body)
+    registry = SessionRegistry(ctx, max_sessions=1)
+    live = registry.create(request)
+    try:
+        docs = [live.snapshot()]
+        prior, model, _, _ = request.build()
+        gen = as_rng(request.seed)
+        lab = TestLab(model, make_cohort(prior, gen).truth_mask, gen)
+        while not live.stepper.done:
+            proposal = live.proposal_payload()
+            docs.append(proposal)
+            if not proposal["pools"]:
+                break
+            records = live.stepper.submit_outcomes([lab.run(p["mask"]) for p in proposal["pools"]])
+            doc = live.snapshot()
+            doc["records"] = [
+                {"stage": r.stage, "pool_mask": r.pool_mask, "pool_size": r.pool_size,
+                 "outcome": r.outcome if isinstance(r.outcome, (bool, int, float))
+                 else float(r.outcome),
+                 "log_predictive": float(r.log_predictive)}
+                for r in records
+            ]
+            docs.append(doc)
+    finally:
+        registry.close_all()
+    for doc in docs:
+        doc.pop("session_id", None)  # random per session
+    return "".join(dump_payload(doc) for doc in docs)
+
+
+def payload_text(record: Dict[str, Any], ctx: Optional[Any]) -> str:
+    """What the endpoint would emit for the record's body on *ctx*."""
+    endpoint, body = record["endpoint"], record["body"]
+    if endpoint == "/screen":
+        return dump_payload(ScreenRequest.from_payload(body).execute(ctx))
+    if endpoint == "/calculator":
+        return dump_payload(CalculatorRequest.from_payload(body).execute())
+    if endpoint == "/surveil":
+        return dump_payload(SurveilRequest.from_payload(body).execute(ctx))
+    if endpoint == "/sessions":
+        return _transcript(ctx, body)
+    raise ValueError(f"unknown endpoint {endpoint!r}")
+
+
+def payload_sha(record: Dict[str, Any], ctx: Optional[Any]) -> str:
+    return _sha(payload_text(record, ctx))
+
+
+def load_ledger() -> Dict[str, str]:
+    """``record_id -> sha256`` as committed."""
+    with open(LEDGER_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {record_id(r): r["sha256"] for r in doc["records"]}
