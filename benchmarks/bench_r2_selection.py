@@ -18,7 +18,7 @@ from repro.halving.bha import select_halving_pool
 from repro.halving.candidates import PrefixCandidates
 from repro.halving.lookahead import select_lookahead_pools
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 
 
 def _candidates(n: int) -> np.ndarray:
@@ -37,7 +37,7 @@ def test_r2_select_pydict(benchmark, n):
 
 @pytest.mark.parametrize("n", SIZES["r2_sbgt"])
 def test_r2_select_numpy(benchmark, n):
-    serial = LocalLattice.from_prior(PriorSpec.uniform(n, 0.03))
+    serial = DistributedLattice.from_prior(None, PriorSpec.uniform(n, 0.03))
     cands = _candidates(n)
     benchmark(select_halving_pool, serial, cands)
     benchmark.extra_info["impl"] = "numpy-serial"

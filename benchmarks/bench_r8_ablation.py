@@ -110,9 +110,7 @@ def test_r8_restricted_support(benchmark, bench_ctx, max_positives):
     from repro.sbgt.distributed_lattice import DistributedLattice
 
     prior = PriorSpec.uniform(20, 0.02)
-    lattice, _ = DistributedLattice.from_restricted_prior(
-        bench_ctx, prior, max_positives, 8
-    )
+    lattice = DistributedLattice.from_restricted_prior(bench_ctx, prior, max_positives, 8)
     log_lik = MODEL.log_likelihood_by_count(True, 10)
 
     benchmark(lattice.update, (1 << 10) - 1, log_lik)

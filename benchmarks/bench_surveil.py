@@ -31,7 +31,7 @@ import pytest
 
 from repro.engine import Context
 from repro.metrics.reporting import format_table
-from repro.sbgt import local_lattice
+from repro.sbgt import distributed_lattice
 from repro.surveil import (
     Campaign,
     CampaignConfig,
@@ -145,13 +145,13 @@ def test_site_screen_kernel_calls(monkeypatch):
     calls: Counter = Counter()
 
     def count(name):
-        kernel = getattr(local_lattice, name)
+        kernel = getattr(distributed_lattice, name)
 
         def counting(*args, **kwargs):
             calls[name] += 1
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(local_lattice, name, counting)
+        monkeypatch.setattr(distributed_lattice, name, counting)
 
     for name in ("block_update", "block_log_mass", "block_down_set_partial",
                  "block_mass_marginals"):

@@ -36,7 +36,7 @@ from repro.lattice.ops import posterior_update
 from repro.metrics.reporting import format_table
 from repro.obs import PHASE_ANALYSIS, PHASE_LATTICE, PHASE_SELECTION, Tracer
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
 from repro.workflows.options import ScreenOptions
@@ -181,7 +181,7 @@ def run_r2(cfg: dict, ctx: Context) -> str:
         else:
             t_base = float("nan")
 
-        serial = LocalLattice.from_prior(PriorSpec.uniform(n, 0.03))
+        serial = DistributedLattice.from_prior(None, PriorSpec.uniform(n, 0.03))
         t_np = best_of(lambda: select_halving_pool(serial, cands), cfg["repeats"])
 
         dl = DistributedLattice.from_prior(ctx, PriorSpec.uniform(n, 0.03), 8)

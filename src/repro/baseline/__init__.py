@@ -5,8 +5,9 @@ implementation of the same Bayesian lattice algorithms.  It stands in
 for the prior framework SBGT was evaluated against (unavailable closed
 research code): algorithmically identical, one-state-at-a-time, no
 vectorisation — the cost profile SBGT's speedups are measured from.
-The single-threaded NumPy path is the driver-resident
-:class:`~repro.sbgt.local_lattice.LocalLattice`.
+The single-threaded NumPy path is
+:class:`~repro.sbgt.distributed_lattice.DistributedLattice` on its
+driver plane (no context, one block).
 """
 
 from repro.baseline.pydict import PyDictLattice, PyDictPosterior

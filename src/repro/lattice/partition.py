@@ -2,9 +2,10 @@
 
 A :class:`LatticeBlock` is a contiguous chunk of (masks, log_probs).
 SBGT's RDDs carry one block per record so partition tasks run whole-block
-NumPy kernels; the context-free :class:`~repro.sbgt.local_lattice.LocalLattice`
-holds one such block and calls the same kernels, which keeps screens
-with and without an engine context numerically identical.
+NumPy kernels; without an engine context
+:class:`~repro.sbgt.distributed_lattice.DistributedLattice` holds one
+such block on its driver plane and runs the same kernels, which keeps
+screens with and without a context numerically identical.
 
 A block whose masks are an aligned run ``base + [0, 2^bits)`` — every
 block of a dense lattice — is a Boolean **sub-cube**: state ``i`` *is*

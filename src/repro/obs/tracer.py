@@ -378,8 +378,11 @@ def traced(phase: str, label: str = "") -> Callable:
         def wrapper(*args, **kwargs):
             tracer = _active
             if tracer is None:
-                with phase_scope(phase):
+                token = set_phase(phase)
+                try:
                     return fn(*args, **kwargs)
+                finally:
+                    reset_phase(token)
             with tracer.phase(phase, span_label):
                 return fn(*args, **kwargs)
 

@@ -17,10 +17,9 @@ operation classes the paper accelerates map onto engine primitives:
 
 Posteriors are pluggable: every consumer speaks the
 :class:`PosteriorBackend` protocol, with the dense
-:class:`DistributedLattice` (on an engine context) and
-:class:`LocalLattice` (one driver-resident block, no context) as the
-exact implementations and
-:class:`SparsePosterior` (explicit above-floor states) and
+:class:`DistributedLattice` as the exact implementation (its blocks in
+an RDD on an engine context, or one driver-resident block without one)
+and :class:`SparsePosterior` (explicit above-floor states) and
 :class:`ParticlePosterior` (SMC cloud) as approximate implementations
 that scale past the dense 2^N wall to cohorts in the hundreds.
 """
@@ -28,7 +27,6 @@ that scale past the dense 2^N wall to cohorts in the hundreds.
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.particle import ParticlePosterior
 from repro.sbgt.session import SBGTSession
@@ -39,7 +37,6 @@ __all__ = [
     "SBGTConfig",
     "PosteriorBackend",
     "DistributedLattice",
-    "LocalLattice",
     "SparsePosterior",
     "ParticlePosterior",
     "DistributedAnalyzer",

@@ -4,8 +4,9 @@ Every consumer of a posterior in this library — the halving/lookahead/
 infogain rules of :mod:`repro.halving`, the screen stepper, the analyzer,
 the serving layer —
 talks to the belief state through this surface and nothing else.  The
-dense distributed lattice (:class:`~repro.sbgt.distributed_lattice.
-DistributedLattice`) is one implementation; the sparse above-floor
+dense lattice (:class:`~repro.sbgt.distributed_lattice.
+DistributedLattice`, its blocks on an engine context or one block on
+the driver) is the exact implementation; the sparse above-floor
 representation (:class:`~repro.sbgt.sparse.SparsePosterior`) and the
 SMC particle filter (:class:`~repro.sbgt.particle.ParticlePosterior`)
 are approximate implementations that break the 2^N wall.

@@ -6,9 +6,9 @@ context-free ``run_screen`` / ``screen_with_backend`` /
 population program call — is an :class:`SBGTSession` driven by a
 :class:`~repro.sbgt.stepper.ScreenStepper`: classify, select, assay,
 update.  The exact dense lattice is a
-:class:`~repro.sbgt.distributed_lattice.DistributedLattice` when the
-session has a context and a driver-resident
-:class:`~repro.sbgt.local_lattice.LocalLattice` when it has none; the
+:class:`~repro.sbgt.distributed_lattice.DistributedLattice`, on the
+engine plane when the session has a context and on the driver plane
+(one driver-resident block, no job) when it has none; the
 policy calls ``policy.select(session, eligible_mask)`` either way, and
 the session answers the marginals and the three selection statistics
 the rules of :mod:`repro.halving` read from whatever backend
@@ -40,7 +40,6 @@ from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice, PruneStats
-from repro.sbgt.local_lattice import LocalLattice
 from repro.simulate.population import Cohort, make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import RngLike, as_rng
@@ -330,7 +329,8 @@ class SBGTSession:
         """Restore a checkpointed session onto a (possibly new) context.
 
         With ``ctx=None`` the lattice is restored driver-resident (a
-        :class:`~repro.sbgt.local_lattice.LocalLattice`).  *prior* and
+        :class:`~repro.sbgt.distributed_lattice.DistributedLattice` on
+        its driver plane).  *prior* and
         *model* are configuration and must match what the checkpointed
         screen was using; the belief state itself comes from the file,
         and so does ``track_entropy`` when no *config* is given.
@@ -343,10 +343,7 @@ class SBGTSession:
         config = config or SBGTConfig(track_entropy=track_entropy)
         if space.n_items != prior.n_items:
             raise ValueError("checkpoint cohort size does not match the prior")
-        if ctx is None:
-            lattice = LocalLattice.from_state_space(space)
-        else:
-            lattice = DistributedLattice.from_state_space(ctx, space, config.num_blocks)
+        lattice = DistributedLattice.from_state_space(ctx, space, config.num_blocks)
         session = cls._on_lattice(ctx, prior, model, config, lattice)
         session.log = log
         session._stage = stage

@@ -152,14 +152,14 @@ def run_screen_from_space(
     posterior's state space).
     """
     from repro.sbgt.config import SBGTConfig
-    from repro.sbgt.local_lattice import LocalLattice
+    from repro.sbgt.distributed_lattice import DistributedLattice
     from repro.sbgt.session import SBGTSession
     from repro.simulate.population import draw_truth_from_space
 
     gen = as_rng(rng)
     if truth_mask is None:
         truth_mask = draw_truth_from_space(space, gen)
-    lattice = LocalLattice.from_state_space(space)
+    lattice = DistributedLattice.from_state_space(None, space)
     marginal_prior = PriorSpec(np.clip(lattice.marginals(), 1e-9, 1 - 1e-9))
     cohort = Cohort(prior=marginal_prior, truth_mask=int(truth_mask))
     session = SBGTSession._on_lattice(None, marginal_prior, model, SBGTConfig(), lattice)

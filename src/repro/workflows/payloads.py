@@ -117,8 +117,7 @@ def make_posterior(
 
     The posterior twin of :func:`make_policy` / :func:`make_model`:
     ``"dense"`` is the exact lattice — distributed over *ctx*, or one
-    driver-resident block when *ctx* is None (a rank-restricted
-    ``max_positives`` lattice needs the context) —
+    driver-resident block when *ctx* is None —
     ``"sparse"`` the driver-resident above-floor representation,
     ``"particle"`` the SMC cloud.  Every returned backend carries a
     ``log_discarded_prior`` attribute (−inf when the support is exact).
@@ -129,21 +128,10 @@ def make_posterior(
         # Deferred imports: repro.sbgt pulls this module back in for the
         # session's backend dispatch.
         from repro.sbgt.distributed_lattice import DistributedLattice
-        from repro.sbgt.local_lattice import LocalLattice
 
-        if ctx is None:
-            if max_positives is not None:
-                raise ValueError("the restricted dense backend needs an engine Context (ctx)")
-            return LocalLattice.from_prior(prior)
         if max_positives is not None:
-            lattice, log_disc = DistributedLattice.from_restricted_prior(
-                ctx, prior, max_positives, num_blocks
-            )
-        else:
-            lattice = DistributedLattice.from_prior(ctx, prior, num_blocks)
-            log_disc = float("-inf")
-        lattice.log_discarded_prior = log_disc
-        return lattice
+            return DistributedLattice.from_restricted_prior(ctx, prior, max_positives, num_blocks)
+        return DistributedLattice.from_prior(ctx, prior, num_blocks)
     if backend == "sparse":
         from repro.sbgt.sparse import SparsePosterior
 

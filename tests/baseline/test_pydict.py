@@ -8,7 +8,7 @@ from repro.bayes.dilution import BinaryErrorModel
 from repro.halving.bha import select_halving_pool
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.ops import down_set_mass, entropy, marginals
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ class TestOperationsMatch:
         cands = [0b0001, 0b0011, 0b0111, 0b1111, 0b1000]
         d_pool, d_mass, d_gap = dict_lat.select_halving_pool(cands)
         n_pool, n_mass, n_gap = select_halving_pool(
-            LocalLattice.from_state_space(np_lat), np.array(cands, dtype=np.uint64)
+            DistributedLattice.from_state_space(None, np_lat), np.array(cands, dtype=np.uint64)
         )
         assert d_pool == n_pool
         assert d_mass == pytest.approx(n_mass, abs=1e-12)

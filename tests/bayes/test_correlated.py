@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
 from repro.bayes.dilution import PerfectTest
 from repro.lattice.ops import marginals
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ class TestTruthAndInference:
     def test_one_positive_raises_household_marginals(self, prior):
         # The lattice-exclusive behaviour: a positive member implicates
         # their housemates, not the rest of the cohort.
-        post = LocalLattice.from_state_space(prior.build_dense())
+        post = DistributedLattice.from_state_space(None, prior.build_dense())
         post.update(0b1, PerfectTest().log_likelihood_by_count(True, 1))
         m = post.marginals()
         assert m[0] == pytest.approx(1.0)
@@ -105,7 +105,7 @@ class TestTruthAndInference:
         assert m[3] == pytest.approx(prior.marginal_risk(), abs=1e-9)  # others not
 
     def test_negative_household_pool_clears_household(self, prior):
-        post = LocalLattice.from_state_space(prior.build_dense())
+        post = DistributedLattice.from_state_space(None, prior.build_dense())
         # household 1: members 3 and 4
         post.update(0b000011000, PerfectTest().log_likelihood_by_count(False, 2))
         m = post.marginals()

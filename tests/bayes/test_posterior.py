@@ -1,7 +1,8 @@
 """The exact belief state: sequential updates, classification, the dict oracle.
 
 The belief state is a context-free :class:`SBGTSession`, whose dense
-lattice is one driver-resident block (:class:`LocalLattice`).
+lattice is one driver-resident block (:class:`DistributedLattice` on
+its driver plane).
 """
 
 import math
@@ -21,7 +22,7 @@ from repro.bayes.dilution import (
 from repro.bayes.posterior import Classification, Posterior, classify_marginals
 from repro.bayes.priors import PriorSpec
 from repro.lattice import ops as lops
-from repro.sbgt import local_lattice
+from repro.sbgt import distributed_lattice
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.session import SBGTSession
 
@@ -33,7 +34,7 @@ def session(prior, model, **config):
 def test_from_prior_builds_a_context_free_dense_session():
     post = Posterior.from_prior(PriorSpec.uniform(5, 0.1), PerfectTest())
     assert isinstance(post, SBGTSession) and post.ctx is None
-    assert isinstance(post.lattice, local_lattice.LocalLattice) and post.lattice.exact
+    assert isinstance(post.lattice, distributed_lattice.DistributedLattice) and post.lattice.exact
     np.testing.assert_allclose(post.marginals(), [0.1] * 5, rtol=0, atol=1e-12)
 
 
@@ -289,7 +290,7 @@ class TestUpdateIsAtomic:
 def sweeps(monkeypatch):
     """Marginal kernel calls since the last read of the counter."""
     calls = []
-    kernel = local_lattice.block_mass_marginals
+    kernel = distributed_lattice.block_mass_marginals
 
     def counting(block, need_marginals=False):
         mass, marginals = kernel(block, need_marginals)
@@ -297,7 +298,7 @@ def sweeps(monkeypatch):
             calls.append(block)
         return mass, marginals
 
-    monkeypatch.setattr(local_lattice, "block_mass_marginals", counting)
+    monkeypatch.setattr(distributed_lattice, "block_mass_marginals", counting)
 
     def taken():
         n = len(calls)

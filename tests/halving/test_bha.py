@@ -9,12 +9,12 @@ from repro.halving.candidates import ExhaustiveCandidates
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.ops import down_set_mass
 from repro.lattice.states import StateSpace
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 
 
-def belief(space: StateSpace) -> LocalLattice:
+def belief(space: StateSpace) -> DistributedLattice:
     """The exact belief state over *space* (the rule reads its statistics)."""
-    return LocalLattice.from_state_space(space)
+    return DistributedLattice.from_state_space(None, space)
 
 
 class TestDownSetMasses:

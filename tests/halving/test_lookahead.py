@@ -8,12 +8,12 @@ from repro.halving.candidates import ExhaustiveCandidates
 from repro.halving.lookahead import batch_balance_objective, select_lookahead_pools
 from repro.lattice.builder import build_dense_prior
 from repro.lattice.states import StateSpace
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 
 
-def belief(space: StateSpace) -> LocalLattice:
+def belief(space: StateSpace) -> DistributedLattice:
     """The exact belief state over *space* (the rule reads its statistics)."""
-    return LocalLattice.from_state_space(space)
+    return DistributedLattice.from_state_space(None, space)
 
 
 def cell_masses(space: StateSpace, pools) -> np.ndarray:

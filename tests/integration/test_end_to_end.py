@@ -115,7 +115,8 @@ class TestRestrictedLatticeWorkflow:
         from repro.sbgt.distributed_lattice import DistributedLattice
 
         prior = PriorSpec.uniform(20, 0.01)
-        dl, log_disc = DistributedLattice.from_restricted_prior(ctx, prior, 3, 8)
+        dl = DistributedLattice.from_restricted_prior(ctx, prior, 3, 8)
+        log_disc = dl.log_discarded_prior
         # Support is C(20,0..3) = 1 + 20 + 190 + 1140
         assert dl.num_states() == 1351
         assert np.exp(log_disc) < 1e-3

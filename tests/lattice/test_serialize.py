@@ -9,7 +9,7 @@ from repro.bayes.dilution import BinaryErrorModel, LogNormalViralLoadModel
 from repro.bayes.priors import PriorSpec
 from repro.lattice.serialize import load_posterior, save_posterior
 from repro.sbgt.config import SBGTConfig
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.sbgt.session import SBGTSession
 
 PRIOR = PriorSpec.uniform(6, 0.1)
@@ -30,7 +30,7 @@ class TestPosteriorCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_posterior(post, path)
         resumed = SBGTSession.load(None, path, PRIOR, model)
-        assert isinstance(resumed.lattice, LocalLattice)
+        assert isinstance(resumed.lattice, DistributedLattice) and resumed.lattice.ctx is None
         assert np.allclose(resumed.marginals(), post.marginals())
         assert resumed.num_tests == post.num_tests
         assert resumed.log.log_evidence == pytest.approx(post.log.log_evidence)

@@ -25,11 +25,10 @@ from repro.halving.bha import select_halving_pool
 from repro.halving.infogain import select_infogain_pool
 from repro.halving.lookahead import select_lookahead_pools
 from repro.halving.policy import BHAPolicy
-from repro.lattice.prune import PruneStats
+from repro.lattice.prune import PruneStats, prune_by_mass
 from repro.sbgt.backend import BACKENDS, PosteriorBackend
 from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.particle import ParticlePosterior
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
@@ -40,12 +39,12 @@ N = 6
 PRIOR = PriorSpec(np.array([0.05, 0.2, 0.1, 0.3, 0.15, 0.08]))
 
 
-#: Every backend, plus the dense lattice built without a context.
-BUILDS = BACKENDS + ("dense-local",)
+#: Every backend, plus the dense lattice on its driver plane (no context).
+BUILDS = BACKENDS + ("dense-driver",)
 
 
 def _build(backend: str, ctx) -> PosteriorBackend:
-    if backend == "dense-local":
+    if backend == "dense-driver":
         backend, ctx = "dense", None
     return make_posterior(
         backend, prior=PRIOR, ctx=ctx, sparse_floor=0.0, num_particles=512, seed=0
@@ -203,17 +202,18 @@ def test_sparse_condition_and_project_match_dense(ctx):
 
 
 def test_sparse_prune_matches_serial_reference():
-    serial = LocalLattice.from_prior(PRIOR)
+    """The sparse backend's exact prune is the smallest high-mass core."""
+    serial = DistributedLattice.from_prior(None, PRIOR)
     sparse = SparsePosterior.from_prior(PRIOR, floor=0.0)
     serial.update(0b000111, _ll(True, 0b000111))
     sparse.update(0b000111, _ll(True, 0b000111))
     eps = 1e-4
-    st_serial = serial.prune(eps)
+    st_serial = prune_by_mass(serial.collect(), eps)
     st_sparse = sparse.prune(eps)
     assert st_sparse.kept_states == st_serial.kept_states
     assert st_sparse.dropped_states == st_serial.dropped_states
     assert st_sparse.dropped_mass == pytest.approx(st_serial.dropped_mass, abs=1e-12)
-    assert np.array_equal(sparse.collect().masks, serial.collect().masks)
+    assert np.array_equal(sparse.collect().masks, st_serial.space.masks)
 
 
 def test_sparse_session_screen_replays_dense(ctx):
@@ -334,17 +334,22 @@ def test_particle_condition_is_respected_through_rejuvenation():
 # factory, shared PruneStats, payloads
 # ---------------------------------------------------------------------------
 def test_make_posterior_dispatch(ctx):
-    assert isinstance(make_posterior("dense", prior=PRIOR, ctx=ctx), DistributedLattice)
-    assert isinstance(make_posterior("dense", prior=PRIOR), LocalLattice)
-    assert isinstance(SBGTSession(None, PRIOR, MODEL).lattice, LocalLattice)
+    on_engine = make_posterior("dense", prior=PRIOR, ctx=ctx)
+    assert isinstance(on_engine, DistributedLattice) and on_engine.ctx is ctx
+    on_driver = make_posterior("dense", prior=PRIOR)
+    assert isinstance(on_driver, DistributedLattice) and on_driver.ctx is None
+    assert SBGTSession(None, PRIOR, MODEL).lattice.ctx is None
     assert isinstance(make_posterior("sparse", prior=PRIOR), SparsePosterior)
     assert isinstance(make_posterior("particle", prior=PRIOR), ParticlePosterior)
     with pytest.raises(ValueError, match="unknown posterior backend"):
         make_posterior("exactly", prior=PRIOR)
-    with pytest.raises(ValueError, match="needs an engine Context"):
-        make_posterior("dense", prior=PRIOR, max_positives=2)
-    with pytest.raises(ValueError, match="needs an engine Context"):
-        SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense", max_positives=2))
+    # The rank-restricted lattice runs without a context too.
+    restricted = make_posterior("dense", prior=PRIOR, max_positives=2)
+    assert restricted.ctx is None and restricted.num_states() == 1 + N + N * (N - 1) // 2
+    assert restricted.log_discarded_prior < 0.0
+    session = SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense", max_positives=2))
+    assert session.lattice.ctx is None
+    assert session.log_discarded_prior == restricted.log_discarded_prior
 
 
 def test_prune_stats_is_one_type_everywhere():

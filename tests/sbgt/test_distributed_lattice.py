@@ -54,7 +54,8 @@ class TestConstruction:
 
     def test_from_restricted_prior(self, ctx):
         prior = PriorSpec.uniform(12, 0.03)
-        dl, log_disc = DistributedLattice.from_restricted_prior(ctx, prior, 3, 4)
+        dl = DistributedLattice.from_restricted_prior(ctx, prior, 3, 4)
+        log_disc = dl.log_discarded_prior
         space, log_disc_serial = build_restricted_prior(prior.risks, 3)
         assert dl.num_states() == space.size
         assert np.allclose(dl.marginals(), marginals(space), atol=1e-10)
@@ -275,7 +276,7 @@ class TestCubeBlocks:
         dl.unpersist()
 
     def test_restricted_prior_blocks_are_generic(self, ctx):
-        dl, _ = DistributedLattice.from_restricted_prior(ctx, PriorSpec.uniform(12, 0.03), 3, 4)
+        dl = DistributedLattice.from_restricted_prior(ctx, PriorSpec.uniform(12, 0.03), 3, 4)
         assert all(b.bits is None for b in dl.rdd.collect() if b.size > 1)
         dl.unpersist()
 

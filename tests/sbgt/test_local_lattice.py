@@ -1,7 +1,8 @@
-"""The context-free exact session against the engine session and ``lattice.ops``.
+"""The dense lattice on its driver plane against the engine plane and ``lattice.ops``.
 
 An ``SBGTSession(None, …)`` holds its dense lattice in one driver-resident
-block (:class:`~repro.sbgt.local_lattice.LocalLattice`).  It must answer
+block (:class:`~repro.sbgt.distributed_lattice.DistributedLattice` on a
+:class:`~repro.sbgt.distributed_lattice.DriverPlane`).  It must answer
 what an engine session answers — marginals, the three selection
 statistics and the log-predictive of every outcome — and what the
 ``lattice.ops`` kernels give on a plain :class:`StateSpace`, also after
@@ -17,7 +18,7 @@ from repro.bayes.priors import PriorSpec
 from repro.lattice import ops as lops
 from repro.lattice.states import StateSpace
 from repro.sbgt.config import SBGTConfig
-from repro.sbgt.local_lattice import LocalLattice
+from repro.sbgt.distributed_lattice import DistributedLattice, DriverPlane
 from repro.sbgt.session import SBGTSession
 from repro.util.bits import intersect_count
 
@@ -110,11 +111,11 @@ def test_context_free_session_matches_engine_sessions_and_ops(serial_ctx, screen
     prior, model = PriorSpec(np.array(screen["risks"])), screen["model"]
     config = SBGTConfig(prune_epsilon=screen["epsilon"])
     sessions = {
-        "context-free": SBGTSession(None, prior, model, config),
-        "engine, 1 block": SBGTSession(serial_ctx, prior, model, config.with_(num_blocks=1)),
-        "engine, 4 blocks": SBGTSession(serial_ctx, prior, model, config.with_(num_blocks=4)),
+        "driver plane": SBGTSession(None, prior, model, config),
+        "engine plane, 1 block": SBGTSession(serial_ctx, prior, model, config.with_(num_blocks=1)),
+        "engine plane, 4 blocks": SBGTSession(serial_ctx, prior, model, config.with_(num_blocks=4)),
     }
-    assert isinstance(sessions["context-free"].lattice, LocalLattice)
+    assert isinstance(sessions["driver plane"].lattice.rdd, DriverPlane)
     reference = prior.build_dense()
     try:
         _assert_all_agree(sessions, reference, screen["pools"], screen["chosen"])
@@ -142,9 +143,9 @@ def test_context_free_session_matches_engine_sessions_and_ops(serial_ctx, screen
         if pools:
             _assert_all_agree(sessions, reference, pools, chosen)
 
-        # prune: each backend keeps its own survivors (the engine lattice
-        # cuts at histogram bins); every one must be the reference
-        # restricted to what it kept.
+        # prune: each plane keeps its own survivors (the histogram's bin
+        # edges follow the stored log-probs, whose offsets differ); every
+        # one must be the reference restricted to what it kept.
         for name, session in sessions.items():
             stats = session.prune()
             survivors = _original_masks(session)
@@ -156,6 +157,27 @@ def test_context_free_session_matches_engine_sessions_and_ops(serial_ctx, screen
     finally:
         for session in sessions.values():
             session.close()
+
+
+@pytest.mark.parametrize("max_positives", [1, 2, 3])
+def test_restricted_lattice_on_the_driver_matches_the_engine(serial_ctx, max_positives):
+    prior = PriorSpec(np.array([0.05, 0.2, 0.1, 0.3, 0.15, 0.08, 0.12]))
+    model = BinaryErrorModel(0.95, 0.98)
+    driver = DistributedLattice.from_restricted_prior(None, prior, max_positives)
+    engine = DistributedLattice.from_restricted_prior(serial_ctx, prior, max_positives, 1)
+    try:
+        assert isinstance(driver.rdd, DriverPlane) and engine.num_blocks == 1
+        assert driver.log_discarded_prior == pytest.approx(engine.log_discarded_prior, abs=ATOL)
+        pools = np.array([0b11, 0b1100, 0b1110001], dtype=np.uint64)
+        for pool, outcome in ((0b111, True), (0b1010000, False)):
+            table = model.log_likelihood_by_count(outcome, bin(pool).count("1"))
+            assert driver.update(pool, table) == pytest.approx(engine.update(pool, table), abs=ATOL)
+        for stat in (lambda b: b.marginals(), lambda b: b.down_set_masses(pools),
+                     lambda b: b.pool_count_hists(pools), lambda b: b.entropy()):
+            np.testing.assert_allclose(stat(driver), stat(engine), rtol=0, atol=ATOL)
+        assert np.array_equal(driver.collect().masks, engine.collect().masks)
+    finally:
+        engine.unpersist()
 
 
 @pytest.mark.parametrize("after_settle", [False, True], ids=["fresh", "after-settle"])

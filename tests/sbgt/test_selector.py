@@ -22,7 +22,6 @@ from repro.halving.policy import InformationGainPolicy
 from repro.sbgt.config import SBGTConfig
 from repro.lattice import ops as lops
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.local_lattice import LocalLattice
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
 from repro.workflows.classify import run_screen
@@ -157,9 +156,9 @@ class TestUlpRobustTies:
     def test_serial_rule(self, seed, serial, monkeypatch):
         """The context-free session goes through the same ordering."""
         masses = self.jittered(seed)
-        monkeypatch.setattr(LocalLattice, "down_set_masses", lambda self, pools: masses)
+        monkeypatch.setattr(DistributedLattice, "down_set_masses", lambda self, pools: masses)
         assert select_halving_pool(serial, self.POOLS)[0] == 0b0011
-        monkeypatch.setattr(LocalLattice, "down_set_masses", lambda self, pools: masses[1:3])
+        monkeypatch.setattr(DistributedLattice, "down_set_masses", lambda self, pools: masses[1:3])
         assert select_halving_pool(serial, self.POOLS[1:3])[0] == 0b0001
 
 

@@ -59,3 +59,25 @@ def test_one_stage_loop():
             ):
                 callers.append(path.relative_to(SRC).as_posix())
     assert sorted(callers) == ["halving/hybrid.py", "sbgt/stepper.py"]
+
+
+def test_one_exact_dense_backend():
+    """The lattice kernels' update and mass/marginal folds run from one
+    backend, whichever plane holds its blocks: no second dense backend
+    can grow its own copy of the twelve protocol methods."""
+    importers = []
+    for path in sorted((SRC / "sbgt").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name in ("block_update", "block_mass_marginals") for alias in node.names
+            ):
+                importers.append(path.name)
+    assert importers == ["distributed_lattice.py"]
+    root = SRC.parents[1]
+    named = [
+        path.relative_to(root).as_posix()
+        for top in ("src", "examples", "benchmarks")
+        for path in sorted((root / top).rglob("*.py"))
+        if "LocalLattice" in path.read_text(encoding="utf-8")
+    ]
+    assert named == []

@@ -32,6 +32,7 @@ KEPT = {
     "pool_count_distribution": "tests/lattice/test_ops.py",
     "condition_on_classification": "tests/lattice/test_ops.py",
     "build_restricted_prior": "tests/sbgt/test_distributed_lattice.py",
+    "prune_by_mass": "tests/sbgt/test_backends.py",
     # lock-order sanitizer hooks
     "sanitizer_mode": "tests/engine/test_lockorder.py",
     "violations": "tests/engine/test_lockorder.py",
