@@ -9,6 +9,10 @@ Metropolis-Hastings moves targeting the exact posterior
 ``prior × recorded evidence`` (the IBIS recipe for static models — the
 evidence trail the backend keeps is exactly the MH target).
 
+The counting and selection kernels are the sparse backend's, run on a
+nonzero index of the cloud built at each call: rejuvenation flips state
+bits in place, so there is no index worth maintaining across calls.
+
 Everything is driver-resident NumPy; determinism comes from the
 library's standard RNG plumbing (:func:`repro.util.rng.as_rng`), so a
 seeded screen replays bit-identically.
@@ -28,10 +32,13 @@ from repro.obs.tracer import PHASE_ANALYSIS, PHASE_LATTICE, PHASE_SELECTION, tra
 from repro.sbgt.backend import PosteriorBackend
 from repro.sbgt.sparse import (
     _pool_columns,
-    matrix_down_set_masses,
-    matrix_pool_count_hists,
-    matrix_refined_cell_masses,
+    index_down_set_masses,
+    index_pool_count_hists,
+    index_refined_cell_masses,
     matrix_row_mask,
+    pool_counts,
+    pool_hits,
+    state_index,
 )
 from repro.util.rng import RngLike, as_rng
 
@@ -150,11 +157,12 @@ class ParticlePosterior(PosteriorBackend):
             v = self.states[rows, j]
             sign = np.where(v, -1, 1)  # flipping adds/removes one positive
             log_accept = sign * logit[j]
+            index = state_index(self.states)
             for ev in self._evidence:
                 pool_vec = np.zeros(n, dtype=bool)
                 pool_vec[ev.cols] = True
                 in_pool = pool_vec[j]
-                counts = ev.base + self.states[:, ev.cols].sum(axis=1)
+                counts = ev.base + pool_counts(index, m, ev.cols, n)
                 counts_new = counts + np.where(in_pool, sign, 0)
                 log_accept += ev.ll[counts_new] - ev.ll[counts]
             accept = np.log(self.rng.random(m)) < log_accept
@@ -167,7 +175,7 @@ class ParticlePosterior(PosteriorBackend):
     def update(self, pool_mask: int, log_lik_by_count: np.ndarray) -> float:
         ll = np.asarray(log_lik_by_count, dtype=np.float64)
         cols = _pool_columns(pool_mask, self.n_items)
-        counts = self.states[:, cols].sum(axis=1)
+        counts = pool_counts(state_index(self.states), self.num_particles, cols, self.n_items)
         new_lw = self.log_weights + ll[counts]
         log_pred = float(logsumexp(new_lw))  # prior weights are normalised
         if not np.isfinite(log_pred):
@@ -183,11 +191,13 @@ class ParticlePosterior(PosteriorBackend):
             raise ValueError("an individual cannot be classified both ways")
         pos = _pool_columns(positive_mask, self.n_items)
         neg = _pool_columns(negative_mask, self.n_items)
-        ok = np.ones(self.num_particles, dtype=bool)
-        if pos.size:
-            ok &= self.states[:, pos].all(axis=1)
-        if neg.size:
-            ok &= ~self.states[:, neg].any(axis=1)
+        index, m = state_index(self.states), self.num_particles
+        ok = pool_counts(index, m, pos, self.n_items) == pos.size
+        ok &= ~pool_hits(index, m, neg, self.n_items)
+        # Refuse before mutating: no weight and no evidence changes when
+        # no particle with mass is consistent.
+        if not (self.log_weights[ok] > -np.inf).any():
+            raise ValueError("posterior has zero total mass (contradictory evidence?)")
         self.log_weights = np.where(ok, self.log_weights, -np.inf)
         # Record the constraints so MH rejuvenation cannot move particles
         # back out of the conditioned region.
@@ -239,18 +249,21 @@ class ParticlePosterior(PosteriorBackend):
     # ------------------------------------------------------------------
     @traced(PHASE_SELECTION, "particle_down_set_masses")
     def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
-        return matrix_down_set_masses(self.states, self._probs(), pool_masks, self.n_items)
+        index = state_index(self.states)
+        return index_down_set_masses(index, self._probs(), pool_masks, self.n_items)
 
     @traced(PHASE_SELECTION, "particle_pool_count_hists")
     def pool_count_hists(self, candidate_masks: np.ndarray) -> np.ndarray:
-        return matrix_pool_count_hists(self.states, self._probs(), candidate_masks, self.n_items)
+        index = state_index(self.states)
+        return index_pool_count_hists(index, self._probs(), candidate_masks, self.n_items)
 
     @traced(PHASE_SELECTION, "particle_refined_cell_masses")
     def refined_cell_masses(
         self, chosen: Sequence[int], candidate_masks: np.ndarray, n_cells: int
     ) -> np.ndarray:
-        return matrix_refined_cell_masses(
-            self.states, self._probs(), chosen, candidate_masks, n_cells, self.n_items
+        index = state_index(self.states)
+        return index_refined_cell_masses(
+            index, self._probs(), chosen, candidate_masks, n_cells, self.n_items
         )
 
     # ------------------------------------------------------------------

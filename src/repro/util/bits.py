@@ -35,17 +35,19 @@ _SHIFT56 = np.uint64(56)
 
 
 def indices_from_mask(mask: int) -> list[int]:
-    """Return the sorted list of set-bit positions of *mask*."""
+    """Return the sorted list of set-bit positions of *mask*.
+
+    One step per set bit (the lowest one, ``mask & -mask``), not per bit
+    position: a 60-member pool of a 120-person cohort takes 60 steps.
+    """
     mask = int(mask)
     if mask < 0:
         raise ValueError("mask must be non-negative")
     out = []
-    pos = 0
     while mask:
-        if mask & 1:
-            out.append(pos)
-        mask >>= 1
-        pos += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -141,6 +141,45 @@ def test_map_state_on_empty_posterior_raises():
         post.map_state()
 
 
+def _belief(post: PosteriorBackend):
+    space = post.collect()
+    return (post.num_states(), post.marginals().tolist(), space.masks.tolist(),
+            space.log_probs.tolist())
+
+
+@pytest.mark.parametrize("backend", BUILDS)
+def test_contradictory_condition_leaves_the_belief(backend, ctx):
+    """A condition no state with mass satisfies raises and changes nothing.
+
+    Twin posteriors from the same seed: one refuses the contradiction,
+    then both take the same evidence and must still agree exactly (for
+    the particle cloud that includes the MH target it rejuvenates on).
+    """
+    post, twin = _build(backend, ctx), _build(backend, ctx)
+    for p in (post, twin):
+        p.condition(negative_mask=0b000010)
+    before = _belief(post)
+    with pytest.raises(ValueError, match="zero total mass"):
+        post.condition(positive_mask=0b000010)
+    assert _belief(post) == before
+    for pool, outcome in [(0b000111, True), (0b111000, False), (0b000101, True)]:
+        assert post.update(pool, _ll(outcome, pool)) == twin.update(pool, _ll(outcome, pool))
+    assert _belief(post) == _belief(twin)
+    post.unpersist()
+    twin.unpersist()
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_contradictory_condition_on_a_rank_limited_support(backend):
+    """``max_positives=1`` holds no state with two positives."""
+    post = make_posterior(backend, prior=PRIOR, max_positives=1, sparse_floor=0.0)
+    before = _belief(post)
+    with pytest.raises(ValueError, match="zero total mass"):
+        post.condition(positive_mask=0b11)
+    assert _belief(post) == before
+    assert post.num_states() == N + 1 and post.marginals().sum() > 0.0
+
+
 # ---------------------------------------------------------------------------
 # sparse exactness: floor=0 on an exhaustive support == dense, bit for bit
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.util.bits import (
     MAX_ITEMS,
@@ -24,6 +24,21 @@ class TestIndicesFromMask:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             indices_from_mask(-1)
+        with pytest.raises(ValueError):
+            indices_from_mask(-(1 << 130))
+
+    @given(st.integers(min_value=0, max_value=1 << 200))
+    @example(0)
+    @example((1 << 200) - 1)
+    def test_matches_bit_position_walk(self, mask):
+        """Same output as walking every bit position, past 64 bits too."""
+        walk, m, pos = [], mask, 0
+        while m:
+            if m & 1:
+                walk.append(pos)
+            m >>= 1
+            pos += 1
+        assert indices_from_mask(mask) == walk
 
 
 class TestPopcount:

@@ -135,8 +135,10 @@ HOT_PATH = (
     "bayes/posterior.py",
     "bayes/correlated.py",
 )
-#: The approximate backends still import scipy's: they are the
-#: ``sparse_n120`` path, which moves in its own PR (ROADMAP item 5).
+#: The approximate backends still import scipy's (ROADMAP item 5).  The
+#: repo's ``logsumexp`` agrees with scipy's only to 1e-12, so swapping it
+#: in would move the last bits of every sparse and particle payload; the
+#: nonzero-index kernels kept every bit and left it in place.
 SCIPY_LOGSUMEXP_ALLOWED = {"sbgt/sparse.py", "sbgt/particle.py"}
 
 
