@@ -58,6 +58,17 @@ def _bodies() -> List[Dict[str, Any]]:
     add("/screen", {"cohort": 12, "prevalence": 0.1, "seed": 5,
                     "assay": {"assay": "binary", "sensitivity": 0.95, "specificity": 0.99}})
     add("/screen", {"cohort": 12, "prevalence": 0.04, "seed": 6, "assay": {"assay": "perfect"}})
+    # /screen: the policy families POLICIES leaves out.  Uncompacted,
+    # individual seed 0 takes 16 tests: its last update is the one that
+    # checkpoints the engine-plane lineage.
+    for policy in ("array-3x4", "individual"):
+        for compact in (False, True):
+            add("/screen", {"cohort": 12, "prevalence": 0.06, "policy": policy,
+                            "seed": 0, "compact": compact})
+    # /screen: dense screens past the 16-update lineage checkpoint: 24
+    # tests at cohort 18, and 16 single-pool stages on a compacted lattice.
+    add("/screen", {"cohort": 18, "prevalence": 0.15, "policy": "individual", "seed": 3})
+    add("/screen", {"cohort": 16, "prevalence": 0.2, "policy": "bha", "seed": 1, "compact": True})
     # /screen: the approximate backends (sparse is slow past cohort 12).
     for policy in POLICIES:
         for seed in (0, 1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Context
+from repro.workflows.payloads import POLICY_HELP
 from tests.golden.records import RECORDS, load_ledger, payload_sha, record_id, uses_engine
 
 LEDGER = load_ledger()
@@ -48,6 +49,15 @@ def contexts():
 
 def test_ledger_covers_every_record():
     assert sorted(LEDGER) == sorted(record_id(r) for r in RECORDS)
+
+
+def test_every_policy_family_has_a_screen_record():
+    """Each spelling family the API advertises is pinned on ``/screen``."""
+    families = {spec.split("-")[0] for spec in POLICY_HELP.split(", ")}
+    screened = {
+        r["body"].get("policy", "bha").split("-")[0] for r in RECORDS if r["endpoint"] == "/screen"
+    }
+    assert families - screened == set()
 
 
 @pytest.mark.parametrize(
