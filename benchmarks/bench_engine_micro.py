@@ -524,13 +524,13 @@ def test_update_is_single_pass():
 
 
 def test_screen_job_counts():
-    """A dense screen costs one job to start and three per halving stage.
+    """A dense screen costs one job to start and two per halving stage.
 
     Start: build + normalise + marginals in one aggregation (the first
     ``classify()`` reads what it left at the driver).  Stage: the
-    candidates' down-set masses, update + normalise, then the marginals
-    the classification reads.  Counted on a real ``ScreenStepper`` loop
-    at the serving cohort size.
+    candidates' down-set masses, then update + normalise + marginals in
+    one aggregation, which the classification reads.  Counted on a real
+    ``ScreenStepper`` loop at the serving cohort size.
     """
     from repro.engine.listener import JobStart, RecordingListener
     from repro.serve.protocol import ScreenRequest
@@ -558,7 +558,7 @@ def test_screen_job_counts():
             pools = stepper.next_pools()
             stepper.submit_outcomes([lab.run(pool) for pool in pools])
             jobs = rec.of_type(JobStart)
-            assert len(jobs) == 3, [j.description for j in jobs]
+            assert len(jobs) == 2, [j.description for j in jobs]
             stages += 1
         assert stages >= 3
         session.close()

@@ -127,10 +127,10 @@ def test_site_screen_kernel_calls(monkeypatch):
     """The context-free screen's call budget — a count, so it cannot flake.
 
     The lattice is one driver-resident cube block.  Per BHA stage (one
-    pool each): one ``block_update`` and one ``block_log_mass`` in the
-    update, one ``block_down_set_partial`` for the selection, and one
-    ``block_mass_marginals`` fold shared by ``classify()`` and the
-    policy; per screen, one more fold that normalises the prior and
+    pool each): one ``block_update`` and one ``block_summed_mass_marginals``
+    in the update, whose marginals ``classify()`` and the policy read,
+    and one ``block_down_set_partial`` for the selection; per screen,
+    one ``block_mass_marginals`` fold that normalises the prior and
     reads its marginals.
     """
     site = 5  # the hottest of the seeded fleet (15 %): an 8-stage screen
@@ -153,7 +153,7 @@ def test_site_screen_kernel_calls(monkeypatch):
 
         monkeypatch.setattr(distributed_lattice, name, counting)
 
-    for name in ("block_update", "block_log_mass", "block_down_set_partial",
+    for name in ("block_update", "block_summed_mass_marginals", "block_down_set_partial",
                  "block_mass_marginals"):
         count(name)
     assert run_site_screen(job) == outcome
@@ -165,9 +165,9 @@ def test_site_screen_kernel_calls(monkeypatch):
     assert stages == outcome.tests_used == 8
     assert calls == {
         "block_update": stages,
-        "block_log_mass": stages,
+        "block_summed_mass_marginals": stages,
         "block_down_set_partial": stages,
-        "block_mass_marginals": stages + 1,  # and one for the prior
+        "block_mass_marginals": 1,  # the prior's
     }
 
 

@@ -342,16 +342,13 @@ class TestServedMarginals:
         assert jobs() == 0
         dl.unpersist()
 
-    def test_update_sums_mass_alone_and_the_next_read_aggregates_once(
-        self, serial_ctx, jobs, prior, model
-    ):
+    def test_update_serves_the_next_reads(self, serial_ctx, jobs, prior, model):
         dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
         jobs()
         for pool, outcome in [(0b000111, True), (0b111000, False)]:
             dl.update(pool, model.log_likelihood_by_count(outcome, 3))
-            assert jobs() == 1
+            assert jobs() == 1  # update + normalise + marginals
             first = dl.marginals()
-            assert jobs() == 1
             assert np.array_equal(dl.marginals(), first)
             assert jobs() == 0
             assert np.allclose(first, marginals(dl.collect()), atol=1e-12)
