@@ -82,6 +82,13 @@ class PosteriorBackend(ABC):
     def project_out_bit(self, bit: int, keep_positive: bool) -> None:
         """Condition on a settled individual and remove their bit."""
 
+    def defer_marginals(self) -> None:
+        """Hint that the lattice changes again before its marginals are read.
+
+        A backend that computes the marginals with an :meth:`update` may
+        skip them in the next one; the others ignore the hint.
+        """
+
     def rebalance(self, num_blocks: int = 0) -> None:
         """Re-partition / checkpoint the representation.
 

@@ -160,11 +160,13 @@ class SBGTSession:
         marg = self.marginals()
         return ClassificationReport(marginals=marg, statuses=classify_marginals(marg, pos, neg))
 
-    def update(self, pool: Any, outcome: Any) -> TestRecord:
+    def update(self, pool: Any, outcome: Any, serve_marginals: bool = True) -> TestRecord:
         """Condition the lattice on one pooled outcome.
 
         *pool* is given in original cohort indices (mask or index
-        iterable) and must not contain settled individuals.
+        iterable) and must not contain settled individuals.  Pass
+        *serve_marginals* False when the belief changes again before
+        its marginals are read: the backend need not compute them.
         """
         if isinstance(pool, (int, np.integer)):
             pool_mask = int(pool)
@@ -183,6 +185,8 @@ class SBGTSession:
             )
 
         ent_before = self.entropy() if self.config.track_entropy else None
+        if not serve_marginals:
+            self.lattice.defer_marginals()
         log_pred = self.lattice.update(compact_pool, log_lik)
         self._invalidate()
         ent_after = self.entropy() if self.config.track_entropy else None
@@ -199,11 +203,13 @@ class SBGTSession:
         self.log.append(record)
         return record
 
+    def prunes_this_stage(self) -> bool:
+        """Whether :meth:`prune` changes the lattice at the current stage."""
+        return self.config.prune_epsilon > 0.0 and self._stage % self.config.prune_interval == 0
+
     def prune(self) -> Optional[PruneStats]:
         """Apply the configured pruning + rebalance policy."""
-        if self.config.prune_epsilon <= 0.0:
-            return None
-        if self._stage % self.config.prune_interval != 0:
+        if not self.prunes_this_stage():
             return None
         stats = self.lattice.prune(self.config.prune_epsilon)
         if self.lattice.num_states() <= self.config.rebalance_states:

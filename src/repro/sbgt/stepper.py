@@ -139,9 +139,12 @@ class ScreenStepper:
         if tracer is not None:
             tracer.begin_screen_stage(session._stage)
         records: List[TestRecord] = []
+        # classify() reads the marginals after the last update, unless a
+        # prune changes the lattice first: no other update serves them.
+        served = -1 if session.prunes_this_stage() else len(self._pending) - 1
         with self._stage_scope("update"):
-            for pool, outcome in zip(self._pending, outcomes):
-                records.append(session.update(pool, outcome))
+            for k, (pool, outcome) in enumerate(zip(self._pending, outcomes)):
+                records.append(session.update(pool, outcome, serve_marginals=k == served))
                 self.num_tests += 1
                 self.num_samples += bin(pool).count("1")
             prune_stats = session.prune()
