@@ -8,16 +8,22 @@ document up to the end of the screen, with a client-side lab that draws
 the cohort and the assay noise off one generator in the batch loop's
 order.
 
+A second section pins the CLI's text tables: each entry is an argv of a
+computing verb and the sha256 of what ``repro.cli.main(argv)`` prints to
+stdout.
+
 ``tests/golden/test_ledger.py`` checks the ledger;
 ``tests/golden/rebuild.py`` rewrites it and prints the records that moved.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.serve.protocol import (
     CalculatorRequest,
@@ -29,7 +35,7 @@ from repro.serve.sessions import SessionRegistry
 from repro.simulate.population import make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import as_rng
-from repro.workflows.payloads import dump_payload
+from repro.workflows.payloads import POLICY_HELP, dump_payload
 
 LEDGER_PATH = pathlib.Path(__file__).with_name("ledger.json")
 
@@ -199,3 +205,100 @@ def load_ledger() -> Dict[str, str]:
     with open(LEDGER_PATH, encoding="utf-8") as fh:
         doc = json.load(fh)
     return {record_id(r): r["sha256"] for r in doc["records"]}
+
+
+# ----------------------------------------------------------------------
+# the CLI text tables
+# ----------------------------------------------------------------------
+def _cli_argvs() -> List[List[str]]:
+    """Every CLI-table record's argv, in ledger order."""
+    out: List[List[str]] = []
+    # screen: every advertised policy family on every backend.
+    for backend, cohort in (("dense", "8"), ("sparse", "8"), ("particle", "8")):
+        for policy in POLICY_HELP.split(", "):
+            for seed in ("0", "1"):
+                out.append(["screen", "--cohort", cohort, "--prevalence", "0.15",
+                            "--policy", policy, "--seed", seed, "--backend", backend])
+    for backend, policy in (("dense", "bha"), ("dense", "individual"), ("sparse", "bha")):
+        out.append(["screen", "--cohort", "10", "--prevalence", "0.1", "--policy", policy,
+                    "--seed", "2", "--compact", "--backend", backend])
+    out.append(["screen", "--cohort", "12", "--scenario", "outbreak", "--seed", "3"])
+    out.append(["screen", "--cohort", "10", "--scenario", "community", "--seed", "4",
+                "--backend", "sparse"])
+    out.append(["screen", "--cohort", "10", "--prevalence", "0.1", "--seed", "5",
+                "--assay", "perfect"])
+    out.append(["screen", "--cohort", "10", "--prevalence", "0.1", "--seed", "6",
+                "--assay", "binary", "--sensitivity", "0.95", "--specificity", "0.99"])
+    # The stage budget runs out with individual 4 undetermined at a
+    # marginal above one half.
+    out.append(["screen", "--cohort", "8", "--prevalence", "0.15", "--seed", "3",
+                "--max-stages", "3"])
+    # calculator
+    out.append(["calculator", "--cohort", "8", "--prevalences", "0.02", "0.1",
+                "--replications", "3", "--seed", "1"])
+    out.append(["calculator", "--cohort", "10", "--prevalences", "0.05", "0.2",
+                "--replications", "2", "--policy", "dorfman-4", "--backend", "sparse"])
+    out.append(["calculator", "--cohort", "8", "--prevalences", "0.01", "0.3",
+                "--replications", "2", "--assay", "binary", "--seed", "2"])
+    # surveil
+    out.append(["surveil", "--sites", "3", "--cohort", "6", "--rounds", "2", "--budget", "2",
+                "--seed", "1"])
+    out.append(["surveil", "--sites", "3", "--cohort", "9", "--rounds", "2", "--budget", "3",
+                "--fleet", "household", "--allocator", "uniform", "--seed", "2"])
+    out.append(["surveil", "--sites", "4", "--cohort", "8", "--rounds", "2", "--budget", "3",
+                "--backend", "particle", "--seed", "3"])
+    for argv in out:
+        if argv[0] != "calculator":
+            argv += ["--workers", "2"]
+    return out
+
+
+CLI_ARGVS = _cli_argvs()
+
+
+def cli_id(argv: Sequence[str]) -> str:
+    """A CLI record's name (the test id and the ledger key)."""
+    return "repro " + " ".join(argv)
+
+
+def flag_value(argv: Sequence[str], flag: str, default: str) -> str:
+    """The value *argv* gives *flag*, or *default*."""
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def cli_uses_engine(argv: Sequence[str]) -> bool:
+    """Whether the verb's table depends on the engine context it runs on."""
+    return argv[0] in ("screen", "surveil") and flag_value(argv, "--backend", "dense") == "dense"
+
+
+def cli_text(argv: Sequence[str], mode: Optional[str] = None) -> str:
+    """What ``repro.cli.main(argv)`` prints to stdout.
+
+    With *mode*, the engine context the verb opens runs on that executor
+    instead of the one the CLI picks.
+    """
+    from repro import cli
+    from repro.engine import Context
+
+    buf = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if mode is not None:
+            original = cli.Context
+            cli.Context = lambda **kw: Context(**{**kw, "mode": mode})
+            stack.callback(setattr, cli, "Context", original)
+        stack.enter_context(contextlib.redirect_stdout(buf))
+        rc = cli.main(list(argv))
+    if rc != 0:
+        raise RuntimeError(f"{cli_id(argv)} exited {rc}")
+    return buf.getvalue()
+
+
+def cli_sha(argv: Sequence[str], mode: Optional[str] = None) -> str:
+    return _sha(cli_text(argv, mode))
+
+
+def load_cli_ledger() -> Dict[str, str]:
+    """``cli_id -> sha256`` of the CLI section as committed."""
+    with open(LEDGER_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {cli_id(r["argv"]): r["sha256"] for r in doc.get("cli", [])}

@@ -14,9 +14,22 @@ import pytest
 
 from repro.engine import Context
 from repro.workflows.payloads import POLICY_HELP
-from tests.golden.records import RECORDS, load_ledger, payload_sha, record_id, uses_engine
+from tests.golden.records import (
+    CLI_ARGVS,
+    RECORDS,
+    cli_id,
+    cli_sha,
+    cli_uses_engine,
+    flag_value,
+    load_cli_ledger,
+    load_ledger,
+    payload_sha,
+    record_id,
+    uses_engine,
+)
 
 LEDGER = load_ledger()
+CLI_LEDGER = load_cli_ledger()
 
 _ENGINE = [r for r in RECORDS if uses_engine(r)]
 #: Process mode pays ~8 ms per job: one record per endpoint that uses the engine.
@@ -65,3 +78,33 @@ def test_every_policy_family_has_a_screen_record():
 )
 def test_payload_matches_ledger(contexts, mode, record):
     assert payload_sha(record, contexts(mode)) == LEDGER[record_id(record)]
+
+
+_CLI_ENGINE = [argv for argv in CLI_ARGVS if cli_uses_engine(argv)]
+_CLI_CASES = (
+    [(None, argv) for argv in CLI_ARGVS]
+    + [("serial", argv) for argv in _CLI_ENGINE]
+    + [("processes", _CLI_ENGINE[0])]
+)
+
+
+def test_cli_ledger_covers_every_record():
+    assert sorted(CLI_LEDGER) == sorted(cli_id(argv) for argv in CLI_ARGVS)
+
+
+def test_every_policy_family_has_a_cli_table_on_every_backend():
+    families = {spec.split("-")[0] for spec in POLICY_HELP.split(", ")}
+    for backend in ("dense", "sparse", "particle"):
+        tabled = {
+            flag_value(argv, "--policy", "bha").split("-")[0]
+            for argv in CLI_ARGVS
+            if argv[0] == "screen" and flag_value(argv, "--backend", "dense") == backend
+        }
+        assert families - tabled == set(), backend
+
+
+@pytest.mark.parametrize(
+    "mode,argv", _CLI_CASES, ids=[f"{mode or 'cli'}:{cli_id(argv)}" for mode, argv in _CLI_CASES]
+)
+def test_cli_table_matches_ledger(mode, argv):
+    assert cli_sha(argv, mode) == CLI_LEDGER[cli_id(argv)]
