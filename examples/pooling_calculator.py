@@ -11,6 +11,7 @@ and accuracy — then print the pool/don't-pool verdict per level.
 
 from repro import BHAPolicy, BinaryErrorModel
 from repro.workflows.calculator import format_calculator_table, pooling_calculator
+from repro.workflows.payloads import calculator_entry_dict
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
         replications=15,
         rng=0,
     )
-    print(format_calculator_table(entries))
+    print(format_calculator_table([calculator_entry_dict(e) for e in entries]))
     print()
     for e in entries:
         if not e.pooling_recommended:

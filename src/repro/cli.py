@@ -16,9 +16,14 @@ Commands covering the workflows a surveillance program actually runs:
 * ``lint``         — static closure-safety / engine-concurrency analysis
   (:mod:`repro.lint`); exit 0 clean, 1 findings, 2 usage error.
 
-Every command is deterministic given ``--seed``.  ``screen --json`` and
-``calculator --json`` print exactly the payload the server returns for
-the equivalent request, so CLI runs and API responses are diffable.
+Every command is deterministic given ``--seed``.  The computing verbs
+``screen``, ``calculator``, ``surveil`` and ``metrics`` put their flags
+into a request body and parse it with the server's request class
+(:mod:`repro.serve.protocol`), so they refuse exactly what the server
+refuses (``error: …``, exit 2) and run what it runs.  ``--json`` prints
+the request's payload, byte-identical to the server's response, and
+every text table is a view of that same payload.  For these verbs
+argparse only converts types and parses the ``--policy`` spelling.
 """
 
 from __future__ import annotations
@@ -29,50 +34,25 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.bayes.dilution import ResponseModel
-from repro.bayes.priors import PriorSpec
 from repro.engine import Context
 from repro.halving.policy import BHAPolicy, SelectionPolicy
 from repro.metrics.reporting import format_table
-from repro.sbgt.config import SBGTConfig
-from repro.sbgt.session import SBGTSession
-from repro.simulate.scenario import SCENARIOS, get_scenario
-from repro.workflows.calculator import format_calculator_table, pooling_calculator
-from repro.workflows.payloads import (
-    BACKEND_HELP,
-    POLICY_HELP,
-    dump_payload,
-    make_model,
-    make_policy,
-)
+from repro.simulate.scenario import SCENARIOS
 from repro.surveil import ALLOCATOR_HELP, FLEET_KINDS
-from repro.util.validation import check_in_range, check_positive_int, check_probability
+from repro.util.validation import check_positive_int
+from repro.workflows.calculator import format_calculator_table
+from repro.workflows.payloads import BACKEND_HELP, POLICY_HELP, dump_payload, make_policy
 from repro.workflows.surveillance import run_surveillance
 
 __all__ = ["main", "build_parser"]
 
 
-def _checked(convert, check, *bounds):
-    """An argparse ``type=`` that converts, then range-checks with *check*.
-
-    Out-of-range values become a usage error (exit 2) at parse time
-    instead of a traceback from deep inside the model constructors.
-    """
-
-    def parse(text: str):
-        value = convert(text)  # unparsable text keeps argparse's own message
-        try:
-            return check(value, *bounds)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    parse.__name__ = convert.__name__
-    return parse
-
-
-_probability = _checked(float, check_probability)
-_positive_int = _checked(int, check_positive_int)
-_dilution_exponent = _checked(float, check_in_range, 0.0, 10.0)
+def _positive_int(text: str) -> int:
+    """``surveillance``'s ``--days`` / ``--cohort`` (it has no request class)."""
+    try:
+        return check_positive_int(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _make_policy(name: str) -> SelectionPolicy:
@@ -80,27 +60,6 @@ def _make_policy(name: str) -> SelectionPolicy:
         return make_policy(name)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _policy_spec(policy) -> str:
-    """Recover the API spelling from a parsed ``--policy`` value."""
-    name = policy.name if isinstance(policy, SelectionPolicy) else policy
-    return "hybrid" if name == "hybrid-auto" else name
-
-
-def _make_model(args: argparse.Namespace) -> ResponseModel:
-    return make_model(args.assay, args.sensitivity, args.specificity, args.dilution)
-
-
-def _assay_spec(args: argparse.Namespace):
-    from repro.serve.protocol import AssaySpec
-
-    return AssaySpec(
-        assay=args.assay,
-        sensitivity=args.sensitivity,
-        specificity=args.specificity,
-        dilution=args.dilution,
-    )
 
 
 def _add_backend_arg(p: argparse.ArgumentParser) -> None:
@@ -119,8 +78,8 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
 
 
 @contextlib.contextmanager
-def _profiled(args: argparse.Namespace, title: str):
-    """Sample the wrapped command run and write the profile artifacts.
+def _profiled(args: argparse.Namespace):
+    """Sample the wrapped request execution and write the profile artifacts.
 
     Engine work in serial/thread mode is sampled directly; pre-forked
     process workers relay their samples through task results (see
@@ -137,7 +96,7 @@ def _profiled(args: argparse.Namespace, title: str):
         collapsed, html = f"{args.profile}.collapsed", f"{args.profile}.html"
         try:
             stacks = sampler.dump_collapsed(collapsed)
-            sampler.dump_flamegraph(html, title=title)
+            sampler.dump_flamegraph(html, title=f"repro {args.command}")
         except OSError as exc:
             print(f"error: cannot write profile to {args.profile}.*: {exc}",
                   file=sys.stderr)
@@ -148,10 +107,9 @@ def _profiled(args: argparse.Namespace, title: str):
 
 def _add_assay_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--assay", choices=["perfect", "binary", "dilution"], default="dilution")
-    p.add_argument("--sensitivity", type=_probability, default=0.98)
-    p.add_argument("--specificity", type=_probability, default=0.995)
-    p.add_argument("--dilution", type=_dilution_exponent, default=0.3,
-                   help="dilution exponent δ")
+    p.add_argument("--sensitivity", type=float, default=0.98)
+    p.add_argument("--specificity", type=float, default=0.995)
+    p.add_argument("--dilution", type=float, default=0.3, help="dilution exponent δ")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--cohort", type=int, default=16,
                           help="cohort size (<= 24 dense, larger with an "
                                "approximate backend)")
-    p_screen.add_argument("--prevalence", type=_probability, default=0.02)
+    p_screen.add_argument("--prevalence", type=float, default=0.02)
     p_screen.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
                           help="use a named scenario instead of --prevalence/assay")
     p_screen.add_argument("--policy", type=_make_policy, default="bha",
                           help=f"selection policy ({POLICY_HELP})")
     p_screen.add_argument("--seed", type=int, default=0)
-    p_screen.add_argument("--max-stages", type=_positive_int, default=60)
+    p_screen.add_argument("--max-stages", type=int, default=60)
     p_screen.add_argument("--workers", type=int, default=4)
     p_screen.add_argument("--compact", action="store_true",
                           help="enable lattice contraction of settled diagnoses")
@@ -188,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_calc = sub.add_parser("calculator", help="pool/don't-pool decision table")
     p_calc.add_argument("--cohort", type=int, default=12)
-    p_calc.add_argument("--prevalences", type=_probability, nargs="+",
+    p_calc.add_argument("--prevalences", type=float, nargs="+",
                         default=[0.005, 0.01, 0.02, 0.05, 0.10, 0.20, 0.30])
-    p_calc.add_argument("--replications", type=_positive_int, default=15)
+    p_calc.add_argument("--replications", type=int, default=15)
     p_calc.add_argument("--policy", type=_make_policy, default="bha",
                         help=f"selection policy ({POLICY_HELP})")
     p_calc.add_argument("--seed", type=int, default=0)
@@ -245,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_metrics.add_argument("--prom", action="store_true",
                            help="Prometheus text exposition instead of JSON")
-    p_metrics.add_argument("--cohort", type=_positive_int, default=12)
-    p_metrics.add_argument("--prevalence", type=_probability, default=0.05)
+    p_metrics.add_argument("--cohort", type=int, default=12)
+    p_metrics.add_argument("--prevalence", type=float, default=0.05)
     p_metrics.add_argument("--seed", type=int, default=0)
     p_metrics.add_argument("--workers", type=int, default=4)
     p_metrics.add_argument("--mode", choices=["serial", "threads", "processes"],
@@ -310,145 +268,121 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_screen(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import MAX_COHORT, MAX_COHORT_APPROX
+def _assay_body(args: argparse.Namespace) -> dict:
+    return {"assay": args.assay, "sensitivity": args.sensitivity,
+            "specificity": args.specificity, "dilution": args.dilution}
 
-    limit = MAX_COHORT if args.backend == "dense" else MAX_COHORT_APPROX
-    if args.cohort < 1 or args.cohort > limit:
-        hint = "dense lattice" if args.backend == "dense" else f"{args.backend} backend"
-        print(f"error: --cohort must be in [1, {limit}] ({hint})", file=sys.stderr)
-        return 2
-    if args.json:
-        from repro.serve.protocol import ScreenRequest
 
-        request = ScreenRequest(
-            cohort=args.cohort,
-            prevalence=args.prevalence,
-            scenario=args.scenario,
-            policy=_policy_spec(args.policy),
-            seed=args.seed,
-            max_stages=args.max_stages,
-            compact=args.compact,
-            backend=args.backend,
-            assay=_assay_spec(args),
-        )
-        if args.backend == "dense":
-            with Context(mode="threads", parallelism=args.workers) as ctx:
-                payload = request.execute(ctx)
-        else:
-            payload = request.execute(None)
-        print(dump_payload(payload), end="")
-        return 0
-    if args.scenario:
-        prior, model = get_scenario(args.scenario).build(args.cohort, rng=args.seed)
-    else:
-        prior = PriorSpec.uniform(args.cohort, args.prevalence)
-        model = _make_model(args)
-    policy = args.policy if isinstance(args.policy, SelectionPolicy) else _make_policy(args.policy)
-    config = SBGTConfig(max_stages=args.max_stages, compact_classified=args.compact,
-                        backend=args.backend)
+def _policy_spec(policy: SelectionPolicy) -> str:
+    """The API spelling of a parsed ``--policy`` value."""
+    return "hybrid" if policy.name == "hybrid-auto" else policy.name
+
+
+def _execute(args: argparse.Namespace, request, engine: bool) -> dict:
+    """Run *request* on a threads context of ``--workers`` (or, without
+    *engine*, on none) under the verb's ``--trace`` / ``--chrome`` /
+    ``--profile`` flags, and return its payload."""
+    from repro.obs import Tracer, chrome_trace
+
+    # A verb with --trace records phase spans, and its --chrome exports them
+    # beside the flight-recorder events.
+    trace_path = getattr(args, "trace", None)
     tracer = None
-    if args.trace or args.chrome:
-        from repro.obs import Tracer
-
+    if "trace" in args and (trace_path or args.chrome):
         tracer = Tracer().install()
     recorder = None
-    try:
-        if args.backend == "dense":
-            with Context(mode="threads", parallelism=args.workers) as ctx:
-                if tracer is not None:
-                    tracer.attach(ctx)
-                recorder = ctx.flight_recorder
-                session = SBGTSession(ctx, prior, model, config)
-                result = session.run_screen(policy, rng=args.seed)
-                session.close()
-        else:
-            session = SBGTSession(None, prior, model, config)
-            result = session.run_screen(policy, rng=args.seed)
-            session.close()
-    finally:
+    with contextlib.ExitStack() as stack:
+        if args.profile:
+            stack.enter_context(_profiled(args))
         if tracer is not None:
-            tracer.uninstall()
-    if tracer is not None and args.trace:
+            stack.callback(tracer.uninstall)
+        ctx = None
+        if engine:
+            ctx = stack.enter_context(Context(mode="threads", parallelism=args.workers))
+            recorder = ctx.flight_recorder
+            if tracer is not None:
+                tracer.attach(ctx)
+        payload = request.execute(ctx)
+    if trace_path:
         try:
-            tracer.dump_jsonl(args.trace)
+            tracer.dump_jsonl(trace_path)
         except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
+            print(f"error: cannot write trace to {trace_path}: {exc}", file=sys.stderr)
         else:
-            print(f"trace written to {args.trace}", file=sys.stderr)
+            print(f"trace written to {trace_path}", file=sys.stderr)
     if args.chrome:
-        from repro.obs import chrome_trace
-
         records = [span.to_dict() for span in tracer.spans] if tracer else []
         if recorder is not None:
             records.extend(recorder.events(limit=recorder.capacity))
         try:
             with open(args.chrome, "w", encoding="utf-8") as fh:
-                json.dump(chrome_trace(records, title="screen"), fh)
+                json.dump(chrome_trace(records, title=args.command), fh)
         except OSError as exc:
             print(f"error: cannot write trace to {args.chrome}: {exc}", file=sys.stderr)
         else:
             print(f"chrome trace written to {args.chrome}", file=sys.stderr)
+    return payload
+
+
+def _cmd_screen(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import ScreenRequest
+
+    request = ScreenRequest.from_payload({
+        "cohort": args.cohort,
+        "prevalence": args.prevalence,
+        "scenario": args.scenario,
+        "policy": _policy_spec(args.policy),
+        "seed": args.seed,
+        "max_stages": args.max_stages,
+        "compact": args.compact,
+        "backend": args.backend,
+        "assay": _assay_body(args),
+    })
+    payload = _execute(args, request, engine=request.backend == "dense")
+    if args.json:
+        print(dump_payload(payload), end="")
+        return 0
+    summary = payload["summary"]
+    statuses = payload["classification"]["statuses"]
     rows = [
-        ["truly infected", str(result.cohort.positives())],
-        ["called positive", str(result.report.positives())],
-        ["undetermined", str(result.report.undetermined())],
-        ["tests", result.efficiency.num_tests],
-        ["tests/individual", f"{result.tests_per_individual:.3f}"],
-        ["stages", result.stages_used],
-        ["accuracy", f"{result.accuracy:.1%}"],
-        ["sensitivity", f"{result.confusion.sensitivity:.1%}"],
-        ["specificity", f"{result.confusion.specificity:.1%}"],
+        ["truly infected", str(payload["truth"]["positives"])],
+        ["called positive", str([i for i, s in enumerate(statuses) if s == "positive"])],
+        ["undetermined", str([i for i, s in enumerate(statuses) if s == "undetermined"])],
+        ["tests", summary["tests"]],
+        ["tests/individual", f"{summary['tests_per_individual']:.3f}"],
+        ["stages", summary["stages"]],
+        ["accuracy", f"{summary['accuracy']:.1%}"],
+        ["sensitivity", f"{summary['sensitivity']:.1%}"],
+        ["specificity", f"{summary['specificity']:.1%}"],
     ]
-    print(format_table(["metric", "value"], rows, title=f"Screen ({policy.name})"))
+    print(format_table(["metric", "value"], rows, title=f"Screen ({args.policy.name})"))
     return 0
 
 
 def _cmd_calculator(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import MAX_COHORT, MAX_COHORT_APPROX
+    from repro.serve.protocol import CalculatorRequest
 
-    limit = MAX_COHORT if args.backend == "dense" else MAX_COHORT_APPROX
-    if args.cohort < 1 or args.cohort > limit:
-        hint = "dense lattice" if args.backend == "dense" else f"{args.backend} backend"
-        print(f"error: --cohort must be in [1, {limit}] ({hint})", file=sys.stderr)
-        return 2
+    payload = CalculatorRequest.from_payload({
+        "cohort": args.cohort,
+        "prevalences": args.prevalences,
+        "replications": args.replications,
+        "policy": _policy_spec(args.policy),
+        "seed": args.seed,
+        "backend": args.backend,
+        "assay": _assay_body(args),
+    }).execute()
     if args.json:
-        from repro.serve.protocol import CalculatorRequest
-
-        request = CalculatorRequest(
-            cohort=args.cohort,
-            prevalences=tuple(float(p) for p in args.prevalences),
-            replications=args.replications,
-            policy=_policy_spec(args.policy),
-            seed=args.seed,
-            backend=args.backend,
-            assay=_assay_spec(args),
-        )
-        print(dump_payload(request.execute()), end="")
-        return 0
-    model = _make_model(args)
-    policy_name = _policy_spec(args.policy)
-
-    def factory() -> SelectionPolicy:
-        return _make_policy(policy_name)
-
-    entries = pooling_calculator(
-        model,
-        factory,
-        prevalences=args.prevalences,
-        cohort_size=args.cohort,
-        replications=args.replications,
-        rng=args.seed,
-        backend=args.backend,
-    )
-    print(format_calculator_table(entries))
+        print(dump_payload(payload), end="")
+    else:
+        print(format_calculator_table(payload["entries"]))
     return 0
 
 
 def _cmd_surveillance(args: argparse.Namespace) -> int:
+    from repro.serve.protocol import AssaySpec
     from repro.simulate.epidemic import sir_prevalence
 
-    model = _make_model(args)
+    model = AssaySpec.from_payload(_assay_body(args)).build()
     prevalence = sir_prevalence(args.days, args.beta, args.gamma, args.i0)
     campaign = run_surveillance(
         model, BHAPolicy, days=args.days, cohort_size=args.cohort,
@@ -470,9 +404,9 @@ def _cmd_surveillance(args: argparse.Namespace) -> int:
 
 
 def _cmd_surveil(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import BadRequest, SurveilRequest
+    from repro.serve.protocol import SurveilRequest
 
-    body = {
+    request = SurveilRequest.from_payload({
         "sites": args.sites,
         "cohort": args.cohort,
         "rounds": args.rounds,
@@ -483,28 +417,9 @@ def _cmd_surveil(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "max_stages": args.max_stages,
         "backend": args.backend,
-        "assay": _assay_spec(args).canonical(),
-    }
-    try:
-        request = SurveilRequest.from_payload(body)
-    except BadRequest as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with Context(mode="threads", parallelism=args.workers) as ctx:
-        recorder = ctx.flight_recorder
-        payload = request.execute(ctx)
-        if args.chrome:
-            from repro.obs import chrome_trace
-
-            records = recorder.events(limit=recorder.capacity) if recorder else []
-            try:
-                with open(args.chrome, "w", encoding="utf-8") as fh:
-                    json.dump(chrome_trace(records, title="surveil"), fh)
-            except OSError as exc:
-                print(f"error: cannot write trace to {args.chrome}: {exc}",
-                      file=sys.stderr)
-            else:
-                print(f"chrome trace written to {args.chrome}", file=sys.stderr)
+        "assay": _assay_body(args),
+    })
+    payload = _execute(args, request, engine=True)
     if args.json:
         print(dump_payload(payload), end="")
         return 0
@@ -575,13 +490,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    prior = PriorSpec.uniform(args.cohort, args.prevalence)
-    model = make_model("dilution", 0.98, 0.995, 0.3)
-    config = SBGTConfig()
+    from repro.serve.protocol import ScreenRequest
+
+    # 50 stages: the reference screen predates the request's default of 60.
+    request = ScreenRequest.from_payload({
+        "cohort": args.cohort, "prevalence": args.prevalence, "seed": args.seed,
+        "max_stages": 50,
+    })
     with Context(mode=args.mode, parallelism=args.workers) as ctx:
-        session = SBGTSession(ctx, prior, model, config)
-        session.run_screen(make_policy("bha"), rng=args.seed)
-        session.close()
+        request.execute(ctx)
         if args.prom:
             print(ctx.metrics_hub.render_prometheus(), end="")
         else:
@@ -751,11 +668,15 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
-    if getattr(args, "profile", None):
-        with _profiled(args, title=f"repro {args.command}"):
-            return handler(args)
-    return handler(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        from repro.serve.protocol import BadRequest
+
+        if not isinstance(exc, BadRequest):
+            raise
+        print(f"error: {exc}", file=sys.stderr)  # what the server answers with a 400
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

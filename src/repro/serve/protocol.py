@@ -4,9 +4,10 @@ Each endpoint's JSON body parses into a frozen request dataclass that
 validates eagerly (:class:`BadRequest` maps to HTTP 400), normalizes
 into a canonical parameter dict (the echo in responses, and the input
 to the result-cache / micro-batcher key), and knows how to *execute*
-itself against the workflow layer.  The CLI builds the same dataclasses
-from argparse namespaces, which is what makes ``--json`` output and
-server responses byte-identical.
+itself against the workflow layer.  The CLI's computing verbs put their
+flags into a body and parse it with the same ``from_payload``, which is
+what makes ``--json`` output and server responses byte-identical and the
+CLI's bounds the server's.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
 #: Fleet-size ceiling for one surveillance campaign request.
 MAX_SITES = 64
 
-#: Dense-lattice ceiling shared with the CLI's ``--cohort`` bound.
+#: Dense-lattice cohort ceiling.
 MAX_COHORT = 24
 
 #: Cohort ceiling for the approximate (sparse/particle) backends, which
@@ -87,7 +88,7 @@ def _check_keys(payload: Mapping[str, Any], allowed: frozenset, what: str) -> No
 
 @dataclass(frozen=True)
 class AssaySpec:
-    """Flat assay parameters (mirrors the CLI's ``--assay`` flags)."""
+    """Flat assay parameters (the CLI's ``--assay`` flags)."""
 
     assay: str = "dilution"
     sensitivity: float = 0.98
@@ -303,7 +304,7 @@ class ScreenRequest:
         return request_digest("screen", self.canonical())
 
     def build(self) -> Tuple[PriorSpec, ResponseModel, SelectionPolicy, SBGTConfig]:
-        """(prior, model, policy, config) — shared by CLI and server."""
+        """(prior, model, policy, config) of the screen :meth:`execute` runs."""
         if self.scenario is not None:
             prior, model = get_scenario(self.scenario).build(self.cohort, rng=self.seed)
         else:

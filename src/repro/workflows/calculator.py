@@ -11,7 +11,7 @@ their variability, and accuracy — the inputs to a pool/don't-pool call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Any, Callable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -112,16 +112,16 @@ def pooling_calculator(
     return entries
 
 
-def format_calculator_table(entries: Sequence[CalculatorEntry]) -> str:
-    """Render calculator entries as the decision table."""
+def format_calculator_table(entries: Sequence[Mapping[str, Any]]) -> str:
+    """Render a calculator payload's ``entries`` as the decision table."""
     rows = [
         [
-            f"{e.prevalence:.1%}",
-            e.mean_tests_per_individual,
-            e.std_tests_per_individual,
-            e.mean_stages,
-            e.mean_accuracy,
-            "pool" if e.pooling_recommended else "individual",
+            f"{e['prevalence']:.1%}",
+            e["mean_tests_per_individual"],
+            e["std_tests_per_individual"],
+            e["mean_stages"],
+            e["mean_accuracy"],
+            e["verdict"],
         ]
         for e in entries
     ]

@@ -8,6 +8,7 @@ from repro.workflows.calculator import (
     format_calculator_table,
     pooling_calculator,
 )
+from repro.workflows.payloads import calculator_entry_dict
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ class TestPoolingCalculator:
             pooling_calculator(PerfectTest(), BHAPolicy, [0.1], replications=0)
 
     def test_table_renders(self, entries):
-        out = format_calculator_table(entries)
+        out = format_calculator_table([calculator_entry_dict(e) for e in entries])
         assert "prevalence" in out
         assert "1.0%" in out
         assert "pool" in out

@@ -197,3 +197,73 @@ class TestObservabilityCommands:
         html = (tmp_path / "prof.html").read_text()
         assert html.startswith("<!DOCTYPE html>")
         assert "repro screen" in html
+
+
+#: Flags the server refuses in a body; the CLI ran them while it built
+#: its requests without ``from_payload``.
+SERVER_REFUSES = [
+    (["screen", "--json", "--max-stages", "600"], "max_stages must be in [1, 500]"),
+    (["screen", "--json", "--dilution", "5"], "dilution must be in [0, 1]"),
+    (["screen", "--json", "--sensitivity", "0.3"], "sensitivity must be in (0.5, 1]"),
+    (["screen", "--json", "--prevalence", "1"], "prevalence must be in (0, 1)"),
+    (["calculator", "--json", "--replications", "300"], "replications must be in [1, 200]"),
+]
+
+
+class TestOneRequestPath:
+    @pytest.mark.parametrize("argv,message", SERVER_REFUSES,
+                             ids=[" ".join(argv) for argv, _ in SERVER_REFUSES])
+    def test_cli_refuses_what_the_server_refuses(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["screen", "--json", "--cohort", "8", "--seed", "2", "--policy", "hybrid",
+                      "--compact", "--assay", "binary", "--workers", "2"], id="screen"),
+        pytest.param(["screen", "--json", "--cohort", "8", "--scenario", "outbreak",
+                      "--workers", "2"], id="screen-scenario"),
+        pytest.param(["screen", "--json", "--cohort", "30", "--backend", "particle",
+                      "--max-stages", "5"], id="screen-particle"),
+        pytest.param(["calculator", "--json", "--cohort", "6", "--prevalences", "0.05", "0.2",
+                      "--replications", "2", "--backend", "sparse"], id="calculator"),
+        pytest.param(["surveil", "--json", "--sites", "3", "--cohort", "6", "--rounds", "2",
+                      "--budget", "2", "--allocator", "uniform", "--workers", "2"], id="surveil"),
+    ])
+    def test_json_request_round_trips(self, argv, capsys):
+        import json
+
+        from repro.serve.protocol import CalculatorRequest, ScreenRequest, SurveilRequest
+
+        kind = {"screen": ScreenRequest, "calculator": CalculatorRequest,
+                "surveil": SurveilRequest}[argv[0]]
+        assert main(argv) == 0
+        echoed = json.loads(capsys.readouterr().out)["request"]
+        assert kind.from_payload(echoed).canonical() == echoed
+
+    def test_computing_verbs_build_their_requests_with_from_payload(self):
+        """The guard of the one path from flags to payload."""
+        import ast
+        import pathlib
+
+        import repro.cli
+
+        tree = ast.parse(pathlib.Path(repro.cli.__file__).read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert imported.isdisjoint(
+            {"SBGTSession", "SBGTConfig", "PriorSpec", "get_scenario", "pooling_calculator"}
+        )
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for verb, request in (("screen", "ScreenRequest"), ("calculator", "CalculatorRequest"),
+                              ("metrics", "ScreenRequest"), ("surveil", "SurveilRequest")):
+            calls = {
+                (node.func.value.id, node.func.attr)
+                for node in ast.walk(functions[f"_cmd_{verb}"])
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+            }
+            assert (request, "from_payload") in calls, verb
