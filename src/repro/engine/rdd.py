@@ -125,7 +125,7 @@ class RDD(Generic[T]):
         algorithms (the distributed lattice checkpoints through the same
         mechanism).
         """
-        parts = self.ctx.run_job(self, list)
+        parts = self.ctx.run_job(self, list, description="checkpoint")
         return _CheckpointedRDD(self.ctx, parts)
 
     def unpersist(self) -> "RDD[T]":
@@ -159,11 +159,11 @@ class RDD(Generic[T]):
     # ------------------------------------------------------------------
     def collect(self) -> List[T]:
         """Materialize every record at the driver, in partition order."""
-        parts = self.ctx.run_job(self, list)
+        parts = self.ctx.run_job(self, list, description="collect")
         return [x for p in parts for x in p]
 
     def count(self) -> int:
-        return sum(self.ctx.run_job(self, lambda it: sum(1 for _ in it)))
+        return sum(self.ctx.run_job(self, lambda it: sum(1 for _ in it), description="count"))
 
     def reduce(self, op: Callable[[T, T], T]) -> T:
         """Combine all records with *op* (associative & commutative)."""
@@ -175,7 +175,10 @@ class RDD(Generic[T]):
                 acc = x if acc is sentinel else op(acc, x)
             return acc
 
-        partials = [p for p in self.ctx.run_job(self, part_reduce) if p is not sentinel]
+        partials = [
+            p for p in self.ctx.run_job(self, part_reduce, description="reduce")
+            if p is not sentinel
+        ]
         if not partials:
             raise EngineError("reduce() of empty RDD")
         acc = partials[0]
@@ -186,7 +189,9 @@ class RDD(Generic[T]):
     def fold(self, zero: T, op: Callable[[T, T], T]) -> T:
         # Each partition folds into its *own* copy of the zero (Spark
         # ships a serialized zero per task); in-place ops stay safe.
-        partials = self.ctx.run_job(self, lambda it: _fold_iter(it, copy.deepcopy(zero), op))
+        partials = self.ctx.run_job(
+            self, lambda it: _fold_iter(it, copy.deepcopy(zero), op), description="fold"
+        )
         acc = copy.deepcopy(zero)
         for p in partials:
             acc = op(acc, p)
@@ -194,7 +199,7 @@ class RDD(Generic[T]):
 
     def aggregate(self, zero: U, seq_op: Callable[[U, T], U], comb_op: Callable[[U, U], U]) -> U:
         partials = self.ctx.run_job(
-            self, lambda it: _fold_iter(it, copy.deepcopy(zero), seq_op)
+            self, lambda it: _fold_iter(it, copy.deepcopy(zero), seq_op), description="aggregate"
         )
         acc = copy.deepcopy(zero)
         for p in partials:
@@ -218,7 +223,9 @@ class RDD(Generic[T]):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         partials = self.ctx.run_job(
-            self, lambda it: _fold_iter(it, copy.deepcopy(zero), seq_op)
+            self,
+            lambda it: _fold_iter(it, copy.deepcopy(zero), seq_op),
+            description="tree_aggregate",
         )
         rounds = depth - 1
         while rounds > 0 and len(partials) > scale:
@@ -227,6 +234,7 @@ class RDD(Generic[T]):
             partials = grouped.ctx.run_job(
                 grouped,
                 lambda it: _fold_iter(it, copy.deepcopy(zero), comb_op),
+                description="tree_aggregate",
             )
             rounds -= 1
         acc = copy.deepcopy(zero)
@@ -240,7 +248,9 @@ class RDD(Generic[T]):
             return []
         out: List[T] = []
         for p in range(self.num_partitions):
-            got = self.ctx.run_job(self, lambda it: list(itertools.islice(it, n - len(out))), [p])
+            got = self.ctx.run_job(
+                self, lambda it: list(itertools.islice(it, n - len(out))), [p], description="take"
+            )
             out.extend(got[0])
             if len(out) >= n:
                 break

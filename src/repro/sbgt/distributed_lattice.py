@@ -446,16 +446,17 @@ class DistributedLattice(PosteriorBackend):
             raise ValueError("epsilon must be in [0, 1)")
         if epsilon == 0.0:
             return PruneStats(self.num_states(), 0, 0.0)
-        lo, hi = self.rdd.aggregate(
-            (np.inf, -np.inf),
+        lo, hi, before = self.rdd.aggregate(
+            (np.inf, -np.inf, 0),
             lambda acc, b: (
                 min(acc[0], float(b.log_probs.min(initial=np.inf))),
                 max(acc[1], float(b.log_probs.max(initial=-np.inf))),
+                acc[2] + b.size,
             ),
-            lambda a, b: (min(a[0], b[0]), max(a[1], b[1])),
+            lambda a, b: (min(a[0], b[0]), max(a[1], b[1]), a[2] + b[2]),
         )
         if not np.isfinite(lo) or not np.isfinite(hi) or lo == hi:
-            return PruneStats(self.num_states(), 0, 0.0)
+            return PruneStats(before, 0, 0.0)
         # Edges live in stored log-prob space; the offset normalises the
         # *masses* so the tail comparison against 1-ε stays calibrated.
         edges = np.linspace(lo, np.nextafter(hi, np.inf), bins + 1)
@@ -471,7 +472,6 @@ class DistributedLattice(PosteriorBackend):
         cut_bin = int(keep_bins[-1]) if keep_bins.size else 0
         threshold = edges[cut_bin]
 
-        before = self.num_states()
         filtered = self.rdd.map(
             lambda b: LatticeBlock(
                 b.n_items,

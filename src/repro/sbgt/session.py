@@ -212,7 +212,7 @@ class SBGTSession:
         if not self.prunes_this_stage():
             return None
         stats = self.lattice.prune(self.config.prune_epsilon)
-        if self.lattice.num_states() <= self.config.rebalance_states:
+        if stats.kept_states <= self.config.rebalance_states:
             self.lattice.rebalance()
         self._invalidate()
         return stats

@@ -227,6 +227,37 @@ class TestJobCounts:
             assert jobs() == len(pools)  # the updates; classify() reads the last one's
         session.close()
 
+    @pytest.mark.parametrize("epsilon,stage_jobs", [
+        (0.0, ["tree_aggregate"]),  # update + normalise + marginals
+        (1e-3, [
+            "tree_aggregate",  # update + normalise (the prune follows: no marginals)
+            "aggregate",  # log-prob range and state count
+            "tree_aggregate",  # mass histogram
+            "tree_aggregate",  # filter + renormalise
+            "aggregate",  # states kept
+            "collect", "count",  # rebalance
+            "tree_aggregate",  # marginals, which classify reads
+        ]),
+    ], ids=["unpruned", "pruned"])
+    def test_a_bha_stage_names_its_jobs(self, serial_ctx, prior, model, epsilon, stage_jobs):
+        from repro.engine.listener import JobStart, RecordingListener
+
+        rec = serial_ctx.add_listener(RecordingListener())
+        try:
+            session = SBGTSession(serial_ctx, prior, model, SBGTConfig(prune_epsilon=epsilon))
+            stepper = ScreenStepper(session, BHAPolicy())
+            lab = TestLab(model, make_cohort(prior, rng=21).truth_mask, as_rng(77))
+            for _ in range(3):
+                rec.clear()
+                pools = stepper.next_pools()
+                assert [j.description for j in rec.of_type(JobStart)] == ["tree_aggregate"]
+                rec.clear()
+                stepper.submit_outcomes([lab.run(pool) for pool in pools])
+                assert [j.description for j in rec.of_type(JobStart)] == stage_jobs
+            session.close()
+        finally:
+            serial_ctx.remove_listener(rec)
+
     def test_compaction_is_one_job_per_settled_individual(self, serial_ctx, jobs, prior, model):
         session = SBGTSession(serial_ctx, prior, model, SBGTConfig(compact_classified=True))
         jobs()
