@@ -564,6 +564,52 @@ def test_screen_job_counts():
         session.close()
 
 
+def test_small_jobs_run_on_the_submitting_thread():
+    """A cohort-12 screen on ``threads x 2`` runs its stages inline.
+
+    The scheduler places a job whose tasks read only small cached blocks
+    on the submitting thread; session start reads no cached block (it
+    builds the lattice), so it runs on the pool.  Read off
+    ``TaskEnd.worker`` on a real ``ScreenStepper`` loop, short of the
+    lineage checkpoint (whose re-parallelized blocks are built on the
+    pool too).
+    """
+    import os
+    import threading
+
+    from repro.engine.listener import RecordingListener, TaskEnd
+    from repro.serve.protocol import ScreenRequest
+    from repro.sbgt.session import SBGTSession
+    from repro.sbgt.stepper import ScreenStepper
+    from repro.simulate.population import make_cohort
+    from repro.simulate.testing import TestLab
+    from repro.util.rng import as_rng
+
+    here = f"{os.getpid()}/{threading.current_thread().name}"
+    prior, model, policy, config = ScreenRequest.from_payload(
+        {"cohort": 12, "prevalence": 0.05, "seed": 5}
+    ).build()
+    rng = as_rng(5)
+    lab = TestLab(model, make_cohort(prior, rng).truth_mask, rng)
+    with Context(mode="threads", parallelism=2) as c:
+        rec = c.add_listener(RecordingListener())
+        session = SBGTSession(c, prior, model, config)
+        stepper = ScreenStepper(session, policy)
+        start = [e.worker for e in rec.of_type(TaskEnd)]
+        assert start and all("/engine-worker" in w for w in start), start
+        stages = 0
+        while not stepper.done and stages < session.lattice.checkpoint_interval - 1:
+            rec.clear()
+            pools = stepper.next_pools()
+            stepper.submit_outcomes([lab.run(pool) for pool in pools])
+            workers = [e.worker for e in rec.of_type(TaskEnd)]
+            assert workers and set(workers) == {here}, workers
+            stages += 1
+        assert stages >= 3
+        session.close()
+    print(f"\n{stages} stages inline on {here}; session start on the pool")
+
+
 def test_cube_kernel_speedup():
     """Cube kernels are >=4x the generic ones.
 

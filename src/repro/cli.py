@@ -31,15 +31,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.engine import Context
 from repro.halving.policy import BHAPolicy, SelectionPolicy
 from repro.metrics.reporting import format_table
 from repro.simulate.scenario import SCENARIOS
 from repro.surveil import ALLOCATOR_HELP, FLEET_KINDS
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive_int, check_probability
 from repro.workflows.calculator import format_calculator_table
 from repro.workflows.payloads import BACKEND_HELP, POLICY_HELP, dump_payload, make_policy
 from repro.workflows.surveillance import run_surveillance
@@ -47,12 +48,36 @@ from repro.workflows.surveillance import run_surveillance
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """``surveillance``'s ``--days`` / ``--cohort`` (it has no request class)."""
-    try:
-        return check_positive_int(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(convert: Callable[[str], Any], check: Callable[[Any], Any]) -> Callable[[str], Any]:
+    """An argparse ``type``: *convert*, then *check*; a ``ValueError``
+    from either is a usage error (``error: …``, exit 2)."""
+
+    def parse(text: str) -> Any:
+        try:
+            return check(convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _positive_float(value: float) -> float:
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"must be a positive number, got {value!r}")
+    return value
+
+
+def _non_negative_float(value: float) -> float:
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"must be a non-negative number, got {value!r}")
+    return value
+
+
+# The flags no request class parses: ``surveillance``'s and the profiler's.
+_positive_int = _checked(int, check_positive_int)
+_rate = _checked(float, _non_negative_float)
+_hz = _checked(float, _positive_float)
+_prevalence = _checked(float, check_probability)
 
 
 def _make_policy(name: str) -> SelectionPolicy:
@@ -73,7 +98,7 @@ def _add_profile_args(p: argparse.ArgumentParser) -> None:
                    help="attach the sampling profiler; writes PREFIX.collapsed "
                         "(flamegraph.pl/speedscope input) and PREFIX.html "
                         "(self-contained flamegraph)")
-    p.add_argument("--profile-hz", type=float, default=100.0,
+    p.add_argument("--profile-hz", type=_hz, default=100.0,
                    help="profiler sampling rate (default 100)")
 
 
@@ -160,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_surv = sub.add_parser("surveillance", help="multi-day campaign over an epidemic wave")
     p_surv.add_argument("--days", type=_positive_int, default=30)
     p_surv.add_argument("--cohort", type=_positive_int, default=12)
-    p_surv.add_argument("--beta", type=float, default=0.35, help="SIR transmission rate")
-    p_surv.add_argument("--gamma", type=float, default=0.10, help="SIR recovery rate")
-    p_surv.add_argument("--i0", type=float, default=0.005, help="initial prevalence")
+    p_surv.add_argument("--beta", type=_rate, default=0.35, help="SIR transmission rate")
+    p_surv.add_argument("--gamma", type=_rate, default=0.10, help="SIR recovery rate")
+    p_surv.add_argument("--i0", type=_prevalence, default=0.005, help="initial prevalence")
     p_surv.add_argument("--seed", type=int, default=0)
     _add_backend_arg(p_surv)
     _add_assay_args(p_surv)

@@ -7,7 +7,10 @@ trade isolation for overhead:
 * :class:`SerialExecutor` — in-line loop; zero overhead, the baseline.
 * :class:`ThreadExecutor` — thread pool sharing the driver heap.  NumPy
   kernels release the GIL, so SBGT's block operations scale with cores
-  while partitions stay zero-copy.  This is the default mode.
+  while partitions stay zero-copy.  This is the default mode.  Jobs
+  whose tasks read only small cached blocks skip the pool and run on
+  the submitting thread (:meth:`ThreadExecutor.run_inline`; the rule
+  is the scheduler's).
 * :class:`ProcessExecutor` — forked worker pool; tasks and results are
   pickled, each task carrying its own partition of driver-held source
   data.  Closest to Spark's separate executors (and to the
@@ -258,6 +261,13 @@ class ThreadExecutor(BaseExecutor):
                 f.cancel()
             raise failure.exception()
         return [f.result() for f in futures]
+
+    def run_inline(self, tasks: List[Task]) -> List[TaskResult]:
+        """Run *tasks* on the submitting thread, in order (the scheduler's
+        small-job placement); each under a copy of the submitter's
+        contextvars, as on the pool, and through the same retries."""
+        env = TaskEnv(self._blockstore)
+        return [contextvars.copy_context().run(self._run_with_retries, t, env) for t in tasks]
 
     def stop(self) -> None:
         self._pool.shutdown(wait=True, cancel_futures=True)

@@ -4,6 +4,16 @@
 Every lineage is a narrow chain, so a job is exactly one ``result``
 stage: one task per requested partition, each pipelining the whole chain
 and applying the action's partition function to its output.
+
+**Placement.**  In thread mode a stage whose every task reads a cached
+block of at most :data:`INLINE_TASK_BYTES` runs on the submitting
+thread, in partition order; any other stage goes to the pool.  A task's
+work is predicted as the recorded size of the block it reads: the
+nearest ancestor in its lineage that is cached and held by the driver's
+block store.  The prediction reads no clock, so the same job is placed
+the same way every time, and the serial path computes bit for bit what
+the pool does.  Serial mode runs everything inline already; process
+mode keeps its cached blocks in the workers, out of the driver's sight.
 """
 
 from __future__ import annotations
@@ -12,12 +22,22 @@ import itertools
 import time
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.engine.blockstore import BlockStore
 from repro.engine.errors import JobFailedError
 from repro.engine.executor import Task, TaskEnv
 from repro.engine.listener import JobEnd, JobStart, StageEnd, StageStart
 from repro.engine.rdd import RDD, TaskContext
 
 __all__ = ["Scheduler"]
+
+#: Largest cached block (bytes, as the block store records it) a task may
+#: read and still run on the submitting thread in thread mode.  Measured
+#: crossover (docs/performance.md, "Where a job runs"; 2 CPUs): screens on
+#: blocks up to 512 KiB (cohort 17 on two blocks) ran 1.15-1.55x faster
+#: inline; on 1 MiB blocks (cohort 18) they ran level in the placement
+#: table but 0.8x in the benchmark's dense_large; on 2 MiB and up the pool
+#: won (0.6-0.8x).
+INLINE_TASK_BYTES = 3 << 18  # 768 KiB
 
 #: Stage ids are unique across every context of the process, so events
 #: of concurrently live contexts never collide on a shared bus consumer.
@@ -45,6 +65,17 @@ def _task_body(
         return func(rdd.iterator(partition, tc))
 
     return body
+
+
+def _cached_input_bytes(rdd: RDD, partition: int, store: BlockStore) -> Optional[int]:
+    """Size of the block a task over *partition* of *rdd* reads: that of
+    its nearest cached ancestor the store holds (``None``: no cached input)."""
+    for node in rdd.lineage():
+        if node._cached:
+            size = store.size_of((node.id, partition))
+            if size is not None:
+                return size
+    return None
 
 
 class Scheduler:
@@ -119,6 +150,19 @@ class Scheduler:
             task.source_payload = source.source_records(task.partition)
             task.worker_cache_bytes = worker_cache_bytes
 
+    def _runs_inline(self, rdd: RDD, parts: List[int]) -> bool:
+        """Thread mode: does every task read a cached block no larger than
+        :data:`INLINE_TASK_BYTES`?"""
+        ctx = self._ctx
+        if ctx.config.mode != "threads":
+            return False
+        store = ctx.block_store
+        for p in parts:
+            size = _cached_input_bytes(rdd, p, store)
+            if size is None or size > INLINE_TASK_BYTES:
+                return False
+        return True
+
     def _run_stage(
         self, rdd: RDD, func: Callable, parts: List[int], job_id: int
     ) -> List[Any]:
@@ -130,7 +174,9 @@ class Scheduler:
         t0 = time.perf_counter()
         if bus:
             bus.post(StageStart(stage_id, "result", len(parts), job_id))
-        by_partition = {res.partition: res.value for res in ctx.executor.submit(tasks)}
+        executor = ctx.executor
+        run = executor.run_inline if self._runs_inline(rdd, parts) else executor.submit
+        by_partition = {res.partition: res.value for res in run(tasks)}
         out = [by_partition[p] for p in parts]
         if bus:
             bus.post(StageEnd(stage_id, "result", time.perf_counter() - t0, job_id))

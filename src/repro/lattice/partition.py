@@ -145,6 +145,12 @@ class LatticeBlock:
             return LatticeBlock(self.n_items, self._masks.copy(), self.log_probs.copy())
         return LatticeBlock.cube(self.n_items, self.base, self.bits, self.log_probs.copy())
 
+    def __sizeof__(self) -> int:
+        # The arrays the block owns, so the engine's block store sizes a
+        # cached block by its states (a cube's masks are derived).
+        masks = 0 if self.bits is not None else self._masks.nbytes
+        return object.__sizeof__(self) + self.log_probs.nbytes + masks
+
     def __reduce__(self):
         # A cube ships its shape and log-probs; the masks are rebuilt (or
         # never needed) on the other side.  Also what makes copy.copy a
@@ -418,19 +424,24 @@ def block_entropy_partial(block: LatticeBlock, log_offset: float = 0.0) -> float
 def block_histogram_partial(
     block: LatticeBlock, edges: np.ndarray, log_offset: float = 0.0
 ) -> np.ndarray:
-    """Linear-mass histogram of the block's log-probs over fixed bin edges.
+    """Histogram of the block's log-probs over fixed bin edges: row 0 the
+    linear mass per bin, row 1 the state count per bin.
 
     Used by distributed pruning to locate a log-prob cutoff without
-    sorting the global state set.  Values outside the edges clamp into
-    the end bins.  ``edges`` stay in *stored* log-prob space; only the
-    masses are offset-normalised.
+    sorting the global state set, and to count the states it keeps: a
+    state lands in bin ``k`` or above exactly when its log-prob is at
+    least ``edges[k]``.  Values outside the edges clamp into the end
+    bins.  ``edges`` stay in *stored* log-prob space; only the masses
+    are offset-normalised.
     """
+    bins = len(edges) - 1
     if block.size == 0:
-        return np.zeros(len(edges) - 1, dtype=np.float64)
-    idx = np.clip(np.searchsorted(edges, block.log_probs, side="right") - 1, 0, len(edges) - 2)
-    return np.bincount(
-        idx, weights=_block_probs(block, log_offset), minlength=len(edges) - 1
-    )
+        return np.zeros((2, bins), dtype=np.float64)
+    idx = np.clip(np.searchsorted(edges, block.log_probs, side="right") - 1, 0, bins - 1)
+    return np.stack((
+        np.bincount(idx, weights=_block_probs(block, log_offset), minlength=bins),
+        np.bincount(idx, minlength=bins),
+    )).astype(np.float64, copy=False)
 
 
 def block_count_hists_partial(

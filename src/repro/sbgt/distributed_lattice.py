@@ -440,7 +440,9 @@ class DistributedLattice(PosteriorBackend):
         histogram of log-probabilities weighted by linear mass, pick the
         lowest bin edge whose upper tail holds at least ``1-ε`` mass,
         and filter below it.  Keeps at least the requested mass (may
-        keep slightly more — bin-resolution conservative).
+        keep slightly more — bin-resolution conservative).  The same
+        aggregation counts the states per bin, so the kept count is the
+        tail's, read without a job.
         """
         if not 0.0 <= epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
@@ -461,8 +463,8 @@ class DistributedLattice(PosteriorBackend):
         # *masses* so the tail comparison against 1-ε stays calibrated.
         edges = np.linspace(lo, np.nextafter(hi, np.inf), bins + 1)
         off = self._log_offset
-        hist = self.rdd.tree_aggregate(
-            np.zeros(bins),
+        hist, counts = self.rdd.tree_aggregate(
+            np.zeros((2, bins)),
             lambda acc, b: acc + block_histogram_partial(b, edges, off),
             lambda a, b: a + b,
         )
@@ -480,7 +482,7 @@ class DistributedLattice(PosteriorBackend):
             )
         ).cache()
         dropped_log_mass = self._renormalize(filtered)  # pre-prune mass was 1
-        kept = self.num_states()
+        kept = int(counts[cut_bin:].sum())  # the bins the filter keeps, whole
         dropped_mass = float(max(0.0, 1.0 - np.exp(min(dropped_log_mass, 0.0))))
         return PruneStats(kept, before - kept, dropped_mass)
 

@@ -133,8 +133,16 @@ class TestBlockKernels:
         blocks = partition_state_space(space, 8)
         lo, hi = space.log_probs.min(), space.log_probs.max()
         edges = np.linspace(lo, np.nextafter(hi, np.inf), 33)
-        hist = sum(block_histogram_partial(b, edges) for b in blocks)
+        hist, counts = sum(block_histogram_partial(b, edges) for b in blocks)
         assert hist.sum() == pytest.approx(1.0, abs=1e-10)
+        assert counts.sum() == space.size
+
+    def test_histogram_tail_counts_what_the_cut_keeps(self, space):
+        lo, hi = space.log_probs.min(), space.log_probs.max()
+        edges = np.linspace(lo, np.nextafter(hi, np.inf), 33)
+        _, counts = sum(block_histogram_partial(b, edges) for b in partition_state_space(space, 8))
+        for cut in range(32):
+            assert counts[cut:].sum() == np.count_nonzero(space.log_probs >= edges[cut])
 
     def test_histogram_empty_block(self):
         b = LatticeBlock(2, np.array([], dtype=np.uint64), np.array([]))

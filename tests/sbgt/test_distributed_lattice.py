@@ -177,6 +177,18 @@ class TestManipulation:
         assert dl.num_states() == stats.kept_states
         dl.unpersist()
 
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-4, 0.05, 0.5])
+    @pytest.mark.parametrize("num_blocks", [1, 3, 4])
+    def test_prune_kept_count_is_num_states(self, ctx, prior, model, epsilon, num_blocks):
+        """The histogram's tail count is the filter's survivor count."""
+        dl = DistributedLattice.from_prior(ctx, prior, num_blocks)
+        for pool, outcome in [(0b000111, True), (0b011000, False), (0b100001, True)]:
+            dl.update(pool, model.log_likelihood_by_count(outcome, bin(pool).count("1")))
+        stats = dl.prune(epsilon)
+        assert stats.kept_states == dl.num_states()
+        assert stats.kept_states + stats.dropped_states == 64
+        dl.unpersist()
+
     def test_prune_zero_epsilon_noop(self, ctx, prior):
         dl = DistributedLattice.from_prior(ctx, prior, 4)
         stats = dl.prune(0.0)

@@ -232,10 +232,9 @@ class TestJobCounts:
         (1e-3, [
             "tree_aggregate",  # update + normalise (the prune follows: no marginals)
             "aggregate",  # log-prob range and state count
-            "tree_aggregate",  # mass histogram
+            "tree_aggregate",  # mass and state-count histogram (the kept count)
             "tree_aggregate",  # filter + renormalise
-            "aggregate",  # states kept
-            "collect", "count",  # rebalance
+            "collect", "count",  # rebalance: folds the offset into the log-probs
             "tree_aggregate",  # marginals, which classify reads
         ]),
     ], ids=["unpruned", "pruned"])

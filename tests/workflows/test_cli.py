@@ -58,6 +58,10 @@ OUT_OF_RANGE = [
     ["metrics", "--prevalence", "2"],
     ["surveillance", "--days", "0"],
     ["surveillance", "--cohort", "0"],
+    ["surveillance", "--i0", "2"],
+    ["surveillance", "--beta", "-1"],
+    ["surveillance", "--gamma", "-1"],
+    ["screen", "--profile", "unused", "--profile-hz", "0"],
 ]
 
 
