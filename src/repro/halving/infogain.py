@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.halving.bha import scan_order
+from repro.halving.bha import ordering_key, scan_order
 from repro.util.bits import popcount_any
 
 __all__ = ["select_infogain_pool"]
@@ -30,7 +30,9 @@ def select_infogain_pool(belief, candidate_masks: np.ndarray, model) -> Tuple[in
     One ``belief.pool_count_hists`` call yields every candidate's
     positives-in-pool distribution; the closed-form binary mutual
     information finishes the arg-max, scanning small pools first so a
-    tie keeps the cheaper pool.  Returns ``(pool_mask, information)``.
+    tie keeps the cheaper pool (on an exact belief, a tie by
+    :func:`~repro.halving.bha.ordering_key`).  Returns
+    ``(pool_mask, information)``.
     """
     if not getattr(model, "binary", False):
         raise ValueError("information-gain selection requires a binary response model")
@@ -39,7 +41,8 @@ def select_infogain_pool(belief, candidate_masks: np.ndarray, model) -> Tuple[in
         raise ValueError("no candidate pools supplied")
     sizes = popcount_any(candidates)
     hists = belief.pool_count_hists(candidates)
-    best_pool, best_info = None, -np.inf
+    margin = 0.0 if belief.exact else 1e-15
+    best_pool, best_key, best_info = None, -np.inf, -np.inf
     for c_i in scan_order(candidates, sizes):
         pool_size = int(sizes[c_i])
         pk = hists[c_i, : pool_size + 1]
@@ -48,7 +51,8 @@ def select_infogain_pool(belief, candidate_masks: np.ndarray, model) -> Tuple[in
         info = float(
             _binary_entropy(np.array([p_pos]))[0] - pk @ _binary_entropy(p_pos_given_k)
         )
-        if info > best_info + 1e-15:
-            best_pool, best_info = int(candidates[c_i]), info
+        key = float(ordering_key(belief, info))
+        if key > best_key + margin:
+            best_pool, best_key, best_info = int(candidates[c_i]), key, info
     assert best_pool is not None
     return best_pool, float(best_info)

@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.halving.bha import scan_order
+from repro.halving.bha import ordering_key, scan_order
 from repro.util.bits import popcount_any
 
 __all__ = ["batch_balance_objective", "select_lookahead_pools"]
@@ -42,7 +42,9 @@ def select_lookahead_pools(
     pools ``1..j`` by refining every existing cell into clean/dirty
     halves — one ``belief.refined_cell_masses`` call per greedy step —
     and scoring the refined partition's distance from uniform, scanning
-    the candidates small pools first.  ``s = 1`` coincides with
+    the candidates small pools first.  On an exact belief the scores are
+    compared by :func:`~repro.halving.bha.ordering_key`, so a tie keeps
+    the first candidate scanned however the blocks summed the masses.  ``s = 1`` coincides with
     :func:`repro.halving.bha.select_halving_pool` up to tie-breaking.
     """
     if s < 1:
@@ -51,6 +53,7 @@ def select_lookahead_pools(
     if candidates.size == 0:
         raise ValueError("no candidate pools supplied")
     order = scan_order(candidates, popcount_any(candidates))
+    margin = 0.0 if belief.exact else 1e-15
 
     chosen: List[int] = []
     best_obj = np.inf
@@ -62,10 +65,11 @@ def select_lookahead_pools(
             if pool in chosen:
                 continue
             obj = batch_balance_objective(masses[c_i])
-            if best is None or obj < best[0] - 1e-15:
-                best = (obj, pool)
+            key = float(ordering_key(belief, obj))
+            if best is None or key < best[0] - margin:
+                best = (key, obj, pool)
         if best is None:
             break
-        best_obj, pool = best
+        _, best_obj, pool = best
         chosen.append(pool)
     return chosen, float(best_obj)
