@@ -530,7 +530,9 @@ def test_screen_job_counts():
     ``classify()`` reads what it left at the driver).  Stage: the
     candidates' down-set masses, then update + normalise + marginals in
     one aggregation, which the classification reads.  Counted on a real
-    ``ScreenStepper`` loop at the serving cohort size.
+    ``ScreenStepper`` loop at the serving cohort size, on a ``serial``
+    context: a ``threads`` one holds a lattice this small on the driver
+    plane, which runs no job.
     """
     from repro.engine.listener import JobStart, RecordingListener
     from repro.serve.protocol import ScreenRequest
@@ -545,7 +547,7 @@ def test_screen_job_counts():
     ).build()
     rng = as_rng(5)
     lab = TestLab(model, make_cohort(prior, rng).truth_mask, rng)
-    with Context(mode="threads", parallelism=2) as c:
+    with Context(mode="serial", parallelism=2) as c:
         rec = c.add_listener(RecordingListener())
         session = SBGTSession(c, prior, model, config)
         stepper = ScreenStepper(session, policy)
@@ -564,50 +566,31 @@ def test_screen_job_counts():
         session.close()
 
 
-def test_small_jobs_run_on_the_submitting_thread():
-    """A cohort-12 screen on ``threads x 2`` runs its stages inline.
+def test_small_lattices_run_no_engine_job():
+    """A small screen on ``threads x 2`` runs on the driver plane.
 
-    The scheduler places a job whose tasks read only small cached blocks
-    on the submitting thread; session start reads no cached block (it
-    builds the lattice), so it runs on the pool.  Read off
-    ``TaskEnd.worker`` on a real ``ScreenStepper`` loop, short of the
-    lineage checkpoint (whose re-parallelized blocks are built on the
-    pool too).
+    A cohort-12 lattice (2^12 states, at most ``DRIVER_PLANE_STATES``)
+    is held as the context's blocks at the driver: its screen posts no
+    ``JobStart``.  A cohort-18 lattice stays on the engine and runs the
+    50 jobs it ran before the driver plane took the small ones: start,
+    two per halving stage, and the lineage checkpoint past 16 updates.
     """
-    import os
-    import threading
-
-    from repro.engine.listener import RecordingListener, TaskEnd
+    from repro.engine.listener import JobStart, RecordingListener
+    from repro.sbgt.distributed_lattice import DRIVER_PLANE_STATES
     from repro.serve.protocol import ScreenRequest
-    from repro.sbgt.session import SBGTSession
-    from repro.sbgt.stepper import ScreenStepper
-    from repro.simulate.population import make_cohort
-    from repro.simulate.testing import TestLab
-    from repro.util.rng import as_rng
 
-    here = f"{os.getpid()}/{threading.current_thread().name}"
-    prior, model, policy, config = ScreenRequest.from_payload(
-        {"cohort": 12, "prevalence": 0.05, "seed": 5}
-    ).build()
-    rng = as_rng(5)
-    lab = TestLab(model, make_cohort(prior, rng).truth_mask, rng)
+    assert 1 << 12 <= DRIVER_PLANE_STATES < 1 << 18
+    counts = {}
     with Context(mode="threads", parallelism=2) as c:
         rec = c.add_listener(RecordingListener())
-        session = SBGTSession(c, prior, model, config)
-        stepper = ScreenStepper(session, policy)
-        start = [e.worker for e in rec.of_type(TaskEnd)]
-        assert start and all("/engine-worker" in w for w in start), start
-        stages = 0
-        while not stepper.done and stages < session.lattice.checkpoint_interval - 1:
+        for cohort in (12, 18):
             rec.clear()
-            pools = stepper.next_pools()
-            stepper.submit_outcomes([lab.run(pool) for pool in pools])
-            workers = [e.worker for e in rec.of_type(TaskEnd)]
-            assert workers and set(workers) == {here}, workers
-            stages += 1
-        assert stages >= 3
-        session.close()
-    print(f"\n{stages} stages inline on {here}; session start on the pool")
+            payload = ScreenRequest.from_payload(
+                {"cohort": cohort, "prevalence": 0.05, "seed": 5}
+            ).execute(c)
+            counts[cohort] = (len(rec.of_type(JobStart)), payload["summary"]["tests"])
+    assert counts == {12: (0, 17), 18: (50, 23)}, counts
+    print(f"\njobs, tests per screen: {counts}")
 
 
 def test_cube_kernel_speedup():

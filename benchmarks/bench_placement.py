@@ -1,23 +1,19 @@
-"""Where a job runs: lattice jobs and whole screens, inline vs on the pool.
+"""Where a lattice runs: whole screens on the driver plane vs the engine.
 
-Two tables, each on a ``threads x 2`` context, once with every job
-placed on the submitting thread and once with every job placed on the
-pool; the two placements alternate round by round, so a drift in the
-machine's speed lands on both.
+One table, on a ``threads x 2`` context: whole ``ScreenRequest``
+screens per cohort and policy, once with every lattice held on the
+driver plane (the context's blocks at the driver, no engine job) and
+once with every lattice on the engine (a cached RDD, one job per fold,
+each on the pool).  The two planes alternate round by round, so a drift
+in the machine's speed lands on both.  Each cell is screens per second,
+median [IQR] over the rounds, and the process CPU per screen; the last
+column is driver / engine throughput (above 1: the driver plane is
+faster).  Both planes print the same bytes, so the screens are the same
+work.
 
-* Jobs: the two jobs a dense BHA stage runs — the Bayes update (apply +
-  normalise + marginals) and the candidates' down-set masses — over
-  lattices of 2^10 … 2^20 states cut into 1, 2 or 4 blocks.  Each cell
-  is the median wall time per job in ms with its inter-quartile range,
-  and the process CPU per update job; the last column is pool / inline
-  (above 1: the submitting thread is faster).
-* Screens: whole ``ScreenRequest`` screens (prevalence 0.01, the default
-  two blocks) per cohort, as ops/s and CPU ms per screen: the job mix a
-  served request runs, start-up and pruning included.
-
-The scheduler's :data:`~repro.engine.scheduler.INLINE_TASK_BYTES` is
-set from these tables (docs/performance.md, "Where a job runs").  Run it
-on two CPUs and again under ``taskset -c 0``::
+:data:`~repro.sbgt.distributed_lattice.DRIVER_PLANE_STATES` is set from
+this table (docs/performance.md, "Where a lattice runs").  Run it on two
+CPUs and again under ``taskset -c 0``::
 
     PYTHONPATH=src python benchmarks/bench_placement.py
     PYTHONPATH=src taskset -c 0 python benchmarks/bench_placement.py
@@ -32,22 +28,18 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.bayes.dilution import BinaryErrorModel
-from repro.bayes.priors import PriorSpec
-from repro.engine import Context, scheduler
-from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.engine import Context
+from repro.sbgt import distributed_lattice
 from repro.serve.protocol import ScreenRequest
 
-MODEL = BinaryErrorModel(sensitivity=0.99, specificity=0.995)
-#: The constant each placement forces: every block fits / none does.
-PLACEMENTS = {"inline": 1 << 62, "pool": -1}
+#: The constant each plane forces: every lattice fits / none does.
+PLANES = {"driver": 1 << 62, "engine": -1}
+POLICIES = ("bha", "dorfman-4", "individual")
 
 
 def _order(round_: int) -> List[str]:
-    """The placements in the order round *round_* runs them (alternating)."""
-    names = list(PLACEMENTS)
+    """The planes in the order round *round_* runs them (alternating)."""
+    names = list(PLANES)
     return names if round_ % 2 == 0 else names[::-1]
 
 
@@ -57,134 +49,66 @@ def _quartiles(xs: List[float]) -> Tuple[float, float]:
     return med, q3 - q1
 
 
-def _time_jobs(
-    lattice: DistributedLattice, pools: np.ndarray, reps: int
-) -> Dict[str, List[float]]:
-    """Wall per update job, CPU per update job, wall per down-set job (s)."""
-    out: Dict[str, List[float]] = {"update": [], "update_cpu": [], "down_set": []}
-    for r in range(reps):
-        pool = int(pools[r % pools.size])
-        ll = MODEL.log_likelihood_by_count(r % 2 == 0, bin(pool).count("1"))
-        c0, t0 = time.process_time(), time.perf_counter()
-        lattice.update(pool, ll)
-        out["update"].append(time.perf_counter() - t0)
-        out["update_cpu"].append(time.process_time() - c0)
-        t0 = time.perf_counter()
-        lattice.down_set_masses(pools)
-        out["down_set"].append(time.perf_counter() - t0)
+def measure(
+    ctx: Context, cohort: int, policy: str, prevalence: float, rounds: int
+) -> Dict[str, Dict[str, List[float]]]:
+    """Per plane, screens/s and CPU ms per screen of each round."""
+    per = max(4, (1 << 18) >> cohort)  # screens per round: ~equal work
+    out = {name: {"ops": [], "cpu": []} for name in PLANES}
+    saved = distributed_lattice.DRIVER_PLANE_STATES
+    try:
+        for r in range(rounds):
+            for name in _order(r):
+                distributed_lattice.DRIVER_PLANE_STATES = PLANES[name]
+                c0, t0 = time.process_time(), time.perf_counter()
+                for seed in range(r * per, (r + 1) * per):
+                    ScreenRequest.from_payload(
+                        {"cohort": cohort, "prevalence": prevalence, "policy": policy,
+                         "seed": seed}
+                    ).execute(ctx)
+                out[name]["ops"].append(per / (time.perf_counter() - t0))
+                out[name]["cpu"].append((time.process_time() - c0) / per * 1e3)
+    finally:
+        distributed_lattice.DRIVER_PLANE_STATES = saved
     return out
 
 
-def measure(n: int, num_blocks: int, rounds: int, reps: int) -> Dict[str, Dict[str, List[float]]]:
-    """Per placement, the job times of *rounds* × *reps* update + down-set pairs."""
-    prior = PriorSpec(np.full(n, 0.05))
-    # The candidate set of one halving stage: n nested prefixes.
-    pools = np.array([(1 << k) - 1 for k in range(1, n + 1)], dtype=np.uint64)
-    times = {name: {"update": [], "update_cpu": [], "down_set": []} for name in PLACEMENTS}
-    saved = scheduler.INLINE_TASK_BYTES
-    with Context(mode="threads", parallelism=2) as ctx:
-        lattice = DistributedLattice.from_prior(ctx, prior, num_blocks)
-        lattice.checkpoint_interval = 1 << 30  # time the jobs, not the rebalance
-        try:
-            for r in range(rounds):
-                for name in _order(r):
-                    scheduler.INLINE_TASK_BYTES = PLACEMENTS[name]
-                    _time_jobs(lattice, pools, 1)  # warm the placement
-                    for key, xs in _time_jobs(lattice, pools, reps).items():
-                        times[name][key].extend(xs)
-        finally:
-            scheduler.INLINE_TASK_BYTES = saved
-            lattice.unpersist()
-    return times
-
-
-def _cell(xs: List[float]) -> str:
-    med, iqr = _quartiles(xs)
-    return f"{med * 1e3:.3g} [{iqr * 1e3:.2g}]"
-
-
-def table(sizes: List[int], blocks: List[int], rounds: int) -> str:
-    """The placement table as markdown, one row per (states, blocks)."""
+def table(cohorts: List[int], prevalence: float, rounds: int) -> str:
+    """The crossover table as markdown, one row per (cohort, policy)."""
     lines = [
-        f"affinity: {len(os.sched_getaffinity(0))} CPU(s); "
-        "wall ms median [IQR]; CPU ms median",
+        f"affinity: {len(os.sched_getaffinity(0))} CPU(s); prevalence {prevalence}; "
+        f"{rounds} alternating rounds; screens/s median [IQR]; CPU ms per screen median",
         "",
-        "| states | blocks | block KiB | update inline | update pool | down-set inline "
-        "| down-set pool | update CPU inline / pool | pool / inline (update, down-set) |",
-        "|---|---|---|---|---|---|---|---|---|",
-    ]
-    for n in sizes:
-        # Enough repeats for a stable median, few on the big lattices.
-        reps = max(3, min(20, (1 << 22) >> n))
-        for nb in blocks:
-            t = measure(n, nb, rounds, reps)
-            inline, pool = t["inline"], t["pool"]
-            ratio = [
-                statistics.median(pool[k]) / statistics.median(inline[k])
-                for k in ("update", "down_set")
-            ]
-            cpu = [statistics.median(t[p]["update_cpu"]) * 1e3 for p in PLACEMENTS]
-            block_kib = (8 << n) // nb / 1024
-            lines.append(
-                f"| 2^{n} | {nb} | {block_kib:g} | {_cell(inline['update'])} "
-                f"| {_cell(pool['update'])} | {_cell(inline['down_set'])} "
-                f"| {_cell(pool['down_set'])} | {cpu[0]:.3g} / {cpu[1]:.3g} "
-                f"| {ratio[0]:.2f}, {ratio[1]:.2f} |"
-            )
-            print(lines[-1], file=sys.stderr, flush=True)
-    return "\n".join(lines)
-
-
-def screen_table(cohorts: List[int], rounds: int) -> str:
-    """Whole-screen throughput per cohort, inline vs pool, as markdown."""
-    lines = [
-        "| cohort | block KiB | inline ops/s | pool ops/s | CPU ms inline / pool | inline / pool |",
+        "| cohort | policy | driver ops/s | engine ops/s | CPU ms driver / engine "
+        "| driver / engine |",
         "|---|---|---|---|---|---|",
     ]
-    saved = scheduler.INLINE_TASK_BYTES
     with Context(mode="threads", parallelism=2) as ctx:
-        try:
-            for cohort in cohorts:
-                per = max(6, (1 << 19) >> cohort)  # screens per round: ~equal work
-                ops = {name: [] for name in PLACEMENTS}
-                cpu = {name: [] for name in PLACEMENTS}
-                for r in range(rounds):
-                    for name in _order(r):
-                        scheduler.INLINE_TASK_BYTES = PLACEMENTS[name]
-                        c0, t0 = time.process_time(), time.perf_counter()
-                        for seed in range(r * per, (r + 1) * per):
-                            ScreenRequest.from_payload(
-                                {"cohort": cohort, "prevalence": 0.01, "seed": seed}
-                            ).execute(ctx)
-                        ops[name].append(per / (time.perf_counter() - t0))
-                        cpu[name].append((time.process_time() - c0) / per * 1e3)
-                med = {name: statistics.median(v) for name, v in ops.items()}
+        for cohort in cohorts:
+            for policy in POLICIES:
+                m = measure(ctx, cohort, policy, prevalence, rounds)
+                med = {name: _quartiles(m[name]["ops"]) for name in PLANES}
+                cpu = {name: statistics.median(m[name]["cpu"]) for name in PLANES}
                 lines.append(
-                    f"| {cohort} | {(8 << cohort) // 2 / 1024:g} "
-                    f"| {med['inline']:.1f} [{_quartiles(ops['inline'])[1]:.2g}] "
-                    f"| {med['pool']:.1f} [{_quartiles(ops['pool'])[1]:.2g}] "
-                    f"| {statistics.median(cpu['inline']):.3g} / {statistics.median(cpu['pool']):.3g} "
-                    f"| {med['inline'] / med['pool']:.2f} |"
+                    f"| {cohort} | {policy} "
+                    f"| {med['driver'][0]:.1f} [{med['driver'][1]:.2g}] "
+                    f"| {med['engine'][0]:.1f} [{med['engine'][1]:.2g}] "
+                    f"| {cpu['driver']:.3g} / {cpu['engine']:.3g} "
+                    f"| {med['driver'][0] / med['engine'][0]:.2f} |"
                 )
                 print(lines[-1], file=sys.stderr, flush=True)
-        finally:
-            scheduler.INLINE_TASK_BYTES = saved
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[10, 12, 14, 16, 18, 20],
-                        help="lattice sizes n (2^n states)")
-    parser.add_argument("--blocks", type=int, nargs="+", default=[1, 2, 4])
-    parser.add_argument("--cohorts", type=int, nargs="+", default=[12, 14, 16, 17, 18, 19, 20],
-                        help="cohorts of the screen table")
+    parser.add_argument("--cohorts", type=int, nargs="+", default=list(range(12, 19)),
+                        help="cohorts (2^n states) of the table")
+    parser.add_argument("--prevalence", type=float, default=0.05)
     parser.add_argument("--rounds", type=int, default=5,
-                        help="alternating inline / pool rounds per cell")
+                        help="alternating driver / engine rounds per cell")
     args = parser.parse_args(argv)
-    print(table(args.sizes, args.blocks, args.rounds))
-    print()
-    print(screen_table(args.cohorts, args.rounds))
+    print(table(args.cohorts, args.prevalence, args.rounds))
     return 0
 
 

@@ -113,12 +113,6 @@ class BlockStore:
             for (rdd_id, partition), old_size in evicted:
                 bus.post(CacheEvict(rdd_id, partition, old_size))
 
-    def size_of(self, key: BlockKey) -> Optional[int]:
-        """Recorded size of a held block, or ``None``; a read-only lookup
-        (no LRU touch, no hit/miss count, no event)."""
-        with self._lock:
-            return self._sizes.get(key)
-
     def drop_rdd(self, rdd_id: int) -> int:
         """Evict every cached partition of one RDD; returns count dropped."""
         evicted: List[Tuple[BlockKey, int]] = []

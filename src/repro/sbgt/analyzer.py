@@ -1,7 +1,7 @@
 """Statistical analyses over a posterior backend (operation class R3).
 
 Everything a surveillance program reads off the posterior — marginals,
-classification reports, entropy, credible state sets — phrased against
+classification reports, entropy, top states — phrased against
 the :class:`~repro.sbgt.backend.PosteriorBackend` protocol, returning
 the same objects as the serial analyses so reports are interchangeable.
 On the dense lattice each read is a tree aggregation over the engine; on
@@ -43,28 +43,6 @@ class DistributedAnalyzer:
     def top_states(self, k: int) -> List[Tuple[int, float]]:
         """Top-k states with normalised probabilities."""
         return self.lattice.top_states(k)
-
-    @traced(PHASE_ANALYSIS, "credible_states")
-    def credible_states(self, mass: float = 0.95, limit: int = 4096) -> List[Tuple[int, float]]:
-        """Smallest set of top states jointly covering ≥ *mass*.
-
-        ``limit`` bounds the candidate set fetched from the cluster; if
-        the credible set is larger than *limit* the call raises rather
-        than silently truncating.
-        """
-        if not 0.0 < mass <= 1.0:
-            raise ValueError("mass must be in (0, 1]")
-        top = self.lattice.top_states(limit)
-        out: List[Tuple[int, float]] = []
-        acc = 0.0
-        for state, p in top:
-            out.append((state, p))
-            acc += p
-            if acc >= mass:
-                return out
-        raise ValueError(
-            f"credible set exceeds limit={limit} states (covered {acc:.4f} of {mass})"
-        )
 
     @traced(PHASE_ANALYSIS, "classify")
     def classify(

@@ -1,15 +1,24 @@
 """The exact dense lattice: :class:`LatticeBlock` records on a block plane.
 
 Every method is written once as a map or a fold over blocks, on one of
-two planes: with an engine :class:`~repro.engine.context.Context` the
-**engine plane**, the cached RDD itself (one job per fold); without one
-the **driver plane**, a :class:`DriverPlane` holding one block that
-answers the same calls directly — no job, task or event, which is what
-``SBGTSession(None, …)``, site screens and the calculator run on.  The
-planes differ in three ways, each decided in one place: the dense prior
-(:meth:`DistributedLattice.from_prior`), the block count
-(:func:`_num_blocks`) and checkpointing
-(:meth:`DistributedLattice.rebalance`).
+two planes: the **engine plane**, a cached RDD on an engine
+:class:`~repro.engine.context.Context` (one job per fold), or the
+**driver plane**, a :class:`DriverPlane` holding the blocks at the
+driver and answering the same calls directly — no job, task or event.
+
+Which plane a lattice lives on is decided once, when it is built
+(:func:`_plane`): without a context it is one driver-plane block, which
+is what ``SBGTSession(None, …)``, site screens and the calculator run
+on; in ``threads`` mode a lattice of at most :data:`DRIVER_PLANE_STATES`
+states is held as the context's K blocks on a driver plane, where a
+0.1 ms kernel would otherwise sit inside a ~1.4 ms job; any other
+lattice is an RDD.  A driver plane built for a context makes the
+engine's three choices — the same cube blocks built by doubling
+(:meth:`DistributedLattice.from_prior`), the ``RDD.aggregate`` fold
+order (:class:`DriverPlane`) and the same checkpoint re-cut
+(:meth:`DistributedLattice.rebalance`) — so it prints the engine's
+bytes.  Without a context the prior is ``prior.build_dense()`` and the
+lattice never rebalances.
 
 Invariants maintained by every public method:
 
@@ -36,9 +45,9 @@ the caller said it will not read them
 mutators' (``condition`` / ``prune`` / ``project_out_bit``,
 :func:`~repro.lattice.partition.block_mass_marginals`) on cube blocks.
 The driver holds them next to the offset until the lattice changes, so
-a BHA stage is two jobs (down-set masses, then the update) and the
-``marginals()`` its classification reads costs none; a multi-pool stage
-folds the marginals in its last update only.
+a BHA stage on the engine plane is two jobs (down-set masses, then the
+update) and the ``marginals()`` its classification reads costs none; a
+multi-pool stage folds the marginals in its last update only.
 """
 
 from __future__ import annotations
@@ -88,55 +97,97 @@ from repro.util.numerics import log1mexp
 __all__ = ["DistributedLattice", "DriverPlane", "PruneStats"]
 
 
+#: Largest lattice (states) a ``threads`` context holds on a driver
+#: plane instead of an RDD.  Measured crossover (docs/performance.md,
+#: "Where a lattice runs"; ``benchmarks/bench_placement.py``, threads x 2):
+#: whole screens ran 1.1-4.0x faster on the driver plane at cohorts 12-18
+#: on two CPUs and on one, but a cohort-18 screen at 1 % prevalence is
+#: mostly its prior build, which one thread builds slower than two, so
+#: 2^18 states (the dense_large benchmark) stay on the engine.
+DRIVER_PLANE_STATES = 1 << 17
+
+#: Partials ``RDD.tree_aggregate`` combines at the driver without an
+#: extra round; a driver plane holds no more blocks than this.
+_MAX_DRIVER_BLOCKS = 8
+
+
 class DriverPlane:
-    """A lattice's one block held at the driver: the plane without a context.
+    """A lattice's blocks held at the driver: a plane that runs no job.
 
     Answers the RDD calls :class:`DistributedLattice` makes — ``map``,
     ``cache``, ``aggregate`` / ``tree_aggregate``, ``collect``,
-    ``unpersist``, ``num_partitions`` — by calling the function on the
-    block; :meth:`broadcast` hands the closures the value itself.
+    ``unpersist``, ``num_partitions`` — by calling the function on each
+    block in partition order; :meth:`broadcast` hands the closures the
+    value itself.  A fold is ``RDD.aggregate``'s: each block folds from
+    its own deep copy of the zero, and the partials combine in partition
+    order onto another copy, so K blocks here sum what K partitions sum
+    on the engine, in the same order.
     """
 
-    __slots__ = ("_block",)
+    __slots__ = ("_blocks",)
 
-    num_partitions = 1
+    def __init__(self, blocks: List[Any]) -> None:
+        self._blocks = blocks
 
-    def __init__(self, block: LatticeBlock) -> None:
-        self._block = block
+    @property
+    def num_partitions(self) -> int:
+        return len(self._blocks)
 
     @staticmethod
     def broadcast(value: Any) -> SimpleNamespace:
         return SimpleNamespace(value=value)
 
-    def map(self, fn: Callable[[LatticeBlock], LatticeBlock]) -> "DriverPlane":
-        return DriverPlane(fn(self._block))
+    def map(self, fn: Callable[[Any], LatticeBlock]) -> "DriverPlane":
+        return DriverPlane([fn(b) for b in self._blocks])
 
     def cache(self) -> "DriverPlane":
         return self
 
     def aggregate(self, zero: Any, seq_op: Callable, comb_op: Callable) -> Any:
-        return seq_op(zero, self._block)
+        acc = copy.deepcopy(zero)
+        for block in self._blocks:
+            acc = comb_op(acc, seq_op(copy.deepcopy(zero), block))
+        return acc
 
     tree_aggregate = aggregate
 
     def collect(self) -> List[LatticeBlock]:
-        return [self._block]
+        return list(self._blocks)
 
     def unpersist(self) -> None:
-        """Nothing is held outside the block."""
+        """Nothing is held outside the blocks."""
 
 
 def _num_blocks(ctx: Optional[Context], num_blocks: int) -> int:
-    """Blocks to cut a lattice into: always one on the driver plane."""
+    """Blocks to cut a lattice into: always one without a context."""
     return 1 if ctx is None else num_blocks or ctx.default_parallelism
 
 
-def _parallelize(ctx: Optional[Context], items: list) -> RDD | DriverPlane:
-    """*items* one per partition: an RDD, or the driver plane's one item."""
+def _plane(ctx: Optional[Context], states: int, items: list) -> RDD | DriverPlane:
+    """*items* one per partition, on the plane a lattice of *states* states lives on.
+
+    The driver plane without a context, and in ``threads`` mode for a
+    lattice of at most :data:`DRIVER_PLANE_STATES` states in at most
+    :data:`_MAX_DRIVER_BLOCKS` blocks (a stopped context still refuses
+    it); an RDD otherwise.
+    """
     if ctx is None:
-        (item,) = items
-        return DriverPlane(item)
+        return DriverPlane(items)
+    if (
+        ctx.config.mode == "threads"
+        and states <= DRIVER_PLANE_STATES
+        and len(items) <= _MAX_DRIVER_BLOCKS
+    ):
+        ctx.ensure_running()
+        return DriverPlane(items)
     return ctx.parallelize(items, len(items))
+
+
+def _broadcast(ctx: Optional[Context], plane: RDD | DriverPlane, value: Any) -> Any:
+    """*value* for *plane*'s closures: the plain holder on a driver plane."""
+    if isinstance(plane, DriverPlane):
+        return DriverPlane.broadcast(value)
+    return ctx.broadcast(value)
 
 
 def _add_log_mass(a: float, b: float) -> float:
@@ -186,18 +237,19 @@ class DistributedLattice(PosteriorBackend):
     #: Log prior mass outside a rank-restricted support (−inf = dense).
     log_discarded_prior: float = -np.inf
 
-    #: Updates between automatic lineage checkpoints on the engine
-    #: plane.  Each Bayes update appends one map node to the lineage;
-    #: without truncation a long screen would recompute ever-deeper
-    #: chains on cache misses.  Checkpointing collects and
+    #: Updates between automatic lineage checkpoints of a lattice built
+    #: for a context.  Each Bayes update appends one map node to the
+    #: lineage; without truncation a long screen would recompute
+    #: ever-deeper chains on cache misses.  Checkpointing collects and
     #: re-parallelizes the blocks — the engine analogue of
     #: ``RDD.checkpoint()`` — and absorbs the normalisation offset back
-    #: into the stored log-probs while it is at it.
+    #: into the stored log-probs while it is at it; a driver plane built
+    #: for a context re-cuts its blocks the same way.
     checkpoint_interval: int = 16
 
     def __init__(self, ctx: Optional[Context], rdd: RDD | DriverPlane, n_items: int) -> None:
         self.ctx = ctx
-        #: The plane: the cached RDD, or a :class:`DriverPlane` without *ctx*.
+        #: The plane: a cached RDD on *ctx*, or a :class:`DriverPlane`.
         self.rdd = rdd
         self.n_items = int(n_items)
         self._updates_since_checkpoint = 0
@@ -224,12 +276,13 @@ class DistributedLattice(PosteriorBackend):
     ) -> "DistributedLattice":
         """Build the dense product-prior lattice.
 
-        On the engine plane each task evaluates the prior on one aligned
+        With a context each block is the prior on one aligned
         power-of-two run of masks (a cube block; *num_blocks* rounds
-        down to a power of two) by doubling, without building the masks;
-        the driver never holds the full lattice.  The driver plane
-        adopts ``prior.build_dense()``, normalised by log-sum-exp, whose
-        last bits the doubling does not always reproduce.
+        down to a power of two), evaluated by doubling without building
+        the masks — on the engine plane in a task, so the driver never
+        holds the full lattice.  Without a context the lattice adopts
+        ``prior.build_dense()``, normalised by log-sum-exp, whose last
+        bits the doubling does not always reproduce.
         """
         n = prior.n_items
         if n > 30:
@@ -238,13 +291,13 @@ class DistributedLattice(PosteriorBackend):
             return cls.from_state_space(None, prior.build_dense())
         block_size = _even_block_size(1 << n, _num_blocks(ctx, num_blocks))
         bits = block_size.bit_length() - 1
-        bases = list(range(0, 1 << n, block_size))
-        risks_bc = ctx.broadcast(prior.risks)
+        bases = _plane(ctx, 1 << n, list(range(0, 1 << n, block_size)))
+        risks_bc = _broadcast(ctx, bases, prior.risks)
 
         def build(base: int) -> LatticeBlock:
             return LatticeBlock.cube(n, base, bits, dense_prior_log(risks_bc.value, bits, base))
 
-        rdd = ctx.parallelize(bases, len(bases)).map(build).cache()
+        rdd = bases.map(build).cache()
         lattice = cls(ctx, rdd, n)
         # The dense product prior is normalised analytically; the
         # renormalise absorbs float drift into the offset and its
@@ -270,12 +323,13 @@ class DistributedLattice(PosteriorBackend):
         n = prior.n_items
         masks = enumerate_restricted_masks(n, max_positives)
         nb = max(1, min(_num_blocks(ctx, num_blocks), masks.size))
-        risks_bc = (ctx or DriverPlane).broadcast(prior.risks)
+        chunks = _plane(ctx, masks.size, np.array_split(masks, nb))
+        risks_bc = _broadcast(ctx, chunks, prior.risks)
 
         def build(chunk: np.ndarray) -> LatticeBlock:
             return LatticeBlock(n, chunk, product_prior_log(chunk, risks_bc.value))
 
-        rdd = _parallelize(ctx, np.array_split(masks, nb)).map(build).cache()
+        rdd = chunks.map(build).cache()
         lattice = cls(ctx, rdd, n)
         log_kept = lattice._renormalize(rdd)
         lattice.log_discarded_prior = log1mexp(log_kept) if log_kept < 0 else -np.inf
@@ -288,7 +342,7 @@ class DistributedLattice(PosteriorBackend):
     ) -> "DistributedLattice":
         """Adopt an existing (driver-resident) state space; *space* is never written."""
         block_size = _even_block_size(space.size, _num_blocks(ctx, num_blocks))
-        rdd = _parallelize(ctx, partition_state_space(space, block_size)).cache()
+        rdd = _plane(ctx, space.size, partition_state_space(space, block_size)).cache()
         lattice = cls(ctx, rdd, space.n_items)
         lattice._renormalize(rdd)
         return lattice
@@ -380,7 +434,7 @@ class DistributedLattice(PosteriorBackend):
     def update(self, pool_mask: int, log_lik_by_count: np.ndarray) -> float:
         """Bayes-update on a pooled outcome; returns log-predictive.
 
-        One full-lattice pass, one job: the per-count log-likelihood is
+        One full-lattice pass, one fold: the per-count log-likelihood is
         applied while the result is cached, and the same tree
         aggregation that materialises the cache yields the new stored
         mass and the marginals, from one exponentiation per block
@@ -388,13 +442,14 @@ class DistributedLattice(PosteriorBackend):
         the predictive log-probability of the outcome, and the
         normalisation folds into :attr:`log_offset` — no rescale pass
         over the blocks; :meth:`marginals` then runs no job.  The update
-        that checkpoints an engine-plane lattice drops the marginals:
-        the rebalanced blocks are what the next read aggregates.  After
+        that checkpoints a lattice built for a context drops the
+        marginals: the rebalanced blocks are what the next read
+        aggregates.  After
         :meth:`defer_marginals` the aggregation sums the mass alone.
         """
         need_marginals, self._defer_marginals = not self._defer_marginals, False
         pool_mask = int(pool_mask)
-        ll_bc = (self.ctx or DriverPlane).broadcast(np.asarray(log_lik_by_count, dtype=np.float64))
+        ll_bc = _broadcast(self.ctx, self.rdd, np.asarray(log_lik_by_count, dtype=np.float64))
 
         def apply(b: LatticeBlock) -> LatticeBlock:
             # Shallow copy: block_update rebinds log_probs, never writes
@@ -515,9 +570,12 @@ class DistributedLattice(PosteriorBackend):
         resets to zero; the posterior, and with it the held marginals,
         is unchanged.  Cube blocks that tile the whole lattice are re-cut
         by slicing their concatenated log-probs — no masks are built;
-        any other lattice goes through :meth:`collect`.  The driver
-        plane has no lineage and one block: it never rebalances, and its
-        stored log-probs keep their offset.
+        any other lattice goes through :meth:`collect`.  The blocks stay
+        on the lattice's plane: a driver plane built for a context is
+        re-cut exactly as its engine twin, so the two keep printing the
+        same bytes.  A lattice without a context has no lineage and one
+        block: it never rebalances, and its stored log-probs keep their
+        offset.
         """
         self._updates_since_checkpoint = 0
         if self.ctx is None:
@@ -538,8 +596,11 @@ class DistributedLattice(PosteriorBackend):
         else:
             space = self._merged(old)
             blocks = partition_state_space(space, _even_block_size(space.size, nb))
-        rdd = self.ctx.parallelize(blocks, len(blocks)).cache()
-        rdd.count()
+        if isinstance(self.rdd, DriverPlane):
+            rdd = DriverPlane(blocks)
+        else:
+            rdd = self.ctx.parallelize(blocks, len(blocks)).cache()
+            rdd.count()
         self._replace_rdd(rdd)
         self._log_offset = 0.0
 
@@ -550,7 +611,7 @@ class DistributedLattice(PosteriorBackend):
     def down_set_masses(self, pool_masks: np.ndarray) -> np.ndarray:
         """Normalised down-set mass per candidate pool (one aggregation)."""
         pools = np.asarray(pool_masks, dtype=np.uint64)
-        pools_bc = (self.ctx or DriverPlane).broadcast(pools)
+        pools_bc = _broadcast(self.ctx, self.rdd, pools)
         off = self._log_offset
         return self.rdd.tree_aggregate(
             np.zeros(pools.size),
@@ -563,7 +624,7 @@ class DistributedLattice(PosteriorBackend):
         """Positives-in-pool distribution per candidate (one aggregation)."""
         candidates = np.asarray(candidate_masks, dtype=np.uint64)
         max_size = int(popcount64(candidates).max()) if candidates.size else 0
-        cand_bc = (self.ctx or DriverPlane).broadcast(candidates)
+        cand_bc = _broadcast(self.ctx, self.rdd, candidates)
         off = self._log_offset
         return self.rdd.tree_aggregate(
             np.zeros((candidates.size, max_size + 1)),
@@ -578,7 +639,7 @@ class DistributedLattice(PosteriorBackend):
         """Greedy look-ahead refined-cell masses (one aggregation)."""
         candidates = np.asarray(candidate_masks, dtype=np.uint64)
         chosen_t = tuple(int(c) for c in chosen)
-        cand_bc = (self.ctx or DriverPlane).broadcast(candidates)
+        cand_bc = _broadcast(self.ctx, self.rdd, candidates)
         off = self._log_offset
         return self.rdd.tree_aggregate(
             np.zeros((candidates.size, n_cells)),

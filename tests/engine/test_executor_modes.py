@@ -1,9 +1,13 @@
 """The same workload across all three executor backends."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from repro.engine import Context
+from repro.engine import Context, RecordingListener
+from repro.engine.listener import TaskEnd
 
 
 @pytest.fixture(scope="module", params=["serial", "threads", "processes"])
@@ -88,3 +92,27 @@ class TestProcessModeSpecifics:
         shared = []
         process_ctx.range(4, num_partitions=2).map(lambda x: shared.append(x)).collect()
         assert shared == []
+
+
+@pytest.mark.parametrize("mode", ["serial", "threads", "processes"])
+def test_task_end_names_where_each_mode_runs_tasks(mode):
+    """Serial runs every task on the submitting thread; threads on its
+    pool, over small cached blocks, 1 MiB ones and uncached input alike,
+    job after job; processes in forked workers."""
+    here = f"{os.getpid()}/{threading.current_thread().name}"
+    with Context(mode=mode, parallelism=2) as ctx:
+        rec = ctx.add_listener(RecordingListener())
+        small = ctx.parallelize([np.zeros(128)] * 2, 2).cache()
+        large = ctx.parallelize([np.zeros(1 << 17)] * 2, 2).cache()
+        for _ in range(3):
+            assert small.count() == 2
+            assert large.map(lambda a: a.size).collect() == [1 << 17] * 2
+            assert ctx.range(8, num_partitions=2).sum() == 28
+        workers = [e.worker for e in rec.of_type(TaskEnd)]
+    assert len(workers) == 18
+    if mode == "serial":
+        assert set(workers) == {here}
+    elif mode == "threads":
+        assert all(w.startswith(f"{os.getpid()}/engine-worker") for w in workers), workers
+    else:
+        assert not any(w.startswith(f"{os.getpid()}/") for w in workers), workers

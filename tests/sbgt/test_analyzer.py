@@ -38,23 +38,6 @@ class TestAnalyzer:
         probs = [p for _m, p in top]
         assert probs == sorted(probs, reverse=True)
 
-    def test_credible_states_cover_mass(self, analyzer):
-        cred = analyzer.credible_states(0.9)
-        assert sum(p for _m, p in cred) >= 0.9
-
-    def test_credible_states_minimal_prefix(self, analyzer):
-        cred = analyzer.credible_states(0.5)
-        without_last = sum(p for _m, p in cred[:-1])
-        assert without_last < 0.5
-
-    def test_credible_states_invalid_mass(self, analyzer):
-        with pytest.raises(ValueError):
-            analyzer.credible_states(0.0)
-
-    def test_credible_states_limit_exceeded(self, analyzer):
-        with pytest.raises(ValueError):
-            analyzer.credible_states(0.9999999, limit=1)
-
     def test_classify_matches_serial(self, ctx, prior):
         model = BinaryErrorModel(0.99, 0.99)
         dl = DistributedLattice.from_prior(ctx, prior, 3)

@@ -214,8 +214,10 @@ class TestManipulation:
 
 
 class TestCheckpointing:
-    def test_lineage_bounded_by_checkpoint_interval(self, ctx, prior, model):
-        dl = DistributedLattice.from_prior(ctx, prior, 4)
+    def test_lineage_bounded_by_checkpoint_interval(self, serial_ctx, prior, model):
+        # An engine-plane lattice: a small one on a threads context has
+        # no lineage to bound.
+        dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
         dl.checkpoint_interval = 4
         ll = model.log_likelihood_by_count(False, 2)
         for _ in range(9):  # crosses two checkpoints

@@ -8,12 +8,17 @@ queryable under one trace id spanning serve *and* engine vocabularies
 import pytest
 
 from repro.obs.chrome import validate_chrome_trace
+from repro.sbgt.distributed_lattice import DRIVER_PLANE_STATES
 from repro.serve.app import ServeConfig
 
 from tests.serve.serve_utils import http_call, run_with_server
 
 SCREEN_BODY = {"cohort": 6, "prevalence": 0.05, "seed": 2}
 ENGINE_MODES = ["serial", "threads", "processes"]
+#: A threads context holds a lattice of at most DRIVER_PLANE_STATES
+#: states on the driver plane, which runs no engine job: the smallest
+#: cohort whose screen runs on the engine there.
+ENGINE_PLANE_COHORT = DRIVER_PLANE_STATES.bit_length()
 
 
 def _config(**kw) -> ServeConfig:
@@ -25,9 +30,13 @@ def _config(**kw) -> ServeConfig:
 
 @pytest.mark.parametrize("engine_mode", ENGINE_MODES)
 def test_screen_request_correlates_serve_and_engine_events(engine_mode):
+    body = SCREEN_BODY
+    if engine_mode == "threads":
+        body = {**SCREEN_BODY, "cohort": ENGINE_PLANE_COHORT, "prevalence": 0.01}
+
     async def scenario(server, host, port):
         status, _, headers, _ = await http_call(
-            host, port, "POST", "/screen", SCREEN_BODY
+            host, port, "POST", "/screen", body
         )
         assert status == 200
         trace_id = headers["x-repro-trace"]
@@ -94,7 +103,10 @@ def test_debug_events_filters_and_recorder_stats():
         bad = await http_call(host, port, "GET", "/debug/events?limit=soon")
         return full, filtered, bad
 
-    (fs, fdoc, _, _), (ss, sdoc, _, _), (bs, bdoc, _, _) = run_with_server(scenario)
+    # A serial context runs every lattice on the engine plane.
+    (fs, fdoc, _, _), (ss, sdoc, _, _), (bs, bdoc, _, _) = run_with_server(
+        scenario, _config(engine_mode="serial")
+    )
     assert fs == 200
     assert fdoc["recorder"]["total_seen"] > 0
     assert fdoc["recorder"]["capacity"] == 4096

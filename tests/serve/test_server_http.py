@@ -204,7 +204,10 @@ def test_metrics_reflect_bus_events():
         status, metrics, _, _ = await http_call(host, port, "GET", "/metrics")
         return status, metrics
 
-    status, metrics = run_with_server(scenario)
+    # A serial context runs the screen's lattice on the engine plane.
+    status, metrics = run_with_server(
+        scenario, ServeConfig(port=0, workers=2, compute_threads=2, engine_mode="serial")
+    )
     assert status == 200
     calc = metrics["endpoints"]["/calculator"]
     assert calc["requests"] == 3

@@ -190,8 +190,10 @@ class TestObservabilityCommands:
         self, capsys, tmp_path
     ):
         prefix = tmp_path / "prof"
-        rc = main(["screen", "--cohort", "8", "--seed", "1", "--workers", "2",
-                   "--profile", str(prefix), "--profile-hz", "400"])
+        # A screen of ~50 ms: long enough for a 400 Hz sampler to take
+        # a dozen samples, where a cohort-8 screen ends inside a tick.
+        rc = main(["screen", "--cohort", "16", "--prevalence", "0.05", "--seed", "1",
+                   "--workers", "2", "--profile", str(prefix), "--profile-hz", "400"])
         assert rc == 0
         collapsed = (tmp_path / "prof.collapsed").read_text()
         assert collapsed.strip(), "collapsed file must not be empty"
