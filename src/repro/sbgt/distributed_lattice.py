@@ -98,12 +98,13 @@ __all__ = ["DistributedLattice", "DriverPlane", "PruneStats"]
 
 
 #: Largest lattice (states) a ``threads`` context holds on a driver
-#: plane instead of an RDD.  Measured crossover (docs/performance.md,
-#: "Where a lattice runs"; ``benchmarks/bench_placement.py``, threads x 2):
-#: whole screens ran 1.1-4.0x faster on the driver plane at cohorts 12-18
-#: on two CPUs and on one, but a cohort-18 screen at 1 % prevalence is
-#: mostly its prior build, which one thread builds slower than two, so
-#: 2^18 states (the dense_large benchmark) stay on the engine.
+#: plane instead of an RDD.  Measured (docs/performance.md, "Where a
+#: lattice runs"; threads x 2, 2 CPUs): whole screens ran 1.1-4.0x faster
+#: on the driver plane at cohorts 12-18 (``benchmarks/bench_placement.py``),
+#: but with 2^18 states on it the cohort-18 dense_large benchmark read
+#: 0.93x throughput and +25 % median latency (its mostly one-test screens
+#: are the prior build, which the engine splits over two threads), so
+#: 2^18 states stay on the engine.
 DRIVER_PLANE_STATES = 1 << 17
 
 #: Partials ``RDD.tree_aggregate`` combines at the driver without an
@@ -117,11 +118,10 @@ class DriverPlane:
     Answers the RDD calls :class:`DistributedLattice` makes — ``map``,
     ``cache``, ``aggregate`` / ``tree_aggregate``, ``collect``,
     ``unpersist``, ``num_partitions`` — by calling the function on each
-    block in partition order; :meth:`broadcast` hands the closures the
-    value itself.  A fold is ``RDD.aggregate``'s: each block folds from
-    its own deep copy of the zero, and the partials combine in partition
-    order onto another copy, so K blocks here sum what K partitions sum
-    on the engine, in the same order.
+    block in partition order.  A fold is ``RDD.aggregate``'s: each block
+    folds from its own deep copy of the zero, and the partials combine
+    in partition order onto another copy, so K blocks here sum what K
+    partitions sum on the engine, in the same order.
     """
 
     __slots__ = ("_blocks",)
@@ -132,10 +132,6 @@ class DriverPlane:
     @property
     def num_partitions(self) -> int:
         return len(self._blocks)
-
-    @staticmethod
-    def broadcast(value: Any) -> SimpleNamespace:
-        return SimpleNamespace(value=value)
 
     def map(self, fn: Callable[[Any], LatticeBlock]) -> "DriverPlane":
         return DriverPlane([fn(b) for b in self._blocks])
@@ -186,7 +182,7 @@ def _plane(ctx: Optional[Context], states: int, items: list) -> RDD | DriverPlan
 def _broadcast(ctx: Optional[Context], plane: RDD | DriverPlane, value: Any) -> Any:
     """*value* for *plane*'s closures: the plain holder on a driver plane."""
     if isinstance(plane, DriverPlane):
-        return DriverPlane.broadcast(value)
+        return SimpleNamespace(value=value)
     return ctx.broadcast(value)
 
 

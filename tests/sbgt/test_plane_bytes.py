@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.bayes.priors import PriorSpec
 from repro.engine import Context
-from repro.sbgt.distributed_lattice import DRIVER_PLANE_STATES
+from repro.engine.errors import ContextStoppedError
+from repro.sbgt.distributed_lattice import DRIVER_PLANE_STATES, DistributedLattice, DriverPlane
 from repro.sbgt.session import SBGTSession
 from repro.serve.protocol import ScreenRequest
 from repro.workflows.payloads import dump_payload, screen_payload
@@ -75,3 +78,28 @@ def test_payloads_are_equal_on_serial_and_threads(contexts, cohort, num_blocks):
     assert _screen(contexts["threads"], body, num_blocks) == _screen(
         contexts["serial"], body, num_blocks
     )
+
+
+def test_the_plane_rule(contexts):
+    """Threads holds a small lattice at the driver, in at most 8 blocks
+    (``tree_aggregate`` adds a combine round above 8 partitions); the
+    other modes and bigger block counts stay on the engine."""
+    prior = PriorSpec(np.full(8, 0.05))
+    planes = {}
+    for mode, num_blocks in [("threads", 8), ("threads", 16), ("serial", 2), ("processes", 2)]:
+        lattice = DistributedLattice.from_prior(contexts[mode], prior, num_blocks)
+        planes[mode, num_blocks] = (isinstance(lattice.rdd, DriverPlane), lattice.num_blocks)
+        lattice.unpersist()
+    assert planes == {
+        ("threads", 8): (True, 8),
+        ("threads", 16): (False, 16),
+        ("serial", 2): (False, 2),
+        ("processes", 2): (False, 2),
+    }
+
+
+def test_a_stopped_context_refuses_a_driver_plane():
+    ctx = Context(mode="threads", parallelism=2)
+    ctx.stop()
+    with pytest.raises(ContextStoppedError):
+        DistributedLattice.from_prior(ctx, PriorSpec(np.full(6, 0.05)))
