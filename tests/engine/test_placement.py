@@ -1,21 +1,24 @@
-"""Where a job runs: the scheduler's small-job placement rule.
+"""Where work runs in thread mode.
 
-In thread mode a job whose every task reads a cached block of at most
-``INLINE_TASK_BYTES`` runs on the submitting thread; any other job goes
-to the pool.  ``TaskEnd.worker`` names the thread that ran each task.
+Every engine job runs on the pool.  A lattice of at most
+``DRIVER_PLANE_STATES`` states is held on the driver plane, so its
+block kernels run on the submitting thread and post no task event; a
+larger one is an RDD, and its kernels run on the pool.
+``TaskEnd.worker`` names the thread that ran each task.
 """
 
-import contextvars
-import dataclasses
 import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import Context, RecordingListener, scheduler
-from repro.engine.errors import TaskFailedError
-from repro.engine.listener import TaskEnd, TaskRetry
+from repro.bayes.dilution import BinaryErrorModel
+from repro.bayes.priors import PriorSpec
+from repro.engine import Context, RecordingListener
+from repro.engine.listener import TaskEnd
+from repro.sbgt import distributed_lattice
+from repro.sbgt.distributed_lattice import DRIVER_PLANE_STATES, DistributedLattice
 
 
 def _here() -> str:
@@ -46,13 +49,38 @@ def _cached(ctx, nbytes: int, parts: int = 2):
     return rdd
 
 
+@pytest.fixture
+def kernel_threads(monkeypatch):
+    """The thread each lattice block update runs on, in call order."""
+    seen = []
+    update = distributed_lattice.block_update
+
+    def recording(*args):
+        seen.append(_here())
+        return update(*args)
+
+    monkeypatch.setattr(distributed_lattice, "block_update", recording)
+    return seen
+
+
+def _lattice(ctx, states: int) -> DistributedLattice:
+    return DistributedLattice.from_prior(ctx, PriorSpec(np.full(states.bit_length() - 1, 0.05)))
+
+
+_NEGATIVE = BinaryErrorModel(0.99, 0.99).log_likelihood_by_count(False, 3)
+
+
 class TestPlacement:
-    def test_a_job_over_small_cached_blocks_runs_on_the_submitting_thread(self, tctx):
+    def test_a_job_over_small_cached_blocks_runs_on_the_submitting_thread(
+        self, tctx, kernel_threads
+    ):
         ctx, rec = tctx
-        rdd = _cached(ctx, 1024)
+        lattice = _lattice(ctx, 1 << 12)
         rec.clear()
-        assert rdd.map(lambda a: a.sum()).collect() == [0.0, 0.0]
-        assert _workers(rec) == [_here(), _here()]
+        lattice.update(0b111, _NEGATIVE)
+        assert kernel_threads == [_here(), _here()]
+        assert _workers(rec) == []
+        lattice.unpersist()
 
     def test_jobs_without_cached_input_run_on_the_pool(self, tctx):
         ctx, rec = tctx
@@ -63,90 +91,34 @@ class TestPlacement:
         rdd.count()
         assert _on_pool(_workers(rec))
 
-    def test_a_job_over_blocks_above_the_constant_runs_on_the_pool(self, tctx):
+    def test_a_job_over_blocks_above_the_constant_runs_on_the_pool(self, tctx, kernel_threads):
         ctx, rec = tctx
-        rdd = _cached(ctx, scheduler.INLINE_TASK_BYTES + 8)
+        lattice = _lattice(ctx, DRIVER_PLANE_STATES << 1)
         rec.clear()
-        rdd.map(lambda a: a.size).collect()
+        lattice.update(0b111, _NEGATIVE)
+        assert _on_pool(kernel_threads), kernel_threads
         assert _on_pool(_workers(rec))
+        lattice.unpersist()
 
-    def test_the_constant_bounds_the_recorded_block_size(self, tctx, monkeypatch):
+    def test_the_same_job_is_placed_the_same_way_again(self, tctx, kernel_threads):
         ctx, rec = tctx
-        rdd = _cached(ctx, 4096)
-        size = max(ctx.block_store.size_of((rdd.id, p)) for p in range(2))
-        monkeypatch.setattr(scheduler, "INLINE_TASK_BYTES", size)
-        rec.clear()
-        rdd.count()
-        assert _workers(rec) == [_here(), _here()]
-        monkeypatch.setattr(scheduler, "INLINE_TASK_BYTES", size - 1)
-        rdd.count()
-        assert _on_pool(_workers(rec))
-
-    def test_one_large_task_sends_the_whole_job_to_the_pool(self, tctx):
-        ctx, rec = tctx
-        small, large = 64, scheduler.INLINE_TASK_BYTES + 8
-        rdd = ctx.parallelize([np.zeros(small // 8), np.zeros(large // 8)], 2).cache()
-        rdd.count()
-        rec.clear()
-        rdd.count()
-        assert _on_pool(_workers(rec))
-        rdd.take(1)
-        assert _workers(rec) == [_here()]  # partition 0 alone is small
-
-    def test_the_same_job_is_placed_the_same_way_again(self, tctx):
-        ctx, rec = tctx
-        small = _cached(ctx, 1024)
-        large = _cached(ctx, scheduler.INLINE_TASK_BYTES + 8)
+        small = _lattice(ctx, 1 << 12)
+        large = _lattice(ctx, DRIVER_PLANE_STATES << 1)
+        blocks = _cached(ctx, 1024)
         rec.clear()
         for _ in range(5):
-            small.map(lambda a: a.size).collect()
-            assert _workers(rec) == [_here(), _here()]
-            large.map(lambda a: a.size).collect()
+            small.update(0b111, _NEGATIVE)
+            assert kernel_threads == [_here(), _here()]
+            assert _workers(rec) == []
+            kernel_threads.clear()
+            large.update(0b111, _NEGATIVE)
+            assert _on_pool(kernel_threads), kernel_threads
             assert _on_pool(_workers(rec))
-
-    def test_a_contextvar_set_inline_does_not_leak(self, tctx):
-        ctx, rec = tctx
-        var = contextvars.ContextVar("placement_probe", default="driver")
-        rdd = _cached(ctx, 1024)
-
-        def read_then_set(it):
-            seen = var.get()
-            var.set("task")
-            return [seen for _ in it]
-
-        rec.clear()
-        assert rdd.map_partitions(read_then_set).collect() == ["driver", "driver"]
-        assert _workers(rec) == [_here(), _here()]
-        assert var.get() == "driver"
-
-    def test_a_failing_inline_task_retries_then_fails_the_job(self, tctx):
-        ctx, rec = tctx
-        rdd = _cached(ctx, 1024)
-        calls = []
-
-        def flaky(a):
-            calls.append(1)
-            if len(calls) < 3:
-                raise RuntimeError("injected")
-            return a.size
-
-        rec.clear()
-        assert rdd.map(flaky).collect() == [128, 128]
-        ends = rec.of_type(TaskEnd)
-        assert [e.attempts for e in ends] == [3, 1]
-        assert {e.worker for e in ends} == {_here()}
-        assert len(rec.of_type(TaskRetry)) == 2
-        rec.clear()
-
-        def boom(a):
-            raise ValueError("permanent")
-
-        with pytest.raises(TaskFailedError) as info:
-            rdd.map(boom).collect()
-        assert info.value.attempts == 3
-        assert isinstance(info.value.cause, ValueError)
-        assert len(rec.of_type(TaskRetry)) == 3  # one task's three attempts; the job stops
-        assert ctx.range(10, num_partitions=2).sum() == 45  # the context still runs
+            kernel_threads.clear()
+            blocks.map(lambda a: a.size).collect()
+            assert _on_pool(_workers(rec))
+        small.unpersist()
+        large.unpersist()
 
     @pytest.mark.parametrize("mode", ["serial", "processes"])
     def test_other_modes_are_unchanged(self, mode):
@@ -160,30 +132,3 @@ class TestPlacement:
             assert workers == [_here(), _here()]
         else:
             assert all(not w.startswith(f"{os.getpid()}/") for w in workers)
-
-
-def _screen_text(mode: str, cohort: int, num_blocks: int, seed: int) -> str:
-    from repro.sbgt.session import SBGTSession
-    from repro.serve.protocol import ScreenRequest
-    from repro.workflows.payloads import dump_payload, screen_payload
-
-    request = ScreenRequest.from_payload({"cohort": cohort, "prevalence": 0.05, "seed": seed})
-    prior, model, policy, config = request.build()
-    config = dataclasses.replace(config, num_blocks=num_blocks)
-    with Context(mode=mode, parallelism=2) as ctx:
-        session = SBGTSession(ctx, prior, model, config)
-        try:
-            result = session.run_screen(policy, rng=seed)
-        finally:
-            session.close()
-    return dump_payload(screen_payload(result, request=request.canonical()))
-
-
-@pytest.mark.parametrize("num_blocks", [1, 2, 4])
-@pytest.mark.parametrize("cohort", [12, 18])
-def test_payloads_are_equal_on_serial_and_threads(cohort, num_blocks):
-    """Inline (small blocks) and pooled (cohort 18 on one or two blocks) alike."""
-    seed = cohort + num_blocks
-    assert _screen_text("threads", cohort, num_blocks, seed) == _screen_text(
-        "serial", cohort, num_blocks, seed
-    )
