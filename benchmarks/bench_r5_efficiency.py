@@ -22,8 +22,8 @@ from repro.halving.policy import (
     DorfmanPolicy,
     IndividualTestingPolicy,
 )
+from repro.sbgt.config import SBGTConfig
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 # Mild, dilution-free assay: R5 isolates *pooling* efficiency (the
 # Biostatistics'22 savings story); dilution stress is R7's subject.
@@ -41,17 +41,11 @@ POLICIES = {
 
 def _mc_batch(prevalence: float, policy_factory) -> dict:
     prior = PriorSpec.uniform(COHORT, prevalence)
-    neg_thr = min(0.01, prevalence / 10)
+    config = SBGTConfig(max_stages=60, negative_threshold=min(0.01, prevalence / 10))
     tpis, stages, accs = [], [], []
     rng = np.random.default_rng(12345)
     for _ in range(REPS):
-        res = run_screen(
-            prior,
-            MODEL,
-            policy_factory(),
-            rng=rng,
-            options=ScreenOptions(max_stages=60, negative_threshold=neg_thr),
-        )
+        res = run_screen(prior, MODEL, policy_factory(), rng=rng, config=config)
         tpis.append(res.tests_per_individual)
         stages.append(res.stages_used)
         accs.append(res.accuracy)

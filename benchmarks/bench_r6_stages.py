@@ -16,9 +16,9 @@ from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import BHAPolicy, LookaheadPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 MODEL = DilutionErrorModel(0.98, 0.995, 0.3)
 COHORT = SIZES["r6_cohort"]
@@ -40,7 +40,7 @@ def _mc_batch(rule_factory) -> dict:
         cohort = make_cohort(prior, rng=1000 + rep)  # shared across rules
         res = run_screen(
             prior, MODEL, rule_factory(), rng=rng, cohort=cohort,
-            options=ScreenOptions(max_stages=60),
+            config=SBGTConfig(max_stages=60),
         )
         stages.append(res.stages_used)
         tests.append(res.efficiency.num_tests)

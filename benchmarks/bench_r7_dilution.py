@@ -16,9 +16,9 @@ from benchmarks.conftest import SIZES
 from repro.bayes.dilution import DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 REPS = SIZES["r7_reps"]
 
@@ -32,7 +32,7 @@ def _mc_batch(dilution: float) -> dict:
         cohort = make_cohort(prior, rng=2000 + rep)  # same cohorts per sweep point
         res = run_screen(
             prior, model, BHAPolicy(), rng=rng, cohort=cohort,
-            options=ScreenOptions(max_stages=80),
+            config=SBGTConfig(max_stages=80),
         )
         accs.append(res.accuracy)
         sens.append(res.confusion.sensitivity)

@@ -35,11 +35,10 @@ from repro.lattice.ops import marginals as np_marginals
 from repro.lattice.ops import posterior_update
 from repro.metrics.reporting import format_table
 from repro.obs import PHASE_ANALYSIS, PHASE_LATTICE, PHASE_SELECTION, Tracer
-from repro.sbgt.distributed_lattice import DistributedLattice
+from repro.sbgt.config import SBGTConfig
 from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 MODEL = DilutionErrorModel(0.98, 0.995, 0.35)
 
@@ -327,7 +326,7 @@ def run_r5(cfg: dict, _ctx: Context) -> str:
                 cohort = make_cohort(prior, rng=5000 + rep)
                 res = run_screen(
                     prior, model, factory(), rng=rng, cohort=cohort,
-                    options=ScreenOptions(max_stages=60, negative_threshold=neg_thr),
+                    config=SBGTConfig(max_stages=60, negative_threshold=neg_thr),
                 )
                 tpis.append(res.tests_per_individual)
                 accs.append(res.accuracy)
@@ -364,7 +363,7 @@ def run_r6(cfg: dict, _ctx: Context) -> str:
             cohort = make_cohort(prior, rng=6000 + rep)
             res = run_screen(
                 prior, MODEL, factory(), rng=rng, cohort=cohort,
-                options=ScreenOptions(max_stages=60),
+                config=SBGTConfig(max_stages=60),
             )
             stages.append(res.stages_used)
             tests.append(res.efficiency.num_tests)
@@ -390,7 +389,7 @@ def run_r7(cfg: dict, _ctx: Context) -> str:
             cohort = make_cohort(prior, rng=7000 + rep)
             res = run_screen(
                 prior, model, BHAPolicy(), rng=rng, cohort=cohort,
-                options=ScreenOptions(max_stages=80),
+                config=SBGTConfig(max_stages=80),
             )
             accs.append(res.accuracy)
             sens.append(res.confusion.sensitivity)
@@ -506,7 +505,6 @@ def engine_bench() -> dict:
     # size for all three representations, plus the headline number —
     # a complete large-N screen the dense lattice cannot represent.
     from repro.halving.policy import BHAPolicy
-    from repro.sbgt.config import SBGTConfig
     from repro.sbgt.session import SBGTSession
     from repro.workflows.payloads import make_posterior
 
@@ -516,7 +514,7 @@ def engine_bench() -> dict:
     backends: dict = {}
     with Context(mode="serial") as c:
         for name in ("dense", "sparse", "particle"):
-            post = make_posterior(name, prior=PriorSpec.uniform(n, 0.02), ctx=c)
+            post = make_posterior(PriorSpec.uniform(n, 0.02), c, SBGTConfig(backend=name))
             t0 = time.perf_counter()
             post.update(pool, ll)
             post.marginals()

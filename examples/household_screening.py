@@ -16,7 +16,7 @@ independence prior with matched marginals, on identical ground truths.
 
 import numpy as np
 
-from repro import BHAPolicy, BinaryErrorModel, PriorSpec, ScreenOptions
+from repro import BHAPolicy, BinaryErrorModel, PriorSpec, SBGTConfig
 from repro.bayes.correlated import HouseholdPrior, pairwise_correlation
 from repro.metrics.reporting import format_table
 from repro.workflows import run_screen_from_space
@@ -26,7 +26,7 @@ def run_with_space(space, model, truth_mask, rng, max_stages=60):
     """Screen driven directly from an arbitrary prior state space."""
     result = run_screen_from_space(
         space, model, BHAPolicy(), rng=rng, truth_mask=truth_mask,
-        options=ScreenOptions(max_stages=max_stages),
+        config=SBGTConfig(max_stages=max_stages),
     )
     return result, result.efficiency.num_tests, result.stages_used
 

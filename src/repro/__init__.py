@@ -58,7 +58,7 @@ from repro.sbgt import (
     DistributedAnalyzer,
 )
 from repro.simulate import Cohort, make_cohort, TestLab, get_scenario
-from repro.workflows import ScreenOptions, run_screen, run_surveillance, pooling_calculator
+from repro.workflows import run_screen, run_surveillance, pooling_calculator
 
 __version__ = "1.0.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "run_screen",
     "run_surveillance",
     "pooling_calculator",
-    "ScreenOptions",
     "EngineListener",
     "EventBus",
     "RecordingListener",

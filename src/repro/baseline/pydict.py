@@ -72,17 +72,6 @@ class PyDictLattice:
             self.probs[state] *= lik_by_count[k]
         self.normalize()
 
-    def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
-        keep = {
-            s: p
-            for s, p in self.probs.items()
-            if (s & positive_mask) == positive_mask and (s & negative_mask) == 0
-        }
-        if not keep:
-            raise ValueError("conditioning removed every state")
-        self.probs = keep
-        self.normalize()
-
     def prune(self, epsilon: float) -> int:
         """Keep the smallest top-probability set with mass ≥ 1-ε."""
         ranked = sorted(self.probs.items(), key=lambda kv: (-kv[1], kv[0]))

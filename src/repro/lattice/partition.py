@@ -13,7 +13,7 @@ mask ``base | i``, so the block stores ``(base, bits)`` and the log-probs
 only, and its kernels work on the cube structure (halving folds, strided
 sub-tensors) instead of testing every mask.  Cube-ness is read off the
 masks at construction; blocks with any other support (restricted priors,
-conditioned or pruned lattices) keep explicit masks and the generic
+pruned lattices) keep explicit masks and the generic
 kernels.  Both forms answer every kernel identically up to rounding.
 
 Block kernels return *partial* statistics (unnormalised log masses,
@@ -55,7 +55,6 @@ __all__ = [
     "block_count_hists_partial",
     "block_refined_cell_partial",
     "block_top_states",
-    "block_filter_consistent",
     "block_project_out_bit",
 ]
 
@@ -504,16 +503,6 @@ def block_top_states(block: LatticeBlock, k: int) -> List[Tuple[int, float]]:
     idx = np.argpartition(-block.log_probs, k - 1)[:k]
     idx = idx[np.argsort(-block.log_probs[idx], kind="stable")]
     return [(int(block.masks[i]), float(block.log_probs[i])) for i in idx]
-
-
-def block_filter_consistent(
-    block: LatticeBlock, positive_mask: int = 0, negative_mask: int = 0
-) -> LatticeBlock:
-    """Keep only states consistent with settled classifications."""
-    pos = np.uint64(positive_mask)
-    neg = np.uint64(negative_mask)
-    keep = ((block.masks & pos) == pos) & ((block.masks & neg) == np.uint64(0))
-    return LatticeBlock(block.n_items, block.masks[keep], block.log_probs[keep])
 
 
 def block_project_out_bit(block: LatticeBlock, bit: int, keep_positive: bool) -> LatticeBlock:

@@ -4,13 +4,14 @@ The lattice state space becomes an RDD of NumPy blocks; the three
 operation classes the paper accelerates map onto engine primitives:
 
 * lattice manipulation — distributed prior construction, single-pass
-  Bayes updates with deferred normalisation, conditioning,
+  Bayes updates with deferred normalisation, lattice contraction,
   histogram-guided pruning (:class:`DistributedLattice`);
 * test selection — broadcast candidate pools, per-partition down-set
   partials, tree-reduced into the statistics the one set of rules in
   :mod:`repro.halving` finishes at the driver;
-* statistical analysis — marginals, entropy, top states and
-  classification reports as tree aggregations (:class:`DistributedAnalyzer`).
+* statistical analysis — marginals, entropy and top states as tree
+  aggregations (:class:`DistributedAnalyzer`), which the session
+  thresholds into classification reports.
 
 :class:`SBGTSession` is the one belief state and screen driver; its
 :class:`ScreenStepper` is the one stage loop.

@@ -1,9 +1,8 @@
 """Statistical analyses over a posterior backend (operation class R3).
 
 Everything a surveillance program reads off the posterior — marginals,
-classification reports, entropy, top states — phrased against
-the :class:`~repro.sbgt.backend.PosteriorBackend` protocol, returning
-the same objects as the serial analyses so reports are interchangeable.
+entropy, the MAP state, top states — phrased against the
+:class:`~repro.sbgt.backend.PosteriorBackend` protocol.
 On the dense lattice each read is a tree aggregation over the engine; on
 the sparse/particle backends it is driver-local NumPy — the analyzer
 cannot tell and does not care.
@@ -15,8 +14,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.bayes.posterior import ClassificationReport, classify_marginals
-from repro.obs.tracer import PHASE_ANALYSIS, traced
 from repro.sbgt.backend import PosteriorBackend
 
 __all__ = ["DistributedAnalyzer"]
@@ -43,12 +40,3 @@ class DistributedAnalyzer:
     def top_states(self, k: int) -> List[Tuple[int, float]]:
         """Top-k states with normalised probabilities."""
         return self.lattice.top_states(k)
-
-    @traced(PHASE_ANALYSIS, "classify")
-    def classify(
-        self, positive_threshold: float = 0.99, negative_threshold: float = 0.01
-    ) -> ClassificationReport:
-        """Threshold the marginals into a classification report."""
-        marg = self.marginals()
-        statuses = classify_marginals(marg, positive_threshold, negative_threshold)
-        return ClassificationReport(marginals=marg, statuses=statuses)

@@ -24,7 +24,7 @@ Design rules the protocol enforces:
   than 64 individuals cannot use uint64 state masks internally, but the
   API still speaks arbitrary-precision integer bit masks (helpers in
   :mod:`repro.util.bits` widen arrays as needed).
-* **Mutation is in place.**  ``update`` / ``condition`` / ``prune`` /
+* **Mutation is in place.**  ``update`` / ``prune`` /
   ``project_out_bit`` advance the belief state the way a screen does;
   value-returning analyses never mutate.
 """
@@ -69,10 +69,6 @@ class PosteriorBackend(ABC):
     def update(self, pool_mask: int, log_lik_by_count: np.ndarray) -> float:
         """Bayes-update on a pooled outcome; returns the log-predictive
         probability of the outcome under the pre-update belief."""
-
-    @abstractmethod
-    def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
-        """Drop states inconsistent with settled classifications."""
 
     @abstractmethod
     def prune(self, epsilon: float) -> PruneStats:

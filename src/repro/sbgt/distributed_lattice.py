@@ -42,7 +42,7 @@ it exponentiates for the mass: the update's
 (:func:`~repro.lattice.partition.block_summed_mass_marginals`) unless
 the caller said it will not read them
 (:meth:`DistributedLattice.defer_marginals`), the constructors' and the
-mutators' (``condition`` / ``prune`` / ``project_out_bit``,
+mutators' (``prune`` / ``project_out_bit``,
 :func:`~repro.lattice.partition.block_mass_marginals`) on cube blocks.
 The driver holds them next to the offset until the lattice changes, so
 a BHA stage on the engine plane is two jobs (down-set masses, then the
@@ -75,7 +75,6 @@ from repro.lattice.partition import (
     block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
-    block_filter_consistent,
     block_histogram_partial,
     block_mass_marginals,
     block_project_out_bit,
@@ -474,14 +473,6 @@ class DistributedLattice(PosteriorBackend):
         the next mutation pays the job that reads them.
         """
         self._defer_marginals = True
-
-    @traced(PHASE_LATTICE, "condition")
-    def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
-        """Drop states inconsistent with settled classifications."""
-        if int(positive_mask) & int(negative_mask):
-            raise ValueError("an individual cannot be classified both ways")
-        pos, neg = int(positive_mask), int(negative_mask)
-        self._renormalize(self.rdd.map(lambda b: block_filter_consistent(b, pos, neg)).cache())
 
     @traced(PHASE_LATTICE, "prune")
     def prune(self, epsilon: float, bins: int = 512) -> PruneStats:

@@ -20,7 +20,7 @@ seeded screen replays bit-identically.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -37,7 +37,6 @@ from repro.sbgt.sparse import (
     index_refined_cell_masses,
     matrix_row_mask,
     pool_counts,
-    pool_hits,
     state_index,
 )
 from repro.util.rng import RngLike, as_rng
@@ -184,31 +183,6 @@ class ParticlePosterior(PosteriorBackend):
         self._evidence.append(_Evidence(cols, ll))
         self._maybe_resample()
         return log_pred
-
-    @traced(PHASE_LATTICE, "particle_condition")
-    def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
-        if int(positive_mask) & int(negative_mask):
-            raise ValueError("an individual cannot be classified both ways")
-        pos = _pool_columns(positive_mask, self.n_items)
-        neg = _pool_columns(negative_mask, self.n_items)
-        index, m = state_index(self.states), self.num_particles
-        ok = pool_counts(index, m, pos, self.n_items) == pos.size
-        ok &= ~pool_hits(index, m, neg, self.n_items)
-        # Refuse before mutating: no weight and no evidence changes when
-        # no particle with mass is consistent.
-        if not (self.log_weights[ok] > -np.inf).any():
-            raise ValueError("posterior has zero total mass (contradictory evidence?)")
-        self.log_weights = np.where(ok, self.log_weights, -np.inf)
-        # Record the constraints so MH rejuvenation cannot move particles
-        # back out of the conditioned region.
-        hard_pos = np.array([-np.inf, 0.0])
-        hard_neg = np.array([0.0, -np.inf])
-        for i in pos:
-            self._evidence.append(_Evidence(np.array([i], dtype=np.intp), hard_pos))
-        for i in neg:
-            self._evidence.append(_Evidence(np.array([i], dtype=np.intp), hard_neg))
-        self._normalize()
-        self._maybe_resample()
 
     def prune(self, epsilon: float) -> PruneStats:
         """Particle clouds have nothing to prune — fixed-size representation."""

@@ -1,11 +1,12 @@
 """The SBGT session: the one belief state a sequential screen runs on.
 
 Every screen — the CLI and the server on an engine context, and the
-context-free ``run_screen`` / ``screen_with_backend`` /
-``run_screen_from_space`` that site screens, the calculator and the
-population program call — is an :class:`SBGTSession` driven by a
+context-free ``run_screen`` / ``run_screen_from_space`` that site
+screens, the calculator and the population program call — is an
+:class:`SBGTSession` driven by a
 :class:`~repro.sbgt.stepper.ScreenStepper`: classify, select, assay,
-update.  The exact dense lattice is a
+update.  Its :class:`~repro.sbgt.config.SBGTConfig` is the one bundle
+of a screen's settings.  The exact dense lattice is a
 :class:`~repro.sbgt.distributed_lattice.DistributedLattice`, on the
 engine plane when the session has a context and on the driver plane
 (one driver-resident block, no job) when it has none; the
@@ -24,7 +25,6 @@ on the way in (the backend speaks its own compact bits).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ from repro.simulate.population import Cohort, make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import RngLike, as_rng
 from repro.workflows.classify import ScreenResult
-from repro.workflows.options import ScreenOptions
 
 __all__ = ["SBGTSession"]
 
@@ -62,19 +61,7 @@ class SBGTSession:
         from repro.workflows.payloads import make_posterior
 
         config = config or SBGTConfig()
-        lattice = make_posterior(
-            config.backend,
-            prior=prior,
-            ctx=ctx,
-            num_blocks=config.num_blocks,
-            max_positives=config.max_positives,
-            sparse_floor=config.sparse_floor,
-            max_states=config.max_states,
-            num_particles=config.num_particles,
-            ess_threshold=config.ess_threshold,
-            seed=config.backend_seed,
-        )
-        self._bind(ctx, prior, model, config, lattice)
+        self._bind(ctx, prior, model, config, make_posterior(prior, ctx, config))
 
     @classmethod
     def _on_lattice(
@@ -150,15 +137,13 @@ class SBGTSession:
         compact = self.analyzer.map_state()
         return self._index.to_original_mask(compact) | self._index.settled_positive_mask()
 
-    def classify(
-        self,
-        positive_threshold: Optional[float] = None,
-        negative_threshold: Optional[float] = None,
-    ) -> ClassificationReport:
-        pos = self.config.positive_threshold if positive_threshold is None else positive_threshold
-        neg = self.config.negative_threshold if negative_threshold is None else negative_threshold
+    def classify(self) -> ClassificationReport:
+        """Threshold the marginals at the config's cut-offs."""
         marg = self.marginals()
-        return ClassificationReport(marginals=marg, statuses=classify_marginals(marg, pos, neg))
+        statuses = classify_marginals(
+            marg, self.config.positive_threshold, self.config.negative_threshold
+        )
+        return ClassificationReport(marginals=marg, statuses=statuses)
 
     def update(self, pool: Any, outcome: Any, serve_marginals: bool = True) -> TestRecord:
         """Condition the lattice on one pooled outcome.
@@ -277,23 +262,8 @@ class SBGTSession:
         policy: SelectionPolicy,
         rng: RngLike = None,
         cohort: Optional[Cohort] = None,
-        options: Optional[ScreenOptions] = None,
     ) -> ScreenResult:
-        """Run the classify/select/assay/update loop to completion.
-
-        ``options`` (a :class:`~repro.workflows.options.ScreenOptions`)
-        overrides the corresponding :class:`SBGTConfig` fields for this
-        screen only.
-        """
-        saved_config = self.config
-        if options is not None:
-            self.config = self.config.with_(**dataclasses.asdict(options))
-        try:
-            return self._run_screen_loop(policy, rng, cohort)
-        finally:
-            self.config = saved_config
-
-    def _run_screen_loop(self, policy, rng, cohort) -> ScreenResult:
+        """Run the classify/select/assay/update loop to completion."""
         from repro.engine.tracing import ensure_trace
         from repro.sbgt.stepper import ScreenStepper
 

@@ -324,22 +324,6 @@ class SparsePosterior(PosteriorBackend):
         self._apply_floor()
         return log_pred
 
-    @traced(PHASE_LATTICE, "sparse_condition")
-    def condition(self, positive_mask: int = 0, negative_mask: int = 0) -> None:
-        if int(positive_mask) & int(negative_mask):
-            raise ValueError("an individual cannot be classified both ways")
-        pos = _pool_columns(positive_mask, self.n_items)
-        neg = _pool_columns(negative_mask, self.n_items)
-        size = self.num_states()
-        keep = pool_counts(self.index, size, pos, self.n_items) == pos.size
-        keep &= ~pool_hits(self.index, size, neg, self.n_items)
-        # Refuse before mutating: contradictory evidence leaves the
-        # belief as it was, like the dense lattice.
-        if not (self.log_weights[keep] > -np.inf).any():
-            raise ValueError("posterior has zero total mass (contradictory evidence?)")
-        self._keep(keep)
-        self._normalize()
-
     @traced(PHASE_LATTICE, "sparse_prune")
     def prune(self, epsilon: float) -> PruneStats:
         """Exact mass-ranked prune (the sparse twin of ``prune_by_mass``)."""

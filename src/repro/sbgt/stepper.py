@@ -4,8 +4,8 @@
 pruning, classification and compaction over an
 :class:`~repro.sbgt.session.SBGTSession`, while the caller supplies
 outcomes for the pools it proposes.  The batch path
-(:meth:`SBGTSession.run_screen`, and through it ``run_screen``,
-``screen_with_backend`` and ``run_screen_from_space``) is a thin loop
+(:meth:`SBGTSession.run_screen`, and through it ``run_screen`` and
+``run_screen_from_space``) is a thin loop
 over a stepper plus a virtual lab; the serving layer and a real
 laboratory feed it outcomes from outside.  Interactive and batch screens
 are the *same code* and produce byte-identical classifications from

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.engine.tracing import ensure_trace
 from repro.obs.tracer import trace_phase
+from repro.sbgt.config import SBGTConfig
 from repro.surveil.allocator import make_allocator
 from repro.surveil.beliefs import BetaHyperprior, SiteBelief, learn_hyperprior
 from repro.surveil.events import (
@@ -48,8 +49,7 @@ from repro.surveil.events import (
 )
 from repro.surveil.sites import SiteSpec
 from repro.util.validation import check_positive_int
-from repro.workflows.classify import run_screen_from_space, screen_with_backend
-from repro.workflows.options import ScreenOptions
+from repro.workflows.classify import run_screen, run_screen_from_space
 
 __all__ = [
     "CampaignConfig",
@@ -145,17 +145,16 @@ def run_site_screen(job: SiteScreenJob) -> SiteScreenOutcome:
     gen = np.random.default_rng(job.seed)
     prior, model, correlated = job.spec.build_day(job.round_index, gen)
     prevalence = job.spec.day_prevalence(job.round_index)
-    options = ScreenOptions(
+    config = SBGTConfig(
+        backend=job.backend,
         max_stages=job.max_stages,
         negative_threshold=min(0.01, max(prevalence / 10.0, 1e-5)),
     )
     policy = make_policy(job.policy)
     if correlated:
-        result = run_screen_from_space(prior, model, policy, rng=gen, options=options)
+        result = run_screen_from_space(prior, model, policy, rng=gen, config=config)
     else:
-        result = screen_with_backend(
-            prior, model, policy, job.backend, rng=gen, options=options
-        )
+        result = run_screen(prior, model, policy, rng=gen, config=config)
     return SiteScreenOutcome(
         site_index=job.site_index,
         round_index=job.round_index,

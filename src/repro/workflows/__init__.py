@@ -4,9 +4,7 @@ from repro.workflows.classify import (
     ScreenResult,
     run_screen,
     run_screen_from_space,
-    screen_with_backend,
 )
-from repro.workflows.options import ScreenOptions
 from repro.workflows.surveillance import SurveillanceResult, run_surveillance
 from repro.workflows.calculator import CalculatorEntry, pooling_calculator
 from repro.workflows.population import (
@@ -17,10 +15,8 @@ from repro.workflows.population import (
 
 __all__ = [
     "ScreenResult",
-    "ScreenOptions",
     "run_screen",
     "run_screen_from_space",
-    "screen_with_backend",
     "SurveillanceResult",
     "run_surveillance",
     "CalculatorEntry",

@@ -19,9 +19,9 @@ from repro.bayes.dilution import ResponseModel
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import SelectionPolicy
 from repro.metrics.reporting import format_table
+from repro.sbgt.config import SBGTConfig
 from repro.util.rng import RngLike, as_rng
-from repro.workflows.classify import screen_with_backend
-from repro.workflows.options import ScreenOptions
+from repro.workflows.classify import run_screen
 
 __all__ = ["CalculatorEntry", "pooling_calculator", "format_calculator_table"]
 
@@ -79,21 +79,15 @@ def pooling_calculator(
     entries: List[CalculatorEntry] = []
     for prev in prevalences:
         prior = PriorSpec.uniform(cohort_size, float(prev))
-        negative_threshold = min(0.01, float(prev) / 10.0)
+        config = SBGTConfig(
+            backend=backend,
+            max_stages=max_stages,
+            positive_threshold=positive_threshold,
+            negative_threshold=min(0.01, float(prev) / 10.0),
+        )
         tpis, stages, accs = [], [], []
         for _ in range(replications):
-            res = screen_with_backend(
-                prior,
-                model,
-                policy_factory(),
-                backend,
-                gen,
-                options=ScreenOptions(
-                    max_stages=max_stages,
-                    positive_threshold=positive_threshold,
-                    negative_threshold=negative_threshold,
-                ),
-            )
+            res = run_screen(prior, model, policy_factory(), gen, config=config)
             tpis.append(res.tests_per_individual)
             stages.append(res.stages_used)
             accs.append(res.accuracy)

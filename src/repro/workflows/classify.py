@@ -27,16 +27,15 @@ from repro.metrics.classification import ConfusionCounts
 from repro.metrics.efficiency import EfficiencyReport
 from repro.simulate.population import Cohort
 from repro.util.rng import RngLike, as_rng
-from repro.workflows.options import ScreenOptions
 
 if TYPE_CHECKING:  # pragma: no cover - repro.sbgt imports this module back
+    from repro.sbgt.config import SBGTConfig
     from repro.sbgt.session import SBGTSession
 
 __all__ = [
     "ScreenResult",
     "run_screen",
     "run_screen_from_space",
-    "screen_with_backend",
 ]
 
 
@@ -83,9 +82,9 @@ def run_screen(
     policy: SelectionPolicy,
     rng: RngLike = None,
     cohort: Optional[Cohort] = None,
-    options: Optional[ScreenOptions] = None,
+    config: Optional["SBGTConfig"] = None,
 ) -> ScreenResult:
-    """Run one complete sequential screen.
+    """Run one complete sequential screen, without a context.
 
     Parameters
     ----------
@@ -95,42 +94,22 @@ def run_screen(
         Drives truth draw (when *cohort* is None) and assay noise.
     cohort:
         Fixed ground truth; drawn from the prior when omitted.
-    options:
-        The :class:`~repro.workflows.options.ScreenOptions` bundle
-        (thresholds, stage budget, pruning, entropy tracking).
+    config:
+        The screen's :class:`~repro.sbgt.config.SBGTConfig` (thresholds,
+        stage budget, pruning, entropy tracking, and ``backend``).
+        ``"dense"`` is the exact lattice in one driver-resident block
+        (no engine job) — the path every site screen of a ``surveil``
+        campaign takes; ``"sparse"`` / ``"particle"`` are the
+        approximate backends that lift cohorts past the dense ``2^N``
+        wall.
     """
-    if cohort is not None and cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
-        raise ValueError("cohort does not match the prior's cohort size")
-    return screen_with_backend(prior, model, policy, rng=rng, cohort=cohort, options=options)
-
-
-def screen_with_backend(
-    prior: PriorSpec,
-    model: ResponseModel,
-    policy: SelectionPolicy,
-    backend: str = "dense",
-    rng: RngLike = None,
-    cohort: Optional[Cohort] = None,
-    options: Optional[ScreenOptions] = None,
-) -> ScreenResult:
-    """Run one screen on the named posterior backend, without a context.
-
-    ``"dense"`` is the exact lattice in one driver-resident block (no
-    engine job): a stage costs one update kernel, one down-set kernel
-    and one marginal fold that ``classify()`` and the policy share — the
-    path every site screen of a ``surveil`` campaign takes;
-    ``"sparse"`` / ``"particle"`` are the approximate backends that lift
-    cohorts past the dense ``2^N`` wall.  All callers that fan screens
-    out over backends — the calculator, longitudinal surveillance,
-    multi-site campaigns — dispatch through here so backend semantics
-    stay in one place.
-    """
-    # Deferred imports: repro.sbgt reaches back into workflows.
-    from repro.sbgt.config import SBGTConfig
+    # Deferred import: repro.sbgt reaches back into workflows.
     from repro.sbgt.session import SBGTSession
 
-    session = SBGTSession(None, prior, model, SBGTConfig(backend=backend))
-    return session.run_screen(policy, rng=rng, cohort=cohort, options=options)
+    if cohort is not None and cohort.prior is not prior and cohort.prior.n_items != prior.n_items:
+        raise ValueError("cohort does not match the prior's cohort size")
+    session = SBGTSession(None, prior, model, config)
+    return session.run_screen(policy, rng=rng, cohort=cohort)
 
 
 def run_screen_from_space(
@@ -139,7 +118,7 @@ def run_screen_from_space(
     policy: SelectionPolicy,
     rng: RngLike = None,
     truth_mask: Optional[int] = None,
-    options: Optional[ScreenOptions] = None,
+    config: Optional["SBGTConfig"] = None,
 ) -> ScreenResult:
     """Run a screen whose prior is an arbitrary state space.
 
@@ -149,7 +128,9 @@ def run_screen_from_space(
     from the prior distribution itself when *truth_mask* is omitted.
     The returned result's ``cohort.prior`` carries the prior's
     *marginals* (a summary — the full dependence structure lives in the
-    posterior's state space).
+    posterior's state space).  The lattice is *space* itself in one
+    driver-resident block, so *config*'s screen settings apply and its
+    backend and lattice-shape fields are not read.
     """
     from repro.sbgt.config import SBGTConfig
     from repro.sbgt.distributed_lattice import DistributedLattice
@@ -162,5 +143,7 @@ def run_screen_from_space(
     lattice = DistributedLattice.from_state_space(None, space)
     marginal_prior = PriorSpec(np.clip(lattice.marginals(), 1e-9, 1 - 1e-9))
     cohort = Cohort(prior=marginal_prior, truth_mask=int(truth_mask))
-    session = SBGTSession._on_lattice(None, marginal_prior, model, SBGTConfig(), lattice)
-    return session.run_screen(policy, rng=gen, cohort=cohort, options=options)
+    session = SBGTSession._on_lattice(
+        None, marginal_prior, model, config or SBGTConfig(), lattice
+    )
+    return session.run_screen(policy, rng=gen, cohort=cohort)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence
 
 from repro.bayes.dilution import (
     BinaryErrorModel,
@@ -37,6 +37,9 @@ from repro.halving.policy import (
 )
 from repro.workflows.calculator import CalculatorEntry
 from repro.workflows.classify import ScreenResult
+
+if TYPE_CHECKING:  # pragma: no cover - repro.sbgt imports this module back
+    from repro.sbgt.config import SBGTConfig
 
 __all__ = [
     "make_policy",
@@ -100,51 +103,48 @@ def make_model(
     raise ValueError(f"unknown assay {assay!r} (choose perfect, binary, dilution)")
 
 
-def make_posterior(
-    backend: str = "dense",
-    *,
-    prior,
-    ctx=None,
-    num_blocks: int = 0,
-    max_positives: Optional[int] = None,
-    sparse_floor: float = 1e-9,
-    max_states: int = 1 << 17,
-    num_particles: int = 2048,
-    ess_threshold: float = 0.5,
-    seed: int = 0,
-):
-    """Build a :class:`~repro.sbgt.backend.PosteriorBackend` by name.
+def make_posterior(prior, ctx=None, config: Optional["SBGTConfig"] = None):
+    """Build the :class:`~repro.sbgt.backend.PosteriorBackend` *config* names.
 
-    The posterior twin of :func:`make_policy` / :func:`make_model`:
-    ``"dense"`` is the exact lattice — distributed over *ctx*, or one
-    driver-resident block when *ctx* is None —
+    The posterior twin of :func:`make_policy` / :func:`make_model`.
+    ``config.backend`` ``"dense"`` is the exact lattice — distributed
+    over *ctx*, or one driver-resident block when *ctx* is None —
     ``"sparse"`` the driver-resident above-floor representation,
-    ``"particle"`` the SMC cloud.  Every returned backend carries a
-    ``log_discarded_prior`` attribute (−inf when the support is exact).
-    Raises :class:`ValueError` for an unknown name (callers map this to
-    an argparse error or an HTTP 400 as appropriate).
+    ``"particle"`` the SMC cloud; the backend reads its own fields of
+    *config* (``SBGTConfig()`` when omitted).  Every returned backend
+    carries a ``log_discarded_prior`` attribute (−inf when the support
+    is exact).
     """
-    if backend == "dense":
-        # Deferred imports: repro.sbgt pulls this module back in for the
-        # session's backend dispatch.
+    # Deferred imports: repro.sbgt pulls this module back in for the
+    # session's backend dispatch.
+    from repro.sbgt.config import SBGTConfig
+
+    config = config or SBGTConfig()
+    if config.backend == "dense":
         from repro.sbgt.distributed_lattice import DistributedLattice
 
-        if max_positives is not None:
-            return DistributedLattice.from_restricted_prior(ctx, prior, max_positives, num_blocks)
-        return DistributedLattice.from_prior(ctx, prior, num_blocks)
-    if backend == "sparse":
+        if config.max_positives is not None:
+            return DistributedLattice.from_restricted_prior(
+                ctx, prior, config.max_positives, config.num_blocks
+            )
+        return DistributedLattice.from_prior(ctx, prior, config.num_blocks)
+    if config.backend == "sparse":
         from repro.sbgt.sparse import SparsePosterior
 
         return SparsePosterior.from_prior(
-            prior, floor=sparse_floor, max_states=max_states, max_positives=max_positives
+            prior,
+            floor=config.sparse_floor,
+            max_states=config.max_states,
+            max_positives=config.max_positives,
         )
-    if backend == "particle":
-        from repro.sbgt.particle import ParticlePosterior
+    from repro.sbgt.particle import ParticlePosterior
 
-        return ParticlePosterior(
-            prior, num_particles=num_particles, rng=seed, ess_threshold=ess_threshold
-        )
-    raise ValueError(f"unknown posterior backend {backend!r} (try: {BACKEND_HELP})")
+    return ParticlePosterior(
+        prior,
+        num_particles=config.num_particles,
+        rng=config.backend_seed,
+        ess_threshold=config.ess_threshold,
+    )
 
 
 # ----------------------------------------------------------------------

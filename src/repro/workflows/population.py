@@ -20,10 +20,10 @@ from repro.bayes.dilution import ResponseModel
 from repro.bayes.priors import PriorSpec
 from repro.engine.context import Context
 from repro.halving.policy import SelectionPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import Cohort
 from repro.util.rng import RngLike, as_rng
 from repro.workflows.classify import ScreenResult, run_screen
-from repro.workflows.options import ScreenOptions
 
 __all__ = ["PopulationResult", "screen_population", "split_into_cohorts"]
 
@@ -124,21 +124,15 @@ def screen_population(
         cohort_list = list(cohorts)
 
     jobs = list(zip(priors, seeds, cohort_list))
+    config = SBGTConfig(
+        max_stages=max_stages,
+        positive_threshold=positive_threshold,
+        negative_threshold=negative_threshold,
+    )
 
     def run_one(job) -> ScreenResult:
         prior, seed, cohort = job
-        return run_screen(
-            prior,
-            model,
-            policy_factory(),
-            rng=seed,
-            cohort=cohort,
-            options=ScreenOptions(
-                max_stages=max_stages,
-                positive_threshold=positive_threshold,
-                negative_threshold=negative_threshold,
-            ),
-        )
+        return run_screen(prior, model, policy_factory(), rng=seed, cohort=cohort, config=config)
 
     results = ctx.parallelize(jobs, min(len(jobs), ctx.default_parallelism * 4)).map(
         run_one

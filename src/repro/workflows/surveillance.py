@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.bayes.dilution import ResponseModel
 from repro.halving.policy import SelectionPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.epidemic import sir_prevalence, surveillance_priors
 from repro.util.rng import RngLike, as_rng
-from repro.workflows.classify import ScreenResult, screen_with_backend
-from repro.workflows.options import ScreenOptions
+from repro.workflows.classify import ScreenResult, run_screen
 
 __all__ = ["DayOutcome", "SurveillanceResult", "run_surveillance"]
 
@@ -117,12 +117,10 @@ def run_surveillance(
     gen = as_rng(rng)
     if prevalence is None:
         prevalence = sir_prevalence(days)
+    config = SBGTConfig(backend=backend, max_stages=max_stages)
     campaign = SurveillanceResult()
     for day, prior in surveillance_priors(prevalence, cohort_size, dispersion, gen):
-        result = screen_with_backend(
-            prior, model, policy_factory(), backend, rng=gen,
-            options=ScreenOptions(max_stages=max_stages),
-        )
+        result = run_screen(prior, model, policy_factory(), rng=gen, config=config)
         campaign.days.append(
             DayOutcome(day=day, prevalence=float(prevalence[day]), result=result)
         )

@@ -88,17 +88,6 @@ class TestOperationsMatch:
 
 
 class TestManipulation:
-    def test_condition(self):
-        lat = PyDictLattice.from_risks([0.2, 0.3])
-        lat.condition(positive_mask=0b01)
-        assert all(s & 1 for s in lat.probs)
-        assert lat.total_mass() == pytest.approx(1.0)
-
-    def test_condition_contradiction_raises(self):
-        lat = PyDictLattice(1, {0: 1.0})  # only the all-negative state
-        with pytest.raises(ValueError):
-            lat.condition(positive_mask=0b1)
-
     def test_prune_keeps_mass(self):
         lat = PyDictLattice.from_risks([0.05] * 8)
         dropped = lat.prune(0.01)

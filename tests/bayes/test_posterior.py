@@ -130,7 +130,7 @@ class TestClassification:
         post = SBGTSession(None, PriorSpec.uniform(4, 0.1), PerfectTest())
         post.update([0], True)
         post.update([1], False)
-        report = post.classify(0.99, 0.01)
+        report = post.classify()
         assert report.statuses[0] is Classification.POSITIVE
         assert report.statuses[1] is Classification.NEGATIVE
         assert report.statuses[2] is Classification.UNDETERMINED
@@ -146,9 +146,11 @@ class TestClassification:
         assert report.all_classified
 
     def test_invalid_thresholds(self):
-        post = SBGTSession(None, PriorSpec.uniform(2, 0.1), PerfectTest())
         with pytest.raises(ValueError):
-            post.classify(0.5, 0.6)
+            SBGTSession(
+                None, PriorSpec.uniform(2, 0.1), PerfectTest(),
+                SBGTConfig(positive_threshold=0.5, negative_threshold=0.6),
+            )
 
     def test_n_classified(self):
         post = SBGTSession(None, PriorSpec.uniform(4, 0.3), PerfectTest())
@@ -390,7 +392,7 @@ class TestServedMarginals:
         # was, and the read still reports the committed call exactly.
         post.settle(2, False)
         assert post.marginals().tolist() == [0.0, 1.0, 0.0]
-        assert post.classify(0.99, 0.01).all_classified
+        assert post.classify().all_classified
         assert sweeps() == 0
 
     @settings(max_examples=25, deadline=None)

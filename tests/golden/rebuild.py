@@ -4,8 +4,9 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/rebuild.py
 
-Every payload record is recomputed on a serial engine context, and every
-CLI-table record by running the CLI as it runs for a user.  The script
+Every payload record is recomputed on a serial engine context of the
+record's parallelism, and every CLI-table record by running the CLI as
+it runs for a user.  The script
 prints each record whose hash moved (and any added or dropped), then
 writes the ledger.  The ledger is a check: a change that moves records
 says which ones and why.
@@ -47,8 +48,17 @@ def _report(old, new) -> int:
 
 def main() -> int:
     exists = LEDGER_PATH.exists()
-    with Context(mode="serial", parallelism=2) as ctx:
-        rows = [{**record, "sha256": payload_sha(record, ctx)} for record in RECORDS]
+    contexts = {}
+    try:
+        rows = []
+        for record in RECORDS:
+            parallelism = record["parallelism"]
+            if parallelism not in contexts:
+                contexts[parallelism] = Context(mode="serial", parallelism=parallelism)
+            rows.append({**record, "sha256": payload_sha(record, contexts[parallelism])})
+    finally:
+        for ctx in contexts.values():
+            ctx.stop()
     cli_rows = [{"argv": argv, "sha256": cli_sha(argv)} for argv in CLI_ARGVS]
     moved = _report(load_ledger() if exists else {},
                     {record_id(r): r["sha256"] for r in rows})

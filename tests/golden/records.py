@@ -1,8 +1,11 @@
 """The golden payload ledger: which requests it pins and how a record is hashed.
 
-Each record is a public request body and the sha256 of the text the
-server (and the CLI's ``--json``) would emit for it, ``dump_payload`` of
-the result.  ``/sessions`` records hash a whole interactive transcript:
+Each record is a public request body, the parallelism of the engine
+context it was pinned on, and the sha256 of the text the server (and
+the CLI's ``--json``) would emit for it there, ``dump_payload`` of the
+result.  A dense lattice is cut into as many blocks as the context's
+parallelism, and a payload's bytes are pinned per block count
+(docs/architecture.md), so the parallelism is part of the record.  ``/sessions`` records hash a whole interactive transcript:
 the creation snapshot, then every ``next-pool`` proposal and ``results``
 document up to the end of the screen, with a client-side lab that draws
 the cohort and the assay noise off one generator in the batch loop's
@@ -41,13 +44,16 @@ LEDGER_PATH = pathlib.Path(__file__).with_name("ledger.json")
 
 POLICIES = ("bha", "lookahead-2", "infogain", "hybrid", "dorfman-4")
 
+#: The context parallelism a record is pinned at unless it names another.
+PARALLELISM = 2
+
 
 def _bodies() -> List[Dict[str, Any]]:
-    """Every ledger record as ``{"endpoint", "body"}``, in ledger order."""
+    """Every ledger record as ``{"endpoint", "body", "parallelism"}``, in ledger order."""
     out: List[Dict[str, Any]] = []
 
-    def add(endpoint: str, body: Dict[str, Any]) -> None:
-        out.append({"endpoint": endpoint, "body": body})
+    def add(endpoint: str, body: Dict[str, Any], parallelism: int = PARALLELISM) -> None:
+        out.append({"endpoint": endpoint, "body": body, "parallelism": parallelism})
 
     # /screen: dense at cohort 12, with and without contraction.
     for policy in POLICIES:
@@ -75,6 +81,11 @@ def _bodies() -> List[Dict[str, Any]]:
     # tests at cohort 18, and 16 single-pool stages on a compacted lattice.
     add("/screen", {"cohort": 18, "prevalence": 0.15, "policy": "individual", "seed": 3})
     add("/screen", {"cohort": 16, "prevalence": 0.2, "policy": "bha", "seed": 1, "compact": True})
+    # /screen: the first record's body at 1 and 4 blocks as well.  Its
+    # decisions are the same on every block count; its bytes are not.
+    for parallelism in (1, 4):
+        add("/screen", {"cohort": 12, "prevalence": 0.06, "policy": "bha", "seed": 0,
+                        "compact": False}, parallelism)
     # /screen: the approximate backends (sparse is slow past cohort 12).
     for policy in POLICIES:
         for seed in (0, 1):
@@ -136,7 +147,10 @@ RECORDS = _bodies()
 
 def record_id(record: Dict[str, Any]) -> str:
     """A stable, readable name for a record (the test id and the ledger key)."""
-    return record["endpoint"] + " " + json.dumps(record["body"], sort_keys=True)
+    rid = record["endpoint"] + " " + json.dumps(record["body"], sort_keys=True)
+    if record["parallelism"] != PARALLELISM:
+        rid += f" @ parallelism {record['parallelism']}"
+    return rid
 
 
 def uses_engine(record: Dict[str, Any]) -> bool:

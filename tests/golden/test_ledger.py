@@ -3,7 +3,8 @@
 Serial recomputes every record; threads recomputes the records whose
 result goes through the engine context (the approximate backends and
 the calculator never touch it); processes recomputes a small subset of
-those, for cost.  A record that moves fails here: rebuild the ledger
+those, for cost.  Each record runs on a context of the parallelism it
+was pinned at.  A record that moves fails here: rebuild the ledger
 with ``tests/golden/rebuild.py`` only for a change meant to move it,
 and say which records moved and why.
 """
@@ -47,13 +48,13 @@ _CASES = (
 
 @pytest.fixture(scope="module")
 def contexts():
-    """One engine context per executor mode, opened on first use."""
+    """One engine context per executor mode and parallelism, opened on first use."""
     opened = {}
 
-    def get(mode):
-        if mode not in opened:
-            opened[mode] = Context(mode=mode, parallelism=2)
-        return opened[mode]
+    def get(mode, parallelism):
+        if (mode, parallelism) not in opened:
+            opened[mode, parallelism] = Context(mode=mode, parallelism=parallelism)
+        return opened[mode, parallelism]
 
     yield get
     for ctx in opened.values():
@@ -77,7 +78,7 @@ def test_every_policy_family_has_a_screen_record():
     "mode,record", _CASES, ids=[f"{mode}:{record_id(r)}" for mode, r in _CASES]
 )
 def test_payload_matches_ledger(contexts, mode, record):
-    assert payload_sha(record, contexts(mode)) == LEDGER[record_id(record)]
+    assert payload_sha(record, contexts(mode, record["parallelism"])) == LEDGER[record_id(record)]
 
 
 _CLI_ENGINE = [argv for argv in CLI_ARGVS if cli_uses_engine(argv)]

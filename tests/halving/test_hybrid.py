@@ -4,10 +4,10 @@ from repro.bayes.dilution import BinaryErrorModel, PerfectTest
 from repro.bayes.priors import PriorSpec
 from repro.halving.hybrid import HybridPolicy
 from repro.halving.policy import BHAPolicy, DorfmanPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.sbgt.session import SBGTSession
 from repro.simulate.population import make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 
 class TestStageBehaviour:
@@ -80,7 +80,7 @@ class TestHybridScreens:
             for name, factory in factories.items():
                 res = run_screen(
                     prior, model, factory(), rng=seed, cohort=cohort,
-                    options=ScreenOptions(max_stages=60),
+                    config=SBGTConfig(max_stages=60),
                 )
                 totals[name][0] += res.efficiency.num_tests
                 totals[name][1] += res.stages_used

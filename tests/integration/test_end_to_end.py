@@ -17,14 +17,13 @@ from repro import (
     run_screen,
 )
 from repro.bayes.dilution import DilutionErrorModel, PerfectTest
-from repro.workflows.options import ScreenOptions
 
 
 class TestScenarios:
     @pytest.mark.parametrize("name", ["community", "outbreak", "hospital"])
     def test_serial_screen_completes(self, name):
         prior, model = get_scenario(name).build(10, rng=1)
-        result = run_screen(prior, model, BHAPolicy(), rng=2, options=ScreenOptions(max_stages=60))
+        result = run_screen(prior, model, BHAPolicy(), rng=2, config=SBGTConfig(max_stages=60))
         assert result.efficiency.num_tests > 0
         assert result.confusion.n_items == 10
 
@@ -33,7 +32,7 @@ class TestScenarios:
         prior, model = get_scenario(name).build(9, rng=3)
         cohort = make_cohort(prior, rng=4)
         serial = run_screen(
-            prior, model, BHAPolicy(), rng=5, cohort=cohort, options=ScreenOptions(max_stages=60)
+            prior, model, BHAPolicy(), rng=5, cohort=cohort, config=SBGTConfig(max_stages=60)
         )
         session = SBGTSession(ctx, prior, model, SBGTConfig(max_stages=60))
         dist = session.run_screen(BHAPolicy(), rng=5, cohort=cohort)
@@ -54,7 +53,7 @@ class TestExecutorModeParity:
             # Serial reference as the mode-independent oracle.
             serial = run_screen(
                 prior, model, BHAPolicy(), rng=9, cohort=cohort,
-                options=ScreenOptions(max_stages=40),
+                config=SBGTConfig(max_stages=40),
             )
             assert result.report.statuses == serial.report.statuses
             assert result.efficiency.num_tests == serial.efficiency.num_tests
@@ -99,11 +98,11 @@ class TestPolicyOrdering:
             cohort = make_cohort(prior, rng=200 + seed)
             mild = run_screen(
                 prior, DilutionErrorModel(0.99, 0.999, 0.05), BHAPolicy(),
-                rng=seed, cohort=cohort, options=ScreenOptions(max_stages=80),
+                rng=seed, cohort=cohort, config=SBGTConfig(max_stages=80),
             )
             strong = run_screen(
                 prior, DilutionErrorModel(0.99, 0.999, 1.2), BHAPolicy(),
-                rng=seed, cohort=cohort, options=ScreenOptions(max_stages=80),
+                rng=seed, cohort=cohort, config=SBGTConfig(max_stages=80),
             )
             mild_total += mild.efficiency.num_tests
             strong_total += strong.efficiency.num_tests

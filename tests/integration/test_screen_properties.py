@@ -11,9 +11,9 @@ from repro.halving.policy import (
     IndividualTestingPolicy,
     LookaheadPolicy,
 )
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import Cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 common = settings(
     max_examples=20, suppress_health_check=[HealthCheck.too_slow]
@@ -50,7 +50,7 @@ def test_perfect_test_always_exact(case):
     cohort = Cohort(prior, truth_mask=truth)
     result = run_screen(
         prior, PerfectTest(), POLICY_FACTORIES[policy_idx](), rng=0,
-        cohort=cohort, options=ScreenOptions(max_stages=80),
+        cohort=cohort, config=SBGTConfig(max_stages=80),
     )
     assert result.report.all_classified
     assert result.accuracy == 1.0
@@ -67,7 +67,7 @@ def test_counters_consistent(case):
     cohort = Cohort(prior, truth_mask=truth)
     result = run_screen(
         prior, PerfectTest(), POLICY_FACTORIES[policy_idx](), rng=0,
-        cohort=cohort, options=ScreenOptions(max_stages=80),
+        cohort=cohort, config=SBGTConfig(max_stages=80),
     )
     assert result.efficiency.num_tests == result.posterior.num_tests
     # A prior already below the clearance threshold legitimately settles
@@ -88,7 +88,7 @@ def test_noisy_screens_keep_valid_marginals(case, seed):
     cohort = Cohort(prior, truth_mask=truth)
     result = run_screen(
         prior, BinaryErrorModel(0.93, 0.97), POLICY_FACTORIES[policy_idx](),
-        rng=seed, cohort=cohort, options=ScreenOptions(max_stages=15),
+        rng=seed, cohort=cohort, config=SBGTConfig(max_stages=15),
     )
     m = result.report.marginals
     assert np.all(m >= -1e-12) and np.all(m <= 1 + 1e-12)
@@ -105,7 +105,7 @@ def test_screen_deterministic_replay(case):
     def once():
         return run_screen(
             prior, BinaryErrorModel(0.95, 0.98), POLICY_FACTORIES[policy_idx](),
-            rng=42, cohort=cohort, options=ScreenOptions(max_stages=25),
+            rng=42, cohort=cohort, config=SBGTConfig(max_stages=25),
         )
 
     a, b = once(), once()

@@ -18,7 +18,6 @@ from repro.lattice.partition import (
     block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
-    block_filter_consistent,
     block_log_mass,
     block_marginal_partial,
     block_mass_marginals,
@@ -212,16 +211,6 @@ class TestKernelsAgree:
                 assert np.array_equal(got.log_probs, want.log_probs)
                 assert got.size == 0 or got.bits is not None  # a cube stays a cube
 
-    def test_filter_consistent(self, pair):
-        rng, cube, twin = pair
-        pos, neg = (int(m) for m in random_pools(rng, cube.n_items, 2))
-        neg &= ~pos
-        got = block_filter_consistent(cube, pos, neg)
-        want = block_filter_consistent(twin, pos, neg)
-        assert np.array_equal(got.masks, want.masks)
-        assert np.array_equal(got.log_probs, want.log_probs)
-
-
 class TestFusedMassMarginals:
     """One exponentiation ≡ the log-mass kernel plus the marginals kernel."""
 
@@ -346,14 +335,19 @@ class TestConditionedBlocksAreGeneric:
         rng = np.random.default_rng(3)
         cube = LatticeBlock.cube(6, 0, 6, rng.normal(-3.0, 1.0, 64))
         twin = explicit_twin(cube)
-        kept = block_filter_consistent(cube, positive_mask=0b000001, negative_mask=0b100000)
-        assert kept.bits is None and kept.size == 16
+        threshold = np.median(cube.log_probs)
+
+        def prune(block):  # the filter a prune maps over the blocks
+            keep = block.log_probs >= threshold
+            return LatticeBlock(6, block.masks[keep], block.log_probs[keep])
+
+        kept = prune(cube)
+        assert kept.bits is None and kept.size == 32
         pools = random_pools(rng, 6)
         np.testing.assert_allclose(
-            block_down_set_partial(kept, pools),
-            block_down_set_partial(block_filter_consistent(twin, 0b000001, 0b100000), pools),
-            **TOL,
+            block_down_set_partial(kept, pools), block_down_set_partial(prune(twin), pools), **TOL
         )
+        has_bit = (kept.masks[:, None] >> np.arange(6, dtype=np.uint64)) & np.uint64(1)
         np.testing.assert_allclose(
-            block_marginal_partial(kept)[0], np.exp(kept.log_probs).sum(), **TOL
+            block_marginal_partial(kept), np.exp(kept.log_probs) @ has_bit, **TOL
         )

@@ -10,7 +10,6 @@ from repro.lattice.partition import (
     block_count_hists_partial,
     block_down_set_partial,
     block_entropy_partial,
-    block_filter_consistent,
     block_histogram_partial,
     block_log_mass,
     block_marginal_partial,
@@ -121,13 +120,6 @@ class TestBlockKernels:
             assert len(top) == min(3, b.size)
             lps = [lp for _m, lp in top]
             assert lps == sorted(lps, reverse=True)
-
-    def test_filter_consistent(self, space):
-        blocks = partition_state_space(space, 8)
-        filtered = [block_filter_consistent(b, positive_mask=0b1, negative_mask=0b10) for b in blocks]
-        for b in filtered:
-            assert np.all(b.masks & np.uint64(1) == np.uint64(1))
-            assert np.all(b.masks & np.uint64(2) == np.uint64(0))
 
     def test_histogram_partials_cover_mass(self, space):
         blocks = partition_state_space(space, 8)

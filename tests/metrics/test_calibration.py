@@ -7,8 +7,8 @@ from repro.bayes.dilution import BinaryErrorModel, DilutionErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
 from repro.metrics.calibration import calibration_report
+from repro.sbgt.config import SBGTConfig
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 
 class TestCalibrationReport:
@@ -62,7 +62,7 @@ class TestScreenCalibration:
     def _screens(self, model, n=40):
         prior = PriorSpec.uniform(8, 0.1)
         return [
-            run_screen(prior, model, BHAPolicy(), rng=seed, options=ScreenOptions(max_stages=6))
+            run_screen(prior, model, BHAPolicy(), rng=seed, config=SBGTConfig(max_stages=6))
             for seed in range(n)
         ]
 

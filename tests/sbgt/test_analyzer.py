@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.bayes.posterior import Classification
-from repro.bayes.dilution import BinaryErrorModel
 from repro.bayes.priors import PriorSpec
 from repro.sbgt.analyzer import DistributedAnalyzer
 from repro.sbgt.distributed_lattice import DistributedLattice
-from repro.sbgt.session import SBGTSession
 
 
 @pytest.fixture
@@ -37,24 +34,3 @@ class TestAnalyzer:
         top = analyzer.top_states(4)
         probs = [p for _m, p in top]
         assert probs == sorted(probs, reverse=True)
-
-    def test_classify_matches_serial(self, ctx, prior):
-        model = BinaryErrorModel(0.99, 0.99)
-        dl = DistributedLattice.from_prior(ctx, prior, 3)
-        analyzer = DistributedAnalyzer(dl)
-        post = SBGTSession(None, prior, model)
-        ll = model.log_likelihood_by_count(False, 2)
-        dl.update(0b0011, ll)
-        post.update(0b0011, False)
-        d_rep = analyzer.classify(0.9, 0.05)
-        s_rep = post.classify(0.9, 0.05)
-        assert d_rep.statuses == s_rep.statuses
-        dl.unpersist()
-
-    def test_classify_invalid_thresholds(self, analyzer):
-        with pytest.raises(ValueError):
-            analyzer.classify(0.2, 0.5)
-
-    def test_classify_undetermined_initially(self, analyzer):
-        report = analyzer.classify(0.999, 0.001)
-        assert all(s is Classification.UNDETERMINED for s in report.statuses)

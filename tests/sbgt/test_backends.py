@@ -47,7 +47,7 @@ def _build(backend: str, ctx) -> PosteriorBackend:
     if backend == "dense-driver":
         backend, ctx = "dense", None
     return make_posterior(
-        backend, prior=PRIOR, ctx=ctx, sparse_floor=0.0, num_particles=512, seed=0
+        PRIOR, ctx, SBGTConfig(backend=backend, sparse_floor=0.0, num_particles=512)
     )
 
 
@@ -98,9 +98,6 @@ def test_protocol_conformance(backend, ctx):
     cells = post.refined_cell_masses((0b000011,), pools, 4)
     assert cells.shape == (3, 4)
 
-    post.condition(negative_mask=0b100000)
-    assert post.marginals()[5] == pytest.approx(0.0, abs=1e-12)
-
     stats = post.prune(1e-12)
     assert isinstance(stats, PruneStats)
     assert stats.kept_states + stats.dropped_states > 0
@@ -145,39 +142,6 @@ def _belief(post: PosteriorBackend):
     space = post.collect()
     return (post.num_states(), post.marginals().tolist(), space.masks.tolist(),
             space.log_probs.tolist())
-
-
-@pytest.mark.parametrize("backend", BUILDS)
-def test_contradictory_condition_leaves_the_belief(backend, ctx):
-    """A condition no state with mass satisfies raises and changes nothing.
-
-    Twin posteriors from the same seed: one refuses the contradiction,
-    then both take the same evidence and must still agree exactly (for
-    the particle cloud that includes the MH target it rejuvenates on).
-    """
-    post, twin = _build(backend, ctx), _build(backend, ctx)
-    for p in (post, twin):
-        p.condition(negative_mask=0b000010)
-    before = _belief(post)
-    with pytest.raises(ValueError, match="zero total mass"):
-        post.condition(positive_mask=0b000010)
-    assert _belief(post) == before
-    for pool, outcome in [(0b000111, True), (0b111000, False), (0b000101, True)]:
-        assert post.update(pool, _ll(outcome, pool)) == twin.update(pool, _ll(outcome, pool))
-    assert _belief(post) == _belief(twin)
-    post.unpersist()
-    twin.unpersist()
-
-
-@pytest.mark.parametrize("backend", ["dense", "sparse"])
-def test_contradictory_condition_on_a_rank_limited_support(backend):
-    """``max_positives=1`` holds no state with two positives."""
-    post = make_posterior(backend, prior=PRIOR, max_positives=1, sparse_floor=0.0)
-    before = _belief(post)
-    with pytest.raises(ValueError, match="zero total mass"):
-        post.condition(positive_mask=0b11)
-    assert _belief(post) == before
-    assert post.num_states() == N + 1 and post.marginals().sum() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +194,6 @@ def test_sparse_condition_and_project_match_dense(ctx):
     dense, sparse = _updated_pair(ctx)
     try:
         for post in (dense, sparse):
-            post.condition(positive_mask=0b000001, negative_mask=0b100000)
             post.project_out_bit(5, False)
             post.project_out_bit(0, True)
         assert sparse.n_items == dense.n_items == N - 2
@@ -359,31 +322,22 @@ def test_particle_resamples_on_ess_collapse():
     assert ess > 0.5 * post.num_particles
 
 
-def test_particle_condition_is_respected_through_rejuvenation():
-    post = ParticlePosterior(PRIOR, num_particles=512, rng=9)
-    post.condition(negative_mask=0b000001, positive_mask=0b100000)
-    for pool, outcome in [(0b000110, True), (0b011000, False), (0b000110, True)]:
-        post.update(pool, _ll(outcome, pool))
-    marg = post.marginals()
-    assert marg[0] == pytest.approx(0.0, abs=1e-12)
-    assert marg[5] == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # factory, shared PruneStats, payloads
 # ---------------------------------------------------------------------------
 def test_make_posterior_dispatch(ctx):
-    on_engine = make_posterior("dense", prior=PRIOR, ctx=ctx)
+    on_engine = make_posterior(PRIOR, ctx)
     assert isinstance(on_engine, DistributedLattice) and on_engine.ctx is ctx
-    on_driver = make_posterior("dense", prior=PRIOR)
+    on_driver = make_posterior(PRIOR)
     assert isinstance(on_driver, DistributedLattice) and on_driver.ctx is None
     assert SBGTSession(None, PRIOR, MODEL).lattice.ctx is None
-    assert isinstance(make_posterior("sparse", prior=PRIOR), SparsePosterior)
-    assert isinstance(make_posterior("particle", prior=PRIOR), ParticlePosterior)
-    with pytest.raises(ValueError, match="unknown posterior backend"):
-        make_posterior("exactly", prior=PRIOR)
+    assert isinstance(make_posterior(PRIOR, config=SBGTConfig(backend="sparse")), SparsePosterior)
+    particle = make_posterior(PRIOR, config=SBGTConfig(backend="particle"))
+    assert isinstance(particle, ParticlePosterior)
+    with pytest.raises(ValueError, match="backend must be one of"):
+        SBGTConfig(backend="exactly")
     # The rank-restricted lattice runs without a context too.
-    restricted = make_posterior("dense", prior=PRIOR, max_positives=2)
+    restricted = make_posterior(PRIOR, config=SBGTConfig(max_positives=2))
     assert restricted.ctx is None and restricted.num_states() == 1 + N + N * (N - 1) // 2
     assert restricted.log_discarded_prior < 0.0
     session = SBGTSession(None, PRIOR, MODEL, SBGTConfig(backend="dense", max_positives=2))

@@ -151,23 +151,6 @@ class TestAnalyses:
 
 
 class TestManipulation:
-    def test_condition_matches_serial(self, ctx, prior):
-        from repro.lattice.ops import condition_on_classification
-
-        dl = DistributedLattice.from_prior(ctx, prior, 4)
-        space = prior.build_dense()
-        dl.condition(positive_mask=0b000001, negative_mask=0b000010)
-        expected = condition_on_classification(space, 0b000001, 0b000010)
-        assert dl.num_states() == expected.size
-        assert np.allclose(dl.marginals(), marginals(expected), atol=1e-10)
-        dl.unpersist()
-
-    def test_condition_conflict_raises(self, ctx, prior):
-        dl = DistributedLattice.from_prior(ctx, prior, 2)
-        with pytest.raises(ValueError):
-            dl.condition(positive_mask=0b1, negative_mask=0b1)
-        dl.unpersist()
-
     def test_prune_respects_epsilon(self, ctx):
         prior = PriorSpec.uniform(10, 0.02)
         dl = DistributedLattice.from_prior(ctx, prior, 4)
@@ -280,10 +263,6 @@ class TestCubeBlocks:
         dl.unpersist()
 
     def test_conditioned_and_pruned_blocks_are_generic(self, ctx, prior):
-        dl = DistributedLattice.from_prior(ctx, prior, 2)
-        dl.condition(positive_mask=0b000001)
-        assert all(b.bits is None for b in dl.rdd.collect())
-        dl.unpersist()
         dl = DistributedLattice.from_prior(ctx, PriorSpec.uniform(10, 0.02), 2)
         assert dl.prune(1e-4).dropped_states > 0
         assert all(b.bits is None for b in dl.rdd.collect())
@@ -311,16 +290,11 @@ class TestMarginalsAfterMutations:
     """Marginals follow every mutation, cube blocks or not."""
 
     def test_condition_project_prune_rebalance(self, ctx, prior):
-        from repro.lattice.ops import condition_on_classification, project_out_bit
+        from repro.lattice.ops import project_out_bit
 
         space = prior.build_dense()
         dl = DistributedLattice.from_prior(ctx, prior, 4)
-        stale = dl.marginals()
-
-        dl.condition(negative_mask=0b000100)
-        space = condition_on_classification(space, 0, 0b000100)
-        assert not np.allclose(dl.marginals(), stale)
-        assert np.allclose(dl.marginals(), marginals(space), atol=1e-10)
+        dl.marginals()
 
         dl.project_out_bit(0, True)
         space = project_out_bit(space, 0, True)
@@ -377,7 +351,7 @@ class TestServedMarginals:
         dl.unpersist()
 
     def test_mutators_run_one_job_and_refresh_the_marginals(self, serial_ctx, jobs, prior):
-        from repro.lattice.ops import condition_on_classification, project_out_bit
+        from repro.lattice.ops import project_out_bit
 
         space = prior.build_dense()
         dl = DistributedLattice.from_prior(serial_ctx, prior, 4)
@@ -388,13 +362,13 @@ class TestServedMarginals:
         assert np.allclose(dl.marginals(), marginals(space), atol=1e-12)
         assert jobs() == 0
 
-        dl.condition(negative_mask=0b00010)  # generic blocks: mass now, marginals when asked
-        space = condition_on_classification(space, 0, 0b00010)
-        assert jobs() == 1
-        assert np.allclose(dl.marginals(), marginals(space), atol=1e-12)
+        assert dl.prune(0.05).dropped_states > 0  # generic blocks: mass now, marginals when asked
+        assert jobs() == 3  # the range, the histogram, then the kept mass
+        got = dl.marginals()
         assert jobs() == 1
         dl.marginals()
         assert jobs() == 0
+        assert np.allclose(got, marginals(dl.collect()), atol=1e-12)
         dl.unpersist()
 
     def test_prune_invalidates(self, serial_ctx, jobs):
@@ -413,8 +387,8 @@ class TestServedMarginals:
         dl.update(0b000011, np.array([0.0, -np.inf, -np.inf]))  # both certainly negative
         before, rdd = dl.marginals(), dl.rdd
         with pytest.raises(ValueError):
-            dl.condition(positive_mask=0b000001)
-        assert dl.rdd is rdd
+            dl.project_out_bit(0, True)
+        assert dl.rdd is rdd and dl.n_items == 6
         assert np.array_equal(dl.marginals(), before)
         assert dl.num_states() == 64
         dl.unpersist()
@@ -466,9 +440,11 @@ class TestRebalanceBySlicing:
         dl.unpersist()
 
     def test_cubes_that_do_not_tile_the_lattice_take_the_collect_path(self, ctx, prior):
-        dl = DistributedLattice.from_prior(ctx, prior, 4)
-        dl.condition(positive_mask=0b100000)  # survivors: two whole blocks, still cubes
-        assert [b.bits for b in dl.rdd.collect() if b.size] == [4, 4]
+        from repro.lattice.ops import condition_on_classification
+
+        upper = condition_on_classification(prior.build_dense(), positive_mask=0b100000)
+        dl = DistributedLattice.from_state_space(ctx, upper, 2)  # half the lattice, in cubes
+        assert [b.bits for b in dl.rdd.collect()] == [4, 4]
         want = dl.collect()
         dl.rebalance(2)
         got = dl.collect()

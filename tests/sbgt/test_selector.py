@@ -25,7 +25,6 @@ from repro.sbgt.distributed_lattice import DistributedLattice
 from repro.sbgt.session import SBGTSession
 from repro.sbgt.sparse import SparsePosterior
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 from repro.workflows.payloads import make_policy
 
 BINARY = BinaryErrorModel(0.95, 0.98)
@@ -214,13 +213,13 @@ def mode_ctx(request):
 @pytest.mark.parametrize("policy", ["bha", "lookahead-2", "infogain", "hybrid"])
 def test_serial_and_session_screens_test_the_same_pools(mode_ctx, policy, prior_kind):
     """4 policies × 2 priors × 10 seeds, in every executor mode."""
-    options = ScreenOptions(max_stages=40)
+    config = SBGTConfig(max_stages=40)
     for seed in range(10):
         prior = SWEEP_PRIORS[prior_kind](seed)
-        serial = run_screen(prior, BINARY, make_policy(policy), rng=seed, options=options)
-        session = SBGTSession(mode_ctx, prior, BINARY, SBGTConfig(num_blocks=2))
+        serial = run_screen(prior, BINARY, make_policy(policy), rng=seed, config=config)
+        session = SBGTSession(mode_ctx, prior, BINARY, config.with_(num_blocks=2))
         try:
-            dist = session.run_screen(make_policy(policy), rng=seed, options=options)
+            dist = session.run_screen(make_policy(policy), rng=seed)
         finally:
             session.close()
         tested = [(r.stage, r.pool_mask, r.outcome) for r in serial.posterior.log.records]

@@ -19,7 +19,6 @@ from repro.simulate.population import make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import as_rng
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 
 @pytest.fixture
@@ -93,7 +92,7 @@ class TestSerialAgreement:
         cohort = make_cohort(prior, rng=21)
         serial = run_screen(
             prior, model, policy_factory(), rng=77, cohort=cohort,
-            options=ScreenOptions(max_stages=40),
+            config=SBGTConfig(max_stages=40),
         )
         session = SBGTSession(ctx, prior, model, SBGTConfig(max_stages=40))
         dist = session.run_screen(policy_factory(), rng=77, cohort=cohort)
@@ -148,7 +147,7 @@ def test_hybrid_policy_runs_distributed(ctx, model):
     assert cohort.truth_mask  # someone is positive, so halving stages follow the grid
     for compact in (False, True):
         serial = run_screen(
-            prior, model, HybridPolicy(), rng=13, cohort=cohort, options=ScreenOptions(max_stages=40)
+            prior, model, HybridPolicy(), rng=13, cohort=cohort, config=SBGTConfig(max_stages=40)
         )
         session = SBGTSession(
             ctx, prior, model, SBGTConfig(max_stages=40, compact_classified=compact)

@@ -170,13 +170,6 @@ def test_mutators_keep_the_index(table, seed):
         post.update(mask, np.log(rng.uniform(0.05, 1.0, k + 1)))  # floor > 0 drops rows
         assert _index_is_nonzero(post)
 
-    bit = int(rng.integers(n))
-    try:
-        post.condition(negative_mask=1 << bit)
-    except ValueError:  # every state with mass has the bit: nothing moved
-        pass
-    assert _index_is_nonzero(post)
-
     post.prune(0.05)
     assert _index_is_nonzero(post)
 

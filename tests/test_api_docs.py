@@ -107,6 +107,6 @@ def test_top_level_all_imports_clean():
 
 def test_new_surface_reexported_at_top_level():
     for name in ("EngineListener", "EventBus", "RecordingListener",
-                 "Tracer", "trace_phase", "ScreenOptions"):
+                 "Tracer", "trace_phase"):
         assert name in repro.__all__
         assert getattr(repro, name) is not None

@@ -11,9 +11,9 @@ from repro.halving.policy import (
     IndividualTestingPolicy,
     LookaheadPolicy,
 )
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import Cohort, make_cohort
 from repro.workflows.classify import run_screen
-from repro.workflows.options import ScreenOptions
 
 
 class TestRunScreen:
@@ -75,7 +75,7 @@ class TestRunScreen:
     def test_stage_budget_exhaustion(self):
         prior = PriorSpec.uniform(8, 0.3)
         model = BinaryErrorModel(0.8, 0.8)  # noisy: needs many tests
-        result = run_screen(prior, model, BHAPolicy(), rng=0, options=ScreenOptions(max_stages=2))
+        result = run_screen(prior, model, BHAPolicy(), rng=0, config=SBGTConfig(max_stages=2))
         assert result.stages_used == 2
         assert result.exhausted_budget
         assert not result.report.all_classified
@@ -86,7 +86,7 @@ class TestRunScreen:
         exact = run_screen(prior, PerfectTest(), BHAPolicy(), rng=1, cohort=cohort)
         pruned = run_screen(
             prior, PerfectTest(), BHAPolicy(), rng=1, cohort=cohort,
-            options=ScreenOptions(prune_epsilon=1e-9),
+            config=SBGTConfig(prune_epsilon=1e-9),
         )
         assert pruned.report.statuses == exact.report.statuses
 
@@ -99,7 +99,7 @@ class TestRunScreen:
     def test_track_entropy_records_gains(self):
         prior = PriorSpec.uniform(6, 0.1)
         result = run_screen(
-            prior, PerfectTest(), BHAPolicy(), rng=3, options=ScreenOptions(track_entropy=True)
+            prior, PerfectTest(), BHAPolicy(), rng=3, config=SBGTConfig(track_entropy=True)
         )
         gains = [r.information_gain for r in result.posterior.log.records]
         assert all(g is not None for g in gains)

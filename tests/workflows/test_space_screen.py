@@ -7,9 +7,9 @@ from repro.bayes.correlated import HouseholdPrior
 from repro.bayes.dilution import BinaryErrorModel, PerfectTest
 from repro.bayes.priors import PriorSpec
 from repro.halving.policy import BHAPolicy
+from repro.sbgt.config import SBGTConfig
 from repro.simulate.population import draw_truth_from_space
 from repro.workflows.classify import run_screen, run_screen_from_space
-from repro.workflows.options import ScreenOptions
 
 
 class TestDrawTruthFromSpace:
@@ -56,11 +56,11 @@ class TestRunScreenFromSpace:
 
         cohort = make_cohort(prior, rng=9)
         a = run_screen(
-            prior, model, BHAPolicy(), rng=3, cohort=cohort, options=ScreenOptions(max_stages=40)
+            prior, model, BHAPolicy(), rng=3, cohort=cohort, config=SBGTConfig(max_stages=40)
         )
         b = run_screen_from_space(
             prior.build_dense(), model, BHAPolicy(), rng=3,
-            truth_mask=cohort.truth_mask, options=ScreenOptions(max_stages=40),
+            truth_mask=cohort.truth_mask, config=SBGTConfig(max_stages=40),
         )
         assert a.report.statuses == b.report.statuses
         assert a.efficiency.num_tests == b.efficiency.num_tests
@@ -88,7 +88,7 @@ class TestRunScreenFromSpace:
         space = HouseholdPrior([3, 3], 0.1, 0.5).build_dense()
         result = run_screen_from_space(
             space, PerfectTest(), BHAPolicy(), rng=5,
-            options=ScreenOptions(prune_epsilon=1e-9, track_entropy=True),
+            config=SBGTConfig(prune_epsilon=1e-9, track_entropy=True),
         )
         gains = [r.information_gain for r in result.posterior.log.records]
         assert all(g is not None for g in gains)
