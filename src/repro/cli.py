@@ -250,9 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="result-cache capacity (0 disables caching)")
     p_serve.add_argument("--max-inflight", type=int, default=32,
                          help="admission bound before requests get 429s")
-    p_serve.add_argument("--max-sessions", type=int, default=64)
+    p_serve.add_argument("--max-sessions", type=int, default=64,
+                         help="live sessions before 503s; live campaigns are bounded "
+                              "by the same number, separately")
     p_serve.add_argument("--session-ttl", type=float, default=900.0,
-                         help="idle session expiry, seconds")
+                         help="idle expiry of a session or a campaign, seconds")
     p_serve.add_argument("--engine-mode", choices=["serial", "threads", "processes"],
                          default="threads",
                          help="executor backend of the shared engine context")

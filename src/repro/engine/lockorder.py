@@ -83,7 +83,6 @@ LOCK_LEVELS: Dict[Tuple[str, str], int] = {
     ("RecordingListener", "_lock"): 90,
     ("ResultCache", "_lock"): 90,
     ("SessionRegistry", "_lock"): 90,
-    ("CampaignRegistry", "_lock"): 90,
     ("Tracer", "_lock"): 90,
     ("Sampler", "_lock"): 90,
 }

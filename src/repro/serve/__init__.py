@@ -1,7 +1,8 @@
 """repro.serve — asyncio serving layer for the SBGT engine.
 
 Stdlib-only HTTP front end over the dataflow engine: request
-micro-batching, an LRU result cache, an interactive session registry,
+micro-batching, an LRU result cache, one bounded, idle-expiring
+registry each for interactive screen sessions and stepped campaigns,
 and ``/metrics`` fed by the engine's listener bus.  Entry point:
 ``python -m repro serve``.
 """
@@ -25,7 +26,6 @@ from repro.serve.protocol import (
     SurveilRequest,
 )
 from repro.serve.sessions import (
-    CampaignRegistry,
     CampaignSession,
     ServeSession,
     SessionLimitError,
@@ -56,6 +56,5 @@ __all__ = [
     "ServeSession",
     "SessionRegistry",
     "SessionLimitError",
-    "CampaignRegistry",
     "CampaignSession",
 ]

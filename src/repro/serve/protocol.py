@@ -242,8 +242,11 @@ def _scenario_field(payload: Mapping[str, Any]) -> Optional[str]:
 
 
 @dataclass(frozen=True)
-class ScreenRequest:
-    """``POST /screen`` — one-shot cohort classification."""
+class _ScreenFields:
+    """The nine fields of a screen, their parse, echo and build — shared by
+    :class:`ScreenRequest` and :class:`SessionCreateRequest`, whose
+    ``_EXTRA`` fields are :class:`~repro.sbgt.config.SBGTConfig` fields
+    of the same name."""
 
     cohort: int = 16
     prevalence: float = 0.02
@@ -259,17 +262,20 @@ class ScreenRequest:
         {"cohort", "prevalence", "scenario", "policy", "seed", "max_stages",
          "compact", "backend", "assay"}
     )
+    _EXTRA = ()
+    _WHAT = "screen"
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ScreenRequest":
+    def from_payload(cls, payload: Mapping[str, Any]):
         _require(isinstance(payload, Mapping), "request body must be a JSON object")
-        _check_keys(payload, cls._FIELDS, "screen")
+        _check_keys(payload, cls._FIELDS | frozenset(cls._EXTRA), cls._WHAT)
         backend = _check_backend(payload.get("backend", "dense"))
         cohort = _check_cohort(_get_int(payload, "cohort", 16), backend)
         prevalence = _get_float(payload, "prevalence", 0.02)
         _require(0.0 < prevalence < 1.0, "prevalence must be in (0, 1)")
         max_stages = _get_int(payload, "max_stages", 60)
         _require(1 <= max_stages <= 500, "max_stages must be in [1, 500]")
+        extra = cls._parse_extra(payload)
         return cls(
             cohort=cohort,
             prevalence=prevalence,
@@ -280,7 +286,12 @@ class ScreenRequest:
             compact=_get_bool(payload, "compact", False),
             backend=backend,
             assay=AssaySpec.from_payload(payload.get("assay")),
+            **extra,
         )
+
+    @classmethod
+    def _parse_extra(cls, payload: Mapping[str, Any]) -> Dict[str, Any]:
+        return {}
 
     def canonical(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -289,6 +300,7 @@ class ScreenRequest:
             "seed": self.seed,
             "max_stages": self.max_stages,
             "compact": self.compact,
+            **{name: getattr(self, name) for name in self._EXTRA},
         }
         # Keep the dense default byte-identical to pre-backend payloads.
         if self.backend != "dense":
@@ -300,11 +312,8 @@ class ScreenRequest:
             out["assay"] = self.assay.canonical()
         return out
 
-    def key(self) -> str:
-        return request_digest("screen", self.canonical())
-
     def build(self) -> Tuple[PriorSpec, ResponseModel, SelectionPolicy, SBGTConfig]:
-        """(prior, model, policy, config) of the screen :meth:`execute` runs."""
+        """(prior, model, policy, config) of the screen."""
         if self.scenario is not None:
             prior, model = get_scenario(self.scenario).build(self.cohort, rng=self.seed)
         else:
@@ -313,8 +322,17 @@ class ScreenRequest:
         policy = make_policy(self.policy)
         config = SBGTConfig(max_stages=self.max_stages,
                             compact_classified=self.compact,
-                            backend=self.backend)
+                            backend=self.backend,
+                            **{name: getattr(self, name) for name in self._EXTRA})
         return prior, model, policy, config
+
+
+@dataclass(frozen=True)
+class ScreenRequest(_ScreenFields):
+    """``POST /screen`` — one-shot cohort classification."""
+
+    def key(self) -> str:
+        return request_digest("screen", self.canonical())
 
     def execute(self, ctx) -> Dict[str, Any]:
         """Run the screen: on the shared engine context for the dense
@@ -475,90 +493,23 @@ class SurveilRequest:
 
 
 @dataclass(frozen=True)
-class SessionCreateRequest:
+class SessionCreateRequest(_ScreenFields):
     """``POST /sessions`` — start an interactive sequential screen.
 
     The server holds the belief state and proposes pools; the client
     owns the physical assays (or their simulation) and posts outcomes.
     """
 
-    cohort: int = 16
-    prevalence: float = 0.02
-    scenario: Optional[str] = None
-    policy: str = "bha"
-    seed: int = 0
-    max_stages: int = 60
-    compact: bool = False
     positive_threshold: float = 0.99
     negative_threshold: float = 0.01
-    backend: str = "dense"
-    assay: AssaySpec = AssaySpec()
 
-    _FIELDS = frozenset(
-        {"cohort", "prevalence", "scenario", "policy", "seed", "max_stages",
-         "compact", "positive_threshold", "negative_threshold", "backend", "assay"}
-    )
+    _EXTRA = ("positive_threshold", "negative_threshold")
+    _WHAT = "session"
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "SessionCreateRequest":
-        _require(isinstance(payload, Mapping), "request body must be a JSON object")
-        _check_keys(payload, cls._FIELDS, "session")
-        backend = _check_backend(payload.get("backend", "dense"))
-        cohort = _check_cohort(_get_int(payload, "cohort", 16), backend)
-        prevalence = _get_float(payload, "prevalence", 0.02)
-        _require(0.0 < prevalence < 1.0, "prevalence must be in (0, 1)")
-        max_stages = _get_int(payload, "max_stages", 60)
-        _require(1 <= max_stages <= 500, "max_stages must be in [1, 500]")
+    def _parse_extra(cls, payload: Mapping[str, Any]) -> Dict[str, Any]:
         pos = _get_float(payload, "positive_threshold", 0.99)
         neg = _get_float(payload, "negative_threshold", 0.01)
         _require(0.0 <= neg < pos <= 1.0,
                  "thresholds must satisfy 0 <= negative < positive <= 1")
-        return cls(
-            cohort=cohort,
-            prevalence=prevalence,
-            scenario=_scenario_field(payload),
-            policy=_check_policy(payload.get("policy", "bha")),
-            seed=_get_int(payload, "seed", 0),
-            max_stages=max_stages,
-            compact=_get_bool(payload, "compact", False),
-            positive_threshold=pos,
-            negative_threshold=neg,
-            backend=backend,
-            assay=AssaySpec.from_payload(payload.get("assay")),
-        )
-
-    def canonical(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "cohort": self.cohort,
-            "policy": self.policy,
-            "seed": self.seed,
-            "max_stages": self.max_stages,
-            "compact": self.compact,
-            "positive_threshold": self.positive_threshold,
-            "negative_threshold": self.negative_threshold,
-        }
-        # Keep the dense default byte-identical to pre-backend payloads.
-        if self.backend != "dense":
-            out["backend"] = self.backend
-        if self.scenario is not None:
-            out["scenario"] = self.scenario
-        else:
-            out["prevalence"] = self.prevalence
-            out["assay"] = self.assay.canonical()
-        return out
-
-    def build(self) -> Tuple[PriorSpec, ResponseModel, SelectionPolicy, SBGTConfig]:
-        if self.scenario is not None:
-            prior, model = get_scenario(self.scenario).build(self.cohort, rng=self.seed)
-        else:
-            prior = PriorSpec.uniform(self.cohort, self.prevalence)
-            model = self.assay.build()
-        policy = make_policy(self.policy)
-        config = SBGTConfig(
-            max_stages=self.max_stages,
-            compact_classified=self.compact,
-            positive_threshold=self.positive_threshold,
-            negative_threshold=self.negative_threshold,
-            backend=self.backend,
-        )
-        return prior, model, policy, config
+        return {"positive_threshold": pos, "negative_threshold": neg}

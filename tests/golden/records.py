@@ -34,7 +34,7 @@ from repro.serve.protocol import (
     SessionCreateRequest,
     SurveilRequest,
 )
-from repro.serve.sessions import SessionRegistry
+from repro.serve.sessions import ServeSession
 from repro.simulate.population import make_cohort
 from repro.simulate.testing import TestLab
 from repro.util.rng import as_rng
@@ -167,8 +167,7 @@ def _sha(text: str) -> str:
 def _transcript(ctx, body: Dict[str, Any]) -> str:
     """The documents an interactive client reads over a whole screen."""
     request = SessionCreateRequest.from_payload(body)
-    registry = SessionRegistry(ctx, max_sessions=1)
-    live = registry.create(request)
+    live = ServeSession("transcript", request, ctx)
     try:
         docs = [live.snapshot()]
         prior, model, _, _ = request.build()
@@ -179,18 +178,9 @@ def _transcript(ctx, body: Dict[str, Any]) -> str:
             docs.append(proposal)
             if not proposal["pools"]:
                 break
-            records = live.stepper.submit_outcomes([lab.run(p["mask"]) for p in proposal["pools"]])
-            doc = live.snapshot()
-            doc["records"] = [
-                {"stage": r.stage, "pool_mask": r.pool_mask, "pool_size": r.pool_size,
-                 "outcome": r.outcome if isinstance(r.outcome, (bool, int, float))
-                 else float(r.outcome),
-                 "log_predictive": float(r.log_predictive)}
-                for r in records
-            ]
-            docs.append(doc)
+            docs.append(live.results([lab.run(p["mask"]) for p in proposal["pools"]]))
     finally:
-        registry.close_all()
+        live.close()
     for doc in docs:
         doc.pop("session_id", None)  # random per session
     return "".join(dump_payload(doc) for doc in docs)

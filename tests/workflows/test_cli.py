@@ -62,6 +62,9 @@ OUT_OF_RANGE = [
     ["surveillance", "--beta", "-1"],
     ["surveillance", "--gamma", "-1"],
     ["screen", "--profile", "unused", "--profile-hz", "0"],
+    ["serve", "--port", "0", "--max-sessions", "0"],
+    ["serve", "--port", "0", "--flight-capacity", "0"],
+    ["serve", "--port", "0", "--slow-threshold", "-1"],
 ]
 
 
